@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,9 +40,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_log(records, out / "trajectory.csv")
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary.to_dict(), f, indent=2)
-        f.write("\n")
+    _write_json(out / "summary.json", summary.to_dict())
     print(f"{summary.final_phase}: landing_error="
           f"{summary.landing_error:.3f} m, attach={summary.attach_success}, "
           f"t={summary.total_time:.1f} s")
@@ -54,12 +53,28 @@ def _cmd_montecarlo(args) -> int:
                      workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "montecarlo.json", "w") as f:
-        json.dump(agg, f, indent=2)
-        f.write("\n")
+    _write_json(out / "montecarlo.json", agg)
     print(f"{agg['completed']}/{agg['runs']} completed, "
           f"{100 * agg['landing_within_15cm_rate']:.0f}% landed within 0.15 m")
     return EXIT_OK if agg["completed"] == agg["runs"] else EXIT_ABORTED
+
+
+def _write_json(path: Path, obj) -> None:
+    """Strict JSON: a float that is not finite, such as the landing error
+    of a run that never landed, is written as null."""
+    with open(path, "w") as f:
+        json.dump(_finite_or_null(obj), f, indent=2, allow_nan=False)
+        f.write("\n")
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def _cmd_metrics(args) -> int:

@@ -74,15 +74,13 @@ class VelocityCommand:
     yaw_rate: float
     timestamp: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz, self.yaw_rate])
-
 
 class _Channel:
-    __slots__ = ("window", "prev_error", "prev_raw", "has_prev")
+    __slots__ = ("window", "window_sum", "prev_error", "prev_raw", "has_prev")
 
     def __init__(self):
         self.window: deque = deque()  # (timestamp, error) pairs, 3 s span
+        self.window_sum = 0.0  # running sum of the window's errors
         self.prev_error = 0.0
         self.prev_raw = 0.0
         self.has_prev = False
@@ -104,7 +102,7 @@ class ControllerState:
         self.channels = {c: _Channel() for c in CHANNELS}
 
     def integral_sum(self, name: str) -> float:
-        return sum(e for _, e in self.channels[name].window)
+        return self.channels[name].window_sum
 
 
 def position_error_body(p_star: np.ndarray, p: np.ndarray,
@@ -146,7 +144,7 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
             _accumulate(ch, e, now, limit, st.integral_span)
 
         p_term = kp * e
-        i_term = ki * sum(err for _, err in ch.window)
+        i_term = ki * ch.window_sum
         d_term = kd * (e - ch.prev_error) / T if ch.has_prev else 0.0
         raw = p_term + i_term + d_term
         if feedforward is not None and name in ("x", "y", "z"):
@@ -172,20 +170,7 @@ def _accumulate(ch: _Channel, e: float, now: float, limit: float,
     if ch.prev_raw <= -limit and e < 0.0:
         return
     ch.window.append((now, e))
+    ch.window_sum += e
     while ch.window and now - ch.window[0][0] > span:
-        ch.window.popleft()
+        ch.window_sum -= ch.window.popleft()[1]
 
-
-def saturate_antiwindup(raw: dict[str, float], st: ControllerState,
-                        limits: VelocityLimits, now: float = 0.0,
-                        ) -> tuple[VelocityCommand, ControllerState]:
-    """Clamp raw per-channel commands and record them for windup gating."""
-    out = {}
-    for name in CHANNELS:
-        limit = limits.for_channel(name)
-        ch = st.channels[name]
-        ch.prev_raw = raw[name]
-        out[name] = saturate(raw[name], limit)
-    cmd = VelocityCommand(vx=out["x"], vy=out["y"], vz=out["z"],
-                          yaw_rate=out["yaw"], timestamp=now)
-    return cmd, st

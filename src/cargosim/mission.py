@@ -124,10 +124,13 @@ class MissionExecutive:
     """Sequences the transport phases for a single vehicle."""
 
     def __init__(self, mission: MissionConfig, scenario: ScenarioConfig,
-                 cargo_index: int = 0):
+                 cargo_index: int = 0, dt: float = 0.02):
+        if dt <= 0:
+            raise ValueError("tick period must be > 0")
         self.cfg = mission
         self.scenario = scenario
         self.cargo_index = cargo_index
+        self.dt = dt  # tick period; sizes the pre-adhesion hover window
         self.phase = MissionPhase.TAKEOFF
         self.home_xy = np.asarray(scenario.uav_start[:2], dtype=float)
         self.search_altitude = mission.search_altitude
@@ -329,7 +332,7 @@ class MissionExecutive:
         if near_hover:
             # collect the pre-adhesion hover telemetry window
             self._pre_window.append(inp.rotor_speeds.copy())
-            span = int(cfg.hover_window / 0.02)
+            span = int(round(cfg.hover_window / self.dt))
             if len(self._pre_window) > span:
                 self._pre_window = self._pre_window[-span:]
         if near_hover and horiz < cfg.blind_horizontal_threshold:

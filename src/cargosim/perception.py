@@ -13,6 +13,7 @@ velocity used as control feedforward.
 from __future__ import annotations
 
 import math
+import statistics
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -67,7 +68,7 @@ class CargoTrack:
     yaw: float = 0.0
     # internals
     rejects: int = 0
-    raw_window: deque = field(default_factory=deque)
+    raw_window: deque = field(default_factory=deque)  # [x, y, z] float lists
     accepted: deque = field(default_factory=deque)
     kf_mean: np.ndarray | None = None  # (2, 3): rows position, velocity
     kf_cov: np.ndarray | None = None  # (2, 2) shared across axes
@@ -169,14 +170,16 @@ def smooth_track(track: CargoTrack, new_pos: np.ndarray,
     constant-velocity Kalman filter for the velocity estimate.
     """
     new_pos = np.asarray(new_pos, dtype=float)
+    sample = new_pos.tolist()
     accept = True
     if len(track.raw_window) >= 5:
-        window = np.array(track.raw_window)
-        med = np.median(window, axis=0)
-        mad = np.median(np.abs(window - med), axis=0)
-        thresh = params.outlier_nmad * mad + 1e-9
-        if np.any(np.abs(new_pos - med) > thresh):
-            accept = False
+        # at most `outlier_window` samples: plain Python beats np.median
+        for value, column in zip(sample, zip(*track.raw_window)):
+            med = statistics.median(column)
+            mad = statistics.median([abs(v - med) for v in column])
+            if abs(value - med) > params.outlier_nmad * mad + 1e-9:
+                accept = False
+                break
 
     if not accept:
         track.rejects += 1
@@ -192,7 +195,7 @@ def smooth_track(track: CargoTrack, new_pos: np.ndarray,
 
     if accept:
         track.rejects = 0
-        track.raw_window.append(new_pos)
+        track.raw_window.append(sample)
         while len(track.raw_window) > params.outlier_window:
             track.raw_window.popleft()
         track.accepted.append(new_pos)

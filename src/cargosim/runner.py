@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import control, hybrid_localizer, uwb_localization
-from .control import ControllerState, VelocityLimits, pid_step
-from .frames import (rotation_from_euler, rotation_from_rpy, wrap_angle,
-                     yaw_rotation)
+from .control import ControllerState, VelocityLimits, pid_step, saturate
+from .frames import rotation_from_rpy, wrap_angle, yaw_rotation
 from .mission import (MissionConfig, MissionExecutive, MissionPhase, TickInputs)
 from .perception import (CargoTrack, PerceptionParams, cargo_position_from_detection,
                          smooth_track, wavegate_select)
@@ -77,13 +76,13 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
     anchors = uwb_localization.AnchorSet(scenario.anchors)
     ekf_params = uwb_localization.EkfParams(
         sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
-    label_filters: list = [None, None]
+    labels = None  # both label filters as one batched EkfState
     yaw_est = 0.0  # calibration value before the first dual-label solution
 
     hybrid_state = hybrid_localizer.HybridState()
     perception = PerceptionParams(frame_period=dt)
     track = CargoTrack()
-    executive = MissionExecutive(mission, scenario)
+    executive = MissionExecutive(mission, scenario, dt=dt)
     ctrl = ControllerState()
     limits = VelocityLimits(vertical=mission.vertical_limit)
     prev_gains = None
@@ -99,34 +98,29 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
     n_steps = int(round(max_time / dt))
     for _ in range(n_steps):
         a_body, roll, pitch = world.sense_imu(state)
-        R_a_w = rotation_from_euler(state.platform_attitude)
+        R_a_w = state.R_a_w
         R_b_w = rotation_from_rpy(roll, pitch, yaw_est)
 
         # --- ranging localization -----------------------------------
         ranges = world.sense_uwb(state)
-        per_label: list[list[tuple[int, float]]] = [[], []]
-        for i, j, d in ranges:
-            per_label[i].append((j, d))
-        for i in (0, 1):
-            if label_filters[i] is None:
-                pos = uwb_localization.multilaterate(per_label[i], anchors)
-                label_filters[i] = uwb_localization.initial_state(pos, state.t)
-            else:
-                s = uwb_localization.ekf_predict(
-                    label_filters[i], a_body, R_b_w, R_a_w.T, ekf_params)
-                label_filters[i] = uwb_localization.ekf_update(
-                    s, per_label[i], anchors, ekf_params)
+        if labels is None:
+            labels = uwb_localization.initial_state(
+                [uwb_localization.multilaterate(list(enumerate(row)), anchors)
+                 for row in ranges], state.t)
+        else:
+            labels = uwb_localization.ekf_update(
+                uwb_localization.ekf_predict(labels, a_body, R_b_w, R_a_w.T,
+                                             ekf_params),
+                ranges, anchors, ekf_params)
 
-        u1w = R_a_w @ label_filters[0].position
-        u2w = R_a_w @ label_filters[1].position
+        u1w = R_a_w @ labels.mean[0, :3]
+        u2w = R_a_w @ labels.mean[1, :3]
         try:
             yaw_est = uwb_localization.yaw_from_labels(
                 u1w, u2w, roll, pitch, scenario.label_baseline)
         except uwb_localization.BaselineGateError:
             pass  # hold the last valid heading
-        uwb_pose = uwb_localization.fuse_labels(
-            label_filters[0], label_filters[1], R_a_w, period=dt)
-        uwb_pose = replace(uwb_pose, yaw=yaw_est)
+        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w, yaw=yaw_est)
 
         # --- marker localization ------------------------------------
         qr_pose = None
@@ -165,13 +159,11 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
             prev_gains = cmd.gains
 
         if cmd.mode == "velocity":
-            v = np.clip(cmd.velocity,
-                        [-limits.horizontal, -limits.horizontal,
-                         -limits.vertical, -limits.yaw_rate],
-                        [limits.horizontal, limits.horizontal,
-                         limits.vertical, limits.yaw_rate])
-            vel_cmd = control.VelocityCommand(v[0], v[1], v[2], v[3],
-                                              timestamp=state.t)
+            vx, vy, vz, yaw_rate = cmd.velocity
+            vel_cmd = control.VelocityCommand(
+                saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
+                saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate),
+                timestamp=state.t)
         else:
             if cmd.mode == "world":
                 # the velocity interface is yaw-aligned and horizontal, so
@@ -192,19 +184,18 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
             if world.rng.random() < mission.adsorb_success_prob:
                 state = world.attach_cargo(state)
 
-        state = world.step(state, vel_cmd.as_array(), dt)
+        state = world.step(state, (vel_cmd.vx, vel_cmd.vy, vel_cmd.vz,
+                                   vel_cmd.yaw_rate), dt)
 
         # --- ground contact -----------------------------------------
         support = _support_height(state.uav_pos, scenario, cargo_top)
         if not state.on_ground and state.uav_vel[2] <= 0.0 and \
                 state.uav_pos[2] <= support + 0.02 and vel_cmd.vz <= 0.0:
             state = world.set_on_ground(state, True)
-        if any(e == "phase:land->adsorb" for e in cmd.events) and \
-                math.isnan(landing_error):
+        if "phase:land->adsorb" in cmd.events and math.isnan(landing_error):
             landing_error = float(np.linalg.norm(
                 state.uav_pos[:2] - np.asarray(cargo.position[:2])))
 
-        events = list(hybrid_events) + list(cmd.events)
         c_b = track.position if track.position is not None else (
             float("nan"), float("nan"), float("nan"))
         records.append([
@@ -213,7 +204,7 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
             est.position[0], est.position[1], est.position[2], est.yaw,
             est.source, c_b[0], c_b[1], c_b[2],
             vel_cmd.vx, vel_cmd.vy, vel_cmd.vz, vel_cmd.yaw_rate,
-            state.rotor_sum_sq, ";".join(events),
+            state.rotor_sum_sq, ";".join([*hybrid_events, *cmd.events]),
         ])
 
         phase_durations[cmd.phase.value] = \

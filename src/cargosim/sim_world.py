@@ -10,12 +10,13 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import EulerAngles, rotation_from_euler, rotation_from_rpy, wrap_angle
+from .frames import EulerAngles, rotation_from_euler, wrap_angle
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
 
@@ -166,6 +167,18 @@ class SimState:
     def rotor_sum_sq(self) -> float:
         return float(np.dot(self.rotor_speeds, self.rotor_speeds))
 
+    # Each rotation is built once per snapshot and shared by every sensor
+    # and by the runner; a state is never mutated, so the cache stays valid.
+    @functools.cached_property
+    def R_b_w(self) -> np.ndarray:
+        """True UAV body-to-world rotation."""
+        return rotation_from_euler(self.uav_euler)
+
+    @functools.cached_property
+    def R_a_w(self) -> np.ndarray:
+        """Platform (anchor) frame to world rotation."""
+        return rotation_from_euler(self.platform_attitude)
+
 
 @dataclass(frozen=True)
 class RotorTelemetry:
@@ -178,6 +191,12 @@ class RotorTelemetry:
         return float(np.dot(self.speeds, self.speeds))
 
 
+def _rotate_rows(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """R @ row for every row.  The stacked matmul runs the same 3x3
+    product per row, so each result equals R @ row bit for bit."""
+    return (R @ rows[..., None])[..., 0]
+
+
 class SimWorld:
     """Steppable world; owns the seeded generator for all noise draws."""
 
@@ -185,6 +204,11 @@ class SimWorld:
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
         self._platform_yaw = 0.0
+        # fixed body- and panel-frame points, one per row
+        self._label_offsets = np.array(cfg.label_offsets)
+        self._qr_panels = np.array(
+            [[m.panel_xy[0], m.panel_xy[1], 0.0] for m in cfg.qr_markers],
+            dtype=float).reshape(-1, 3)
 
     def initial_state(self) -> SimState:
         cfg = self.cfg
@@ -210,7 +234,7 @@ class SimWorld:
             2 * math.pi * t / cfg.platform_pitch_period + cfg.platform_pitch_phase)
         return EulerAngles(roll, pitch, wrap_angle(self._platform_yaw))
 
-    def step(self, state: SimState, cmd: np.ndarray, dt: float) -> SimState:
+    def step(self, state: SimState, cmd, dt: float) -> SimState:
         """Advance one control period under a body-frame velocity command.
 
         cmd is [vx, vy, vz, yaw_rate].  The UAV velocity follows the
@@ -219,8 +243,9 @@ class SimWorld:
         weight plus the commanded vertical acceleration.
         """
         cfg = self.cfg
-        cmd = np.asarray(cmd, dtype=float)
-        if not np.all(np.isfinite(cmd)):
+        c_vx, c_vy, c_vz, c_yaw = (float(c) for c in cmd)
+        if not (math.isfinite(c_vx) and math.isfinite(c_vy)
+                and math.isfinite(c_vz) and math.isfinite(c_yaw)):
             raise ValueError("command must be finite")
         if not (0.0 < dt <= 0.1):
             raise ValueError(f"dt must be in (0, 0.1], got {dt}")
@@ -231,97 +256,108 @@ class SimWorld:
                 self.rng.standard_normal()
         platform = self._platform_attitude(t)
 
-        wind = state.wind_vel
+        wx, wy = state.wind_vel
         if cfg.wind_sigma > 0.0:
-            mean = np.asarray(cfg.wind_mean, dtype=float)
-            wind = wind + (mean - wind) * (dt / cfg.wind_tau) + \
-                cfg.wind_sigma * math.sqrt(dt) * self.rng.standard_normal(2)
+            relax = dt / cfg.wind_tau
+            gust = cfg.wind_sigma * math.sqrt(dt)
+            n = self.rng.standard_normal(2)
+            wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n[0]
+            wy = wy + (cfg.wind_mean[1] - wy) * relax + gust * n[1]
 
-        yaw = wrap_angle(state.uav_euler.yaw + cmd[3] * dt)
+        yaw = wrap_angle(state.uav_euler.yaw + c_yaw * dt)
         cy, sy = math.cos(yaw), math.sin(yaw)
-        v_cmd_w = np.array([cy * cmd[0] - sy * cmd[1],
-                            sy * cmd[0] + cy * cmd[1],
-                            cmd[2]])
-        disturbance = cfg.drag_coeff * (wind - state.uav_vel[:2])
-        trim = state.wind_trim + \
-            (disturbance - state.wind_trim) * (dt / cfg.trim_tau)
-        acc = (v_cmd_w - state.uav_vel) / cfg.vel_time_constant
-        acc = acc + np.array([disturbance[0] - trim[0],
-                              disturbance[1] - trim[1], 0.0])
-        vel = state.uav_vel + acc * dt
-        pos = state.uav_pos + vel * dt
+        vx, vy, vz = state.uav_vel
+        dist_x = cfg.drag_coeff * (wx - vx)
+        dist_y = cfg.drag_coeff * (wy - vy)
+        tx, ty = state.wind_trim
+        trim_gain = dt / cfg.trim_tau
+        tx = tx + (dist_x - tx) * trim_gain
+        ty = ty + (dist_y - ty) * trim_gain
+        tau = cfg.vel_time_constant
+        ax = (cy * c_vx - sy * c_vy - vx) / tau + (dist_x - tx)
+        ay = (sy * c_vx + cy * c_vy - vy) / tau + (dist_y - ty)
+        az = (c_vz - vz) / tau + 0.0  # no vertical disturbance
         on_ground = state.on_ground
-        if on_ground and cmd[2] <= 0.0:
+        if on_ground and c_vz <= 0.0:
             vel = np.zeros(3)
             acc = np.zeros(3)
             pos = state.uav_pos
-        elif cmd[2] > 0.0:
-            on_ground = False
+            ax = ay = az = 0.0
+        else:
+            if c_vz > 0.0:
+                on_ground = False
+            vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
+            px, py, pz = state.uav_pos
+            vel = np.array([vx, vy, vz])
+            acc = np.array([ax, ay, az])
+            pos = np.array([px + vx * dt, py + vy * dt, pz + vz * dt])
 
         # tilt follows the commanded horizontal acceleration
-        a_bx = cy * acc[0] + sy * acc[1]
-        a_by = -sy * acc[0] + cy * acc[1]
+        a_bx = cy * ax + sy * ay
+        a_by = -sy * ax + cy * ay
         lim = cfg.tilt_limit
         pitch = max(-lim, min(lim, math.atan2(a_bx, GRAVITY)))
         roll = max(-lim, min(lim, -math.atan2(a_by, GRAVITY)))
         euler = EulerAngles(roll, pitch, yaw)
 
         mass = cfg.uav_mass + state.attached_mass
-        thrust = max(0.05 * mass * GRAVITY, mass * (GRAVITY + acc[2]))
+        thrust = max(0.05 * mass * GRAVITY, mass * (GRAVITY + az))
         speed = math.sqrt(thrust / 4.0)
-        rotors = np.full(4, speed)
         if cfg.rotor_noise > 0.0:
-            rotors = rotors + cfg.rotor_noise * self.rng.standard_normal(4)
+            rotors = speed + cfg.rotor_noise * self.rng.standard_normal(4)
+        else:
+            rotors = np.full(4, speed)
 
         return SimState(t=t, platform_attitude=platform, uav_pos=pos,
                         uav_euler=euler, uav_vel=vel, uav_acc=acc,
-                        wind_vel=wind, wind_trim=trim,
+                        wind_vel=np.array([wx, wy]),
+                        wind_trim=np.array([tx, ty]),
                         attached_mass=state.attached_mass,
                         rotor_speeds=rotors, on_ground=on_ground)
 
     # --- sensors -----------------------------------------------------
 
-    def label_positions_platform(self, state: SimState) -> list[np.ndarray]:
-        """True ranging-label positions in the platform (anchor) frame."""
-        R_b_w = rotation_from_euler(state.uav_euler)
-        R_w_a = rotation_from_euler(state.platform_attitude).T
-        return [R_w_a @ (state.uav_pos + R_b_w @ off)
-                for off in self.cfg.label_offsets]
+    def label_positions_platform(self, state: SimState) -> np.ndarray:
+        """True ranging-label positions in the platform (anchor) frame,
+        one row per label."""
+        labels_w = state.uav_pos + _rotate_rows(state.R_b_w, self._label_offsets)
+        return _rotate_rows(state.R_a_w.T, labels_w)
 
-    def sense_uwb(self, state: SimState) -> list[tuple[int, int, float]]:
-        """Noisy label-to-anchor ranges: (label index, anchor index, range)."""
+    def sense_uwb(self, state: SimState) -> np.ndarray:
+        """Noisy label-to-anchor ranges; row i holds label i's range to
+        every anchor, shape (labels, anchors)."""
         cfg = self.cfg
-        out = []
-        for i, label_pos in enumerate(self.label_positions_platform(state)):
+        labels = self.label_positions_platform(state)
+        diff = cfg.anchors - labels[:, None, :]
+        out = np.sqrt((diff * diff).sum(axis=-1))
+        for i, label_pos in enumerate(labels):
             sigma = cfg.sigma_uwb
             if cfg.occlusion_center is not None:
                 if np.linalg.norm(label_pos - np.asarray(cfg.occlusion_center)) \
                         <= cfg.occlusion_radius:
                     sigma = sigma * cfg.occlusion_factor
-            dists = np.linalg.norm(cfg.anchors - label_pos, axis=1)
             if sigma > 0.0:
-                dists = dists + sigma * self.rng.standard_normal(len(dists))
-            out.extend((i, j, float(d)) for j, d in enumerate(dists))
+                out[i] = out[i] + sigma * self.rng.standard_normal(out.shape[1])
         return out
 
     def sense_imu(self, state: SimState) -> tuple[np.ndarray, float, float]:
         """Body-frame acceleration plus roll and pitch (yaw withheld)."""
-        R_w_b = rotation_from_euler(state.uav_euler).T
-        return R_w_b @ state.uav_acc, state.uav_euler.roll, state.uav_euler.pitch
+        return (state.R_b_w.T @ state.uav_acc, state.uav_euler.roll,
+                state.uav_euler.pitch)
 
     def sense_qr(self, state: SimState) -> list[QrObservation]:
         """Project visible panel markers into the downward camera."""
         cfg = self.cfg
-        R_a_w = rotation_from_euler(state.platform_attitude)
-        R_w_b = rotation_from_euler(state.uav_euler).T
+        R_a_w = state.R_a_w
+        R_w_b = state.R_b_w.T
         psi_img = wrap_angle(state.platform_attitude.yaw - state.uav_euler.yaw
                              - math.pi)
         tan_h = math.tan(cfg.qr_h_fov / 2.0)
         tan_v = math.tan(cfg.qr_v_fov / 2.0)
+        cams = _rotate_rows(R_w_b, _rotate_rows(R_a_w, self._qr_panels)
+                            - state.uav_pos)
         out = []
-        for marker in cfg.qr_markers:
-            panel = np.array([marker.panel_xy[0], marker.panel_xy[1], 0.0])
-            cam = R_w_b @ (R_a_w @ panel - state.uav_pos)
+        for marker, cam in zip(cfg.qr_markers, cams.tolist()):
             z = cam[2]
             if z >= -cfg.qr_focal:
                 continue
@@ -350,7 +386,7 @@ class SimWorld:
     def sense_cargo(self, state: SimState) -> list[DetectionObservation]:
         """Project deck cargoes into the detection camera with noise."""
         cfg = self.cfg
-        R_w_b = rotation_from_euler(state.uav_euler).T
+        R_w_b = state.R_b_w.T
         tan_h = math.tan(cfg.det_h_fov / 2.0)
         tan_v = math.tan(cfg.det_v_fov / 2.0)
         out = []

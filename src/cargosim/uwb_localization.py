@@ -2,7 +2,8 @@
 
 Each ranging label on the UAV carries its own 6-state filter (position
 and velocity in the platform-fixed anchor frame) driven by body-frame
-acceleration and corrected by ranges to the fixed anchors.  The two
+acceleration and corrected by ranges to the fixed anchors; the filters
+of both labels advance together as one batch per tick.  The two
 label states are averaged into the UAV center, rotated into the world
 frame, and their baseline vector yields the UAV yaw independent of the
 magnetometer.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,42 +62,73 @@ class EkfParams:
 
 @dataclass(frozen=True)
 class EkfState:
-    """Label state [position, velocity] with covariance, anchor frame."""
+    """Label state [position, velocity] with covariance, anchor frame.
 
-    mean: np.ndarray  # (6,)
-    cov: np.ndarray  # (6, 6)
+    Labels that step together form a batch with a leading label axis:
+    mean (L, 6), cov (L, 6, 6) and one degraded flag per label.  A single
+    label is the case without that axis.
+    """
+
+    mean: np.ndarray  # (6,) or (L, 6)
+    cov: np.ndarray  # (6, 6) or (L, 6, 6)
     timestamp: float
-    degraded: bool = False  # last update dropped all range rows
+    degraded: np.ndarray | bool = False  # last update dropped all range rows
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        if self.mean.shape != (6,) or self.cov.shape != (6, 6):
+        mean = np.asarray(self.mean, dtype=float)
+        cov = np.asarray(self.cov, dtype=float)
+        if mean.ndim not in (1, 2) or mean.shape[-1] != 6 or \
+                cov.shape != mean.shape + (6,):
             raise ValueError("state must be 6-dim with 6x6 covariance")
+        degraded = np.asarray(self.degraded, dtype=bool)
+        if degraded.shape != mean.shape[:-1]:
+            degraded = np.full(mean.shape[:-1], degraded)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "degraded", degraded)
 
     @property
     def position(self) -> np.ndarray:
-        return self.mean[:3]
+        return self.mean[..., :3]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.mean[3:]
+        return self.mean[..., 3:]
 
 
 def initial_state(position: np.ndarray, timestamp: float, pos_var: float = 0.25,
                   vel_var: float = 0.25) -> EkfState:
-    mean = np.concatenate([np.asarray(position, dtype=float), np.zeros(3)])
-    cov = np.diag([pos_var] * 3 + [vel_var] * 3)
+    """Rest state at `position`, (3,) for one label or (L, 3) for a batch."""
+    position = np.asarray(position, dtype=float)
+    mean = np.concatenate([position, np.zeros_like(position)], axis=-1)
+    cov = np.broadcast_to(np.diag([pos_var] * 3 + [vel_var] * 3),
+                          position.shape[:-1] + (6, 6)).copy()
     return EkfState(mean=mean, cov=cov, timestamp=timestamp)
 
 
 @functools.lru_cache(maxsize=8)
-def _transition_matrices(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transition_matrices(T: float, sigma_jerk: float,
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, B and the jerk-noise term D Q D^T of one sample period."""
     I3 = np.eye(3)
     A = np.block([[I3, T * I3], [np.zeros((3, 3)), I3]])
     B = np.vstack([T * T / 2 * I3, T * I3])
     D = np.vstack([T ** 3 / 6 * I3, T * T / 2 * I3])
-    return A, B, D
+    Q = (sigma_jerk ** 2) * I3
+    out = (A, B, D @ Q @ D.T)
+    for m in out:
+        m.flags.writeable = False  # shared by every caller
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _range_noise(sigma_range: float, rows: int) -> np.ndarray:
+    R = (sigma_range ** 2) * np.eye(rows)
+    R.flags.writeable = False
+    return R
+
+
+_I6 = np.eye(6)
 
 
 def ekf_predict(s: EkfState, a_body: np.ndarray, R_b_w: np.ndarray,
@@ -105,73 +137,95 @@ def ekf_predict(s: EkfState, a_body: np.ndarray, R_b_w: np.ndarray,
 
     Body acceleration is rotated world-then-anchor-frame before entering
     the input matrix; covariance grows by the jerk-noise term D Q D^T.
+    Every label of a batch takes the same acceleration.
     """
     a_body = np.asarray(a_body, dtype=float)
-    if not np.all(np.isfinite(a_body)):
+    if not np.isfinite(a_body).all():
         raise ValueError("acceleration must be finite")
     T = params.period
-    A, B, D = _transition_matrices(T)
+    A, B, DQD = _transition_matrices(T, params.sigma_jerk)
     a_u = R_w_u @ (R_b_w @ a_body)
-    mean = A @ s.mean + B @ a_u
-    Q = (params.sigma_jerk ** 2) * np.eye(3)
-    cov = A @ s.cov @ A.T + D @ Q @ D.T
+    # matmul over the label axis runs the same 6x6 product per label, so
+    # a batch gives exactly what its labels give one at a time
+    mean = (A @ s.mean[..., None])[..., 0] + B @ a_u
+    cov = A @ s.cov @ A.T + DQD
     return EkfState(mean=mean, cov=cov, timestamp=s.timestamp + T)
 
 
-def ekf_update(s: EkfState, ranges: list[tuple[int, float]], anchors: AnchorSet,
+def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
                params: EkfParams) -> EkfState:
     """Range correction with rows linearized at the predicted mean.
 
-    Each row of the Jacobian is [(u - anchor)/d, 0, 0, 0]; the innovation
-    uses the nonlinear predicted distance.  A range whose anchor sits at
-    the predicted position (d < 1e-9) is dropped; if every row is dropped
-    the state is returned unchanged with the degraded flag set.  The
-    covariance is updated in Joseph form to preserve symmetry/PSD.
+    `ranges` is either an array of ranges to every anchor, (N_a,) or one
+    row per label of a batch, (L, N_a); or a list of (anchor index,
+    range) pairs for a subset of the anchors.  Each row of the Jacobian
+    is [(u - anchor)/d, 0, 0, 0]; the innovation uses the nonlinear
+    predicted distance.  A range whose anchor sits at the predicted
+    position (d < 1e-9) is dropped; a label whose every row is dropped
+    keeps its state and has its degraded flag set.  The gain comes from
+    solving the innovation system, and the covariance is updated in
+    Joseph form to preserve symmetry/PSD.
     """
-    if not ranges:
+    if isinstance(ranges, np.ndarray):
+        measured, points = ranges, anchors.positions
+    else:
+        measured = np.array([r for _, r in ranges], dtype=float)
+        points = anchors.positions[[j for j, _ in ranges]]
+    if measured.shape[-1] == 0:
         raise ValueError("at least one range measurement is required")
-    u = s.position
-    rows = []
-    innov = []
-    for j, measured in ranges:
-        anchor = anchors.positions[j]
-        diff = u - anchor
-        d = float(np.linalg.norm(diff))
-        if d < 1e-9:
-            continue
-        rows.append(np.concatenate([diff / d, np.zeros(3)]))
-        innov.append(measured - d)
-    if not rows:
-        return replace(s, degraded=True)
+    if measured.shape[-1] != points.shape[0]:
+        raise ValueError(f"{measured.shape[-1]} ranges for "
+                         f"{points.shape[0]} anchors")
 
-    H = np.vstack(rows)
-    y = np.asarray(innov)
-    R = (params.sigma_range ** 2) * np.eye(len(rows))
-    S = H @ s.cov @ H.T + R
-    K = s.cov @ H.T @ np.linalg.inv(S)
-    mean = s.mean + K @ y
-    IKH = np.eye(6) - K @ H
-    cov = IKH @ s.cov @ IKH.T + K @ R @ K.T
-    return EkfState(mean=mean, cov=cov, timestamp=s.timestamp, degraded=False)
+    P = s.cov
+    diff = s.mean[..., None, :3] - points  # (..., M, 3)
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    dropped = d < 1e-9
+    any_dropped = dropped.any()
+    if any_dropped:
+        # a zero Jacobian row with zero innovation leaves the update as if
+        # that range had not been taken
+        d = np.where(dropped, 1.0, d)
+        diff = np.where(dropped[..., None], 0.0, diff)
+        measured = np.where(dropped, 1.0, measured)
+    h = diff / d[..., None]  # position block of H; the velocity block is 0
+    y = measured - d
+    R = _range_noise(params.sigma_range, h.shape[-2])
+
+    PHt = P[..., :, :3] @ h.swapaxes(-1, -2)  # (..., 6, M)
+    S = h @ PHt[..., :3, :] + R
+    K = np.linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
+    mean = s.mean + (K @ y[..., None])[..., 0]
+    IKH = np.empty_like(P)
+    IKH[...] = _I6
+    IKH[..., :, :3] -= K @ h
+    cov = IKH @ P @ IKH.swapaxes(-1, -2) + \
+        params.sigma_range ** 2 * (K @ K.swapaxes(-1, -2))
+
+    degraded = dropped.all(axis=-1) if any_dropped else \
+        np.zeros(dropped.shape[:-1], dtype=bool)
+    if any_dropped and degraded.any():
+        mean = np.where(degraded[..., None], s.mean, mean)
+        cov = np.where(degraded[..., None, None], P, cov)
+    return EkfState(mean=mean, cov=cov, timestamp=s.timestamp, degraded=degraded)
 
 
-def fuse_labels(s1: EkfState, s2: EkfState, R_au_w: np.ndarray,
-                period: float = 0.02) -> PoseEstimate:
-    """Average the two label states and rotate them into the world frame.
+def fuse_labels(labels: EkfState, R_au_w: np.ndarray,
+                yaw: float = 0.0) -> PoseEstimate:
+    """Average a batch of label states and rotate it into the world frame.
 
     Averaging the symmetric labels cancels the baseline offset and
     decouples the estimate from platform attitude once rotated to world.
-    Yaw is not set here (see :func:`yaw_from_labels`).  Timestamps must
-    agree within half a sample period.
+    The yaw comes from elsewhere (see :func:`yaw_from_labels`) and is
+    passed through.
     """
-    dt = abs(s1.timestamp - s2.timestamp)
-    if dt > 0.5 * period:
-        raise ValueError(f"label state timestamps differ by {dt:.4f}s")
-    mean = 0.5 * (s1.mean + s2.mean)
+    if labels.mean.ndim != 2:
+        raise ValueError("fusion needs a batch of label states")
+    mean = labels.mean.sum(axis=0) / labels.mean.shape[0]
     pos_w = R_au_w @ mean[:3]
     vel_w = R_au_w @ mean[3:]
-    return PoseEstimate(position=pos_w, yaw=0.0, source="uwb",
-                        timestamp=s1.timestamp, velocity=vel_w)
+    return PoseEstimate(position=pos_w, yaw=yaw, source="uwb",
+                        timestamp=labels.timestamp, velocity=vel_w)
 
 
 class BaselineGateError(ValueError):

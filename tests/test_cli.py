@@ -84,6 +84,20 @@ def test_aborted_mission_exit_code(tmp_path, capsys):
     assert rc == cli.EXIT_ABORTED
 
 
+def _reject_constant(name):
+    raise AssertionError(f"{name} is not strict JSON")
+
+
+def test_run_that_never_lands_writes_strict_json(tmp_path, capsys):
+    scenario = _scenario_file(tmp_path, {"mission": {"geofence": [0, 2, 1, 3]}})
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", scenario, "--out", str(out)])
+    assert rc == cli.EXIT_ABORTED
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["landing_error"] is None
+
+
 def test_montecarlo_subcommand(tmp_path, capsys):
     scenario = _scenario_file(tmp_path, _calm_payload())
     out = tmp_path / "mc"
@@ -93,3 +107,5 @@ def test_montecarlo_subcommand(tmp_path, capsys):
     agg = json.loads((out / "montecarlo.json").read_text())
     assert agg["runs"] == 2
     assert agg["completed"] == 2
+    json.loads((out / "montecarlo.json").read_text(),
+               parse_constant=_reject_constant)

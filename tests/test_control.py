@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cargosim.control import (CHANNELS, ControllerState, PHASE_GAINS, PidGains,
                               VelocityCommand, VelocityLimits,
                               position_error_body, pid_step, saturate,
-                              saturate_antiwindup, yaw_error)
+                              yaw_error)
 from cargosim.frames import yaw_rotation
 
 T = 0.02
@@ -158,13 +158,32 @@ def test_yaw_error_aligns_across_long_side():
     assert yaw_error(0.0) == pytest.approx(math.pi / 2)
 
 
-def test_saturate_antiwindup_records_raw():
+def test_running_integral_equals_window_sum(rng):
+    # irregular ticks prune one, several or no samples; large errors
+    # saturate the command so both anti-windup gates fire
+    gains = PidGains(kp=1.0, ki=0.5, kd=0.0)
     st_ = ControllerState()
-    raw = {"x": 2.0, "y": -0.1, "z": 0.0, "yaw": -3.0}
-    cmd, st_ = saturate_antiwindup(raw, st_, LIMITS)
-    assert cmd.vx == LIMITS.horizontal
-    assert cmd.yaw_rate == -LIMITS.yaw_rate
-    assert st_.channels["x"].prev_raw == 2.0
+    now = 0.0
+    seen = {"pruned": 0, "gate_pos": 0, "gate_neg": 0}
+    for _ in range(10_000):
+        now += float(rng.uniform(0.0, 0.1))
+        errors = {name: float(rng.normal(scale=0.5)) for name in CHANNELS}
+        before = {name: (len(ch.window), ch.prev_raw)
+                  for name, ch in st_.channels.items()}
+        pid_step(gains, errors, st_, T, now)
+        for name in ("x", "y", "z"):
+            window = st_.channels[name].window
+            assert abs(st_.integral_sum(name) - sum(e for _, e in window)) \
+                <= 1e-12
+            n_before, prev_raw = before[name]
+            limit = LIMITS.for_channel(name)
+            if prev_raw >= limit and errors[name] > 0.0:
+                seen["gate_pos"] += 1
+            elif prev_raw <= -limit and errors[name] < 0.0:
+                seen["gate_neg"] += 1
+            elif len(window) <= n_before:
+                seen["pruned"] += 1
+    assert min(seen.values()) > 1000, seen
 
 
 def test_pid_rejects_bad_period():

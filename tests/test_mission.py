@@ -180,6 +180,30 @@ def test_bounce_recovery_climbs_clear():
     assert cmd.mode == "body"  # back to servoing
 
 
+def test_hover_windows_span_the_same_time_at_any_tick():
+    # at dt = 0.01 the pre-adhesion window holds the last 2 s of hover,
+    # 200 samples, as many as the post-adhesion verification collects
+    dt = 0.01
+    ex = MissionExecutive(MissionConfig(), calm_scenario(), dt=dt)
+    ex.phase = MissionPhase.LAND
+    # near hover height, but too far off-centre to start the blind hold
+    track = CargoTrack(locked=True, position=np.array([0.15, 0.0, -0.12]))
+    for k in range(300):
+        ex.tick(_inputs(60.0 + k * dt, _est(8.0, 0.0, 1.3), track=track))
+    assert ex.phase is MissionPhase.LAND and not ex._blind
+    assert len(ex._pre_window) == 200
+
+    ex.pre_telemetry = _telemetry(7.9)
+    ex.phase = MissionPhase.RETURN
+    ex._return_stage = "verify"
+    ex._verify_since = 90.0
+    k = 0
+    while ex._return_stage == "verify":
+        k += 1
+        ex.tick(_inputs(90.0 + k * dt, _est(8.0, 0.0, 2.6)))
+    assert len(ex._post_window) == 200
+
+
 def test_attach_failure_reenters_land_then_aborts():
     ex = _executive(max_attach_attempts=2, hover_window=0.1)
     ex.pre_telemetry = _telemetry(7.9)

@@ -87,27 +87,25 @@ def test_range_zero_at_anchor_and_345_triangle():
                         uav_start=(3.0, 3.8, 0.0))
     world = SimWorld(cfg)
     state = world.initial_state()
-    ranges = {(i, j): d for i, j, d in world.sense_uwb(state)}
+    ranges = world.sense_uwb(state)
+    assert ranges.shape == (2, 3)  # (labels, anchors)
     # label 0 sits at uav + (0, 0.2, 0) = (3, 4, 0)
-    assert ranges[(0, 0)] == pytest.approx(5.0, abs=1e-12)
+    assert ranges[0, 0] == pytest.approx(5.0, abs=1e-12)
     cfg2 = calm_scenario(anchors=anchors, uav_start=(0.0, -0.2, 0.0))
     world2 = SimWorld(cfg2)
-    r2 = {(i, j): d for i, j, d in world2.sense_uwb(world2.initial_state())}
-    assert r2[(0, 0)] == pytest.approx(0.0, abs=1e-12)
+    r2 = world2.sense_uwb(world2.initial_state())
+    assert r2[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_range_noise_sigma_calibrated():
     cfg = calm_scenario(sigma_uwb=0.10, uav_start=(0.5, 0.5, 1.0))
     world = SimWorld(cfg)
     state = world.initial_state()
-    true_d = {}
-    for i, label in enumerate(world.label_positions_platform(state)):
-        for j, anchor in enumerate(cfg.anchors):
-            true_d[(i, j)] = np.linalg.norm(label - anchor)
+    true_d = np.array([np.linalg.norm(cfg.anchors - label, axis=1)
+                       for label in world.label_positions_platform(state)])
     residuals = []
     while len(residuals) < 100_000:
-        for i, j, d in world.sense_uwb(state):
-            residuals.append(d - true_d[(i, j)])
+        residuals.extend((world.sense_uwb(state) - true_d).ravel())
     std = float(np.std(residuals))
     assert 0.098 <= std <= 0.102
 
@@ -121,13 +119,9 @@ def test_occlusion_inflates_noise():
     def spread(cfg):
         world = SimWorld(cfg)
         state = world.initial_state()
-        true_d = {}
-        for i, label in enumerate(world.label_positions_platform(state)):
-            for j, anchor in enumerate(cfg.anchors):
-                true_d[(i, j)] = np.linalg.norm(label - anchor)
-        res = []
-        for _ in range(500):
-            res.extend(d - true_d[(i, j)] for i, j, d in world.sense_uwb(state))
+        true_d = np.array([np.linalg.norm(cfg.anchors - label, axis=1)
+                           for label in world.label_positions_platform(state)])
+        res = [world.sense_uwb(state) - true_d for _ in range(500)]
         return np.std(res)
 
     assert spread(occluded) == pytest.approx(5.0 * spread(base), rel=0.1)

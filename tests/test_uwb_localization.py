@@ -131,9 +131,15 @@ def test_multilaterate_needs_three_ranges():
         multilaterate([(0, 1.0), (1, 2.0)], ANCHORS)
 
 
+def _batch(*states):
+    return EkfState(mean=np.stack([s.mean for s in states]),
+                    cov=np.stack([s.cov for s in states]),
+                    timestamp=states[0].timestamp)
+
+
 def test_fuse_labels_idempotent():
     s = initial_state([1.0, 2.0, 3.0], 0.0)
-    pose = fuse_labels(s, s, I3)
+    pose = fuse_labels(_batch(s, s), I3)
     np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
     assert pose.source == "uwb"
 
@@ -141,23 +147,23 @@ def test_fuse_labels_idempotent():
 def test_fuse_labels_symmetric_cancellation():
     s1 = initial_state([0.0, 1.0, 0.0], 0.0)
     s2 = initial_state([0.0, -1.0, 0.0], 0.0)
-    pose = fuse_labels(s1, s2, I3)
+    pose = fuse_labels(_batch(s1, s2), I3)
     np.testing.assert_allclose(pose.position, [0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_fuse_labels_rotates_mean():
     s1 = initial_state([0.0, 0.0, 1.0], 0.0)
     R = rotation_from_rpy(math.radians(10.0), 0.0, 0.0)
-    pose = fuse_labels(s1, s1, R)
+    pose = fuse_labels(_batch(s1, s1), R)
     np.testing.assert_allclose(pose.position, R @ [0.0, 0.0, 1.0], atol=1e-12)
     assert pose.position[2] != pytest.approx(1.0, abs=1e-6)
 
 
-def test_fuse_labels_timestamp_gate():
-    s1 = initial_state([0, 0, 0], 0.0)
-    s2 = initial_state([0, 0, 0], 0.05)
-    with pytest.raises(ValueError, match="timestamps"):
-        fuse_labels(s1, s2, I3, period=0.02)
+def test_fuse_labels_passes_yaw_and_needs_a_batch():
+    s = initial_state([1.0, 2.0, 3.0], 0.0)
+    assert fuse_labels(_batch(s, s), I3, yaw=0.7).yaw == 0.7
+    with pytest.raises(ValueError, match="batch"):
+        fuse_labels(s, I3)
 
 
 def test_yaw_aligned_with_platform():
@@ -194,3 +200,144 @@ def test_yaw_baseline_gate():
 def test_yaw_rejects_extreme_roll():
     with pytest.raises(ValueError):
         yaw_from_labels([0.0, 0.2, 0.0], [0.0, -0.2, 0.0], math.pi / 2, 0.0, 0.4)
+
+
+# --- batched kernels against the per-label reference -------------------
+# The reference is the filter as first written: one label per call, a
+# Python loop over the ranges, an explicit inverse and the full A, B, D.
+
+def _ref_predict(s, a_body, R_b_w, R_w_u, params):
+    T = params.period
+    A = np.block([[I3, T * I3], [np.zeros((3, 3)), I3]])
+    B = np.vstack([T * T / 2 * I3, T * I3])
+    D = np.vstack([T ** 3 / 6 * I3, T * T / 2 * I3])
+    a_u = R_w_u @ (R_b_w @ a_body)
+    Q = (params.sigma_jerk ** 2) * np.eye(3)
+    return A @ s.mean + B @ a_u, A @ s.cov @ A.T + D @ Q @ D.T
+
+
+def _ref_update(s, ranges, anchors, params):
+    u = s.mean[:3]
+    rows, innov = [], []
+    for j, measured in ranges:
+        diff = u - anchors.positions[j]
+        d = float(np.linalg.norm(diff))
+        if d < 1e-9:
+            continue
+        rows.append(np.concatenate([diff / d, np.zeros(3)]))
+        innov.append(measured - d)
+    if not rows:
+        return s.mean, s.cov, True
+    H = np.vstack(rows)
+    y = np.asarray(innov)
+    R = (params.sigma_range ** 2) * np.eye(len(rows))
+    S = H @ s.cov @ H.T + R
+    K = s.cov @ H.T @ np.linalg.inv(S)
+    IKH = np.eye(6) - K @ H
+    return s.mean + K @ y, IKH @ s.cov @ IKH.T + K @ R @ K.T, False
+
+
+def _random_label(rng, position=None):
+    pos = rng.uniform([-1.5, -2.0, 0.5], [1.5, 2.0, 3.5]) \
+        if position is None else np.asarray(position, float)
+    M = rng.normal(size=(6, 6))
+    cov = 0.02 * M @ M.T + 1e-3 * np.eye(6)
+    return EkfState(mean=np.concatenate([pos, rng.normal(size=3)]), cov=cov,
+                    timestamp=1.0)
+
+
+def _label(batch, i):
+    return EkfState(mean=batch.mean[i], cov=batch.cov[i],
+                    timestamp=batch.timestamp)
+
+
+def _assert_label_matches(batch, i, mean, cov):
+    np.testing.assert_allclose(batch.mean[i], mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(batch.cov[i], cov, rtol=0, atol=1e-12)
+
+
+def test_batched_predict_matches_reference(rng):
+    params = EkfParams()
+    for _ in range(200):
+        labels = [_random_label(rng) for _ in range(2)]
+        R_b_w = rotation_from_rpy(*rng.uniform(-0.3, 0.3, 2),
+                                  rng.uniform(-math.pi, math.pi))
+        R_w_u = rotation_from_rpy(*rng.uniform(-0.2, 0.2, 3))
+        a_body = rng.normal(scale=3.0, size=3)
+        out = ekf_predict(_batch(*labels), a_body, R_b_w, R_w_u, params)
+        assert out.timestamp == labels[0].timestamp + params.period
+        for i, s in enumerate(labels):
+            _assert_label_matches(
+                out, i, *_ref_predict(s, a_body, R_b_w, R_w_u, params))
+
+
+def test_batched_update_matches_reference(rng):
+    params = EkfParams()
+    for _ in range(200):
+        labels = [_random_label(rng) for _ in range(2)]
+        truth = [s.mean[:3] + rng.normal(scale=0.2, size=3) for s in labels]
+        ranges = np.array([np.linalg.norm(ANCHORS.positions - t, axis=1)
+                           for t in truth]) + rng.normal(scale=0.1, size=(2, 6))
+        out = ekf_update(_batch(*labels), ranges, ANCHORS, params)
+        np.testing.assert_array_equal(out.degraded, [False, False])
+        for i, s in enumerate(labels):
+            mean, cov, _ = _ref_update(s, list(enumerate(ranges[i])), ANCHORS,
+                                       params)
+            _assert_label_matches(out, i, mean, cov)
+
+
+def test_batched_update_drops_a_range_at_its_anchor(rng):
+    params = EkfParams()
+    on_anchor = _random_label(rng, position=ANCHORS.positions[2])
+    labels = [on_anchor, _random_label(rng)]
+    ranges = rng.uniform(1.0, 4.0, size=(2, 6))
+    out = ekf_update(_batch(*labels), ranges, ANCHORS, params)
+    np.testing.assert_array_equal(out.degraded, [False, False])
+    for i, s in enumerate(labels):
+        mean, cov, _ = _ref_update(s, list(enumerate(ranges[i])), ANCHORS,
+                                   params)
+        _assert_label_matches(out, i, mean, cov)
+
+
+def test_batched_update_all_dropped_is_degraded_and_unchanged(rng):
+    params = EkfParams()
+    on_anchor = _random_label(rng, position=ANCHORS.positions[0])
+    other = _random_label(rng)
+    batch = _batch(on_anchor, other)
+    out = ekf_update(batch, [(0, 1.0)], ANCHORS, params)
+    np.testing.assert_array_equal(out.degraded, [True, False])
+    np.testing.assert_array_equal(out.mean[0], on_anchor.mean)
+    np.testing.assert_array_equal(out.cov[0], on_anchor.cov)
+    mean, cov, degraded = _ref_update(other, [(0, 1.0)], ANCHORS, params)
+    assert not degraded
+    _assert_label_matches(out, 1, mean, cov)
+
+
+def test_update_on_a_subset_of_anchors_matches_reference(rng):
+    params = EkfParams()
+    for _ in range(50):
+        s = _random_label(rng)
+        subset = [(j, float(rng.uniform(1.0, 4.0))) for j in (1, 3, 4)]
+        out = ekf_update(s, subset, ANCHORS, params)
+        mean, cov, _ = _ref_update(s, subset, ANCHORS, params)
+        np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
+        assert not out.degraded
+
+
+def test_batch_of_two_equals_two_batches_of_one(rng):
+    params = EkfParams()
+    R_b_w = rotation_from_rpy(0.1, -0.2, 1.3)
+    R_w_u = rotation_from_rpy(0.05, 0.1, 0.0)
+    a_body = np.array([0.4, -1.2, 0.3])
+    for _ in range(50):
+        labels = [_random_label(rng) for _ in range(2)]
+        ranges = rng.uniform(1.0, 4.0, size=(2, 6))
+        batch = ekf_update(ekf_predict(_batch(*labels), a_body, R_b_w, R_w_u,
+                                       params), ranges, ANCHORS, params)
+        for i, s in enumerate(labels):
+            single = ekf_update(ekf_predict(s, a_body, R_b_w, R_w_u, params),
+                                ranges[i], ANCHORS, params)
+            np.testing.assert_array_equal(_label(batch, i).mean, single.mean)
+            np.testing.assert_array_equal(_label(batch, i).cov, single.cov)
+            assert batch.degraded[i] == single.degraded
