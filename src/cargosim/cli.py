@@ -7,7 +7,8 @@ Subcommands:
   plan        emit the coverage waypoints for a scenario as CSV
 
 Exit codes: 0 mission completed (or command succeeded), 2 mission
-aborted, 64 configuration error.
+aborted, 64 configuration error, 70 fault while running (any other
+invalid value, such as a non-finite estimate inside a mission).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .sim_world import ScenarioConfig
 EXIT_OK = 0
 EXIT_ABORTED = 2
 EXIT_CONFIG = 64
+EXIT_FAULT = 70  # EX_SOFTWARE: the run failed, not its configuration
 
 
 def _load(args) -> tuple[ScenarioConfig, MissionConfig]:
@@ -139,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

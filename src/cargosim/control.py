@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frames import wrap_angle
+from .frames import rotate, wrap_angle
 
 CHANNELS = ("x", "y", "z", "yaw")
 
@@ -105,10 +106,11 @@ class ControllerState:
         return self.channels[name].window_sum
 
 
-def position_error_body(p_star: np.ndarray, p: np.ndarray,
-                        R_w_b: np.ndarray) -> np.ndarray:
-    """World-frame setpoint error rotated into the body frame."""
-    return R_w_b @ (np.asarray(p_star, dtype=float) - np.asarray(p, dtype=float))
+def position_error_body(p_star: Sequence[float], p: Sequence[float],
+                        R_w_b) -> tuple[float, float, float]:
+    """World-frame setpoint error rotated into the body frame; R_w_b is a
+    3x3 array or its rows (see frames.rotation_rows)."""
+    return rotate(R_w_b, [a - b for a, b in zip(p_star, p)])
 
 
 def yaw_error(psi_cargo_body: float) -> float:
@@ -133,7 +135,9 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
     """
     if T <= 0:
         raise ValueError("period must be > 0")
-    out = {}
+    ff = None if feedforward is None else \
+        np.asarray(feedforward, dtype=float).tolist()
+    out = []
     for i, name in enumerate(CHANNELS):
         e = errors.get(name, 0.0)
         kp, ki, kd = gains.channel(name)
@@ -147,17 +151,15 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
         i_term = ki * ch.window_sum
         d_term = kd * (e - ch.prev_error) / T if ch.has_prev else 0.0
         raw = p_term + i_term + d_term
-        if feedforward is not None and name in ("x", "y", "z"):
-            raw += float(feedforward[i])
+        if ff is not None and name != "yaw":
+            raw += ff[i]
 
         ch.prev_error = e
         ch.has_prev = True
         ch.prev_raw = raw
-        out[name] = saturate(raw, limit)
+        out.append(saturate(raw, limit))
 
-    cmd = VelocityCommand(vx=out["x"], vy=out["y"], vz=out["z"],
-                          yaw_rate=out["yaw"], timestamp=now)
-    return cmd, st
+    return VelocityCommand(*out, timestamp=now), st
 
 
 def _accumulate(ch: _Channel, e: float, now: float, limit: float,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class EulerAngles:
     roll: float
     pitch: float
     yaw: float
+    # body-to-world rotation as three rows of floats (see rotation_rows),
+    # built once with the frozen angles and shared by every user
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (-math.pi < self.roll <= math.pi):
@@ -85,6 +88,8 @@ class EulerAngles:
             raise ValueError(f"pitch {self.pitch} outside (-pi/2, pi/2)")
         if not (-math.pi < self.yaw <= math.pi):
             raise ValueError(f"yaw {self.yaw} outside (-pi, pi]")
+        object.__setattr__(self, "rows",
+                           rotation_rows(self.roll, self.pitch, self.yaw))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.roll, self.pitch, self.yaw)
@@ -95,6 +100,17 @@ def rotation_from_euler(e: EulerAngles) -> np.ndarray:
     return rotation_from_rpy(e.roll, e.pitch, e.yaw)
 
 
+def rotation_rows(roll: float, pitch: float, yaw: float,
+                  ) -> tuple[tuple[float, float, float], ...]:
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll) as three rows of Python floats."""
+    cf, sf = math.cos(roll), math.sin(roll)
+    ct, st = math.cos(pitch), math.sin(pitch)
+    cp, sp = math.cos(yaw), math.sin(yaw)
+    return ((cp * ct, cp * st * sf - sp * cf, cp * st * cf + sp * sf),
+            (sp * ct, sp * st * sf + cp * cf, sp * st * cf - cp * sf),
+            (-st, ct * sf, ct * cf))
+
+
 def rotation_from_rpy(roll, pitch, yaw) -> np.ndarray:
     """Rz(yaw) @ Ry(pitch) @ Rx(roll), broadcastable over array inputs.
 
@@ -103,13 +119,7 @@ def rotation_from_rpy(roll, pitch, yaw) -> np.ndarray:
     """
     if isinstance(roll, float) and isinstance(pitch, float) and \
             isinstance(yaw, float):
-        cf, sf = math.cos(roll), math.sin(roll)
-        ct, st = math.cos(pitch), math.sin(pitch)
-        cp, sp = math.cos(yaw), math.sin(yaw)
-        return np.array([
-            [cp * ct, cp * st * sf - sp * cf, cp * st * cf + sp * sf],
-            [sp * ct, sp * st * sf + cp * cf, sp * st * cf - cp * sf],
-            [-st, ct * sf, ct * cf]])
+        return np.array(rotation_rows(roll, pitch, yaw))
     roll = np.asarray(roll, dtype=float)
     pitch = np.asarray(pitch, dtype=float)
     yaw = np.asarray(yaw, dtype=float)
@@ -128,6 +138,34 @@ def rotation_from_rpy(roll, pitch, yaw) -> np.ndarray:
     R[..., 2, 1] = ct * sf
     R[..., 2, 2] = ct * cf
     return R
+
+
+def rotate(R, v) -> tuple[float, float, float]:
+    """R @ v in Python floats, R given as three rows (see rotation_rows).
+
+    Cheaper than numpy for one small vector, but summed in another order
+    than numpy's matmul, so the last bit can differ from ``R @ v``.
+    """
+    x, y, z = v
+    (a, b, c), (d, e, f), (g, h, i) = R
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def rotate_t(R, v) -> tuple[float, float, float]:
+    """R.T @ v in Python floats, R given as three rows, as in :func:`rotate`."""
+    x, y, z = v
+    (a, b, c), (d, e, f), (g, h, i) = R
+    return (a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z)
+
+
+def mean_rows(rows) -> list[float]:
+    """``np.mean(rows, axis=0)`` of a few short rows in Python floats: the
+    same sequential sum from the first row, then the same division."""
+    it = iter(rows)
+    sums = list(next(it))
+    for row in it:
+        sums = [s + v for s, v in zip(sums, row)]
+    return [s / len(rows) for s in sums]
 
 
 def euler_from_rotation(R: np.ndarray) -> EulerAngles:

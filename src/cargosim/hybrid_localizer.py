@@ -29,13 +29,13 @@ class HybridState:
     active_source: str = "uwb"
     qr_streak: int = 0
     switch_count: int = 0
-    last_output: PoseEstimate | None = None
     # running sums over the window (kept incrementally; the loop runs at
-    # 50 Hz so recomputing them every epoch is measurable)
-    _pos_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    # 50 Hz so recomputing them every epoch is measurable), as Python
+    # floats: elementwise float sums give the bits numpy's would
+    _pos_sum: tuple[float, float, float] = (0.0, 0.0, 0.0)
     _sin_sum: float = 0.0
     _cos_sum: float = 0.0
-    _vel_sum: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    _vel_sum: tuple[float, float, float] = (0.0, 0.0, 0.0)
     _vel_count: int = 0
 
     def __post_init__(self):
@@ -47,28 +47,30 @@ class HybridState:
         while len(self.estimates) > self.window:
             self._drop()
 
-    def _add(self, e: PoseEstimate) -> None:
-        self._pos_sum = self._pos_sum + e.position
-        self._sin_sum += math.sin(e.yaw)
-        self._cos_sum += math.cos(e.yaw)
+    def _add(self, e: PoseEstimate, sign: float = 1.0) -> None:
+        # s + (-1.0 * x) is s - x exactly, so one body adds and removes
+        self._pos_sum = _shifted(self._pos_sum, e.position, sign)
+        self._sin_sum += sign * math.sin(e.yaw)
+        self._cos_sum += sign * math.cos(e.yaw)
         if e.velocity is not None:
-            self._vel_sum = self._vel_sum + e.velocity
-            self._vel_count += 1
+            self._vel_sum = _shifted(self._vel_sum, e.velocity, sign)
+            self._vel_count += int(sign)
 
     def _drop(self) -> None:
-        e = self.estimates.popleft()
-        self._pos_sum = self._pos_sum - e.position
-        self._sin_sum -= math.sin(e.yaw)
-        self._cos_sum -= math.cos(e.yaw)
-        if e.velocity is not None:
-            self._vel_sum = self._vel_sum - e.velocity
-            self._vel_count -= 1
+        self._add(self.estimates.popleft(), -1.0)
 
     def push(self, e: PoseEstimate) -> None:
         self.estimates.append(e)
         self._add(e)
         while len(self.estimates) > self.window:
             self._drop()
+
+
+def _shifted(sums: tuple[float, float, float], v: np.ndarray,
+             sign: float) -> tuple[float, float, float]:
+    x, y, z = v.tolist()
+    sx, sy, sz = sums
+    return (sx + sign * x, sy + sign * y, sz + sign * z)
 
 
 def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
@@ -93,10 +95,10 @@ def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
     st.push(chosen)
 
     n = len(st.estimates)
-    pos = st._pos_sum / n
+    pos = np.array([v / n for v in st._pos_sum])
     yaw = wrap_angle(math.atan2(st._sin_sum, st._cos_sum))
-    vel = st._vel_sum / st._vel_count if st._vel_count else None
+    vel = np.array([v / st._vel_count for v in st._vel_sum]) \
+        if st._vel_count else None
     out = PoseEstimate(position=pos, yaw=yaw, source=source,
                        timestamp=chosen.timestamp, velocity=vel)
-    st.last_output = out
     return out, st, events

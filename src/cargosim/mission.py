@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import PHASE_GAINS, PidGains
+from .control import PHASE_GAINS, PidGains, yaw_error
 from .perception import CargoTrack
-from .planner import CoveragePath, plan_coverage
+from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
 from .sim_world import RotorTelemetry, ScenarioConfig
 
@@ -152,9 +152,14 @@ class MissionExecutive:
         self._blind = False
         self._bouncing = False
         self._lost_since: float | None = None
-        self.phase_entered_at = 0.0
         self.abort_reason: str | None = None
-        self.landing_touchdown_xy: np.ndarray | None = None
+        self._handlers = {
+            MissionPhase.TAKEOFF: self._tick_takeoff,
+            MissionPhase.SEARCH: self._tick_search,
+            MissionPhase.LAND: self._tick_land,
+            MissionPhase.ADSORB: self._tick_adsorb,
+            MissionPhase.RETURN: self._tick_return,
+        }
 
     # -- helpers ------------------------------------------------------
 
@@ -166,18 +171,22 @@ class MissionExecutive:
             altitude_above_deck=max(0.5, self.search_altitude - sc.deck_height),
             v_fov=sc.det_v_fov, h_fov=sc.det_h_fov,
             altitude=self.search_altitude)
-        from .planner import yaw_schedule
         self.yaws = yaw_schedule(self.path.cells)
         self.wp_index = 0
 
-    def _transition(self, phase: MissionPhase, t: float,
-                    events: list[str]) -> None:
+    def _transition(self, phase: MissionPhase, events: list[str]) -> None:
         events.append(f"phase:{self.phase.value}->{phase.value}")
         self.phase = phase
-        self.phase_entered_at = t
+
+    def _enter_land(self, events: list[str]) -> None:
+        self._hold_since = None
+        self._blind = False
+        self._bouncing = False
+        self._lost_since = None
+        self._transition(MissionPhase.LAND, events)
 
     def _geofence_ok(self, est: PoseEstimate) -> bool:
-        x, y = est.position[0], est.position[1]
+        x, y, _ = est.position.tolist()
         xmin, xmax, ymin, ymax = self.cfg.geofence
         return xmin <= x <= xmax and ymin <= y <= ymax
 
@@ -205,20 +214,13 @@ class MissionExecutive:
 
         if not self._geofence_ok(est):
             self.abort_reason = "geofence"
-            self._transition(MissionPhase.ABORTED, inp.t, events)
+            self._transition(MissionPhase.ABORTED, events)
             return TickCommand(phase=self.phase, mode="velocity",
                                velocity=np.zeros(4),
                                gains=cfg.gains["search"],
                                events=tuple(events))
 
-        handler = {
-            MissionPhase.TAKEOFF: self._tick_takeoff,
-            MissionPhase.SEARCH: self._tick_search,
-            MissionPhase.LAND: self._tick_land,
-            MissionPhase.ADSORB: self._tick_adsorb,
-            MissionPhase.RETURN: self._tick_return,
-        }[self.phase]
-        return handler(inp, events)
+        return self._handlers[self.phase](inp, events)
 
     def _tick_takeoff(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
@@ -229,7 +231,7 @@ class MissionExecutive:
         sp = np.array([self.home_xy[0], self.home_xy[1], self.search_altitude])
         if z >= self.search_altitude - 0.15:
             self._plan()
-            self._transition(MissionPhase.SEARCH, inp.t, events)
+            self._transition(MissionPhase.SEARCH, events)
         return TickCommand(phase=MissionPhase.TAKEOFF, mode="world", setpoint=sp,
                            yaw_setpoint=0.0, gains=cfg.gains["takeoff"],
                            events=tuple(events))
@@ -241,11 +243,7 @@ class MissionExecutive:
         if inp.track.locked and inp.track.position is not None and \
                 self._lock_overhead(inp.track.position):
             events.append("cargo_locked")
-            self._transition(MissionPhase.LAND, inp.t, events)
-            self._hold_since = None
-            self._blind = False
-            self._bouncing = False
-            self._lost_since = None
+            self._enter_land(events)
             return self._tick_land(inp, events)
 
         wp = self.path.waypoints[self.wp_index]
@@ -273,11 +271,10 @@ class MissionExecutive:
     def _tick_land(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
         track = inp.track
-        if getattr(self, "_blind", False):
+        if self._blind:
             if inp.on_ground:
-                self.landing_touchdown_xy = inp.estimate.position[:2].copy()
                 self._adsorb_until = inp.t + cfg.adsorb_settle_time
-                self._transition(MissionPhase.ADSORB, inp.t, events)
+                self._transition(MissionPhase.ADSORB, events)
                 return TickCommand(phase=MissionPhase.ADSORB, mode="velocity",
                                    velocity=np.zeros(4),
                                    gains=cfg.gains["land"], events=tuple(events))
@@ -311,7 +308,7 @@ class MissionExecutive:
                 self._lost_since = None
                 self._hold_since = None
                 events.append("target_lost")
-                self._transition(MissionPhase.SEARCH, inp.t, events)
+                self._transition(MissionPhase.SEARCH, events)
             return TickCommand(phase=self.phase, mode="body",
                                body_error=np.zeros(3), body_yaw_error=0.0,
                                gains=cfg.gains["land"], events=tuple(events))
@@ -320,8 +317,7 @@ class MissionExecutive:
         c_b = track.position
         height = -c_b[2]  # height above the cargo top
         err = np.array([c_b[0], c_b[1], c_b[2] + cfg.pre_blind_height])
-        from .control import yaw_error as yaw_err_fn
-        yaw_e = yaw_err_fn(track.yaw)
+        yaw_e = yaw_error(track.yaw)
         horiz = math.hypot(c_b[0], c_b[1])
         if horiz > cfg.descent_cone_ratio * height + cfg.descent_cone_slack:
             # outside the approach funnel: correct laterally at altitude
@@ -358,7 +354,7 @@ class MissionExecutive:
             self.attach_attempts += 1
             self._post_window = []
             self._return_stage = "ascend"
-            self._transition(MissionPhase.RETURN, inp.t, events)
+            self._transition(MissionPhase.RETURN, events)
             return TickCommand(phase=MissionPhase.RETURN, mode="velocity",
                                velocity=np.zeros(4), gains=cfg.gains["return"],
                                do_adsorb=True, events=tuple(events))
@@ -372,8 +368,7 @@ class MissionExecutive:
         verify_z = self._cargo_top_height() + cfg.verify_height
 
         if self._return_stage == "ascend":
-            sp = np.array([est.position[0], est.position[1], verify_z])
-            sp[:2] = self._ascend_xy(est)
+            sp = np.array([*self._ascend_xy(), verify_z])
             if est.position[2] >= verify_z - 0.1:
                 self._return_stage = "verify"
                 self._verify_since = inp.t
@@ -383,29 +378,29 @@ class MissionExecutive:
 
         if self._return_stage == "verify":
             self._post_window.append(inp.rotor_speeds.copy())
-            sp = np.array([self._ascend_xy(est)[0], self._ascend_xy(est)[1],
-                           verify_z])
+            sp = np.array([*self._ascend_xy(), verify_z])
             if inp.t - self._verify_since >= cfg.hover_window:
                 self.post_telemetry = RotorTelemetry(
                     speeds=np.mean(self._post_window, axis=0))
-                ok = attachment_check(self.pre_telemetry, self.post_telemetry,
-                                      cfg.attach_delta)
-                self.attach_success = ok
-                if ok:
+                if self.pre_telemetry is None:
+                    # the landing never filled its hover window, so there is
+                    # no effort to compare the post-adhesion hover against
+                    self.abort_reason = "no_pre_hover_window"
+                    self._transition(MissionPhase.ABORTED, events)
+                elif attachment_check(self.pre_telemetry, self.post_telemetry,
+                                      cfg.attach_delta):
+                    self.attach_success = True
                     events.append("attach_ok")
                     self._return_stage = "cruise"
                 else:
+                    self.attach_success = False
                     events.append("attach_failed")
                     if self.attach_attempts >= cfg.max_attach_attempts:
                         self.abort_reason = "attach_retries_exhausted"
-                        self._transition(MissionPhase.ABORTED, inp.t, events)
+                        self._transition(MissionPhase.ABORTED, events)
                     else:
-                        self._hold_since = None
-                        self._blind = False
-                        self._bouncing = False
-                        self._lost_since = None
                         self._pre_window = []
-                        self._transition(MissionPhase.LAND, inp.t, events)
+                        self._enter_land(events)
             return TickCommand(phase=MissionPhase.RETURN, mode="world",
                                setpoint=sp, yaw_setpoint=est.yaw,
                                gains=cfg.gains["return"], events=tuple(events))
@@ -415,7 +410,8 @@ class MissionExecutive:
             if est.position[2] < cfg.return_altitude - 0.2:
                 # climb over the deck before crossing back
                 sp[:2] = est.position[:2]
-            horiz = np.linalg.norm(est.position[:2] - self.home_xy)
+            horiz = math.hypot(est.position[0] - self.home_xy[0],
+                               est.position[1] - self.home_xy[1])
             if horiz < 0.3 and est.position[2] >= cfg.return_altitude - 0.3:
                 self._return_stage = "descend"
             return TickCommand(phase=MissionPhase.RETURN, mode="world",
@@ -426,11 +422,11 @@ class MissionExecutive:
         sp = np.array([self.home_xy[0], self.home_xy[1], 0.0])
         if inp.on_ground:
             events.append("platform_landed")
-            self._transition(MissionPhase.DONE, inp.t, events)
+            self._transition(MissionPhase.DONE, events)
         return TickCommand(phase=self.phase, mode="world", setpoint=sp,
                            yaw_setpoint=0.0, gains=cfg.gains["land"],
                            events=tuple(events))
 
-    def _ascend_xy(self, est: PoseEstimate) -> np.ndarray:
-        cargo = self.scenario.cargoes[self.cargo_index]
-        return np.array([cargo.position[0], cargo.position[1]])
+    def _ascend_xy(self) -> tuple[float, float]:
+        x, y, _ = self.scenario.cargoes[self.cargo_index].position
+        return x, y

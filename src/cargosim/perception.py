@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .frames import mean_rows
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,9 @@ class CargoTrack:
     # internals
     rejects: int = 0
     raw_window: deque = field(default_factory=deque)  # [x, y, z] float lists
-    accepted: deque = field(default_factory=deque)
-    kf_mean: np.ndarray | None = None  # (2, 3): rows position, velocity
-    kf_cov: np.ndarray | None = None  # (2, 2) shared across axes
+    accepted: deque = field(default_factory=deque)  # the same, accepted only
+    kf_mean: tuple | None = None  # ([x, y, z] position, [x, y, z] velocity)
+    kf_cov: tuple | None = None  # 2x2 rows, shared across axes
 
 
 def _box_iou(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
@@ -147,7 +150,7 @@ def wavegate_select(candidates: list[DetectionObservation], track: CargoTrack,
 
 
 def cargo_position_from_detection(obs: DetectionObservation, focal_length: float,
-                                  true_diagonal: float) -> np.ndarray:
+                                  true_diagonal: float) -> tuple[float, float, float]:
     """Body-frame cargo position by the same pinhole inversion as markers."""
     if true_diagonal <= 0:
         raise ValueError("true diagonal must be > 0")
@@ -157,10 +160,10 @@ def cargo_position_from_detection(obs: DetectionObservation, focal_length: float
     z = -focal_length * scale - focal_length
     x = obs.image_center[0] * scale
     y = obs.image_center[1] * scale
-    return np.array([x, y, z])
+    return (x, y, z)
 
 
-def smooth_track(track: CargoTrack, new_pos: np.ndarray,
+def smooth_track(track: CargoTrack, new_pos: Sequence[float],
                  params: PerceptionParams = PerceptionParams()) -> CargoTrack:
     """Outlier-reject, mean-filter and velocity-filter one position sample.
 
@@ -169,8 +172,7 @@ def smooth_track(track: CargoTrack, new_pos: np.ndarray,
     samples feed a sliding mean for the position output and a
     constant-velocity Kalman filter for the velocity estimate.
     """
-    new_pos = np.asarray(new_pos, dtype=float)
-    sample = new_pos.tolist()
+    sample = [float(v) for v in new_pos]
     accept = True
     if len(track.raw_window) >= 5:
         # at most `outlier_window` samples: plain Python beats np.median
@@ -198,41 +200,51 @@ def smooth_track(track: CargoTrack, new_pos: np.ndarray,
         track.raw_window.append(sample)
         while len(track.raw_window) > params.outlier_window:
             track.raw_window.popleft()
-        track.accepted.append(new_pos)
+        track.accepted.append(sample)
         while len(track.accepted) > params.mean_window:
             track.accepted.popleft()
-        track.position = np.mean(track.accepted, axis=0)
-        _kf_step(track, new_pos, params)
+        track.position = np.array(mean_rows(track.accepted))
+        _kf_step(track, sample, params)
         if track.selected is not None:
             track.yaw = track.selected.box_yaw
     else:
         _kf_step(track, None, params)
-    track.velocity = track.kf_mean[1].copy() if track.kf_mean is not None else np.zeros(3)
+    track.velocity = np.array(track.kf_mean[1] if track.kf_mean is not None
+                              else (0.0, 0.0, 0.0))
     return track
 
 
-def _kf_step(track: CargoTrack, meas: np.ndarray | None,
+def _kf_step(track: CargoTrack, meas: list[float] | None,
              params: PerceptionParams) -> None:
     # one 2-state (position, velocity) filter per axis; gains are shared
-    # across axes so a single 2x2 covariance suffices
-    T = params.frame_period
+    # across axes so a single 2x2 covariance suffices.  The 2x2 algebra is
+    # written out in Python floats, cheaper than a dozen numpy calls.
     if track.kf_mean is None:
         if meas is None:
             return
-        track.kf_mean = np.vstack([meas, np.zeros(3)])
-        track.kf_cov = np.diag([params.kf_sigma_meas ** 2, 1.0])
+        track.kf_mean = (list(meas), [0.0, 0.0, 0.0])
+        track.kf_cov = ((params.kf_sigma_meas ** 2, 0.0), (0.0, 1.0))
         return
-    A = np.array([[1.0, T], [0.0, 1.0]])
-    G = np.array([T * T / 2, T])
+    T = params.frame_period
+    g0, g1 = T * T / 2, T
     q = params.kf_sigma_accel ** 2
-    mean = A @ track.kf_mean
-    cov = A @ track.kf_cov @ A.T + q * np.outer(G, G)
+    (p00, p01), (p10, p11) = track.kf_cov
+    # predict: x <- A x and P <- A P A^T + q G G^T, A = [[1, T], [0, 1]]
+    pos = [p + T * v for p, v in zip(*track.kf_mean)]
+    vel = track.kf_mean[1]
+    a00, a01 = p00 + T * p10, p01 + T * p11
+    p00, p01 = a00 + T * a01 + q * g0 * g0, a01 + q * g0 * g1
+    p10, p11 = p10 + T * p11 + q * g1 * g0, p11 + q * g1 * g1
     if meas is not None:
         r = params.kf_sigma_meas ** 2
-        s = cov[0, 0] + r
-        K = cov[:, 0] / s
-        mean = mean + np.outer(K, meas - mean[0])
-        IKH = np.eye(2) - np.outer(K, [1.0, 0.0])
-        cov = IKH @ cov @ IKH.T + r * np.outer(K, K)
-    track.kf_mean = mean
-    track.kf_cov = cov
+        k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
+        innov = [m - p for m, p in zip(meas, pos)]
+        pos = [p + k0 * e for p, e in zip(pos, innov)]
+        vel = [v + k1 * e for v, e in zip(vel, innov)]
+        # Joseph form (I - K H) P (I - K H)^T + r K K^T with H = [1, 0]
+        m00, m01 = (1.0 - k0) * p00, (1.0 - k0) * p01
+        m10, m11 = p10 - k1 * p00, p11 - k1 * p01
+        p00, p01 = m00 * (1.0 - k0) + r * k0 * k0, m01 - m00 * k1 + r * k0 * k1
+        p10, p11 = m10 * (1.0 - k0) + r * k1 * k0, m11 - m10 * k1 + r * k1 * k1
+    track.kf_mean = (pos, vel)
+    track.kf_cov = ((p00, p01), (p10, p11))

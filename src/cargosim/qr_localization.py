@@ -11,11 +11,11 @@ markers are combined by averaging (circular mean for yaw).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import EulerAngles, rotation_from_euler, rotation_from_rpy, wrap_angle
+from .frames import EulerAngles, mean_rows, rotate, rotation_rows, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,15 @@ class PoseEstimate:
     velocity: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if not np.all(np.isfinite(self.position)) or not math.isfinite(self.yaw):
+        position = np.asarray(self.position, dtype=float)
+        object.__setattr__(self, "position", position)
+        if not (all(map(math.isfinite, position.ravel().tolist()))
+                and math.isfinite(self.yaw)):
             raise ValueError("pose estimate must be finite")
 
 
-def marker_camera_coords(obs: QrObservation, marker: QrMarker) -> np.ndarray:
+def marker_camera_coords(obs: QrObservation, marker: QrMarker,
+                         ) -> tuple[float, float, float]:
     """Camera-frame coordinates of a marker center from its image geometry.
 
     Inverts the similar-triangles projection:
@@ -90,7 +93,7 @@ def marker_camera_coords(obs: QrObservation, marker: QrMarker) -> np.ndarray:
     z = -obs.focal_length * scale - obs.focal_length
     x = obs.image_center[0] * scale
     y = obs.image_center[1] * scale
-    return np.array([x, y, z])
+    return (x, y, z)
 
 
 class NoFix(Exception):
@@ -116,7 +119,7 @@ def estimate_pose(
     """
     if not observations:
         raise NoFix("no marker observations")
-    R_a_w = rotation_from_euler(platform_attitude)
+    R_a_w = platform_attitude.rows
     phi, theta = uav_roll_pitch
 
     positions = []
@@ -127,16 +130,16 @@ def estimate_pose(
             continue
         cam = marker_camera_coords(obs, marker)
         psi_i = wrap_angle(platform_attitude.yaw - (obs.image_yaw + math.pi))
-        R_b_w = rotation_from_rpy(phi, theta, psi_i)
-        panel = np.array([marker.panel_xy[0], marker.panel_xy[1], 0.0])
-        positions.append(R_a_w @ panel - R_b_w @ cam)
+        px, py, pz = rotate(R_a_w, (marker.panel_xy[0], marker.panel_xy[1], 0.0))
+        bx, by, bz = rotate(rotation_rows(phi, theta, psi_i), cam)
+        positions.append((px - bx, py - by, pz - bz))
         yaws.append(psi_i)
     if not positions:
         raise NoFix("all observations had unknown labels")
 
-    p = np.mean(positions, axis=0)
     yaw = math.atan2(
         sum(math.sin(y) for y in yaws) / len(yaws),
         sum(math.cos(y) for y in yaws) / len(yaws),
     )
-    return PoseEstimate(position=p, yaw=wrap_angle(yaw), source="qr", timestamp=timestamp)
+    return PoseEstimate(position=np.array(mean_rows(positions)),
+                        yaw=wrap_angle(yaw), source="qr", timestamp=timestamp)

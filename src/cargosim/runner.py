@@ -9,8 +9,6 @@ run summary.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import control, hybrid_localizer, uwb_localization
 from .control import ControllerState, VelocityLimits, pid_step, saturate
-from .frames import rotation_from_rpy, wrap_angle, yaw_rotation
+from .frames import rotate, rotation_rows, wrap_angle
 from .mission import (MissionConfig, MissionExecutive, MissionPhase, TickInputs)
 from .perception import (CargoTrack, PerceptionParams, cargo_position_from_detection,
                          smooth_track, wavegate_select)
@@ -33,6 +31,7 @@ LOG_COLUMNS = [
     "cargo_bx", "cargo_by", "cargo_bz",
     "cmd_vx", "cmd_vy", "cmd_vz", "cmd_yaw_rate", "rotor_sum_sq", "events",
 ]
+NAN3 = (float("nan"),) * 3  # the cargo columns of a tick without a track
 
 
 @dataclass
@@ -88,18 +87,18 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
     prev_gains = None
 
     records: list[list] = []
-    errors_by_source: dict[str, list[np.ndarray]] = {"qr": [], "uwb": []}
+    # per source: ticks and running sums of the squared x, y, z errors,
+    # summed in tick order as np.mean(err * err, axis=0) sums them
+    sq_errors: dict[str, list] = {}
     phase_durations: dict[str, float] = {}
     landing_error = float("nan")
     cargo = scenario.cargoes[0]
     cargo_top = cargo.position[2]
-    deck = scenario.deck_center
 
     n_steps = int(round(max_time / dt))
     for _ in range(n_steps):
         a_body, roll, pitch = world.sense_imu(state)
-        R_a_w = state.R_a_w
-        R_b_w = rotation_from_rpy(roll, pitch, yaw_est)
+        R_a_w_rows = state.platform_attitude.rows
 
         # --- ranging localization -----------------------------------
         ranges = world.sense_uwb(state)
@@ -109,18 +108,18 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
                  for row in ranges], state.t)
         else:
             labels = uwb_localization.ekf_update(
-                uwb_localization.ekf_predict(labels, a_body, R_b_w, R_a_w.T,
-                                             ekf_params),
+                uwb_localization.ekf_predict(
+                    labels, a_body, rotation_rows(roll, pitch, yaw_est),
+                    tuple(zip(*R_a_w_rows)), ekf_params),
                 ranges, anchors, ekf_params)
 
-        u1w = R_a_w @ labels.mean[0, :3]
-        u2w = R_a_w @ labels.mean[1, :3]
+        u1w, u2w = (rotate(R_a_w_rows, u) for u in labels.mean[:, :3].tolist())
         try:
             yaw_est = uwb_localization.yaw_from_labels(
                 u1w, u2w, roll, pitch, scenario.label_baseline)
         except uwb_localization.BaselineGateError:
             pass  # hold the last valid heading
-        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w, yaw=yaw_est)
+        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w_rows, yaw=yaw_est)
 
         # --- marker localization ------------------------------------
         qr_pose = None
@@ -135,8 +134,13 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
         est, hybrid_state, hybrid_events = hybrid_localizer.arbitrate(
             qr_pose, uwb_pose, hybrid_state)
 
-        truth = state.uav_pos
-        errors_by_source[est.source].append(est.position - truth)
+        truth = state.uav_pos.tolist()
+        est_xyz = est.position.tolist()
+        sq = sq_errors.setdefault(est.source, [0, 0.0, 0.0, 0.0])
+        sq[0] += 1
+        for k, (e, t) in enumerate(zip(est_xyz, truth), 1):
+            d = e - t
+            sq[k] += d * d
 
         # --- perception ---------------------------------------------
         candidates = world.sense_cargo(state)
@@ -147,7 +151,7 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
             # de-rotate by the IMU roll/pitch: without this the vehicle's
             # own tilt shifts the apparent target the same way the command
             # pushes, a positive feedback that never converges
-            pos_b = rotation_from_rpy(roll, pitch, 0.0) @ pos_cam
+            pos_b = rotate(rotation_rows(roll, pitch, 0.0), pos_cam)
             track = smooth_track(track, pos_b, perception)
 
         # --- mission + control --------------------------------------
@@ -159,7 +163,7 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
             prev_gains = cmd.gains
 
         if cmd.mode == "velocity":
-            vx, vy, vz, yaw_rate = cmd.velocity
+            vx, vy, vz, yaw_rate = cmd.velocity.tolist()
             vel_cmd = control.VelocityCommand(
                 saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
                 saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate),
@@ -168,12 +172,13 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
             if cmd.mode == "world":
                 # the velocity interface is yaw-aligned and horizontal, so
                 # tilt must not leak altitude error into the x/y channels
-                e_b = control.position_error_body(cmd.setpoint, est.position,
-                                                  yaw_rotation(est.yaw).T)
+                R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
+                e_b = control.position_error_body(cmd.setpoint.tolist(), est_xyz,
+                                                  R_w_b)
                 yaw_e = wrap_angle(cmd.yaw_setpoint - est.yaw)
                 ff = None
             else:  # body: visual servoing
-                e_b = cmd.body_error
+                e_b = cmd.body_error.tolist()
                 yaw_e = cmd.body_yaw_error
                 ff = cmd.feedforward
             errors = {"x": e_b[0], "y": e_b[1], "z": e_b[2], "yaw": yaw_e}
@@ -188,20 +193,20 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
                                    vel_cmd.yaw_rate), dt)
 
         # --- ground contact -----------------------------------------
-        support = _support_height(state.uav_pos, scenario, cargo_top)
+        pos = state.uav_pos.tolist()
+        support = _support_height(pos, scenario, cargo_top)
         if not state.on_ground and state.uav_vel[2] <= 0.0 and \
-                state.uav_pos[2] <= support + 0.02 and vel_cmd.vz <= 0.0:
+                pos[2] <= support + 0.02 and vel_cmd.vz <= 0.0:
             state = world.set_on_ground(state, True)
         if "phase:land->adsorb" in cmd.events and math.isnan(landing_error):
             landing_error = float(np.linalg.norm(
                 state.uav_pos[:2] - np.asarray(cargo.position[:2])))
 
-        c_b = track.position if track.position is not None else (
-            float("nan"), float("nan"), float("nan"))
-        records.append([
+        c_b = track.position.tolist() if track.position is not None else NAN3
+        records.append([  # a list display, not unpacking: no spare slots
             round(state.t, 6), cmd.phase.value,
             truth[0], truth[1], truth[2], state.uav_euler.yaw,
-            est.position[0], est.position[1], est.position[2], est.yaw,
+            est_xyz[0], est_xyz[1], est_xyz[2], est.yaw,
             est.source, c_b[0], c_b[1], c_b[2],
             vel_cmd.vx, vel_cmd.vy, vel_cmd.vz, vel_cmd.yaw_rate,
             state.rotor_sum_sq, ";".join([*hybrid_events, *cmd.events]),
@@ -212,11 +217,8 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
         if executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
             break
 
-    rmse = {}
-    for source, errs in errors_by_source.items():
-        if errs:
-            arr = np.array(errs)
-            rmse[source] = list(np.sqrt(np.mean(arr * arr, axis=0)))
+    rmse = {source: [math.sqrt(v / n) for v in sums]
+            for source, (n, *sums) in sorted(sq_errors.items())}
     summary = RunSummary(
         final_phase=executive.phase.value,
         abort_reason=executive.abort_reason if
@@ -236,7 +238,7 @@ def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
     return summary, records
 
 
-def _support_height(pos: np.ndarray, scenario: ScenarioConfig,
+def _support_height(pos: list[float], scenario: ScenarioConfig,
                     cargo_top: float) -> float:
     cargo = scenario.cargoes[0]
     if math.hypot(pos[0] - cargo.position[0], pos[1] - cargo.position[1]) \

@@ -10,13 +10,12 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import EulerAngles, rotation_from_euler, wrap_angle
+from .frames import EulerAngles, rotate, rotate_t, wrap_angle
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
 
@@ -167,18 +166,6 @@ class SimState:
     def rotor_sum_sq(self) -> float:
         return float(np.dot(self.rotor_speeds, self.rotor_speeds))
 
-    # Each rotation is built once per snapshot and shared by every sensor
-    # and by the runner; a state is never mutated, so the cache stays valid.
-    @functools.cached_property
-    def R_b_w(self) -> np.ndarray:
-        """True UAV body-to-world rotation."""
-        return rotation_from_euler(self.uav_euler)
-
-    @functools.cached_property
-    def R_a_w(self) -> np.ndarray:
-        """Platform (anchor) frame to world rotation."""
-        return rotation_from_euler(self.platform_attitude)
-
 
 @dataclass(frozen=True)
 class RotorTelemetry:
@@ -191,12 +178,6 @@ class RotorTelemetry:
         return float(np.dot(self.speeds, self.speeds))
 
 
-def _rotate_rows(R: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """R @ row for every row.  The stacked matmul runs the same 3x3
-    product per row, so each result equals R @ row bit for bit."""
-    return (R @ rows[..., None])[..., 0]
-
-
 class SimWorld:
     """Steppable world; owns the seeded generator for all noise draws."""
 
@@ -205,10 +186,16 @@ class SimWorld:
         self.rng = np.random.default_rng(cfg.seed)
         self._platform_yaw = 0.0
         # fixed body- and panel-frame points, one per row
-        self._label_offsets = np.array(cfg.label_offsets)
-        self._qr_panels = np.array(
-            [[m.panel_xy[0], m.panel_xy[1], 0.0] for m in cfg.qr_markers],
-            dtype=float).reshape(-1, 3)
+        self._label_offsets = np.array(cfg.label_offsets).tolist()
+        self._anchors = cfg.anchors.tolist()
+        self._qr_panels = [(float(m.panel_xy[0]), float(m.panel_xy[1]), 0.0)
+                           for m in cfg.qr_markers]
+        # a sphere around every marker, widened for rounding; see sense_qr
+        panels = self._qr_panels
+        self._qr_center = tuple(sum(c) / len(panels) for c in zip(*panels)) \
+            if panels else (0.0, 0.0, 0.0)
+        self._qr_radius = max((math.dist(p, self._qr_center)
+                               for p in self._qr_panels), default=0.0) + 1e-6
 
     def initial_state(self) -> SimState:
         cfg = self.cfg
@@ -243,7 +230,7 @@ class SimWorld:
         weight plus the commanded vertical acceleration.
         """
         cfg = self.cfg
-        c_vx, c_vy, c_vz, c_yaw = (float(c) for c in cmd)
+        c_vx, c_vy, c_vz, c_yaw = cmd
         if not (math.isfinite(c_vx) and math.isfinite(c_vy)
                 and math.isfinite(c_vz) and math.isfinite(c_yaw)):
             raise ValueError("command must be finite")
@@ -256,20 +243,22 @@ class SimWorld:
                 self.rng.standard_normal()
         platform = self._platform_attitude(t)
 
-        wx, wy = state.wind_vel
+        # the state's small vectors are unpacked to Python floats, whose
+        # arithmetic is cheaper than numpy scalars' and gives the same bits
+        wx, wy = state.wind_vel.tolist()
         if cfg.wind_sigma > 0.0:
             relax = dt / cfg.wind_tau
             gust = cfg.wind_sigma * math.sqrt(dt)
-            n = self.rng.standard_normal(2)
-            wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n[0]
-            wy = wy + (cfg.wind_mean[1] - wy) * relax + gust * n[1]
+            n0, n1 = self.rng.standard_normal(2).tolist()
+            wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n0
+            wy = wy + (cfg.wind_mean[1] - wy) * relax + gust * n1
 
         yaw = wrap_angle(state.uav_euler.yaw + c_yaw * dt)
         cy, sy = math.cos(yaw), math.sin(yaw)
-        vx, vy, vz = state.uav_vel
+        vx, vy, vz = state.uav_vel.tolist()
         dist_x = cfg.drag_coeff * (wx - vx)
         dist_y = cfg.drag_coeff * (wy - vy)
-        tx, ty = state.wind_trim
+        tx, ty = state.wind_trim.tolist()
         trim_gain = dt / cfg.trim_tau
         tx = tx + (dist_x - tx) * trim_gain
         ty = ty + (dist_y - ty) * trim_gain
@@ -287,7 +276,7 @@ class SimWorld:
             if c_vz > 0.0:
                 on_ground = False
             vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
-            px, py, pz = state.uav_pos
+            px, py, pz = state.uav_pos.tolist()
             vel = np.array([vx, vy, vz])
             acc = np.array([ax, ay, az])
             pos = np.array([px + vx * dt, py + vy * dt, pz + vz * dt])
@@ -304,7 +293,8 @@ class SimWorld:
         thrust = max(0.05 * mass * GRAVITY, mass * (GRAVITY + az))
         speed = math.sqrt(thrust / 4.0)
         if cfg.rotor_noise > 0.0:
-            rotors = speed + cfg.rotor_noise * self.rng.standard_normal(4)
+            # speed + noise * n per rotor, as numpy draws it: the same stream
+            rotors = self.rng.normal(speed, cfg.rotor_noise, 4)
         else:
             rotors = np.full(4, speed)
 
@@ -320,44 +310,66 @@ class SimWorld:
     def label_positions_platform(self, state: SimState) -> np.ndarray:
         """True ranging-label positions in the platform (anchor) frame,
         one row per label."""
-        labels_w = state.uav_pos + _rotate_rows(state.R_b_w, self._label_offsets)
-        return _rotate_rows(state.R_a_w.T, labels_w)
+        return np.array(self._labels_platform(state))
+
+    def _labels_platform(self, state: SimState) -> list[tuple[float, ...]]:
+        R_b_w, R_a_w = state.uav_euler.rows, state.platform_attitude.rows
+        px, py, pz = state.uav_pos.tolist()
+        labels = []
+        for offset in self._label_offsets:
+            x, y, z = rotate(R_b_w, offset)
+            labels.append(rotate_t(R_a_w, (px + x, py + y, pz + z)))
+        return labels
 
     def sense_uwb(self, state: SimState) -> np.ndarray:
         """Noisy label-to-anchor ranges; row i holds label i's range to
         every anchor, shape (labels, anchors)."""
         cfg = self.cfg
-        labels = self.label_positions_platform(state)
-        diff = cfg.anchors - labels[:, None, :]
-        out = np.sqrt((diff * diff).sum(axis=-1))
-        for i, label_pos in enumerate(labels):
-            sigma = cfg.sigma_uwb
-            if cfg.occlusion_center is not None:
-                if np.linalg.norm(label_pos - np.asarray(cfg.occlusion_center)) \
-                        <= cfg.occlusion_radius:
-                    sigma = sigma * cfg.occlusion_factor
-            if sigma > 0.0:
-                out[i] = out[i] + sigma * self.rng.standard_normal(out.shape[1])
-        return out
+        labels = self._labels_platform(state)
+        ranges = [[math.dist(u, a) for a in self._anchors] for u in labels]
+        occluded = cfg.occlusion_center
+        sigmas = [cfg.sigma_uwb * (cfg.occlusion_factor if occluded is not None and
+                                   math.dist(u, occluded) <= cfg.occlusion_radius
+                                   else 1.0) for u in labels]
+        noisy = [i for i, sigma in enumerate(sigmas) if sigma > 0.0]
+        # one draw for every noisy label: the generator yields the same
+        # stream as one draw of len(anchors) values per label
+        rows = self.rng.standard_normal((len(noisy), len(self._anchors)))
+        for i, noise in zip(noisy, rows.tolist()):
+            ranges[i] = [r + sigmas[i] * n for r, n in zip(ranges[i], noise)]
+        return np.array(ranges)
 
     def sense_imu(self, state: SimState) -> tuple[np.ndarray, float, float]:
         """Body-frame acceleration plus roll and pitch (yaw withheld)."""
-        return (state.R_b_w.T @ state.uav_acc, state.uav_euler.roll,
-                state.uav_euler.pitch)
+        euler = state.uav_euler
+        return (np.array(rotate_t(euler.rows, state.uav_acc.tolist())),
+                euler.roll, euler.pitch)
 
     def sense_qr(self, state: SimState) -> list[QrObservation]:
         """Project visible panel markers into the downward camera."""
         cfg = self.cfg
-        R_a_w = state.R_a_w
-        R_w_b = state.R_b_w.T
-        psi_img = wrap_angle(state.platform_attitude.yaw - state.uav_euler.yaw
-                             - math.pi)
+        R_a_w, R_b_w = state.platform_attitude.rows, state.uav_euler.rows
+        px, py, pz = state.uav_pos.tolist()
         tan_h = math.tan(cfg.qr_h_fov / 2.0)
         tan_v = math.tan(cfg.qr_v_fov / 2.0)
-        cams = _rotate_rows(R_w_b, _rotate_rows(R_a_w, self._qr_panels)
-                            - state.uav_pos)
+
+        def camera(point):  # platform-frame point -> camera frame
+            x, y, z = rotate(R_a_w, point)
+            return rotate_t(R_b_w, (x - px, y - py, z - pz))
+
+        # Every marker lies within _qr_radius of _qr_center, so when the
+        # centre fails a visibility test by more than that radius, every
+        # marker fails it too, before any noise is drawn for it.
+        x, y, z = camera(self._qr_center)
+        r = self._qr_radius
+        if (z - r >= -cfg.qr_focal or -z - r > cfg.qr_max_height
+                or abs(x) - r > tan_h * (r - z) or abs(y) - r > tan_v * (r - z)):
+            return []
+        psi_img = wrap_angle(state.platform_attitude.yaw - state.uav_euler.yaw
+                             - math.pi)
         out = []
-        for marker, cam in zip(cfg.qr_markers, cams.tolist()):
+        for marker, panel in zip(cfg.qr_markers, self._qr_panels):
+            cam = camera(panel)
             z = cam[2]
             if z >= -cfg.qr_focal:
                 continue
@@ -386,27 +398,31 @@ class SimWorld:
     def sense_cargo(self, state: SimState) -> list[DetectionObservation]:
         """Project deck cargoes into the detection camera with noise."""
         cfg = self.cfg
-        R_w_b = state.R_b_w.T
+        R_b_w = state.uav_euler.rows
+        px, py, pz = state.uav_pos.tolist()
         tan_h = math.tan(cfg.det_h_fov / 2.0)
         tan_v = math.tan(cfg.det_v_fov / 2.0)
         out = []
         for k, cargo in enumerate(cfg.cargoes):
-            cam = R_w_b @ (np.asarray(cargo.position) - state.uav_pos)
+            qx, qy, qz = cargo.position
+            x, y, z = rotate_t(R_b_w, (qx - px, qy - py, qz - pz))
             if cfg.det_pos_noise > 0.0:
-                cam = cam + cfg.det_pos_noise * self.rng.standard_normal(3)
-            z = cam[2]
+                nx, ny, nz = self.rng.standard_normal(3).tolist()
+                x += cfg.det_pos_noise * nx
+                y += cfg.det_pos_noise * ny
+                z += cfg.det_pos_noise * nz
             if z >= -cfg.det_focal:
                 continue
             depth = -z
             if depth < cfg.det_min_height:
                 continue  # cargo fills the field of view
-            if abs(cam[0]) > tan_h * depth or abs(cam[1]) > tan_v * depth:
+            if abs(x) > tan_h * depth or abs(y) > tan_v * depth:
                 continue
             if cfg.det_dropout > 0.0 and self.rng.random() < cfg.det_dropout:
                 continue
             d_img = -cfg.det_focal * cargo.top_diagonal / (z + cfg.det_focal)
-            cx = cam[0] * d_img / cargo.top_diagonal
-            cy = cam[1] * d_img / cargo.top_diagonal
+            cx = x * d_img / cargo.top_diagonal
+            cy = y * d_img / cargo.top_diagonal
             conf = cfg.det_conf_base + cfg.det_conf_jitter * \
                 (2.0 * self.rng.random() - 1.0)
             yaw = wrap_angle(cargo.yaw - state.uav_euler.yaw)

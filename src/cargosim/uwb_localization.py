@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import wrap_angle
+from .frames import mean_rows, rotate, wrap_angle
 from .qr_localization import PoseEstimate
 
 
@@ -131,25 +132,27 @@ def _range_noise(sigma_range: float, rows: int) -> np.ndarray:
 _I6 = np.eye(6)
 
 
-def ekf_predict(s: EkfState, a_body: np.ndarray, R_b_w: np.ndarray,
-                R_w_u: np.ndarray, params: EkfParams) -> EkfState:
+def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
+                params: EkfParams) -> EkfState:
     """Constant-acceleration prediction over one sample period.
 
     Body acceleration is rotated world-then-anchor-frame before entering
     the input matrix; covariance grows by the jerk-noise term D Q D^T.
-    Every label of a batch takes the same acceleration.
+    Every label of a batch takes the same acceleration.  The rotations
+    are 3x3 arrays or their rows (see frames.rotation_rows).
     """
-    a_body = np.asarray(a_body, dtype=float)
-    if not np.isfinite(a_body).all():
+    a_body = np.asarray(a_body, dtype=float).tolist()
+    if not all(map(math.isfinite, a_body)):
         raise ValueError("acceleration must be finite")
     T = params.period
     A, B, DQD = _transition_matrices(T, params.sigma_jerk)
-    a_u = R_w_u @ (R_b_w @ a_body)
+    a_u = rotate(R_w_u, rotate(R_b_w, a_body))
     # matmul over the label axis runs the same 6x6 product per label, so
     # a batch gives exactly what its labels give one at a time
     mean = (A @ s.mean[..., None])[..., 0] + B @ a_u
     cov = A @ s.cov @ A.T + DQD
-    return EkfState(mean=mean, cov=cov, timestamp=s.timestamp + T)
+    return EkfState(mean=mean, cov=cov, timestamp=s.timestamp + T,
+                    degraded=np.zeros_like(s.degraded))
 
 
 def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
@@ -180,9 +183,9 @@ def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
     P = s.cov
     diff = s.mean[..., None, :3] - points  # (..., M, 3)
     d = np.sqrt((diff * diff).sum(axis=-1))
-    dropped = d < 1e-9
-    any_dropped = dropped.any()
+    any_dropped = d.min() < 1e-9
     if any_dropped:
+        dropped = d < 1e-9
         # a zero Jacobian row with zero innovation leaves the update as if
         # that range had not been taken
         d = np.where(dropped, 1.0, d)
@@ -203,37 +206,36 @@ def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
         params.sigma_range ** 2 * (K @ K.swapaxes(-1, -2))
 
     degraded = dropped.all(axis=-1) if any_dropped else \
-        np.zeros(dropped.shape[:-1], dtype=bool)
+        np.zeros(d.shape[:-1], dtype=bool)
     if any_dropped and degraded.any():
         mean = np.where(degraded[..., None], s.mean, mean)
         cov = np.where(degraded[..., None, None], P, cov)
     return EkfState(mean=mean, cov=cov, timestamp=s.timestamp, degraded=degraded)
 
 
-def fuse_labels(labels: EkfState, R_au_w: np.ndarray,
-                yaw: float = 0.0) -> PoseEstimate:
+def fuse_labels(labels: EkfState, R_au_w, yaw: float = 0.0) -> PoseEstimate:
     """Average a batch of label states and rotate it into the world frame.
 
     Averaging the symmetric labels cancels the baseline offset and
     decouples the estimate from platform attitude once rotated to world.
-    The yaw comes from elsewhere (see :func:`yaw_from_labels`) and is
-    passed through.
+    R_au_w is the platform-to-world rotation, a 3x3 array or its rows
+    (see frames.rotation_rows).  The yaw comes from elsewhere (see
+    :func:`yaw_from_labels`) and is passed through.
     """
     if labels.mean.ndim != 2:
         raise ValueError("fusion needs a batch of label states")
-    mean = labels.mean.sum(axis=0) / labels.mean.shape[0]
-    pos_w = R_au_w @ mean[:3]
-    vel_w = R_au_w @ mean[3:]
-    return PoseEstimate(position=pos_w, yaw=yaw, source="uwb",
-                        timestamp=labels.timestamp, velocity=vel_w)
+    mean = mean_rows(labels.mean.tolist())
+    return PoseEstimate(position=np.array(rotate(R_au_w, mean[:3])), yaw=yaw,
+                        source="uwb", timestamp=labels.timestamp,
+                        velocity=np.array(rotate(R_au_w, mean[3:])))
 
 
 class BaselineGateError(ValueError):
     """Label baseline length inconsistent with the mounted geometry."""
 
 
-def yaw_from_labels(u1: np.ndarray, u2: np.ndarray, roll: float, pitch: float,
-                    d: float) -> float:
+def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
+                    pitch: float, d: float) -> float:
     """UAV yaw from the world-frame vector between the two labels.
 
     The labels sit at (0, +-d/2, 0) in the body frame, so the normalized
@@ -249,12 +251,12 @@ def yaw_from_labels(u1: np.ndarray, u2: np.ndarray, roll: float, pitch: float,
     """
     if abs(roll) >= math.pi / 2:
         raise ValueError("roll magnitude must be below pi/2")
-    delta = np.asarray(u1, dtype=float) - np.asarray(u2, dtype=float)
-    norm = float(np.linalg.norm(delta))
+    (x1, y1, z1), (x2, y2, z2) = u1, u2
+    dx, dy, dz = x1 - x2, y1 - y2, z1 - z2
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
     if not (0.8 * d <= norm <= 1.2 * d):
         raise BaselineGateError(
             f"baseline length {norm:.3f} m outside [0.8, 1.2] x {d:.3f} m")
-    dx, dy = delta[0], delta[1]
     sf, cf = math.sin(roll), math.cos(roll)
     st = math.sin(pitch)
     sfst = sf * st

@@ -75,6 +75,27 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "scenario.bogus" in capsys.readouterr().err
 
 
+def test_bad_scenario_file_is_a_config_error(tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("{not json")
+    rc = cli.main(["run", "--scenario", str(scenario)])
+    assert rc == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_fault_while_running_is_not_a_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    def faulty_mission(*args, **kwargs):
+        raise ValueError("pose estimate must be finite")
+
+    monkeypatch.setattr(cli, "run_mission", faulty_mission)
+    rc = cli.main(["run", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_FAULT == 70
+    err = capsys.readouterr().err
+    assert err.startswith("error: pose estimate must be finite")
+    assert "configuration" not in err
+
+
 def test_aborted_mission_exit_code(tmp_path, capsys):
     payload = _calm_payload()
     payload["mission"] = {"geofence": [-6.0, 5.0, -8.0, 8.0]}

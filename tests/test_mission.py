@@ -253,6 +253,22 @@ def test_successful_verify_cruises_home_and_lands():
     assert any(e == "platform_landed" for e in cmd.events)
 
 
+def test_missing_pre_hover_window_aborts_with_a_reason():
+    # adsorption without a landing hover: the pre-adhesion window is empty
+    ex = MissionExecutive(MissionConfig(hover_window=0.1), calm_scenario())
+    ex.phase = MissionPhase.ADSORB
+    ex._adsorb_until = 10.0
+    t, stages = 10.0, set()
+    while ex.phase is not MissionPhase.ABORTED and t < 20.0:
+        ex.tick(_inputs(t, _est(8.0, 0.0, 2.6)))
+        stages.add(ex._return_stage)
+        t += 0.02
+    assert "verify" in stages
+    assert ex.pre_telemetry is None
+    assert ex.phase is MissionPhase.ABORTED
+    assert ex.abort_reason == "no_pre_hover_window"
+
+
 def test_geofence_breach_aborts_within_one_tick():
     ex = _executive()
     cmd = ex.tick(_inputs(0.0, _est(50.0, 0.0, 3.0)))

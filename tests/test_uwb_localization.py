@@ -341,3 +341,34 @@ def test_batch_of_two_equals_two_batches_of_one(rng):
             np.testing.assert_array_equal(_label(batch, i).mean, single.mean)
             np.testing.assert_array_equal(_label(batch, i).cov, single.cov)
             assert batch.degraded[i] == single.degraded
+
+
+def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
+    # The Joseph form keeps the covariance symmetric and positive definite
+    # where the short form P - K S K^T drifts; 10 000 cycles of a hovering
+    # pair of labels at the default sigma_jerk = 200 must stay on the
+    # reference (Joseph) filter above.
+    params = EkfParams(sigma_jerk=200.0)
+    rng = np.random.default_rng(11)
+    truth = np.array([[0.9, 2.2, 1.5], [0.9, 1.8, 1.5]])
+    batch = initial_state(truth + 0.3, 0.0)
+    refs = [(batch.mean[i].copy(), batch.cov[i].copy()) for i in range(2)]
+    zero = np.zeros(3)
+    for k in range(10_000):
+        ranges = np.linalg.norm(ANCHORS.positions - truth[:, None, :], axis=-1) \
+            + rng.normal(scale=params.sigma_range, size=(2, len(ANCHORS)))
+        batch = ekf_update(ekf_predict(batch, zero, I3, I3, params), ranges,
+                           ANCHORS, params)
+        P = batch.cov
+        asym = np.linalg.norm(P - P.swapaxes(-1, -2), axis=(-2, -1))
+        assert np.all(asym <= 1e-12 * np.linalg.norm(P, axis=(-2, -1))), k
+        np.linalg.cholesky(P)  # raises unless positive definite
+        for i, (mean, cov) in enumerate(refs):
+            s = EkfState(mean=mean, cov=cov, timestamp=0.0)
+            s = EkfState(*_ref_predict(s, zero, I3, I3, params), timestamp=0.0)
+            mean, cov, _ = _ref_update(s, list(enumerate(ranges[i])), ANCHORS,
+                                       params)
+            refs[i] = (mean, cov)
+    for i, (mean, cov) in enumerate(refs):
+        assert np.linalg.norm(batch.mean[i] - mean) <= 1e-9 * np.linalg.norm(mean)
+        assert np.linalg.norm(batch.cov[i] - cov) <= 1e-9 * np.linalg.norm(cov)
