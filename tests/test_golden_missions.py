@@ -1,19 +1,24 @@
-"""Golden mission summaries of the default scenario, seeds 0, 1 and 93.
+"""Golden missions of the default scenario, seeds 0, 1 and 93.
 
 A refactor that keeps the missions keeps these summaries exactly (the
-landing error to 1e-9 m).  A deliberate change of behaviour re-records
-``golden_missions.json`` and says so in CHANGES.md:
+landing error to 1e-9 m), and one that keeps the log format keeps the
+SHA-256 of the trajectory CSV that ``write_log`` makes of each flight.
+A deliberate change of behaviour re-records ``golden_missions.json`` and
+says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_missions.py
 """
 
+import functools
+import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from cargosim.mission import MissionConfig
-from cargosim.runner import run_mission
+from cargosim.runner import run_mission, write_log
 from cargosim.sim_world import ScenarioConfig
 
 GOLDEN = Path(__file__).with_name("golden_missions.json")
@@ -21,15 +26,30 @@ SEEDS = (0, 1, 93)  # 93 touches down beside the cargo, yet reports done
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
 
 
+@functools.lru_cache(maxsize=None)
+def _flight(seed: int):
+    """One flight per seed, shared by the summary and the log hash."""
+    return run_mission(ScenarioConfig(), MissionConfig(), seed=seed)
+
+
 def _summary(seed: int) -> dict:
-    summary, _ = run_mission(ScenarioConfig(), MissionConfig(), seed=seed)
-    d = summary.to_dict()
+    d = _flight(seed)[0].to_dict()
     return {key: d[key] for key in (*EXACT, "landing_error")}
+
+
+def _csv_sha256(seed: int, directory: Path) -> str:
+    path = directory / f"trajectory-{seed}.csv"
+    write_log(_flight(seed)[1], path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _golden(seed: int) -> dict:
+    return json.loads(GOLDEN.read_text())[str(seed)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mission_matches_its_golden_summary(seed):
-    want = json.loads(GOLDEN.read_text())[str(seed)]
+    want = _golden(seed)
     got = _summary(seed)
     for key in EXACT:
         assert got[key] == want[key], key
@@ -37,6 +57,14 @@ def test_mission_matches_its_golden_summary(seed):
                                                  rel=0, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trajectory_csv_matches_its_golden_hash(seed, tmp_path):
+    assert _csv_sha256(seed, tmp_path) == _golden(seed)["trajectory_csv_sha256"]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({str(s): _summary(s) for s in SEEDS},
-                                 indent=2) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(
+            {str(s): {**_summary(s),
+                      "trajectory_csv_sha256": _csv_sha256(s, Path(tmp))}
+             for s in SEEDS}, indent=2) + "\n")
