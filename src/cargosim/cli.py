@@ -7,8 +7,9 @@ Subcommands:
   plan        emit the coverage waypoints for a scenario as CSV
 
 Exit codes: 0 mission completed (or command succeeded), 2 mission
-aborted, 64 configuration error, 70 fault while running (any other
-invalid value, such as a non-finite estimate inside a mission).
+aborted, 64 configuration error, 65 unreadable or malformed trajectory
+log (metrics), 70 fault while running (any other invalid value, such as
+a non-finite estimate inside a mission).
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .mission import MissionConfig, MissionExecutive
-from .runner import metrics_from_log, montecarlo, run_mission, write_log
+from .runner import (LogFormatError, metrics_from_log, montecarlo, run_mission,
+                     write_log)
 from .sim_world import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_ABORTED = 2
 EXIT_CONFIG = 64
+EXIT_DATA = 65  # EX_DATAERR: the input log cannot be read or is malformed
 EXIT_FAULT = 70  # EX_SOFTWARE: the run failed, not its configuration
 
 
@@ -80,7 +83,11 @@ def _finite_or_null(obj):
 
 
 def _cmd_metrics(args) -> int:
-    report = metrics_from_log(args.log)
+    try:
+        report = metrics_from_log(args.log)
+    except (OSError, LogFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     json.dump(report, sys.stdout, indent=2)
     print()
     return EXIT_OK

@@ -9,6 +9,8 @@ run summary.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -253,52 +255,88 @@ def _support_height(pos: list[float], scenario: ScenarioConfig,
 
 # --- logging ---------------------------------------------------------
 
+class LogFormatError(ValueError):
+    """A trajectory log that cannot be read as a cargosim log."""
+
+
 def write_log(records: list[list], path) -> None:
+    """The schema line, then the header and one line per record in
+    ``csv.writer``'s format: ``repr`` of every float (numpy's included),
+    ``str`` of every other cell and nothing for ``None``.  Floats never
+    need quoting, so a line is a plain join unless a cell does."""
+    lines = [f"# {LOG_SCHEMA}\n"]
+    for row in itertools.chain((LOG_COLUMNS,), records):
+        cells = [repr(float(v)) if isinstance(v, float) else
+                 "" if v is None else str(v) for v in row]
+        line = ",".join(cells)
+        if line and line.count(",") == len(cells) - 1 and not (
+                '"' in line or "\r" in line or "\n" in line):
+            lines.append(line + "\r\n")
+        else:  # a cell holds a separator or a quote, or the row is empty
+            quoted = io.StringIO()
+            csv.writer(quoted).writerow(cells)
+            lines.append(quoted.getvalue())
     with open(path, "w", newline="") as f:
-        f.write(f"# {LOG_SCHEMA}\n")
-        writer = csv.writer(f)
-        writer.writerow(LOG_COLUMNS)
-        for row in records:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(float(v))
-    return v
+        f.writelines(lines)
 
 
 def read_log(path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as f:
-        first = f.readline().strip()
-        if first != f"# {LOG_SCHEMA}":
-            raise ValueError(f"unknown log schema: {first!r}")
-        reader = csv.reader(f)
-        header = next(reader)
-        return header, list(reader)
+        try:
+            first = f.readline().strip()
+            if first != f"# {LOG_SCHEMA}":
+                raise LogFormatError(f"{path}: unknown log schema: {first!r}")
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise LogFormatError(f"{path}: no header line")
+            return header, list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise LogFormatError(f"{path}: {exc}") from exc
+
+
+_METRIC_COLUMNS = ("true_x", "true_y", "true_z", "est_x", "est_y", "est_z",
+                  "source")
 
 
 def metrics_from_log(path) -> dict:
     """Per-source RMSE vs ground truth plus marker-fix error by height bucket."""
     header, rows = read_log(path)
     idx = {name: k for k, name in enumerate(header)}
-    by_source: dict[str, list] = {}
+    missing = [name for name in _METRIC_COLUMNS if name not in idx]
+    if missing:
+        raise LogFormatError(f"{path}: no {', '.join(missing)} column")
+    tx, ty, tz, ex, ey, ez, src = (idx[name] for name in _METRIC_COLUMNS)
+    width = len(header)
+    # per source: rows and running sums of the squared x, y, z errors,
+    # summed in row order as np.mean(err * err, axis=0) sums them
+    sq_errors: dict[str, list] = {}
     qr_by_bucket: dict[int, list] = {}
-    for row in rows:
-        truth = np.array([float(row[idx["true_x"]]), float(row[idx["true_y"]]),
-                          float(row[idx["true_z"]])])
-        est = np.array([float(row[idx["est_x"]]), float(row[idx["est_y"]]),
-                        float(row[idx["est_z"]])])
-        source = row[idx["source"]]
-        err = est - truth
-        by_source.setdefault(source, []).append(err)
-        if source == "qr":
-            bucket = int(truth[2] // 1.0)
-            qr_by_bucket.setdefault(bucket, []).append(float(np.linalg.norm(err)))
+    for number, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise LogFormatError(f"{path}: row {number} has {len(row)} "
+                                 f"fields, the header {width}")
+        try:
+            z = float(row[tz])
+            dx = float(row[ex]) - float(row[tx])
+            dy = float(row[ey]) - float(row[ty])
+            dz = float(row[ez]) - z
+            source = row[src]
+            sq = sq_errors.get(source)
+            if sq is None:
+                sq = sq_errors[source] = [0, 0.0, 0.0, 0.0]
+            sq[0] += 1
+            sq[1] += dx * dx
+            sq[2] += dy * dy
+            sq[3] += dz * dz
+            if source == "qr":
+                qr_by_bucket.setdefault(int(z // 1.0), []).append(
+                    math.sqrt(dx * dx + dy * dy + dz * dz))
+        except ValueError as exc:  # a cell that is not a number
+            raise LogFormatError(f"{path}: row {number}: {exc}") from None
     out = {"rmse": {}, "qr_error_by_height": {}}
-    for source, errs in by_source.items():
-        arr = np.array(errs)
-        out["rmse"][source] = list(np.sqrt(np.mean(arr * arr, axis=0)))
+    for source, (n, *sums) in sq_errors.items():
+        out["rmse"][source] = [math.sqrt(v / n) for v in sums]
     for bucket in sorted(qr_by_bucket):
         vals = qr_by_bucket[bucket]
         out["qr_error_by_height"][f"{bucket}m-{bucket + 1}m"] = {

@@ -1,6 +1,7 @@
 import json
 
 from cargosim import cli
+from cargosim.runner import write_log
 
 
 def _scenario_file(tmp_path, payload=None):
@@ -50,6 +51,48 @@ def test_metrics_reads_run_output(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert "rmse" in report and "uwb" in report["rmse"]
+
+
+def _assert_data_error(rc, capsys, *needles):
+    assert rc == cli.EXIT_DATA == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    for needle in needles:
+        assert needle in captured.err
+
+
+def test_metrics_of_a_missing_log_is_a_data_error(tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    _assert_data_error(cli.main(["metrics", str(missing)]), capsys,
+                       str(missing))
+
+
+def _valid_log(tmp_path):
+    path = tmp_path / "trajectory.csv"
+    row = [0.02, "search", 1.0, 2.0, 3.0, 0.0, 1.1, 2.0, 3.0, 0.0, "uwb",
+           0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0, ""]
+    write_log([row] * 5, path)
+    return path
+
+
+def test_metrics_of_a_log_with_a_short_row_is_a_data_error(tmp_path, capsys):
+    path = _valid_log(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = "0.08,search,1.0\r\n"  # data row 4
+    path.write_text("".join(lines))
+    _assert_data_error(cli.main(["metrics", str(path)]), capsys,
+                       str(path), "row 4")
+
+
+def test_metrics_of_a_log_without_a_needed_column_is_a_data_error(tmp_path,
+                                                                   capsys):
+    path = _valid_log(tmp_path)
+    text = path.read_text().replace("est_z", "est_w", 1)
+    path.write_text(text)
+    _assert_data_error(cli.main(["metrics", str(path)]), capsys,
+                       str(path), "est_z")
 
 
 def test_plan_emits_replica_waypoint(tmp_path, capsys):

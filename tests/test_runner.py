@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from cargosim.mission import MissionConfig
-from cargosim.runner import (LOG_COLUMNS, RunSummary, metrics_from_log,
-                             montecarlo, read_log, run_mission, write_log)
+from cargosim.runner import (LOG_COLUMNS, LOG_SCHEMA, LogFormatError,
+                             RunSummary, metrics_from_log, montecarlo,
+                             read_log, run_mission, write_log)
 from cargosim.sim_world import ScenarioConfig
 
 from conftest import calm_scenario
@@ -60,11 +62,171 @@ def test_log_roundtrip(tmp_path, noiseless_run):
     assert float(rows[10][2]) == records[10][2]
 
 
+def _reference_write_log(records, path):
+    """The writer the one-pass ``write_log`` must match byte for byte."""
+    def fmt(v):
+        if isinstance(v, float):
+            return repr(float(v))
+        return v
+
+    with open(path, "w", newline="") as f:
+        f.write(f"# {LOG_SCHEMA}\n")
+        writer = csv.writer(f)
+        writer.writerow(LOG_COLUMNS)
+        for row in records:
+            writer.writerow([fmt(v) for v in row])
+
+
+EDGE_ROWS = [
+    ["a,b", 'say "hi"', "x\r\ny", "x\ny", "x\rz", '"', ","],
+    ["a,b"], ['say "hi"'], ["x\r\ny"], ["x\ny"], ["x\rz"], ['"'], [0.5, ","],
+    [1.0, "", 2.0, "", ""],
+    [""],
+    [None],
+    ["", ""],
+    [],
+    [None, 1.5, None, "src", None],
+    [np.float64(0.1), np.float32(0.1), np.float64(1e16), np.float32(-2.5e-8),
+     np.float64(-0.0)],
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 1e-7, 1e-5,
+     123456789.125, 2.0 ** -1074, np.float64("nan")],
+    [0, -3, 10 ** 20, True, False, np.int64(7), np.bool_(True)],
+    [" lead", "trail ", "tab\there", "semi;colon", "phase:land->adsorb"],
+    [0.02, "search", 1.0, 2.0, 3.0, "uwb,qr", 100.0, ""],
+]
+
+
+@pytest.mark.parametrize("row", EDGE_ROWS, ids=range(len(EDGE_ROWS)))
+def test_write_log_matches_the_csv_writer_on_edge_rows(tmp_path, row):
+    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    write_log([row, [0.5, "land"], row], fast)
+    _reference_write_log([row, [0.5, "land"], row], reference)
+    assert fast.read_bytes() == reference.read_bytes()
+
+
+def test_write_log_matches_the_csv_writer_on_a_mission(tmp_path,
+                                                       noiseless_run):
+    _, records = noiseless_run
+    fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+    write_log(records, fast)
+    _reference_write_log(records, reference)
+    assert fast.read_bytes() == reference.read_bytes()
+
+
+def test_written_floats_read_back_exactly(tmp_path, noiseless_run):
+    _, records = noiseless_run
+    rng = np.random.default_rng(7)
+    extra = (rng.standard_normal((50, 6)) *
+             10.0 ** rng.integers(-300, 300, (50, 6))).tolist()
+    extra.append([float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 1e-7])
+    path = tmp_path / "trajectory.csv"
+    write_log(records + extra, path)
+    header, rows = read_log(path)
+    assert header == LOG_COLUMNS
+    assert len(rows) == len(records) + len(extra)
+    for want_row, got_row in zip(records + extra, rows):
+        for want, got in zip(want_row, got_row):
+            if isinstance(want, float):
+                assert np.float64(float(got)).tobytes() == \
+                    np.float64(want).tobytes() or (math.isnan(want) and
+                                                   math.isnan(float(got)))
+            else:
+                assert got == want
+
+
 def test_read_log_refuses_unknown_schema(tmp_path):
     p = tmp_path / "weird.csv"
     p.write_text("# cargosim-log-v999\nt\n0.0\n")
     with pytest.raises(ValueError, match="unknown log schema"):
         read_log(p)
+
+
+def test_read_log_names_the_file_of_a_bad_log(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(f"# {LOG_SCHEMA}\n")
+    with pytest.raises(LogFormatError, match="empty.csv: no header line"):
+        read_log(empty)
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00\x01")
+    with pytest.raises(LogFormatError, match="binary.csv"):
+        read_log(binary)
+
+
+def _mission_log(tmp_path, noiseless_run, name="trajectory.csv"):
+    path = tmp_path / name
+    write_log(noiseless_run[1][:50], path)
+    return path
+
+
+def test_metrics_names_the_row_of_a_short_row(tmp_path, noiseless_run):
+    path = _mission_log(tmp_path, noiseless_run)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[8] = ",".join(lines[8].split(",")[:5]) + "\r\n"  # data row 7
+    path.write_text("".join(lines))
+    with pytest.raises(LogFormatError,
+                       match="trajectory.csv: row 7 has 5 fields, the header 20"):
+        metrics_from_log(path)
+
+
+def test_metrics_names_a_missing_column(tmp_path):
+    path = tmp_path / "nosource.csv"
+    path.write_text(f"# {LOG_SCHEMA}\ntrue_x,true_y,true_z,est_x,est_y,est_z\r\n"
+                    "0.0,0.0,0.0,0.0,0.0,0.0\r\n")
+    with pytest.raises(LogFormatError, match="nosource.csv: no source column"):
+        metrics_from_log(path)
+
+
+def test_metrics_names_the_row_of_a_cell_that_is_not_a_number(tmp_path,
+                                                              noiseless_run):
+    path = _mission_log(tmp_path, noiseless_run)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace(",", ",x", 3)  # data row 3
+    path.write_text("".join(lines))
+    with pytest.raises(LogFormatError, match="row 3"):
+        metrics_from_log(path)
+
+
+def _reference_metrics_from_log(path) -> dict:
+    """The numpy analyser the one-pass ``metrics_from_log`` replaced."""
+    header, rows = read_log(path)
+    idx = {name: k for k, name in enumerate(header)}
+    by_source: dict[str, list] = {}
+    qr_by_bucket: dict[int, list] = {}
+    for row in rows:
+        truth = np.array([float(row[idx["true_x"]]), float(row[idx["true_y"]]),
+                          float(row[idx["true_z"]])])
+        est = np.array([float(row[idx["est_x"]]), float(row[idx["est_y"]]),
+                        float(row[idx["est_z"]])])
+        source = row[idx["source"]]
+        err = est - truth
+        by_source.setdefault(source, []).append(err)
+        if source == "qr":
+            bucket = int(truth[2] // 1.0)
+            qr_by_bucket.setdefault(bucket, []).append(float(np.linalg.norm(err)))
+    out = {"rmse": {}, "qr_error_by_height": {}}
+    for source, errs in by_source.items():
+        arr = np.array(errs)
+        out["rmse"][source] = list(np.sqrt(np.mean(arr * arr, axis=0)))
+    for bucket in sorted(qr_by_bucket):
+        vals = qr_by_bucket[bucket]
+        out["qr_error_by_height"][f"{bucket}m-{bucket + 1}m"] = {
+            "median": float(np.median(vals)), "count": len(vals)}
+    return out
+
+
+def test_metrics_match_the_numpy_reference(tmp_path, noiseless_run):
+    path = tmp_path / "trajectory.csv"
+    write_log(noiseless_run[1], path)
+    got, want = metrics_from_log(path), _reference_metrics_from_log(path)
+    assert list(got["rmse"]) == list(want["rmse"]) == ["uwb", "qr"]
+    for source, rmse in want["rmse"].items():
+        assert got["rmse"][source] == rmse, source
+    assert list(got["qr_error_by_height"]) == list(want["qr_error_by_height"])
+    assert len(want["qr_error_by_height"]) >= 3
+    for bucket, w in want["qr_error_by_height"].items():
+        g = got["qr_error_by_height"][bucket]
+        assert g["count"] == w["count"], bucket
+        assert g["median"] == pytest.approx(w["median"], rel=1e-14, abs=0), bucket
 
 
 def test_metrics_known_bias(tmp_path):
