@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -265,7 +264,7 @@ def write_log(records: list[list], path) -> None:
     ``str`` of every other cell and nothing for ``None``.  Floats never
     need quoting, so a line is a plain join unless a cell does."""
     lines = [f"# {LOG_SCHEMA}\n"]
-    for row in itertools.chain((LOG_COLUMNS,), records):
+    for row in [LOG_COLUMNS, *records]:
         cells = [repr(float(v)) if isinstance(v, float) else
                  "" if v is None else str(v) for v in row]
         line = ",".join(cells)
@@ -321,19 +320,22 @@ def metrics_from_log(path) -> dict:
             dx = float(row[ex]) - float(row[tx])
             dy = float(row[ey]) - float(row[ty])
             dz = float(row[ez]) - z
-            source = row[src]
-            sq = sq_errors.get(source)
-            if sq is None:
-                sq = sq_errors[source] = [0, 0.0, 0.0, 0.0]
-            sq[0] += 1
-            sq[1] += dx * dx
-            sq[2] += dy * dy
-            sq[3] += dz * dz
-            if source == "qr":
-                qr_by_bucket.setdefault(int(z // 1.0), []).append(
-                    math.sqrt(dx * dx + dy * dy + dz * dz))
         except ValueError as exc:  # a cell that is not a number
             raise LogFormatError(f"{path}: row {number}: {exc}") from None
+        source = row[src]
+        sq = sq_errors.get(source)
+        if sq is None:
+            sq = sq_errors[source] = [0, 0.0, 0.0, 0.0]
+        sq[0] += 1
+        sq[1] += dx * dx
+        sq[2] += dy * dy
+        sq[3] += dz * dz
+        if source == "qr":
+            if not math.isfinite(z):
+                raise LogFormatError(f"{path}: row {number}: marker fix at "
+                                     f"height {z}")
+            qr_by_bucket.setdefault(int(z // 1.0), []).append(
+                math.sqrt(dx * dx + dy * dy + dz * dz))
     out = {"rmse": {}, "qr_error_by_height": {}}
     for source, (n, *sums) in sq_errors.items():
         out["rmse"][source] = [math.sqrt(v / n) for v in sums]

@@ -9,7 +9,6 @@ says so in CHANGES.md:
     PYTHONPATH=src python tests/test_golden_missions.py
 """
 
-import functools
 import hashlib
 import json
 import tempfile
@@ -26,45 +25,47 @@ SEEDS = (0, 1, 93)  # 93 touches down beside the cargo, yet reports done
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
 
 
-@functools.lru_cache(maxsize=None)
 def _flight(seed: int):
-    """One flight per seed, shared by the summary and the log hash."""
     return run_mission(ScenarioConfig(), MissionConfig(), seed=seed)
 
 
-def _summary(seed: int) -> dict:
-    d = _flight(seed)[0].to_dict()
+def _summary(flight) -> dict:
+    d = flight[0].to_dict()
     return {key: d[key] for key in (*EXACT, "landing_error")}
 
 
-def _csv_sha256(seed: int, directory: Path) -> str:
-    path = directory / f"trajectory-{seed}.csv"
-    write_log(_flight(seed)[1], path)
+def _csv_sha256(flight, path: Path) -> str:
+    write_log(flight[1], path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _golden(seed: int) -> dict:
-    return json.loads(GOLDEN.read_text())[str(seed)]
+@pytest.fixture(scope="module", params=SEEDS, ids=str)
+def golden_flight(request):
+    """One flight per seed, shared by the summary and the log-hash test."""
+    want = json.loads(GOLDEN.read_text())[str(request.param)]
+    return want, _flight(request.param)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mission_matches_its_golden_summary(seed):
-    want = _golden(seed)
-    got = _summary(seed)
+def test_mission_matches_its_golden_summary(golden_flight):
+    want, flight = golden_flight
+    got = _summary(flight)
     for key in EXACT:
         assert got[key] == want[key], key
     assert got["landing_error"] == pytest.approx(want["landing_error"],
                                                  rel=0, abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_trajectory_csv_matches_its_golden_hash(seed, tmp_path):
-    assert _csv_sha256(seed, tmp_path) == _golden(seed)["trajectory_csv_sha256"]
+def test_trajectory_csv_matches_its_golden_hash(golden_flight, tmp_path):
+    want, flight = golden_flight
+    got = _csv_sha256(flight, tmp_path / "trajectory.csv")
+    assert got == want["trajectory_csv_sha256"]
 
 
 if __name__ == "__main__":
+    golden = {}
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(json.dumps(
-            {str(s): {**_summary(s),
-                      "trajectory_csv_sha256": _csv_sha256(s, Path(tmp))}
-             for s in SEEDS}, indent=2) + "\n")
+        for seed in SEEDS:
+            flight = _flight(seed)
+            golden[str(seed)] = {**_summary(flight), "trajectory_csv_sha256":
+                                 _csv_sha256(flight, Path(tmp) / "t.csv")}
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")

@@ -186,6 +186,16 @@ def test_metrics_names_the_row_of_a_cell_that_is_not_a_number(tmp_path,
         metrics_from_log(path)
 
 
+def test_metrics_names_the_row_of_a_marker_fix_at_no_finite_height(tmp_path):
+    row = [0.0, "land", 0.0, 0.0, float("inf"), 0.0,
+           0.01, 0.0, 1.0, 0.0, "qr",
+           0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 100.0, ""]
+    path = tmp_path / "log.csv"
+    write_log([row[:10] + ["uwb"] + row[11:], row], path)
+    with pytest.raises(LogFormatError, match="row 2: marker fix at height inf"):
+        metrics_from_log(path)
+
+
 def _reference_metrics_from_log(path) -> dict:
     """The numpy analyser the one-pass ``metrics_from_log`` replaced."""
     header, rows = read_log(path)
