@@ -57,9 +57,7 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
         elif name == "cargoes":
             kwargs[name] = tuple(_parse_cargo(c, f"scenario.cargoes[{i}]")
                                  for i, c in enumerate(value))
-        elif name in ("platform_size", "deck_center", "deck_size", "wind_mean"):
-            kwargs[name] = tuple(float(v) for v in value)
-        elif name == "uav_start":
+        elif name in ("deck_center", "deck_size", "uav_start", "wind_mean"):
             kwargs[name] = tuple(float(v) for v in value)
         elif name == "occlusion_center":
             kwargs[name] = None if value is None else tuple(float(v) for v in value)

@@ -16,8 +16,6 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .frames import rotate, wrap_angle
 
 CHANNELS = ("x", "y", "z", "yaw")
@@ -73,7 +71,6 @@ class VelocityCommand:
     vy: float
     vz: float
     yaw_rate: float
-    timestamp: float = 0.0
 
 
 class _Channel:
@@ -99,9 +96,6 @@ class ControllerState:
         for ch in self.channels.values():
             ch.has_prev = False
 
-    def reset(self) -> None:
-        self.channels = {c: _Channel() for c in CHANNELS}
-
     def integral_sum(self, name: str) -> float:
         return self.channels[name].window_sum
 
@@ -124,7 +118,7 @@ def saturate(value: float, limit: float) -> float:
 
 def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
              T: float, now: float, limits: VelocityLimits = VelocityLimits(),
-             feedforward: np.ndarray | None = None,
+             feedforward: Sequence[float] | None = None,
              ) -> tuple[VelocityCommand, ControllerState]:
     """One 50 Hz control step over all four channels.
 
@@ -135,8 +129,6 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
     """
     if T <= 0:
         raise ValueError("period must be > 0")
-    ff = None if feedforward is None else \
-        np.asarray(feedforward, dtype=float).tolist()
     out = []
     for i, name in enumerate(CHANNELS):
         e = errors.get(name, 0.0)
@@ -151,15 +143,15 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
         i_term = ki * ch.window_sum
         d_term = kd * (e - ch.prev_error) / T if ch.has_prev else 0.0
         raw = p_term + i_term + d_term
-        if ff is not None and name != "yaw":
-            raw += ff[i]
+        if feedforward is not None and name != "yaw":
+            raw += feedforward[i]
 
         ch.prev_error = e
         ch.has_prev = True
         ch.prev_raw = raw
         out.append(saturate(raw, limit))
 
-    return VelocityCommand(*out, timestamp=now), st
+    return VelocityCommand(*out), st
 
 
 def _accumulate(ch: _Channel, e: float, now: float, limit: float,

@@ -25,7 +25,7 @@ class HybridState:
 
     window: int = 25
     qr_debounce: int = 2
-    estimates: deque = field(default_factory=deque)
+    estimates: deque = field(default_factory=deque, init=False)
     active_source: str = "uwb"
     qr_streak: int = 0
     switch_count: int = 0
@@ -41,11 +41,6 @@ class HybridState:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        self.estimates = deque(self.estimates)
-        for e in self.estimates:
-            self._add(e)
-        while len(self.estimates) > self.window:
-            self._drop()
 
     def _add(self, e: PoseEstimate, sign: float = 1.0) -> None:
         # s + (-1.0 * x) is s - x exactly, so one body adds and removes

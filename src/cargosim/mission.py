@@ -50,10 +50,8 @@ class MissionConfig:
     attach_delta: float = 0.05
     hover_window: float = 2.0
     verify_height: float = 1.5  # hover height above cargo for the thrust check
-    danger_altitude: float = 2.0  # climb vertically to here before lateral motion
     geofence: tuple[float, float, float, float] = (-6.0, 14.0, -8.0, 8.0)
     return_altitude: float = 6.0
-    landing_descent_target: float = 0.0
     lock_cone_ratio: float = 0.75  # accept a lock only this far off-nadir
     descent_cone_ratio: float = 0.3  # descend only while laterally aligned
     descent_cone_slack: float = 0.05
@@ -109,30 +107,35 @@ class TickCommand:
 
     phase: MissionPhase
     mode: str
-    setpoint: np.ndarray | None = None
+    setpoint: tuple[float, float, float] | None = None
     yaw_setpoint: float = 0.0
-    body_error: np.ndarray | None = None
+    body_error: tuple[float, float, float] | None = None
     body_yaw_error: float = 0.0
-    feedforward: np.ndarray | None = None
-    velocity: np.ndarray | None = None
+    feedforward: tuple[float, float, float] | None = None
+    velocity: tuple[float, float, float, float] | None = None
     gains: PidGains | None = None
     do_adsorb: bool = False
     events: tuple[str, ...] = ()
 
 
+STOP = (0.0, 0.0, 0.0, 0.0)  # the velocity command that holds still
+
+
 class MissionExecutive:
-    """Sequences the transport phases for a single vehicle."""
+    """Sequences the transport phases for one vehicle and the first cargo."""
 
     def __init__(self, mission: MissionConfig, scenario: ScenarioConfig,
-                 cargo_index: int = 0, dt: float = 0.02):
+                 dt: float = 0.02):
         if dt <= 0:
             raise ValueError("tick period must be > 0")
         self.cfg = mission
         self.scenario = scenario
-        self.cargo_index = cargo_index
         self.dt = dt  # tick period; sizes the pre-adhesion hover window
         self.phase = MissionPhase.TAKEOFF
-        self.home_xy = np.asarray(scenario.uav_start[:2], dtype=float)
+        self.home_xy = tuple(float(v) for v in scenario.uav_start[:2])
+        # the cargo's top-face centre
+        self.cargo_x, self.cargo_y, self.cargo_top = \
+            (float(v) for v in scenario.cargoes[0].position)
         self.search_altitude = mission.search_altitude
         self.path: CoveragePath | None = None
         self.yaws: list[float] | None = None
@@ -143,7 +146,6 @@ class MissionExecutive:
         self._pre_window: list[np.ndarray] = []
         self._post_window: list[np.ndarray] = []
         self.pre_telemetry: RotorTelemetry | None = None
-        self.post_telemetry: RotorTelemetry | None = None
         # timers / sub-states
         self._hold_since: float | None = None
         self._adsorb_until: float | None = None
@@ -198,9 +200,6 @@ class MissionExecutive:
             return False
         return math.hypot(c_b[0], c_b[1]) <= self.cfg.lock_cone_ratio * height
 
-    def _cargo_top_height(self) -> float:
-        return float(self.scenario.cargoes[self.cargo_index].position[2])
-
     # -- main tick ----------------------------------------------------
 
     def tick(self, inp: TickInputs) -> TickCommand:
@@ -208,16 +207,13 @@ class MissionExecutive:
         cfg = self.cfg
         est = inp.estimate
 
-        if self.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
-            return TickCommand(phase=self.phase, mode="velocity",
-                               velocity=np.zeros(4), gains=cfg.gains["search"])
-
-        if not self._geofence_ok(est):
+        ended = (MissionPhase.DONE, MissionPhase.ABORTED)
+        if self.phase not in ended and not self._geofence_ok(est):
             self.abort_reason = "geofence"
             self._transition(MissionPhase.ABORTED, events)
+        if self.phase in ended:
             return TickCommand(phase=self.phase, mode="velocity",
-                               velocity=np.zeros(4),
-                               gains=cfg.gains["search"],
+                               velocity=STOP, gains=cfg.gains["search"],
                                events=tuple(events))
 
         return self._handlers[self.phase](inp, events)
@@ -226,9 +222,8 @@ class MissionExecutive:
         cfg = self.cfg
         z = inp.estimate.position[2]
         # vertical-priority ascent: hold the pad position laterally until
-        # clear of the platform structures, no lateral waypoints below
-        # the danger altitude
-        sp = np.array([self.home_xy[0], self.home_xy[1], self.search_altitude])
+        # clear of the platform structures
+        sp = (*self.home_xy, self.search_altitude)
         if z >= self.search_altitude - 0.15:
             self._plan()
             self._transition(MissionPhase.SEARCH, events)
@@ -246,8 +241,8 @@ class MissionExecutive:
             self._enter_land(events)
             return self._tick_land(inp, events)
 
-        wp = self.path.waypoints[self.wp_index]
-        sp = np.array([wp[0], wp[1], self.search_altitude])
+        wp = self.path.waypoints[self.wp_index].tolist()
+        sp = (*wp, self.search_altitude)
         dist = math.hypot(inp.estimate.position[0] - wp[0],
                           inp.estimate.position[1] - wp[1])
         if dist < cfg.waypoint_switch_radius:
@@ -276,9 +271,9 @@ class MissionExecutive:
                 self._adsorb_until = inp.t + cfg.adsorb_settle_time
                 self._transition(MissionPhase.ADSORB, events)
                 return TickCommand(phase=MissionPhase.ADSORB, mode="velocity",
-                                   velocity=np.zeros(4),
+                                   velocity=STOP,
                                    gains=cfg.gains["land"], events=tuple(events))
-            vel = np.array([0.0, 0.0, -cfg.blind_descent_speed, 0.0])
+            vel = (0.0, 0.0, float(-cfg.blind_descent_speed), 0.0)
             return TickCommand(phase=MissionPhase.LAND, mode="velocity",
                                velocity=vel, gains=cfg.gains["land"],
                                events=tuple(events))
@@ -290,12 +285,12 @@ class MissionExecutive:
             self._hold_since = None
             self._bouncing = True
         if self._bouncing:
-            clear_z = self._cargo_top_height() + cfg.bounce_clearance
+            clear_z = self.cargo_top + cfg.bounce_clearance
             if inp.estimate.position[2] >= clear_z:
                 self._bouncing = False
             else:
                 return TickCommand(phase=MissionPhase.LAND, mode="velocity",
-                                   velocity=np.array([0.0, 0.0, 0.3, 0.0]),
+                                   velocity=(0.0, 0.0, 0.3, 0.0),
                                    gains=cfg.gains["land"],
                                    events=tuple(events))
 
@@ -310,19 +305,19 @@ class MissionExecutive:
                 events.append("target_lost")
                 self._transition(MissionPhase.SEARCH, events)
             return TickCommand(phase=self.phase, mode="body",
-                               body_error=np.zeros(3), body_yaw_error=0.0,
+                               body_error=(0.0, 0.0, 0.0), body_yaw_error=0.0,
                                gains=cfg.gains["land"], events=tuple(events))
         self._lost_since = None
 
-        c_b = track.position
-        height = -c_b[2]  # height above the cargo top
-        err = np.array([c_b[0], c_b[1], c_b[2] + cfg.pre_blind_height])
+        cx, cy, cz = track.position.tolist()
+        height = -cz  # height above the cargo top
+        err_z = cz + cfg.pre_blind_height
         yaw_e = yaw_error(track.yaw)
-        horiz = math.hypot(c_b[0], c_b[1])
+        horiz = math.hypot(cx, cy)
         if horiz > cfg.descent_cone_ratio * height + cfg.descent_cone_slack:
             # outside the approach funnel: correct laterally at altitude
             # so a gust cannot walk the vehicle down beside the cargo
-            err[2] = 0.0
+            err_z = 0.0
 
         near_hover = height <= cfg.pre_blind_height + 0.08
         if near_hover:
@@ -335,16 +330,17 @@ class MissionExecutive:
             if self._hold_since is None:
                 self._hold_since = inp.t
             elif inp.t - self._hold_since >= cfg.blind_hold_time:
-                if len(self._pre_window) > 0:
-                    self.pre_telemetry = RotorTelemetry(
-                        speeds=np.mean(self._pre_window, axis=0))
+                # never empty: this tick's sample went in above
+                self.pre_telemetry = RotorTelemetry(
+                    speeds=np.mean(self._pre_window, axis=0))
                 self._blind = True
                 events.append("blind_descent")
         else:
             self._hold_since = None
 
-        return TickCommand(phase=MissionPhase.LAND, mode="body", body_error=err,
-                           body_yaw_error=yaw_e, feedforward=track.velocity,
+        return TickCommand(phase=MissionPhase.LAND, mode="body",
+                           body_error=(cx, cy, err_z), body_yaw_error=yaw_e,
+                           feedforward=tuple(track.velocity.tolist()),
                            gains=cfg.gains["land"], events=tuple(events))
 
     def _tick_adsorb(self, inp: TickInputs, events: list[str]) -> TickCommand:
@@ -356,19 +352,20 @@ class MissionExecutive:
             self._return_stage = "ascend"
             self._transition(MissionPhase.RETURN, events)
             return TickCommand(phase=MissionPhase.RETURN, mode="velocity",
-                               velocity=np.zeros(4), gains=cfg.gains["return"],
+                               velocity=STOP, gains=cfg.gains["return"],
                                do_adsorb=True, events=tuple(events))
         return TickCommand(phase=MissionPhase.ADSORB, mode="velocity",
-                           velocity=np.zeros(4), gains=cfg.gains["land"],
+                           velocity=STOP, gains=cfg.gains["land"],
                            events=tuple(events))
 
     def _tick_return(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
         est = inp.estimate
-        verify_z = self._cargo_top_height() + cfg.verify_height
+        verify_z = self.cargo_top + cfg.verify_height
+        above_cargo = (self.cargo_x, self.cargo_y, verify_z)
 
         if self._return_stage == "ascend":
-            sp = np.array([*self._ascend_xy(), verify_z])
+            sp = above_cargo
             if est.position[2] >= verify_z - 0.1:
                 self._return_stage = "verify"
                 self._verify_since = inp.t
@@ -378,16 +375,16 @@ class MissionExecutive:
 
         if self._return_stage == "verify":
             self._post_window.append(inp.rotor_speeds.copy())
-            sp = np.array([*self._ascend_xy(), verify_z])
+            sp = above_cargo
             if inp.t - self._verify_since >= cfg.hover_window:
-                self.post_telemetry = RotorTelemetry(
+                post_telemetry = RotorTelemetry(
                     speeds=np.mean(self._post_window, axis=0))
                 if self.pre_telemetry is None:
                     # the landing never filled its hover window, so there is
                     # no effort to compare the post-adhesion hover against
                     self.abort_reason = "no_pre_hover_window"
                     self._transition(MissionPhase.ABORTED, events)
-                elif attachment_check(self.pre_telemetry, self.post_telemetry,
+                elif attachment_check(self.pre_telemetry, post_telemetry,
                                       cfg.attach_delta):
                     self.attach_success = True
                     events.append("attach_ok")
@@ -406,27 +403,23 @@ class MissionExecutive:
                                gains=cfg.gains["return"], events=tuple(events))
 
         if self._return_stage == "cruise":
-            sp = np.array([self.home_xy[0], self.home_xy[1], cfg.return_altitude])
-            if est.position[2] < cfg.return_altitude - 0.2:
+            x, y, z = est.position.tolist()
+            sp = (*self.home_xy, cfg.return_altitude)
+            if z < cfg.return_altitude - 0.2:
                 # climb over the deck before crossing back
-                sp[:2] = est.position[:2]
-            horiz = math.hypot(est.position[0] - self.home_xy[0],
-                               est.position[1] - self.home_xy[1])
-            if horiz < 0.3 and est.position[2] >= cfg.return_altitude - 0.3:
+                sp = (x, y, cfg.return_altitude)
+            horiz = math.hypot(x - self.home_xy[0], y - self.home_xy[1])
+            if horiz < 0.3 and z >= cfg.return_altitude - 0.3:
                 self._return_stage = "descend"
             return TickCommand(phase=MissionPhase.RETURN, mode="world",
                                setpoint=sp, yaw_setpoint=0.0,
                                gains=cfg.gains["return"], events=tuple(events))
 
         # descend onto the platform pad
-        sp = np.array([self.home_xy[0], self.home_xy[1], 0.0])
+        sp = (*self.home_xy, 0.0)
         if inp.on_ground:
             events.append("platform_landed")
             self._transition(MissionPhase.DONE, events)
         return TickCommand(phase=self.phase, mode="world", setpoint=sp,
                            yaw_setpoint=0.0, gains=cfg.gains["land"],
                            events=tuple(events))
-
-    def _ascend_xy(self) -> tuple[float, float]:
-        x, y, _ = self.scenario.cargoes[self.cargo_index].position
-        return x, y

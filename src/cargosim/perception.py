@@ -27,11 +27,9 @@ from .frames import mean_rows
 class DetectionObservation:
     """One detector candidate: box center/diagonal in image-plane units."""
 
-    class_id: int
     confidence: float
     image_center: tuple[float, float]
     box_diagonal: float
-    timestamp: float
     box_yaw: float = 0.0  # oriented-box angle supplied by the detector
 
     def __post_init__(self):

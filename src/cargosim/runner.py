@@ -1,14 +1,17 @@
 """Closed-loop mission execution, logging, metrics and Monte-Carlo fan-out.
 
-Wires the simulated world, the hybrid localization stack, the perception
-track, the mission executive and the PID controller into one 50 Hz loop,
-logging a per-tick trajectory record and producing a machine-readable
-run summary.
+One 50 Hz tick of :func:`run_mission` reads the world's sensors and runs
+a pipeline of stages, each a small stateful object with one ``step``:
+:class:`Localizer` (the anchor-based localization), :class:`CargoPerception`
+(the cargo track), the mission executive, :class:`Command` (mode dispatch
+and the PID) and :class:`Recorder` (the log rows and the run summary).
+Ground contact is world physics and lives in :mod:`sim_world`.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -19,11 +22,12 @@ import numpy as np
 from . import control, hybrid_localizer, uwb_localization
 from .control import ControllerState, VelocityLimits, pid_step, saturate
 from .frames import rotate, rotation_rows, wrap_angle
-from .mission import (MissionConfig, MissionExecutive, MissionPhase, TickInputs)
+from .mission import (MissionConfig, MissionExecutive, MissionPhase, TickCommand,
+                      TickInputs)
 from .perception import (CargoTrack, PerceptionParams, cargo_position_from_detection,
                          smooth_track, wavegate_select)
-from .qr_localization import NoFix, estimate_pose
-from .sim_world import ScenarioConfig, SimWorld
+from .qr_localization import NoFix, PoseEstimate, estimate_pose
+from .sim_world import ScenarioConfig, SimState, SimWorld
 
 LOG_SCHEMA = "cargosim-log-v1"
 LOG_COLUMNS = [
@@ -50,206 +54,212 @@ class RunSummary:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "final_phase": self.final_phase,
-            "abort_reason": self.abort_reason,
-            "phase_durations": self.phase_durations,
-            "landing_error": self.landing_error,
-            "attach_success": self.attach_success,
-            "rmse": self.rmse,
-            "source_switches": self.source_switches,
-            "total_time": self.total_time,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
                 seed: int | None = None, max_time: float = 600.0,
                 dt: float = 0.02) -> tuple[RunSummary, list[list]]:
-    """Execute one full mission; returns (summary, trajectory records)."""
+    """Execute one full mission; returns (summary, trajectory records).
+
+    The world's one generator draws noise in the order of this loop:
+    ``sense_uwb``, ``sense_qr``, ``sense_cargo``, the adsorption draw of
+    ``attach_cargo``, then ``step``.  Any other order flies other missions.
+    """
     if seed is not None:
         scenario = replace(scenario, seed=seed)
     world = SimWorld(scenario)
     state = world.initial_state()
-
-    markers = {m.label: m for m in scenario.qr_markers}
-    anchors = uwb_localization.AnchorSet(scenario.anchors)
-    ekf_params = uwb_localization.EkfParams(
-        sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
-    labels = None  # both label filters as one batched EkfState
-    yaw_est = 0.0  # calibration value before the first dual-label solution
-
-    hybrid_state = hybrid_localizer.HybridState()
-    perception = PerceptionParams(frame_period=dt)
-    track = CargoTrack()
+    localizer = Localizer(scenario, dt)
+    perception = CargoPerception(scenario, dt)
     executive = MissionExecutive(mission, scenario, dt=dt)
-    ctrl = ControllerState()
-    limits = VelocityLimits(vertical=mission.vertical_limit)
-    prev_gains = None
-
-    records: list[list] = []
-    # per source: ticks and running sums of the squared x, y, z errors,
-    # summed in tick order as np.mean(err * err, axis=0) sums them
-    sq_errors: dict[str, list] = {}
-    phase_durations: dict[str, float] = {}
-    landing_error = float("nan")
-    cargo = scenario.cargoes[0]
-    cargo_top = cargo.position[2]
-
-    n_steps = int(round(max_time / dt))
-    for _ in range(n_steps):
+    command = Command(mission, dt)
+    recorder = Recorder(scenario, dt)
+    for _ in range(int(round(max_time / dt))):
         a_body, roll, pitch = world.sense_imu(state)
-        R_a_w_rows = state.platform_attitude.rows
+        est, events = localizer.step(state, a_body, roll, pitch,
+                                     world.sense_uwb(state), world.sense_qr(state))
+        track = perception.step(world.sense_cargo(state), roll, pitch)
+        cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
+                                        rotor_speeds=state.rotor_speeds,
+                                        on_ground=state.on_ground))
+        vel = command.step(cmd, est, state.t)
+        if cmd.do_adsorb:
+            state = world.attach_cargo(state, mission.adsorb_success_prob)
+        after = world.touch_down(world.step(state, vel, dt), vel[2])
+        recorder.step(state, after, est, events, track, cmd, vel)
+        state = after
+        if executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
+            break
+    return (recorder.summary(executive, localizer.hybrid.switch_count, state.t,
+                             scenario.seed), recorder.records)
 
-        # --- ranging localization -----------------------------------
-        ranges = world.sense_uwb(state)
-        if labels is None:
-            labels = uwb_localization.initial_state(
-                [uwb_localization.multilaterate(list(enumerate(row)), anchors)
+
+class Localizer:
+    """Both label range EKFs as one batch, the dual-label heading, their
+    fusion, the marker fix and the arbitration between the two sources."""
+
+    def __init__(self, scenario: ScenarioConfig, dt: float):
+        self.markers = {m.label: m for m in scenario.qr_markers}
+        self.anchors = uwb_localization.AnchorSet(scenario.anchors)
+        self.params = uwb_localization.EkfParams(
+            sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
+        self.baseline = scenario.label_baseline
+        self.labels = None  # both label filters as one batched EkfState
+        self.yaw = 0.0  # calibration value before the first dual-label solution
+        self.hybrid = hybrid_localizer.HybridState()
+
+    def step(self, state: SimState, a_body: np.ndarray, roll: float, pitch: float,
+             ranges: np.ndarray, obs: list) -> tuple[PoseEstimate, list[str]]:
+        R_a_w_rows = state.platform_attitude.rows
+        if self.labels is None:
+            self.labels = uwb_localization.initial_state(
+                [uwb_localization.multilaterate(list(enumerate(row)), self.anchors)
                  for row in ranges], state.t)
         else:
-            labels = uwb_localization.ekf_update(
+            self.labels = uwb_localization.ekf_update(
                 uwb_localization.ekf_predict(
-                    labels, a_body, rotation_rows(roll, pitch, yaw_est),
-                    tuple(zip(*R_a_w_rows)), ekf_params),
-                ranges, anchors, ekf_params)
+                    self.labels, a_body, rotation_rows(roll, pitch, self.yaw),
+                    tuple(zip(*R_a_w_rows)), self.params),
+                ranges, self.anchors, self.params)
 
-        u1w, u2w = (rotate(R_a_w_rows, u) for u in labels.mean[:, :3].tolist())
+        u1w, u2w = (rotate(R_a_w_rows, u) for u in self.labels.mean[:, :3].tolist())
         try:
-            yaw_est = uwb_localization.yaw_from_labels(
-                u1w, u2w, roll, pitch, scenario.label_baseline)
+            self.yaw = uwb_localization.yaw_from_labels(
+                u1w, u2w, roll, pitch, self.baseline)
         except uwb_localization.BaselineGateError:
             pass  # hold the last valid heading
-        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w_rows, yaw=yaw_est)
+        uwb_pose = uwb_localization.fuse_labels(self.labels, R_a_w_rows,
+                                                yaw=self.yaw)
 
-        # --- marker localization ------------------------------------
         qr_pose = None
-        obs = world.sense_qr(state)
         if obs:
             try:
-                qr_pose = estimate_pose(obs, markers, state.platform_attitude,
+                qr_pose = estimate_pose(obs, self.markers, state.platform_attitude,
                                         (roll, pitch), timestamp=state.t)
             except NoFix:
-                qr_pose = None
+                pass  # no usable marker this tick
 
-        est, hybrid_state, hybrid_events = hybrid_localizer.arbitrate(
-            qr_pose, uwb_pose, hybrid_state)
+        est, self.hybrid, events = hybrid_localizer.arbitrate(
+            qr_pose, uwb_pose, self.hybrid)
+        return est, events
 
-        truth = state.uav_pos.tolist()
-        est_xyz = est.position.tolist()
-        sq = sq_errors.setdefault(est.source, [0, 0.0, 0.0, 0.0])
-        sq[0] += 1
-        for k, (e, t) in enumerate(zip(est_xyz, truth), 1):
-            d = e - t
-            sq[k] += d * d
 
-        # --- perception ---------------------------------------------
-        candidates = world.sense_cargo(state)
-        track = wavegate_select(candidates, track, perception)
+class CargoPerception:
+    """The cargo track: wavegate selection, the pinhole inversion, the tilt
+    de-rotation and the smoothing filter."""
+
+    def __init__(self, scenario: ScenarioConfig, dt: float):
+        self.params = PerceptionParams(frame_period=dt)
+        self.focal = scenario.det_focal
+        self.diagonal = scenario.cargoes[0].top_diagonal
+        self.track = CargoTrack()
+
+    def step(self, candidates: list, roll: float, pitch: float) -> CargoTrack:
+        track = self.track = wavegate_select(candidates, self.track, self.params)
         if track.selected is not None:
-            pos_cam = cargo_position_from_detection(
-                track.selected, scenario.det_focal, cargo.top_diagonal)
+            pos_cam = cargo_position_from_detection(track.selected, self.focal,
+                                                    self.diagonal)
             # de-rotate by the IMU roll/pitch: without this the vehicle's
             # own tilt shifts the apparent target the same way the command
             # pushes, a positive feedback that never converges
             pos_b = rotate(rotation_rows(roll, pitch, 0.0), pos_cam)
-            track = smooth_track(track, pos_b, perception)
+            track = self.track = smooth_track(track, pos_b, self.params)
+        return track
 
-        # --- mission + control --------------------------------------
-        cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
-                                        rotor_speeds=state.rotor_speeds,
-                                        on_ground=state.on_ground))
-        if cmd.gains is not prev_gains:
-            ctrl.reset_derivative()
-            prev_gains = cmd.gains
 
+class Command:
+    """Mode dispatch, the derivative reset on a gain switch and the PID: the
+    executive's command as a saturated (vx, vy, vz, yaw_rate) body velocity."""
+
+    def __init__(self, mission: MissionConfig, dt: float):
+        self.dt = dt
+        self.ctrl = ControllerState()
+        self.limits = VelocityLimits(vertical=mission.vertical_limit)
+        self.gains = None  # the gains of the last tick
+
+    def step(self, cmd: TickCommand, est: PoseEstimate,
+             t: float) -> tuple[float, float, float, float]:
+        if cmd.gains is not self.gains:
+            self.ctrl.reset_derivative()
+            self.gains = cmd.gains
+        limits = self.limits
         if cmd.mode == "velocity":
-            vx, vy, vz, yaw_rate = cmd.velocity.tolist()
-            vel_cmd = control.VelocityCommand(
-                saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
-                saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate),
-                timestamp=state.t)
-        else:
-            if cmd.mode == "world":
-                # the velocity interface is yaw-aligned and horizontal, so
-                # tilt must not leak altitude error into the x/y channels
-                R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
-                e_b = control.position_error_body(cmd.setpoint.tolist(), est_xyz,
-                                                  R_w_b)
-                yaw_e = wrap_angle(cmd.yaw_setpoint - est.yaw)
-                ff = None
-            else:  # body: visual servoing
-                e_b = cmd.body_error.tolist()
-                yaw_e = cmd.body_yaw_error
-                ff = cmd.feedforward
-            errors = {"x": e_b[0], "y": e_b[1], "z": e_b[2], "yaw": yaw_e}
-            vel_cmd, ctrl = pid_step(cmd.gains, errors, ctrl, dt, state.t,
-                                     limits=limits, feedforward=ff)
+            vx, vy, vz, yaw_rate = cmd.velocity
+            return (saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
+                    saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate))
+        if cmd.mode == "world":
+            # the velocity interface is yaw-aligned and horizontal, so
+            # tilt must not leak altitude error into the x/y channels
+            R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
+            e_b = control.position_error_body(cmd.setpoint, est.position.tolist(),
+                                              R_w_b)
+            yaw_e = wrap_angle(cmd.yaw_setpoint - est.yaw)
+        else:  # body: visual servoing
+            e_b = cmd.body_error
+            yaw_e = cmd.body_yaw_error
+        errors = {"x": e_b[0], "y": e_b[1], "z": e_b[2], "yaw": yaw_e}
+        vel_cmd, self.ctrl = pid_step(cmd.gains, errors, self.ctrl, self.dt, t,
+                                      limits=limits, feedforward=cmd.feedforward)
+        return (vel_cmd.vx, vel_cmd.vy, vel_cmd.vz, vel_cmd.yaw_rate)
 
-        if cmd.do_adsorb:
-            if world.rng.random() < mission.adsorb_success_prob:
-                state = world.attach_cargo(state)
 
-        state = world.step(state, (vel_cmd.vx, vel_cmd.vy, vel_cmd.vz,
-                                   vel_cmd.yaw_rate), dt)
+class Recorder:
+    """The log rows and the run summary: per-source RMSE, phase time and
+    the landing error."""
 
-        # --- ground contact -----------------------------------------
-        pos = state.uav_pos.tolist()
-        support = _support_height(pos, scenario, cargo_top)
-        if not state.on_ground and state.uav_vel[2] <= 0.0 and \
-                pos[2] <= support + 0.02 and vel_cmd.vz <= 0.0:
-            state = world.set_on_ground(state, True)
-        if "phase:land->adsorb" in cmd.events and math.isnan(landing_error):
-            landing_error = float(np.linalg.norm(
-                state.uav_pos[:2] - np.asarray(cargo.position[:2])))
+    def __init__(self, scenario: ScenarioConfig, dt: float):
+        self.dt = dt
+        self.cargo_xy = np.asarray(scenario.cargoes[0].position[:2])
+        self.records: list[list] = []
+        # per source: ticks and running sums of the squared x, y, z errors,
+        # summed in tick order as np.mean(err * err, axis=0) sums them
+        self.sq_errors: dict[str, list] = {}
+        self.phase_durations: dict[str, float] = {}
+        self.landing_error = float("nan")
+
+    def step(self, before: SimState, after: SimState, est: PoseEstimate,
+             events: list[str], track: CargoTrack, cmd: TickCommand,
+             vel: tuple[float, float, float, float]) -> None:
+        """Score the estimate against the position it was made at; log the tick."""
+        truth = before.uav_pos.tolist()
+        est_xyz = est.position.tolist()
+        sq = self.sq_errors.setdefault(est.source, [0, 0.0, 0.0, 0.0])
+        sq[0] += 1
+        for k, (e, t) in enumerate(zip(est_xyz, truth), 1):
+            d = e - t
+            sq[k] += d * d
+        if "phase:land->adsorb" in cmd.events and math.isnan(self.landing_error):
+            self.landing_error = float(np.linalg.norm(
+                after.uav_pos[:2] - self.cargo_xy))
 
         c_b = track.position.tolist() if track.position is not None else NAN3
-        records.append([  # a list display, not unpacking: no spare slots
-            round(state.t, 6), cmd.phase.value,
-            truth[0], truth[1], truth[2], state.uav_euler.yaw,
+        self.records.append([  # a list display, not unpacking: no spare slots
+            round(after.t, 6), cmd.phase.value,
+            truth[0], truth[1], truth[2], after.uav_euler.yaw,
             est_xyz[0], est_xyz[1], est_xyz[2], est.yaw,
             est.source, c_b[0], c_b[1], c_b[2],
-            vel_cmd.vx, vel_cmd.vy, vel_cmd.vz, vel_cmd.yaw_rate,
-            state.rotor_sum_sq, ";".join([*hybrid_events, *cmd.events]),
+            vel[0], vel[1], vel[2], vel[3],
+            after.rotor_sum_sq, ";".join([*events, *cmd.events]),
         ])
+        self.phase_durations[cmd.phase.value] = \
+            self.phase_durations.get(cmd.phase.value, 0.0) + self.dt
 
-        phase_durations[cmd.phase.value] = \
-            phase_durations.get(cmd.phase.value, 0.0) + dt
-        if executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
-            break
-
-    rmse = {source: [math.sqrt(v / n) for v in sums]
-            for source, (n, *sums) in sorted(sq_errors.items())}
-    summary = RunSummary(
-        final_phase=executive.phase.value,
-        abort_reason=executive.abort_reason if
-        executive.phase is MissionPhase.ABORTED else (
-            None if executive.phase is MissionPhase.DONE else "timeout"),
-        phase_durations=phase_durations,
-        landing_error=landing_error,
-        attach_success=bool(executive.attach_success),
-        rmse=rmse,
-        source_switches=hybrid_state.switch_count,
-        total_time=state.t,
-        seed=scenario.seed,
-    )
-    if summary.final_phase not in ("done", "aborted"):
-        summary.final_phase = "aborted"
-        summary.abort_reason = "timeout"
-    return summary, records
-
-
-def _support_height(pos: list[float], scenario: ScenarioConfig,
-                    cargo_top: float) -> float:
-    cargo = scenario.cargoes[0]
-    if math.hypot(pos[0] - cargo.position[0], pos[1] - cargo.position[1]) \
-            <= cargo.top_diagonal / 2.0:
-        return cargo_top
-    dx = pos[0] - scenario.deck_center[0]
-    dy = pos[1] - scenario.deck_center[1]
-    if abs(dx) <= scenario.deck_size[0] / 2 and abs(dy) <= scenario.deck_size[1] / 2:
-        return scenario.deck_height
-    return 0.0
+    def summary(self, executive: MissionExecutive, source_switches: int,
+                total_time: float, seed: int) -> RunSummary:
+        phase, reason = executive.phase, executive.abort_reason
+        if phase is MissionPhase.DONE:
+            reason = None
+        elif phase is not MissionPhase.ABORTED:  # still flying at max_time
+            phase, reason = MissionPhase.ABORTED, "timeout"
+        return RunSummary(
+            final_phase=phase.value, abort_reason=reason,
+            phase_durations=self.phase_durations,
+            landing_error=self.landing_error,
+            attach_success=bool(executive.attach_success),
+            rmse={source: [math.sqrt(v / n) for v in sums]
+                  for source, (n, *sums) in sorted(self.sq_errors.items())},
+            source_switches=source_switches, total_time=total_time, seed=seed)
 
 
 # --- logging ---------------------------------------------------------

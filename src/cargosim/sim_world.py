@@ -1,11 +1,12 @@
 """Synthetic sea environment and sensor generation.
 
 Provides the oscillating landing platform, the target-vessel deck with
-its cargo, UAV velocity-tracking kinematics with wind gusts, and every
-synthetic measurement the autonomy stack consumes: anchor ranges, marker
-observations, cargo detections, IMU attitude/acceleration and rotor
-telemetry.  All randomness flows from one seeded generator so a run is
-reproducible bit for bit.
+its cargo, UAV velocity-tracking kinematics with wind gusts, ground and
+cargo contact, the adsorption action, and every synthetic measurement
+the autonomy stack consumes: anchor ranges, marker observations, cargo
+detections, IMU attitude/acceleration and rotor telemetry.  All
+randomness flows from one seeded generator so a run is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class ScenarioConfig:
     det_conf_base: float = 0.75
     det_conf_jitter: float = 0.15
     # world geometry
-    platform_size: tuple[float, float] = (3.5, 4.8)
     uav_start: tuple[float, float, float] = (1.0, 2.0, 0.0)
     deck_center: tuple[float, float] = (8.0, 0.0)
     deck_yaw: float = 0.0
@@ -140,11 +140,6 @@ class ScenarioConfig:
         if self.uav_mass <= 0:
             raise ValueError("UAV mass must be > 0")
 
-    @property
-    def label_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        d = self.label_baseline
-        return (np.array([0.0, d / 2, 0.0]), np.array([0.0, -d / 2, 0.0]))
-
 
 @dataclass(frozen=True)
 class SimState:
@@ -186,7 +181,8 @@ class SimWorld:
         self.rng = np.random.default_rng(cfg.seed)
         self._platform_yaw = 0.0
         # fixed body- and panel-frame points, one per row
-        self._label_offsets = np.array(cfg.label_offsets).tolist()
+        half = cfg.label_baseline / 2
+        self._label_offsets = [[0.0, half, 0.0], [0.0, -half, 0.0]]
         self._anchors = cfg.anchors.tolist()
         self._qr_panels = [(float(m.panel_xy[0]), float(m.panel_xy[1]), 0.0)
                            for m in cfg.qr_markers]
@@ -307,11 +303,6 @@ class SimWorld:
 
     # --- sensors -----------------------------------------------------
 
-    def label_positions_platform(self, state: SimState) -> np.ndarray:
-        """True ranging-label positions in the platform (anchor) frame,
-        one row per label."""
-        return np.array(self._labels_platform(state))
-
     def _labels_platform(self, state: SimState) -> list[tuple[float, ...]]:
         R_b_w, R_a_w = state.uav_euler.rows, state.platform_attitude.rows
         px, py, pz = state.uav_pos.tolist()
@@ -403,7 +394,7 @@ class SimWorld:
         tan_h = math.tan(cfg.det_h_fov / 2.0)
         tan_v = math.tan(cfg.det_v_fov / 2.0)
         out = []
-        for k, cargo in enumerate(cfg.cargoes):
+        for cargo in cfg.cargoes:
             qx, qy, qz = cargo.position
             x, y, z = rotate_t(R_b_w, (qx - px, qy - py, qz - pz))
             if cfg.det_pos_noise > 0.0:
@@ -429,14 +420,34 @@ class SimWorld:
             if cfg.det_yaw_noise > 0.0:
                 yaw = wrap_angle(yaw + cfg.det_yaw_noise * self.rng.standard_normal())
             out.append(DetectionObservation(
-                class_id=k, confidence=min(1.0, max(0.0, conf)),
-                image_center=(cx, cy), box_diagonal=d_img, timestamp=state.t,
-                box_yaw=yaw))
+                confidence=min(1.0, max(0.0, conf)), image_center=(cx, cy),
+                box_diagonal=d_img, box_yaw=yaw))
         return out
 
-    def attach_cargo(self, state: SimState, index: int = 0) -> SimState:
-        return replace(state, attached_mass=self.cfg.cargoes[index].mass)
+    def attach_cargo(self, state: SimState, success_prob: float) -> SimState:
+        """Adsorb the first cargo with probability success_prob (one draw)."""
+        if self.rng.random() < success_prob:
+            return replace(state, attached_mass=self.cfg.cargoes[0].mass)
+        return state
 
-    def set_on_ground(self, state: SimState, value: bool) -> SimState:
-        return replace(state, on_ground=value,
-                       uav_vel=np.zeros(3) if value else state.uav_vel)
+    def support_height(self, x: float, y: float) -> float:
+        """Height under (x, y): the first cargo's top, the deck, or 0."""
+        cfg = self.cfg
+        cargo = cfg.cargoes[0]
+        if math.hypot(x - cargo.position[0], y - cargo.position[1]) \
+                <= cargo.top_diagonal / 2.0:
+            return cargo.position[2]
+        dx = x - cfg.deck_center[0]
+        dy = y - cfg.deck_center[1]
+        if abs(dx) <= cfg.deck_size[0] / 2 and abs(dy) <= cfg.deck_size[1] / 2:
+            return cfg.deck_height
+        return 0.0
+
+    def touch_down(self, state: SimState, c_vz: float) -> SimState:
+        """Ground a vehicle that sinks, under a command that does not climb,
+        to within 2 cm of the surface under it; it stops there."""
+        x, y, z = state.uav_pos.tolist()
+        if not state.on_ground and state.uav_vel[2] <= 0.0 and \
+                z <= self.support_height(x, y) + 0.02 and c_vz <= 0.0:
+            return replace(state, on_ground=True, uav_vel=np.zeros(3))
+        return state

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cargosim.frames import EulerAngles, rotation_from_euler, wrap_angle
+from cargosim.frames import EulerAngles, rotation_from_rpy, wrap_angle
 from cargosim.qr_localization import QrObservation
 from cargosim.sim_world import ScenarioConfig
 
@@ -32,8 +32,8 @@ def project_marker(marker, uav_pos, uav_euler: EulerAngles,
     camera rotation, similar-triangles scaling) so the estimator tests do
     not reuse the code under test.
     """
-    R_a_w = rotation_from_euler(platform_attitude)
-    R_w_b = rotation_from_euler(uav_euler).T
+    R_a_w = rotation_from_rpy(*platform_attitude.as_tuple())
+    R_w_b = rotation_from_rpy(*uav_euler.as_tuple()).T
     panel = np.array([marker.panel_xy[0], marker.panel_xy[1], 0.0])
     cam = R_w_b @ (R_a_w @ panel - np.asarray(uav_pos, dtype=float))
     assert cam[2] < -focal, "marker must be below the camera"

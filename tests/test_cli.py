@@ -118,6 +118,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "scenario.bogus" in capsys.readouterr().err
 
 
+def test_removed_platform_size_field_is_a_config_error(tmp_path, capsys):
+    scenario = _scenario_file(tmp_path, {"scenario": {"platform_size": [3.5, 4.8]}})
+    rc = cli.main(["run", "--scenario", scenario])
+    assert rc == cli.EXIT_CONFIG
+    assert "scenario.platform_size" in capsys.readouterr().err
+
+
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text("{not json")

@@ -1,8 +1,12 @@
+import ast
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import cargosim
 from cargosim.config import ConfigError, load_config
 from cargosim.mission import MissionConfig
 from cargosim.sim_world import ScenarioConfig
@@ -110,3 +114,33 @@ def test_missing_file_reported(tmp_path):
 def test_invalid_value_propagates_as_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"scenario": {"label_baseline": -1.0}}))
+
+
+def _attributes_read_outside(class_name: str) -> set[str]:
+    """Every attribute name loaded anywhere in the package's source, except
+    inside the class called class_name."""
+    reads: set[str] = set()
+
+    class Reads(ast.NodeVisitor):
+        def visit_ClassDef(self, node):
+            if node.name != class_name:
+                self.generic_visit(node)
+
+        def visit_Attribute(self, node):
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            self.generic_visit(node)
+
+    for path in sorted(Path(cargosim.__file__).parent.glob("*.py")):
+        Reads().visit(ast.parse(path.read_text(), filename=str(path)))
+    return reads
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, MissionConfig],
+                         ids=lambda cls: cls.__name__)
+def test_every_config_field_is_read(cls):
+    # a knob that is parsed but never read only looks configurable; the
+    # check goes by attribute name, whatever object it is read from
+    reads = _attributes_read_outside(cls.__name__)
+    unread = [f.name for f in dataclasses.fields(cls) if f.name not in reads]
+    assert unread == []

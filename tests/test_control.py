@@ -8,7 +8,7 @@ from cargosim.control import (CHANNELS, ControllerState, PHASE_GAINS, PidGains,
                               VelocityCommand, VelocityLimits,
                               position_error_body, pid_step, saturate,
                               yaw_error)
-from cargosim.frames import yaw_rotation
+from cargosim.frames import rotation_from_rpy
 
 T = 0.02
 LIMITS = VelocityLimits()
@@ -147,7 +147,7 @@ def test_position_error_body_cases():
         position_error_body([1, 0, 0], [0, 0, 0], np.eye(3)), [1, 0, 0])
     np.testing.assert_allclose(
         position_error_body([1, 0, 0], [1, 0, 0], np.eye(3)), [0, 0, 0])
-    R_w_b = yaw_rotation(math.pi / 2).T
+    R_w_b = rotation_from_rpy(0.0, 0.0, math.pi / 2).T
     np.testing.assert_allclose(
         position_error_body([1, 0, 0], [0, 0, 0], R_w_b), [0, -1, 0],
         atol=1e-15)

@@ -8,10 +8,9 @@ from cargosim.perception import (CargoTrack, DetectionObservation,
 PARAMS = PerceptionParams()
 
 
-def _det(cx=0.0, cy=0.0, diag=0.001, conf=0.8, t=0.0, cls=0, yaw=0.0):
-    return DetectionObservation(class_id=cls, confidence=conf,
-                                image_center=(cx, cy), box_diagonal=diag,
-                                timestamp=t, box_yaw=yaw)
+def _det(cx=0.0, cy=0.0, diag=0.001, conf=0.8, yaw=0.0):
+    return DetectionObservation(confidence=conf, image_center=(cx, cy),
+                                box_diagonal=diag, box_yaw=yaw)
 
 
 def test_detection_validation():
@@ -23,8 +22,8 @@ def test_detection_validation():
 
 def test_lock_after_stable_frames():
     track = CargoTrack()
-    for k in range(PARAMS.lock_frames):
-        track = wavegate_select([_det(t=k)], track, PARAMS)
+    for _ in range(PARAMS.lock_frames):
+        track = wavegate_select([_det()], track, PARAMS)
     assert track.locked
     assert track.roi is not None
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cargosim.frames import EulerAngles, wrap_angle
+from cargosim.frames import EulerAngles, rotation_from_rpy, wrap_angle
 from cargosim.qr_localization import (NoFix, QrMarker, QrObservation,
                                       estimate_pose, marker_camera_coords)
 
@@ -64,10 +64,9 @@ def test_projection_roundtrip_against_oracle(rng):
         obs = project_marker(marker, pos, uav, platform, FOCAL)
         cam = marker_camera_coords(obs, marker)
         # reproject independently for the truth value
-        from cargosim.frames import rotation_from_euler
         panel = np.array([marker.panel_xy[0], marker.panel_xy[1], 0.0])
-        truth = rotation_from_euler(uav).T @ (
-            rotation_from_euler(platform) @ panel - pos)
+        truth = rotation_from_rpy(*uav.as_tuple()).T @ (
+            rotation_from_rpy(*platform.as_tuple()) @ panel - pos)
         np.testing.assert_allclose(cam, truth, atol=1e-9)
 
 

@@ -276,6 +276,15 @@ def test_geofence_exclusion_aborts():
     assert summary.abort_reason == "geofence"
 
 
+def test_mission_still_flying_at_max_time_is_a_timeout():
+    summary, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0,
+                                   max_time=2.0)
+    assert summary.final_phase == "aborted"
+    assert summary.abort_reason == "timeout"
+    assert len(records) == 100
+    assert records[-1][1] == "takeoff"
+
+
 def test_summary_serializes_to_json():
     s = RunSummary(final_phase="done", landing_error=0.01, seed=4)
     text = json.dumps(s.to_dict())

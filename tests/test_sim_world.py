@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,12 +74,35 @@ def test_attach_raises_rotor_effort_by_mass_ratio():
     world = SimWorld(cfg)
     state = world.step(world.initial_state(), np.zeros(4), 0.02)
     before = state.rotor_sum_sq
-    state = world.attach_cargo(state)
+    state = world.attach_cargo(state, 1.0)
     state = world.step(state, np.zeros(4), 0.02)
     ratio = state.rotor_sum_sq / before
     expected = (cfg.uav_mass + cfg.cargoes[0].mass) / cfg.uav_mass
     assert ratio == pytest.approx(expected, rel=1e-9)
     assert expected == pytest.approx(1.1127, abs=1e-4)
+
+
+def test_failed_adsorption_still_takes_its_draw():
+    world, twin = SimWorld(ScenarioConfig(seed=8)), SimWorld(ScenarioConfig(seed=8))
+    state = world.initial_state()
+    assert world.attach_cargo(state, 0.0).attached_mass == 0.0
+    twin.rng.random()
+    assert world.rng.random() == twin.rng.random()
+
+
+def test_support_height_of_cargo_deck_and_sea():
+    cfg = ScenarioConfig()
+    world = SimWorld(cfg)
+    cargo = cfg.cargoes[0]
+    cx, cy, top = cargo.position
+    assert world.support_height(cx, cy) == top
+    assert world.support_height(cx + 0.99 * cargo.top_diagonal / 2, cy) == top
+    assert world.support_height(cx + cargo.top_diagonal, cy) == cfg.deck_height
+    assert world.support_height(cfg.deck_center[0] + 0.99 * cfg.deck_size[0] / 2,
+                                cfg.deck_center[1]) == cfg.deck_height
+    assert world.support_height(cfg.deck_center[0] + cfg.deck_size[0],
+                                cfg.deck_center[1]) == 0.0
+    assert world.support_height(*cfg.uav_start[:2]) == 0.0
 
 
 def test_range_zero_at_anchor_and_345_triangle():
@@ -97,12 +121,16 @@ def test_range_zero_at_anchor_and_345_triangle():
     assert r2[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
+def _noise_free_ranges(cfg, state):
+    """The ranges of the same state from a twin world without range noise."""
+    return SimWorld(replace(cfg, sigma_uwb=0.0)).sense_uwb(state)
+
+
 def test_range_noise_sigma_calibrated():
     cfg = calm_scenario(sigma_uwb=0.10, uav_start=(0.5, 0.5, 1.0))
     world = SimWorld(cfg)
     state = world.initial_state()
-    true_d = np.array([np.linalg.norm(cfg.anchors - label, axis=1)
-                       for label in world.label_positions_platform(state)])
+    true_d = _noise_free_ranges(cfg, state)
     residuals = []
     while len(residuals) < 100_000:
         residuals.extend((world.sense_uwb(state) - true_d).ravel())
@@ -119,8 +147,7 @@ def test_occlusion_inflates_noise():
     def spread(cfg):
         world = SimWorld(cfg)
         state = world.initial_state()
-        true_d = np.array([np.linalg.norm(cfg.anchors - label, axis=1)
-                           for label in world.label_positions_platform(state)])
+        true_d = _noise_free_ranges(cfg, state)
         res = [world.sense_uwb(state) - true_d for _ in range(500)]
         return np.std(res)
 
@@ -200,7 +227,8 @@ def test_step_rejects_bad_inputs():
 
 def test_ground_contact_freezes_vehicle():
     world = SimWorld(calm_scenario())
-    state = world.set_on_ground(world.initial_state(), True)
+    state = world.touch_down(world.initial_state(), 0.0)  # on the pad
+    assert state.on_ground
     s2 = world.step(state, np.array([0.2, 0.0, -0.1, 0.0]), 0.02)
     np.testing.assert_array_equal(s2.uav_pos, state.uav_pos)
     assert s2.on_ground
