@@ -99,11 +99,11 @@ def rotate_t(R, v) -> tuple[float, float, float]:
     return (a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z)
 
 
-def mean_rows(rows) -> list[float]:
+def mean_rows(rows) -> tuple[float, ...]:
     """``np.mean(rows, axis=0)`` of a few short rows in Python floats: the
     same sequential sum from the first row, then the same division."""
     it = iter(rows)
     sums = list(next(it))
     for row in it:
         sums = [s + v for s, v in zip(sums, row)]
-    return [s / len(rows) for s in sums]
+    return tuple([s / len(rows) for s in sums])

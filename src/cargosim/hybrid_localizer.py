@@ -13,8 +13,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .frames import wrap_angle
 from .qr_localization import PoseEstimate
 
@@ -35,8 +33,6 @@ class HybridState:
     _pos_sum: tuple[float, float, float] = (0.0, 0.0, 0.0)
     _sin_sum: float = 0.0
     _cos_sum: float = 0.0
-    _vel_sum: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    _vel_count: int = 0
 
     def __post_init__(self):
         if self.window < 1:
@@ -44,12 +40,11 @@ class HybridState:
 
     def _add(self, e: PoseEstimate, sign: float = 1.0) -> None:
         # s + (-1.0 * x) is s - x exactly, so one body adds and removes
-        self._pos_sum = _shifted(self._pos_sum, e.position, sign)
+        x, y, z = e.position
+        sx, sy, sz = self._pos_sum
+        self._pos_sum = (sx + sign * x, sy + sign * y, sz + sign * z)
         self._sin_sum += sign * math.sin(e.yaw)
         self._cos_sum += sign * math.cos(e.yaw)
-        if e.velocity is not None:
-            self._vel_sum = _shifted(self._vel_sum, e.velocity, sign)
-            self._vel_count += int(sign)
 
     def _drop(self) -> None:
         self._add(self.estimates.popleft(), -1.0)
@@ -59,13 +54,6 @@ class HybridState:
         self._add(e)
         while len(self.estimates) > self.window:
             self._drop()
-
-
-def _shifted(sums: tuple[float, float, float], v: np.ndarray,
-             sign: float) -> tuple[float, float, float]:
-    x, y, z = v.tolist()
-    sx, sy, sz = sums
-    return (sx + sign * x, sy + sign * y, sz + sign * z)
 
 
 def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
@@ -90,10 +78,8 @@ def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
     st.push(chosen)
 
     n = len(st.estimates)
-    pos = np.array([v / n for v in st._pos_sum])
+    sx, sy, sz = st._pos_sum
     yaw = wrap_angle(math.atan2(st._sin_sum, st._cos_sum))
-    vel = np.array([v / st._vel_count for v in st._vel_sum]) \
-        if st._vel_count else None
-    out = PoseEstimate(position=pos, yaw=yaw, source=source,
-                       timestamp=chosen.timestamp, velocity=vel)
+    out = PoseEstimate(position=(sx / n, sy / n, sz / n), yaw=yaw, source=source,
+                       timestamp=chosen.timestamp)
     return out, st, events

@@ -122,7 +122,7 @@ STOP = (0.0, 0.0, 0.0, 0.0)  # the velocity command that holds still
 
 
 class MissionExecutive:
-    """Sequences the transport phases for one vehicle and the first cargo."""
+    """Sequences the transport phases for one vehicle and its cargo."""
 
     def __init__(self, mission: MissionConfig, scenario: ScenarioConfig,
                  dt: float = 0.02):
@@ -188,11 +188,11 @@ class MissionExecutive:
         self._transition(MissionPhase.LAND, events)
 
     def _geofence_ok(self, est: PoseEstimate) -> bool:
-        x, y, _ = est.position.tolist()
+        x, y, _ = est.position
         xmin, xmax, ymin, ymax = self.cfg.geofence
         return xmin <= x <= xmax and ymin <= y <= ymax
 
-    def _lock_overhead(self, c_b: np.ndarray) -> bool:
+    def _lock_overhead(self, c_b: tuple[float, float, float]) -> bool:
         # a detection far off-nadir (seen sideways during transit) must
         # not trigger the landing descent
         height = -c_b[2]
@@ -241,7 +241,7 @@ class MissionExecutive:
             self._enter_land(events)
             return self._tick_land(inp, events)
 
-        wp = self.path.waypoints[self.wp_index].tolist()
+        wp = self.path.waypoints[self.wp_index]
         sp = (*wp, self.search_altitude)
         dist = math.hypot(inp.estimate.position[0] - wp[0],
                           inp.estimate.position[1] - wp[1])
@@ -309,7 +309,7 @@ class MissionExecutive:
                                gains=cfg.gains["land"], events=tuple(events))
         self._lost_since = None
 
-        cx, cy, cz = track.position.tolist()
+        cx, cy, cz = track.position
         height = -cz  # height above the cargo top
         err_z = cz + cfg.pre_blind_height
         yaw_e = yaw_error(track.yaw)
@@ -340,7 +340,7 @@ class MissionExecutive:
 
         return TickCommand(phase=MissionPhase.LAND, mode="body",
                            body_error=(cx, cy, err_z), body_yaw_error=yaw_e,
-                           feedforward=tuple(track.velocity.tolist()),
+                           feedforward=track.velocity,
                            gains=cfg.gains["land"], events=tuple(events))
 
     def _tick_adsorb(self, inp: TickInputs, events: list[str]) -> TickCommand:
@@ -403,7 +403,7 @@ class MissionExecutive:
                                gains=cfg.gains["return"], events=tuple(events))
 
         if self._return_stage == "cruise":
-            x, y, z = est.position.tolist()
+            x, y, z = est.position
             sp = (*self.home_xy, cfg.return_altitude)
             if z < cfg.return_altitude - 0.2:
                 # climb over the deck before crossing back

@@ -18,8 +18,6 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .frames import mean_rows
 
 
@@ -56,7 +54,11 @@ class PerceptionParams:
 
 @dataclass
 class CargoTrack:
-    """Wavegate selection state plus the smoothed cargo estimate."""
+    """Wavegate selection state plus the smoothed cargo estimate.
+
+    The position and velocity are (x, y, z) tuples of floats in the body
+    frame.
+    """
 
     locked: bool = False
     roi: tuple[float, float, float] | None = None  # (cx, cy, half_side); None = full frame
@@ -64,8 +66,8 @@ class CargoTrack:
     streak: int = 0
     frames_since_seen: int = 0
     selected: DetectionObservation | None = None
-    position: np.ndarray | None = None  # smoothed, body frame
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    position: tuple[float, float, float] | None = None  # smoothed
+    velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     yaw: float = 0.0
     # internals
     rejects: int = 0
@@ -201,14 +203,14 @@ def smooth_track(track: CargoTrack, new_pos: Sequence[float],
         track.accepted.append(sample)
         while len(track.accepted) > params.mean_window:
             track.accepted.popleft()
-        track.position = np.array(mean_rows(track.accepted))
+        track.position = mean_rows(track.accepted)
         _kf_step(track, sample, params)
         if track.selected is not None:
             track.yaw = track.selected.box_yaw
     else:
         _kf_step(track, None, params)
-    track.velocity = np.array(track.kf_mean[1] if track.kf_mean is not None
-                              else (0.0, 0.0, 0.0))
+    track.velocity = tuple(track.kf_mean[1]) if track.kf_mean is not None \
+        else (0.0, 0.0, 0.0)
     return track
 
 

@@ -38,7 +38,7 @@ class CoveragePath:
     """Ordered grid cells with their world waypoints and search altitude."""
 
     cells: list[tuple[int, int]]
-    waypoints: np.ndarray  # (N, 2) world xy
+    waypoints: list[tuple[float, float]]  # world xy, one per cell
     altitude: float
 
 
@@ -128,5 +128,5 @@ def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, floa
     anchor = np.asarray(deck_center) - L * rot @ off
     spec = GridSpec(rows=m, cols=n, cell_side=L,
                     deck_center=(anchor[0], anchor[1]), deck_yaw=deck_yaw)
-    return spec, CoveragePath(cells=cells, waypoints=to_world(cells, spec),
-                              altitude=altitude)
+    waypoints = [(x, y) for x, y in to_world(cells, spec).tolist()]
+    return spec, CoveragePath(cells=cells, waypoints=waypoints, altitude=altitude)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .frames import EulerAngles, mean_rows, rotate, rotation_rows, wrap_angle
 
 
@@ -59,18 +57,16 @@ class QrObservation:
 
 @dataclass(frozen=True)
 class PoseEstimate:
-    """World-frame position and yaw with its originating source."""
+    """World-frame position, an (x, y, z) tuple of floats, and yaw with
+    its originating source."""
 
-    position: np.ndarray
+    position: tuple[float, float, float]
     yaw: float
     source: str  # "qr" or "uwb"
     timestamp: float
-    velocity: np.ndarray | None = None
 
     def __post_init__(self):
-        position = np.asarray(self.position, dtype=float)
-        object.__setattr__(self, "position", position)
-        if not (all(map(math.isfinite, position.ravel().tolist()))
+        if not (all(map(math.isfinite, self.position))
                 and math.isfinite(self.yaw)):
             raise ValueError("pose estimate must be finite")
 
@@ -141,5 +137,5 @@ def estimate_pose(
         sum(math.sin(y) for y in yaws) / len(yaws),
         sum(math.cos(y) for y in yaws) / len(yaws),
     )
-    return PoseEstimate(position=np.array(mean_rows(positions)),
+    return PoseEstimate(position=mean_rows(positions),
                         yaw=wrap_angle(yaw), source="qr", timestamp=timestamp)

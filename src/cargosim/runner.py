@@ -109,8 +109,9 @@ class Localizer:
         self.yaw = 0.0  # calibration value before the first dual-label solution
         self.hybrid = hybrid_localizer.HybridState()
 
-    def step(self, state: SimState, a_body: np.ndarray, roll: float, pitch: float,
-             ranges: np.ndarray, obs: list) -> tuple[PoseEstimate, list[str]]:
+    def step(self, state: SimState, a_body: tuple[float, float, float],
+             roll: float, pitch: float, ranges: np.ndarray,
+             obs: list) -> tuple[PoseEstimate, list[str]]:
         R_a_w_rows = state.platform_attitude.rows
         if self.labels is None:
             self.labels = uwb_localization.initial_state(
@@ -192,8 +193,7 @@ class Command:
             # the velocity interface is yaw-aligned and horizontal, so
             # tilt must not leak altitude error into the x/y channels
             R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
-            e_b = control.position_error_body(cmd.setpoint, est.position.tolist(),
-                                              R_w_b)
+            e_b = control.position_error_body(cmd.setpoint, est.position, R_w_b)
             yaw_e = wrap_angle(cmd.yaw_setpoint - est.yaw)
         else:  # body: visual servoing
             e_b = cmd.body_error
@@ -222,8 +222,8 @@ class Recorder:
              events: list[str], track: CargoTrack, cmd: TickCommand,
              vel: tuple[float, float, float, float]) -> None:
         """Score the estimate against the position it was made at; log the tick."""
-        truth = before.uav_pos.tolist()
-        est_xyz = est.position.tolist()
+        truth = before.uav_pos
+        est_xyz = est.position
         sq = self.sq_errors.setdefault(est.source, [0, 0.0, 0.0, 0.0])
         sq[0] += 1
         for k, (e, t) in enumerate(zip(est_xyz, truth), 1):
@@ -231,9 +231,9 @@ class Recorder:
             sq[k] += d * d
         if "phase:land->adsorb" in cmd.events and math.isnan(self.landing_error):
             self.landing_error = float(np.linalg.norm(
-                after.uav_pos[:2] - self.cargo_xy))
+                np.subtract(after.uav_pos[:2], self.cargo_xy)))
 
-        c_b = track.position.tolist() if track.position is not None else NAN3
+        c_b = track.position if track.position is not None else NAN3
         self.records.append([  # a list display, not unpacking: no spare slots
             round(after.t, 6), cmd.phase.value,
             truth[0], truth[1], truth[2], after.uav_euler.yaw,

@@ -139,20 +139,29 @@ class ScenarioConfig:
                 raise ValueError("fields of view must be in (0, 180) degrees")
         if self.uav_mass <= 0:
             raise ValueError("UAV mass must be > 0")
+        # the detector sees every cargo, but contact, adsorption, the
+        # executive and the landing error know only cargoes[0]
+        if len(self.cargoes) != 1:
+            raise ValueError(f"cargoes must hold exactly one cargo, "
+                             f"got {len(self.cargoes)}")
 
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot of the world at time t."""
+    """Immutable snapshot of the world at time t.
+
+    The small vectors are tuples of Python floats, (x, y, z) or world
+    (x, y); only the rotor speeds, drawn as an array, are numpy.
+    """
 
     t: float
     platform_attitude: EulerAngles
-    uav_pos: np.ndarray
+    uav_pos: tuple[float, float, float]
     uav_euler: EulerAngles
-    uav_vel: np.ndarray
-    uav_acc: np.ndarray  # world frame, kinematic
-    wind_vel: np.ndarray  # world xy gust velocity
-    wind_trim: np.ndarray  # inner-loop estimate of the wind disturbance
+    uav_vel: tuple[float, float, float]
+    uav_acc: tuple[float, float, float]  # world frame, kinematic
+    wind_vel: tuple[float, float]  # world xy gust velocity
+    wind_trim: tuple[float, float]  # inner-loop estimate of the wind disturbance
     attached_mass: float
     rotor_speeds: np.ndarray  # (4,) rad/s
     on_ground: bool = False
@@ -196,15 +205,16 @@ class SimWorld:
     def initial_state(self) -> SimState:
         cfg = self.cfg
         hover = math.sqrt(cfg.uav_mass * GRAVITY / 4.0)
+        wx, wy = map(float, cfg.wind_mean)
         return SimState(
             t=0.0,
             platform_attitude=self._platform_attitude(0.0),
-            uav_pos=np.asarray(cfg.uav_start, dtype=float),
+            uav_pos=tuple(map(float, cfg.uav_start)),
             uav_euler=EulerAngles(0.0, 0.0, 0.0),
-            uav_vel=np.zeros(3),
-            uav_acc=np.zeros(3),
-            wind_vel=np.asarray(cfg.wind_mean, dtype=float),
-            wind_trim=cfg.drag_coeff * np.asarray(cfg.wind_mean, dtype=float),
+            uav_vel=(0.0, 0.0, 0.0),
+            uav_acc=(0.0, 0.0, 0.0),
+            wind_vel=(wx, wy),
+            wind_trim=(cfg.drag_coeff * wx, cfg.drag_coeff * wy),
             attached_mass=0.0,
             rotor_speeds=np.full(4, hover),
         )
@@ -239,9 +249,7 @@ class SimWorld:
                 self.rng.standard_normal()
         platform = self._platform_attitude(t)
 
-        # the state's small vectors are unpacked to Python floats, whose
-        # arithmetic is cheaper than numpy scalars' and gives the same bits
-        wx, wy = state.wind_vel.tolist()
+        wx, wy = state.wind_vel
         if cfg.wind_sigma > 0.0:
             relax = dt / cfg.wind_tau
             gust = cfg.wind_sigma * math.sqrt(dt)
@@ -251,10 +259,10 @@ class SimWorld:
 
         yaw = wrap_angle(state.uav_euler.yaw + c_yaw * dt)
         cy, sy = math.cos(yaw), math.sin(yaw)
-        vx, vy, vz = state.uav_vel.tolist()
+        vx, vy, vz = state.uav_vel
         dist_x = cfg.drag_coeff * (wx - vx)
         dist_y = cfg.drag_coeff * (wy - vy)
-        tx, ty = state.wind_trim.tolist()
+        tx, ty = state.wind_trim
         trim_gain = dt / cfg.trim_tau
         tx = tx + (dist_x - tx) * trim_gain
         ty = ty + (dist_y - ty) * trim_gain
@@ -264,18 +272,17 @@ class SimWorld:
         az = (c_vz - vz) / tau + 0.0  # no vertical disturbance
         on_ground = state.on_ground
         if on_ground and c_vz <= 0.0:
-            vel = np.zeros(3)
-            acc = np.zeros(3)
+            vel = acc = (0.0, 0.0, 0.0)
             pos = state.uav_pos
             ax = ay = az = 0.0
         else:
             if c_vz > 0.0:
                 on_ground = False
             vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
-            px, py, pz = state.uav_pos.tolist()
-            vel = np.array([vx, vy, vz])
-            acc = np.array([ax, ay, az])
-            pos = np.array([px + vx * dt, py + vy * dt, pz + vz * dt])
+            px, py, pz = state.uav_pos
+            vel = (vx, vy, vz)
+            acc = (ax, ay, az)
+            pos = (px + vx * dt, py + vy * dt, pz + vz * dt)
 
         # tilt follows the commanded horizontal acceleration
         a_bx = cy * ax + sy * ay
@@ -296,8 +303,7 @@ class SimWorld:
 
         return SimState(t=t, platform_attitude=platform, uav_pos=pos,
                         uav_euler=euler, uav_vel=vel, uav_acc=acc,
-                        wind_vel=np.array([wx, wy]),
-                        wind_trim=np.array([tx, ty]),
+                        wind_vel=(wx, wy), wind_trim=(tx, ty),
                         attached_mass=state.attached_mass,
                         rotor_speeds=rotors, on_ground=on_ground)
 
@@ -305,7 +311,7 @@ class SimWorld:
 
     def _labels_platform(self, state: SimState) -> list[tuple[float, ...]]:
         R_b_w, R_a_w = state.uav_euler.rows, state.platform_attitude.rows
-        px, py, pz = state.uav_pos.tolist()
+        px, py, pz = state.uav_pos
         labels = []
         for offset in self._label_offsets:
             x, y, z = rotate(R_b_w, offset)
@@ -330,17 +336,17 @@ class SimWorld:
             ranges[i] = [r + sigmas[i] * n for r, n in zip(ranges[i], noise)]
         return np.array(ranges)
 
-    def sense_imu(self, state: SimState) -> tuple[np.ndarray, float, float]:
+    def sense_imu(self, state: SimState,
+                  ) -> tuple[tuple[float, float, float], float, float]:
         """Body-frame acceleration plus roll and pitch (yaw withheld)."""
         euler = state.uav_euler
-        return (np.array(rotate_t(euler.rows, state.uav_acc.tolist())),
-                euler.roll, euler.pitch)
+        return rotate_t(euler.rows, state.uav_acc), euler.roll, euler.pitch
 
     def sense_qr(self, state: SimState) -> list[QrObservation]:
         """Project visible panel markers into the downward camera."""
         cfg = self.cfg
         R_a_w, R_b_w = state.platform_attitude.rows, state.uav_euler.rows
-        px, py, pz = state.uav_pos.tolist()
+        px, py, pz = state.uav_pos
         tan_h = math.tan(cfg.qr_h_fov / 2.0)
         tan_v = math.tan(cfg.qr_v_fov / 2.0)
 
@@ -390,7 +396,7 @@ class SimWorld:
         """Project deck cargoes into the detection camera with noise."""
         cfg = self.cfg
         R_b_w = state.uav_euler.rows
-        px, py, pz = state.uav_pos.tolist()
+        px, py, pz = state.uav_pos
         tan_h = math.tan(cfg.det_h_fov / 2.0)
         tan_v = math.tan(cfg.det_v_fov / 2.0)
         out = []
@@ -425,13 +431,13 @@ class SimWorld:
         return out
 
     def attach_cargo(self, state: SimState, success_prob: float) -> SimState:
-        """Adsorb the first cargo with probability success_prob (one draw)."""
+        """Adsorb the cargo with probability success_prob (one draw)."""
         if self.rng.random() < success_prob:
             return replace(state, attached_mass=self.cfg.cargoes[0].mass)
         return state
 
     def support_height(self, x: float, y: float) -> float:
-        """Height under (x, y): the first cargo's top, the deck, or 0."""
+        """Height under (x, y): the cargo's top, the deck, or 0."""
         cfg = self.cfg
         cargo = cfg.cargoes[0]
         if math.hypot(x - cargo.position[0], y - cargo.position[1]) \
@@ -446,8 +452,8 @@ class SimWorld:
     def touch_down(self, state: SimState, c_vz: float) -> SimState:
         """Ground a vehicle that sinks, under a command that does not climb,
         to within 2 cm of the surface under it; it stops there."""
-        x, y, z = state.uav_pos.tolist()
+        x, y, z = state.uav_pos
         if not state.on_ground and state.uav_vel[2] <= 0.0 and \
                 z <= self.support_height(x, y) + 0.02 and c_vz <= 0.0:
-            return replace(state, on_ground=True, uav_vel=np.zeros(3))
+            return replace(state, on_ground=True, uav_vel=(0.0, 0.0, 0.0))
         return state

@@ -141,7 +141,6 @@ def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
     Every label of a batch takes the same acceleration.  The rotations
     are 3x3 arrays or their rows (see frames.rotation_rows).
     """
-    a_body = np.asarray(a_body, dtype=float).tolist()
     if not all(map(math.isfinite, a_body)):
         raise ValueError("acceleration must be finite")
     T = params.period
@@ -214,7 +213,7 @@ def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
 
 
 def fuse_labels(labels: EkfState, R_au_w, yaw: float = 0.0) -> PoseEstimate:
-    """Average a batch of label states and rotate it into the world frame.
+    """Average the label positions of a batch, rotated into the world frame.
 
     Averaging the symmetric labels cancels the baseline offset and
     decouples the estimate from platform attitude once rotated to world.
@@ -224,10 +223,9 @@ def fuse_labels(labels: EkfState, R_au_w, yaw: float = 0.0) -> PoseEstimate:
     """
     if labels.mean.ndim != 2:
         raise ValueError("fusion needs a batch of label states")
-    mean = mean_rows(labels.mean.tolist())
-    return PoseEstimate(position=np.array(rotate(R_au_w, mean[:3])), yaw=yaw,
-                        source="uwb", timestamp=labels.timestamp,
-                        velocity=np.array(rotate(R_au_w, mean[3:])))
+    position = rotate(R_au_w, mean_rows(labels.position.tolist()))
+    return PoseEstimate(position=position, yaw=yaw, source="uwb",
+                        timestamp=labels.timestamp)
 
 
 class BaselineGateError(ValueError):

@@ -125,6 +125,17 @@ def test_removed_platform_size_field_is_a_config_error(tmp_path, capsys):
     assert "scenario.platform_size" in capsys.readouterr().err
 
 
+def test_scenario_without_a_cargo_is_a_config_error(tmp_path, capsys):
+    scenario = _scenario_file(tmp_path, {"scenario": {"cargoes": []}})
+    rc = cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert "cargoes" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text("{not json")

@@ -66,6 +66,16 @@ def test_markers_and_cargoes_parse(tmp_path):
     assert scenario.cargoes[0].yaw == pytest.approx(math.pi / 4)
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_scenario_must_hold_exactly_one_cargo(tmp_path, count):
+    cargo = {"position": [8.0, 0.0, 1.10], "mass": 0.89, "top_diagonal": 0.372}
+    path = _write(tmp_path, {"scenario": {"cargoes": [cargo] * count}})
+    with pytest.raises(ConfigError, match="cargoes must hold exactly one"):
+        load_config(path)
+    with pytest.raises(ValueError, match=f"got {count}"):
+        ScenarioConfig(cargoes=ScenarioConfig().cargoes * count)
+
+
 def test_marker_missing_field_reports_index(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_config(_write(tmp_path, {"scenario": {

@@ -7,9 +7,9 @@ from cargosim.hybrid_localizer import HybridState, arbitrate
 from cargosim.qr_localization import PoseEstimate
 
 
-def _pose(x, source, yaw=0.0, t=0.0, vel=None):
-    return PoseEstimate(position=np.array([x, 0.0, 0.0]), yaw=yaw,
-                        source=source, timestamp=t, velocity=vel)
+def _pose(x, source, yaw=0.0, t=0.0):
+    return PoseEstimate(position=(x, 0.0, 0.0), yaw=yaw, source=source,
+                        timestamp=t)
 
 
 def test_window_validation():
@@ -73,22 +73,13 @@ def test_yaw_uses_circular_mean():
     assert abs(abs(out.yaw) - math.pi) < 1e-9
 
 
-def test_velocity_mean_ignores_missing():
-    st = HybridState(window=4)
-    _, st, _ = arbitrate(None, _pose(0.0, "uwb", vel=np.array([1.0, 0, 0])), st)
-    out, st, _ = arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
-    # the marker estimate carries no velocity; mean is over present ones
-    np.testing.assert_allclose(out.velocity, [1.0, 0.0, 0.0])
-
-
 def test_running_sums_match_direct_mean(rng):
     st = HybridState(window=7)
     poses = []
     for k in range(40):
         qr = _pose(rng.uniform(-1, 1), "qr", yaw=rng.uniform(-3, 3)) \
             if rng.random() > 0.3 else None
-        uwb = _pose(rng.uniform(-1, 1), "uwb", yaw=rng.uniform(-3, 3),
-                    vel=rng.normal(size=3))
+        uwb = _pose(rng.uniform(-1, 1), "uwb", yaw=rng.uniform(-3, 3))
         out, st, _ = arbitrate(qr, uwb, st)
         direct = list(st.estimates)
         np.testing.assert_allclose(

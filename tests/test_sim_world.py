@@ -212,7 +212,7 @@ def test_imu_reports_body_acceleration():
     a_body, roll, pitch = world.sense_imu(state)
     assert roll == state.uav_euler.roll
     assert pitch == state.uav_euler.pitch
-    assert a_body.shape == (3,)
+    assert len(a_body) == 3
     assert a_body[0] > 0.1  # accelerating forward
 
 
