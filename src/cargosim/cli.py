@@ -7,9 +7,10 @@ Subcommands:
   plan        emit the coverage waypoints for a scenario as CSV
 
 Exit codes: 0 mission completed (or command succeeded), 2 mission
-aborted, 64 configuration error, 65 unreadable or malformed trajectory
-log (metrics), 70 fault while running (any other invalid value, such as
-a non-finite estimate inside a mission).
+aborted, 64 configuration error or an option out of range (such as a
+negative --seed), 65 unreadable or malformed trajectory log (metrics),
+70 fault while running (any other invalid value, such as a non-finite
+estimate inside a mission).
 """
 
 from __future__ import annotations
@@ -139,8 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the least value of each integer option
+_LOWEST = {"seed": 0, "runs": 1, "workers": 1}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for name, lowest in _LOWEST.items():
+        value = getattr(args, name, lowest)
+        if value < lowest:
+            print(f"error: --{name} must be at least {lowest}, got {value}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

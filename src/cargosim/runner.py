@@ -1,11 +1,17 @@
 """Closed-loop mission execution, logging, metrics and Monte-Carlo fan-out.
 
-One 50 Hz tick of :func:`run_mission` reads the world's sensors and runs
-a pipeline of stages, each a small stateful object with one ``step``:
-:class:`Localizer` (the anchor-based localization), :class:`CargoPerception`
-(the cargo track), the mission executive, :class:`Command` (mode dispatch
-and the PID) and :class:`Recorder` (the log rows and the run summary).
-Ground contact is world physics and lives in :mod:`sim_world`.
+One 50 Hz tick of a mission reads the world's sensors and runs a
+pipeline of stages, each a small stateful object with one ``step``:
+:class:`LabelFilters` (the label range EKFs), :class:`Localizer` (the rest
+of the anchor-based localization), :class:`CargoPerception` (the cargo
+track), the mission executive, :class:`Command` (mode dispatch and the
+PID) and :class:`Recorder` (the log rows and the run summary).  Ground
+contact is world physics and lives in :mod:`sim_world`.
+
+:func:`fly_group` flies several seeds in lockstep, each a :class:`Flight`
+with its own world and stages, while :class:`LabelFilters` keeps the
+filters of all of them in one batch; :func:`run_mission` flies a group of
+one, and :func:`montecarlo` one group per worker.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import csv
 import dataclasses
 import io
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -60,77 +67,169 @@ class RunSummary:
 def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
                 seed: int | None = None, max_time: float = 600.0,
                 dt: float = 0.02) -> tuple[RunSummary, list[list]]:
-    """Execute one full mission; returns (summary, trajectory records).
-
-    The world's one generator draws noise in the order of this loop:
-    ``sense_uwb``, ``sense_qr``, ``sense_cargo``, the adsorption draw of
-    ``attach_cargo``, then ``step``.  Any other order flies other missions.
-    """
+    """Execute one full mission; returns (summary, trajectory records)."""
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    world = SimWorld(scenario)
-    state = world.initial_state()
-    localizer = Localizer(scenario, dt)
-    perception = CargoPerception(scenario, dt)
-    executive = MissionExecutive(mission, scenario, dt=dt)
-    command = Command(mission, dt)
-    recorder = Recorder(scenario, dt)
+    (flight,) = fly_group(scenario, mission, [scenario.seed], max_time, dt,
+                          keep_rows=True)
+    return flight.summary(), flight.recorder.records
+
+
+def fly_group(scenario: ScenarioConfig, mission: MissionConfig,
+              seeds: Sequence[int], max_time: float = 600.0, dt: float = 0.02,
+              keep_rows: bool = False) -> list[Flight]:
+    """Fly one mission per seed in lockstep; returns the flights in order.
+
+    Each flight owns its world, whose one generator draws noise in the
+    order of its tick: ``sense_uwb``, ``sense_qr``, ``sense_cargo``, the
+    adsorption draw of ``attach_cargo``, then ``step``.  Any other order
+    flies other missions.  The label filters of every flight still flying
+    are one stacked batch with one predict and one update per tick, and a
+    flight leaves the batch on the tick it ends; each label's arithmetic
+    is its own, so a seed flies the same mission in any group.
+    """
+    flights = [Flight(replace(scenario, seed=s), mission, dt, keep_rows)
+               for s in seeds]
+    labels = LabelFilters(scenario, dt)
+    flying = flights
     for _ in range(int(round(max_time / dt))):
-        a_body, roll, pitch = world.sense_imu(state)
-        est, events = localizer.step(state, a_body, roll, pitch,
-                                     world.sense_uwb(state), world.sense_qr(state))
-        track = perception.step(world.sense_cargo(state), roll, pitch)
+        labels.step(flying[0].state.t, [f.sense() for f in flying])
+        ended = [f.act(labels.of(k)) for k, f in enumerate(flying)]
+        if any(ended):
+            labels.keep([not e for e in ended])
+            flying = [f for f, e in zip(flying, ended) if not e]
+            if not flying:
+                break
+    return flights
+
+
+class Flight:
+    """One seeded mission: its world and its per-flight stages.
+
+    A tick is split around the group's label-filter step: :meth:`sense`
+    reads the IMU, the ranges and the markers and returns what the
+    filters need; :meth:`act` takes this flight's filtered labels and
+    runs the rest of the pipeline: :class:`Localizer`,
+    :class:`CargoPerception`, the executive, :class:`Command`, the world's
+    step and :class:`Recorder`.
+    """
+
+    def __init__(self, scenario: ScenarioConfig, mission: MissionConfig,
+                 dt: float, keep_rows: bool):
+        self.seed = scenario.seed
+        self.dt = dt
+        self.adsorb_prob = mission.adsorb_success_prob
+        self.world = SimWorld(scenario)
+        self.state = self.world.initial_state()
+        self.localizer = Localizer(scenario)
+        self.perception = CargoPerception(scenario, dt)
+        self.executive = MissionExecutive(mission, scenario, dt=dt)
+        self.command = Command(mission, dt)
+        self.recorder = Recorder(scenario, dt, keep_rows)
+
+    def sense(self) -> tuple:
+        """The label filters' inputs: (acceleration, body-to-world and
+        world-to-anchor rotations, ranges)."""
+        world, state = self.world, self.state
+        self.imu = a_body, roll, pitch = world.sense_imu(state)
+        ranges = world.sense_uwb(state)
+        self.obs = world.sense_qr(state)
+        return (a_body, *self.localizer.rotations(state, roll, pitch), ranges)
+
+    def act(self, labels: uwb_localization.EkfState) -> bool:
+        """The rest of the tick; true when the mission has ended."""
+        world, state = self.world, self.state
+        _, roll, pitch = self.imu
+        est, events = self.localizer.step(state, roll, pitch, labels, self.obs)
+        track = self.perception.step(world.sense_cargo(state), roll, pitch)
+        executive = self.executive
         cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
                                         rotor_speeds=state.rotor_speeds,
                                         on_ground=state.on_ground))
-        vel = command.step(cmd, est, state.t)
+        vel = self.command.step(cmd, est, state.t)
         if cmd.do_adsorb:
-            state = world.attach_cargo(state, mission.adsorb_success_prob)
-        after = world.touch_down(world.step(state, vel, dt), vel[2])
-        recorder.step(state, after, est, events, track, cmd, vel)
-        state = after
-        if executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
-            break
-    return (recorder.summary(executive, localizer.hybrid.switch_count, state.t,
-                             scenario.seed), recorder.records)
+            state = world.attach_cargo(state, self.adsorb_prob)
+        after = world.touch_down(world.step(state, vel, self.dt), vel[2])
+        self.recorder.step(state, after, est, events, track, cmd, vel)
+        self.state = after
+        return executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED)
+
+    def summary(self) -> RunSummary:
+        return self.recorder.summary(self.executive,
+                                     self.localizer.hybrid.switch_count,
+                                     self.state.t, self.seed)
 
 
-class Localizer:
-    """Both label range EKFs as one batch, the dual-label heading, their
-    fusion, the marker fix and the arbitration between the two sources."""
+class LabelFilters:
+    """The range EKFs of both labels of every flight in a group, as one
+    stacked batch: flight k's labels are rows 2k and 2k + 1."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
-        self.markers = {m.label: m for m in scenario.qr_markers}
         self.anchors = uwb_localization.AnchorSet(scenario.anchors)
         self.params = uwb_localization.EkfParams(
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
+        self.batch = None
+
+    def step(self, t: float, inputs: list[tuple]) -> None:
+        """Initialise from the first ranges, then predict and update."""
+        a_body, R_b_w, R_w_u, ranges = zip(*inputs)
+        ranges = ranges[0] if len(ranges) == 1 else np.concatenate(ranges)
+        if self.batch is None:
+            self.batch = uwb_localization.initial_state(
+                [uwb_localization.multilaterate(list(enumerate(row)),
+                                                self.anchors)
+                 for row in ranges], t)
+        else:
+            self.batch = uwb_localization.ekf_update(
+                uwb_localization.ekf_predict(self.batch, a_body, R_b_w, R_w_u,
+                                             self.params),
+                ranges, self.anchors, self.params)
+
+    def of(self, k: int) -> uwb_localization.EkfState:
+        """Flight k's two labels; the batch itself when it holds one flight."""
+        b = self.batch
+        if len(b.mean) == 2:
+            return b
+        rows = slice(2 * k, 2 * k + 2)
+        return uwb_localization.EkfState(mean=b.mean[rows], cov=b.cov[rows],
+                                         timestamp=b.timestamp,
+                                         degraded=b.degraded[rows])
+
+    def keep(self, flights: list[bool]) -> None:
+        """Drop the labels of every flight not kept."""
+        rows = np.repeat(flights, 2)
+        b = self.batch
+        self.batch = uwb_localization.EkfState(
+            mean=b.mean[rows], cov=b.cov[rows], timestamp=b.timestamp,
+            degraded=b.degraded[rows])
+
+
+class Localizer:
+    """One flight's dual-label heading, the fusion of its label filters,
+    the marker fix and the arbitration between the two sources."""
+
+    def __init__(self, scenario: ScenarioConfig):
+        self.markers = {m.label: m for m in scenario.qr_markers}
         self.baseline = scenario.label_baseline
-        self.labels = None  # both label filters as one batched EkfState
         self.yaw = 0.0  # calibration value before the first dual-label solution
         self.hybrid = hybrid_localizer.HybridState()
 
-    def step(self, state: SimState, a_body: tuple[float, float, float],
-             roll: float, pitch: float, ranges: np.ndarray,
+    def rotations(self, state: SimState, roll: float, pitch: float) -> tuple:
+        """Body-to-world and world-to-anchor rotations for the prediction."""
+        return (rotation_rows(roll, pitch, self.yaw),
+                tuple(zip(*state.platform_attitude.rows)))
+
+    def step(self, state: SimState, roll: float, pitch: float,
+             labels: uwb_localization.EkfState,
              obs: list) -> tuple[PoseEstimate, list[str]]:
         R_a_w_rows = state.platform_attitude.rows
-        if self.labels is None:
-            self.labels = uwb_localization.initial_state(
-                [uwb_localization.multilaterate(list(enumerate(row)), self.anchors)
-                 for row in ranges], state.t)
-        else:
-            self.labels = uwb_localization.ekf_update(
-                uwb_localization.ekf_predict(
-                    self.labels, a_body, rotation_rows(roll, pitch, self.yaw),
-                    tuple(zip(*R_a_w_rows)), self.params),
-                ranges, self.anchors, self.params)
-
-        u1w, u2w = (rotate(R_a_w_rows, u) for u in self.labels.mean[:, :3].tolist())
+        u1w, u2w = (rotate(R_a_w_rows, u) for u in labels.mean[:, :3].tolist())
         try:
             self.yaw = uwb_localization.yaw_from_labels(
                 u1w, u2w, roll, pitch, self.baseline)
         except uwb_localization.BaselineGateError:
             pass  # hold the last valid heading
-        uwb_pose = uwb_localization.fuse_labels(self.labels, R_a_w_rows,
+        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w_rows,
                                                 yaw=self.yaw)
 
         qr_pose = None
@@ -205,13 +304,13 @@ class Command:
 
 
 class Recorder:
-    """The log rows and the run summary: per-source RMSE, phase time and
-    the landing error."""
+    """The run summary (per-source RMSE, phase time and the landing error)
+    and, when kept, the log rows."""
 
-    def __init__(self, scenario: ScenarioConfig, dt: float):
+    def __init__(self, scenario: ScenarioConfig, dt: float, keep_rows: bool):
         self.dt = dt
         self.cargo_xy = np.asarray(scenario.cargoes[0].position[:2])
-        self.records: list[list] = []
+        self.records: list[list] | None = [] if keep_rows else None
         # per source: ticks and running sums of the squared x, y, z errors,
         # summed in tick order as np.mean(err * err, axis=0) sums them
         self.sq_errors: dict[str, list] = {}
@@ -233,15 +332,16 @@ class Recorder:
             self.landing_error = float(np.linalg.norm(
                 np.subtract(after.uav_pos[:2], self.cargo_xy)))
 
-        c_b = track.position if track.position is not None else NAN3
-        self.records.append([  # a list display, not unpacking: no spare slots
-            round(after.t, 6), cmd.phase.value,
-            truth[0], truth[1], truth[2], after.uav_euler.yaw,
-            est_xyz[0], est_xyz[1], est_xyz[2], est.yaw,
-            est.source, c_b[0], c_b[1], c_b[2],
-            vel[0], vel[1], vel[2], vel[3],
-            after.rotor_sum_sq, ";".join([*events, *cmd.events]),
-        ])
+        if self.records is not None:
+            c_b = track.position if track.position is not None else NAN3
+            self.records.append([  # a list display, not unpacking: no spare slots
+                round(after.t, 6), cmd.phase.value,
+                truth[0], truth[1], truth[2], after.uav_euler.yaw,
+                est_xyz[0], est_xyz[1], est_xyz[2], est.yaw,
+                est.source, c_b[0], c_b[1], c_b[2],
+                vel[0], vel[1], vel[2], vel[3],
+                after.rotor_sum_sq, ";".join([*events, *cmd.events]),
+            ])
         self.phase_durations[cmd.phase.value] = \
             self.phase_durations.get(cmd.phase.value, 0.0) + self.dt
 
@@ -358,23 +458,31 @@ def metrics_from_log(path) -> dict:
 
 # --- Monte Carlo -----------------------------------------------------
 
-def _run_one(args) -> dict:
-    scenario, mission, seed = args
-    summary, _ = run_mission(scenario, mission, seed=seed)
-    return summary.to_dict()
+def _fly_summaries(args) -> list[dict]:
+    scenario, mission, seeds = args
+    return [f.summary().to_dict() for f in fly_group(scenario, mission, seeds)]
 
 
 def montecarlo(scenario: ScenarioConfig, mission: MissionConfig, runs: int,
                seed_base: int = 0, workers: int = 1) -> dict:
-    """N independent seeded runs; aggregation is order-independent."""
+    """N independent seeded runs, flown as min(workers, runs) lockstep
+    groups of interleaved seeds, one per worker process (in this process
+    for one group); the summaries are in seed order whatever the grouping."""
     if runs < 1:
         raise ValueError("need at least one run")
-    jobs = [(scenario, mission, seed_base + i) for i in range(runs)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_one, jobs))
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    groups = min(workers, runs)
+    jobs = [(scenario, mission, range(seed_base + g, seed_base + runs, groups))
+            for g in range(groups)]
+    if groups > 1:
+        with ProcessPoolExecutor(max_workers=groups) as pool:
+            flown = list(pool.map(_fly_summaries, jobs))
     else:
-        summaries = [_run_one(j) for j in jobs]
+        flown = [_fly_summaries(jobs[0])]
+    summaries = [None] * runs
+    for g, group in enumerate(flown):
+        summaries[g::groups] = group
 
     landing = np.array([s["landing_error"] for s in summaries])
     done = np.array([s["final_phase"] == "done" for s in summaries])

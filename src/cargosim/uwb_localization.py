@@ -138,19 +138,34 @@ def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
 
     Body acceleration is rotated world-then-anchor-frame before entering
     the input matrix; covariance grows by the jerk-noise term D Q D^T.
-    Every label of a batch takes the same acceleration.  The rotations
-    are 3x3 arrays or their rows (see frames.rotation_rows).
+    Either every label of the batch takes one acceleration, with one
+    pair of rotations; or the batch holds F flights' labels in turn, the
+    same count each, and `a_body`, `R_b_w` and `R_w_u` hold F
+    accelerations (each a tuple, list or array) and rotations, one per
+    flight.  The rotations are 3x3 arrays or their rows (see
+    frames.rotation_rows).
     """
-    if not all(map(math.isfinite, a_body)):
-        raise ValueError("acceleration must be finite")
+    if not isinstance(a_body[0], (tuple, list, np.ndarray)):  # one flight
+        a_body, R_b_w, R_w_u = (a_body,), (R_b_w,), (R_w_u,)
+    a_u = []
+    for a, r_b_w, r_w_u in zip(a_body, R_b_w, R_w_u, strict=True):
+        if not all(map(math.isfinite, a)):
+            raise ValueError("acceleration must be finite")
+        a_u.append(rotate(r_w_u, rotate(r_b_w, a)))
+    flights = len(a_u)
+    if s.mean.size % (6 * flights):
+        raise ValueError(f"{flights} accelerations for "
+                         f"{s.mean.size // 6} labels")
     T = params.period
     A, B, DQD = _transition_matrices(T, params.sigma_jerk)
-    a_u = rotate(R_w_u, rotate(R_b_w, a_body))
-    # matmul over the label axis runs the same 6x6 product per label, so
-    # a batch gives exactly what its labels give one at a time
-    mean = (A @ s.mean[..., None])[..., 0] + B @ a_u
+    # matmul over the label axis runs the same product per label, and the
+    # flight's input term is added per element, so a batch gives exactly
+    # what its labels give one at a time
+    mean = ((A @ s.mean[..., None]).reshape(flights, -1, 6) +
+            (B @ np.array(a_u)[..., None]).reshape(flights, 1, 6))
     cov = A @ s.cov @ A.T + DQD
-    return EkfState(mean=mean, cov=cov, timestamp=s.timestamp + T,
+    return EkfState(mean=mean.reshape(s.mean.shape), cov=cov,
+                    timestamp=s.timestamp + T,
                     degraded=np.zeros_like(s.degraded))
 
 

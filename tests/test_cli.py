@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cargosim import cli
 from cargosim.runner import write_log
 
@@ -191,3 +193,21 @@ def test_montecarlo_subcommand(tmp_path, capsys):
     assert agg["completed"] == 2
     json.loads((out / "montecarlo.json").read_text(),
                parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["run", "--seed", "-1"], "--seed"),
+    (["montecarlo", "--seed", "-3"], "--seed"),
+    (["montecarlo", "--runs", "0"], "--runs"),
+    (["montecarlo", "--runs", "-1"], "--runs"),
+    (["montecarlo", "--workers", "0"], "--workers"),
+    (["montecarlo", "--workers", "-2"], "--workers"),
+])
+def test_option_out_of_range_is_a_usage_error(tmp_path, capsys, argv, option):
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {option} must be at least ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from cargosim import uwb_localization
 from cargosim.mission import MissionConfig
 from cargosim.runner import (LOG_COLUMNS, LOG_SCHEMA, LogFormatError,
-                             RunSummary, metrics_from_log, montecarlo,
-                             read_log, run_mission, write_log)
+                             RunSummary, fly_group, metrics_from_log,
+                             montecarlo, read_log, run_mission, write_log)
 from cargosim.sim_world import ScenarioConfig
 
 from conftest import calm_scenario
@@ -304,3 +305,47 @@ def test_montecarlo_single_run_matches_direct():
 def test_montecarlo_validates_runs():
     with pytest.raises(ValueError):
         montecarlo(ScenarioConfig(), MissionConfig(), runs=0)
+
+
+def test_montecarlo_validates_workers():
+    with pytest.raises(ValueError, match="at least one worker"):
+        montecarlo(ScenarioConfig(), MissionConfig(), runs=2, workers=0)
+
+
+@pytest.mark.parametrize("fence", [0.05, 0.1])
+def test_montecarlo_groups_fly_each_seed_as_run_mission_does(fence):
+    # a geofence this close round the start aborts each flight at its own
+    # tick, so every group shrinks while its other flights fly on; 0.05 m
+    # ends some flights on their first tick, before any filter step
+    scenario = ScenarioConfig()
+    x, y, _ = scenario.uav_start
+    mission = MissionConfig(geofence=(x - fence, x + fence, y - fence, y + fence))
+    alone = [run_mission(scenario, mission, seed=s)[0].to_dict()
+             for s in range(5)]
+    assert len({s["total_time"] for s in alone}) >= 2
+    for workers in (1, 2, 3):
+        agg = montecarlo(scenario, mission, runs=5, seed_base=0,
+                         workers=workers)
+        assert [json.dumps(s) for s in agg["summaries"]] == \
+            [json.dumps(s) for s in alone], workers
+
+
+def test_a_group_makes_one_filter_call_per_tick(monkeypatch):
+    calls = {"ekf_predict": 0, "ekf_update": 0}
+
+    def counted(name):
+        original = getattr(uwb_localization, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(uwb_localization, name, counted(name))
+    flights = fly_group(ScenarioConfig(), MissionConfig(), [0, 1, 2],
+                        max_time=1.0, keep_rows=True)
+    ticks = {len(f.recorder.records) for f in flights}
+    assert ticks == {50}
+    # the first tick starts the filters from the ranges alone
+    assert calls == {"ekf_predict": 49, "ekf_update": 49}

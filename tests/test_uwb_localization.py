@@ -256,6 +256,14 @@ def _assert_label_matches(batch, i, mean, cov):
     np.testing.assert_allclose(batch.cov[i], cov, rtol=0, atol=1e-12)
 
 
+def _flight_inputs(rng):
+    """One flight's acceleration, body-to-world and world-to-anchor rotation."""
+    return (rng.normal(scale=3.0, size=3),
+            rotation_from_rpy(*rng.uniform(-0.3, 0.3, 2),
+                              rng.uniform(-math.pi, math.pi)),
+            rotation_from_rpy(*rng.uniform(-0.2, 0.2, 3)))
+
+
 def test_batched_predict_matches_reference(rng):
     params = EkfParams()
     for _ in range(200):
@@ -269,6 +277,52 @@ def test_batched_predict_matches_reference(rng):
         for i, s in enumerate(labels):
             _assert_label_matches(
                 out, i, *_ref_predict(s, a_body, R_b_w, R_w_u, params))
+    # a batch of flights, two labels each, with an acceleration and
+    # rotations per flight
+    for flights in (1, 2, 3, 5):
+        for _ in range(40):
+            labels = [_random_label(rng) for _ in range(2 * flights)]
+            inputs = [_flight_inputs(rng) for _ in range(flights)]
+            out = ekf_predict(_batch(*labels), *zip(*inputs), params)
+            for i, s in enumerate(labels):
+                _assert_label_matches(
+                    out, i, *_ref_predict(s, *inputs[i // 2], params))
+
+
+def test_batched_predict_checks_each_flights_acceleration(rng):
+    labels = _batch(*[_random_label(rng) for _ in range(4)])
+    inputs = [_flight_inputs(rng) for _ in range(2)]
+    inputs[1] = ((0.0, math.nan, 0.0), *inputs[1][1:])
+    with pytest.raises(ValueError, match="acceleration must be finite"):
+        ekf_predict(labels, *zip(*inputs), EkfParams())
+    with pytest.raises(ValueError, match="3 accelerations for 4 labels"):
+        ekf_predict(labels, *zip(*[_flight_inputs(rng) for _ in range(3)]),
+                    EkfParams())
+
+
+def test_a_group_of_flights_gives_each_flight_its_own_bits(rng):
+    # a stacked batch must give every flight the very bits it gets alone,
+    # signed zeros included: Monte-Carlo groups rely on it
+    params = EkfParams()
+    for flights in (2, 3, 6):
+        for k in range(30):
+            labels = [_random_label(rng) for _ in range(2 * flights)]
+            labels[0] = _random_label(rng, position=ANCHORS.positions[1])
+            inputs = [_flight_inputs(rng) for _ in range(flights)]
+            if k % 3 == 0:
+                inputs[-1] = ((0.0, -0.0, 0.0), I3, I3)
+            ranges = rng.uniform(1.0, 4.0, size=(2 * flights, 6))
+            group = ekf_update(ekf_predict(_batch(*labels), *zip(*inputs),
+                                           params), ranges, ANCHORS, params)
+            for f, (a_body, R_b_w, R_w_u) in enumerate(inputs):
+                rows = slice(2 * f, 2 * f + 2)
+                alone = ekf_update(
+                    ekf_predict(_batch(*labels[rows]), a_body, R_b_w, R_w_u,
+                                params), ranges[rows], ANCHORS, params)
+                assert group.mean[rows].tobytes() == alone.mean.tobytes()
+                assert group.cov[rows].tobytes() == alone.cov.tobytes()
+                np.testing.assert_array_equal(group.degraded[rows],
+                                              alone.degraded)
 
 
 def test_batched_update_matches_reference(rng):
