@@ -3,10 +3,10 @@
 Each ranging label on the UAV carries its own 6-state filter (position
 and velocity in the platform-fixed anchor frame) driven by body-frame
 acceleration and corrected by ranges to the fixed anchors; the filters
-of both labels advance together as one batch per tick.  The two
-label states are averaged into the UAV center, rotated into the world
-frame, and their baseline vector yields the UAV yaw independent of the
-magnetometer.
+of both labels, and of every flight in a lockstep group, advance together
+as one batch per tick.  The two label states are averaged into the UAV
+center, rotated into the world frame, and their baseline vector yields
+the UAV yaw independent of the magnetometer.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
     # matmul over the label axis runs the same product per label, and the
     # flight's input term is added per element, so a batch gives exactly
     # what its labels give one at a time
-    mean = ((A @ s.mean[..., None]).reshape(flights, -1, 6) +
-            (B @ np.array(a_u)[..., None]).reshape(flights, 1, 6))
+    mean = (A @ s.mean.reshape(flights, -1, 6, 1) +
+            B @ np.array(a_u)[:, None, :, None])
     cov = A @ s.cov @ A.T + DQD
     return EkfState(mean=mean.reshape(s.mean.shape), cov=cov,
                     timestamp=s.timestamp + T,
