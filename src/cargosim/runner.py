@@ -80,24 +80,33 @@ def fly_group(scenario: ScenarioConfig, mission: MissionConfig,
               keep_rows: bool = False) -> list[Flight]:
     """Fly one mission per seed in lockstep; returns the flights in order.
 
-    Each flight owns its world, whose one generator draws noise in the
-    order of its tick: ``sense_uwb``, ``sense_qr``, ``sense_cargo``, the
-    adsorption draw of ``attach_cargo``, then ``step``.  Any other order
-    flies other missions.  The label filters of every flight still flying
-    are one stacked batch with one predict and one update per tick, and a
-    flight leaves the batch on the tick it ends; each label's arithmetic
-    is its own, so a seed flies the same mission in any group.
+    Each flight owns its world, whose one random generator draws noise
+    in the order of its tick: ``sense_uwb``, ``sense_qr``, ``sense_cargo``,
+    the adsorption draw of ``attach_cargo``, then ``step``.  Any other
+    order flies other missions.  The label filters of every flight still
+    flying are one stacked batch with one predict and one update per
+    tick, between the flights' sensing and the rest of their ticks (see
+    :class:`Flight`); a flight leaves the batch on the tick it ends.
+    Each label's arithmetic is its own, so a seed flies the same mission
+    in any group.
     """
     flights = [Flight(replace(scenario, seed=s), mission, dt, keep_rows)
                for s in seeds]
     labels = LabelFilters(scenario, dt)
     flying = flights
+    inputs = [next(f.ticks) for f in flying]
     for _ in range(int(round(max_time / dt))):
-        labels.step(flying[0].state.t, [f.sense() for f in flying])
-        ended = [f.act(labels.of(k)) for k, f in enumerate(flying)]
-        if any(ended):
-            labels.keep([not e for e in ended])
-            flying = [f for f, e in zip(flying, ended) if not e]
+        own_labels = labels.step(flying[0].state.t, inputs)
+        inputs, kept = [], []
+        for f, own in zip(flying, own_labels):
+            try:
+                inputs.append(f.ticks.send(own))
+                kept.append(True)
+            except StopIteration:  # the mission ended on this tick
+                kept.append(False)
+        if not all(kept):
+            labels.keep(kept)
+            flying = [f for f, k in zip(flying, kept) if k]
             if not flying:
                 break
     return flights
@@ -106,19 +115,18 @@ def fly_group(scenario: ScenarioConfig, mission: MissionConfig,
 class Flight:
     """One seeded mission: its world and its per-flight stages.
 
-    A tick is split around the group's label-filter step: :meth:`sense`
-    reads the IMU, the ranges and the markers and returns what the
-    filters need; :meth:`act` takes this flight's filtered labels and
-    runs the rest of the pipeline: :class:`Localizer`,
+    :attr:`ticks` runs the mission's ticks as a generator, split at the
+    group's label-filter step: each tick reads the IMU, the ranges and
+    the markers, yields the filters' inputs (acceleration, body-to-world
+    and world-to-anchor rotations, ranges), receives this flight's
+    filtered labels and runs the rest of the pipeline: :class:`Localizer`,
     :class:`CargoPerception`, the executive, :class:`Command`, the world's
-    step and :class:`Recorder`.
+    step and :class:`Recorder`.  It returns when the mission ends.
     """
 
     def __init__(self, scenario: ScenarioConfig, mission: MissionConfig,
                  dt: float, keep_rows: bool):
         self.seed = scenario.seed
-        self.dt = dt
-        self.adsorb_prob = mission.adsorb_success_prob
         self.world = SimWorld(scenario)
         self.state = self.world.initial_state()
         self.localizer = Localizer(scenario)
@@ -126,33 +134,31 @@ class Flight:
         self.executive = MissionExecutive(mission, scenario, dt=dt)
         self.command = Command(mission, dt)
         self.recorder = Recorder(scenario, dt, keep_rows)
+        self.ticks = self._ticks(mission.adsorb_success_prob, dt)
 
-    def sense(self) -> tuple:
-        """The label filters' inputs: (acceleration, body-to-world and
-        world-to-anchor rotations, ranges)."""
-        world, state = self.world, self.state
-        self.imu = a_body, roll, pitch = world.sense_imu(state)
-        ranges = world.sense_uwb(state)
-        self.obs = world.sense_qr(state)
-        return (a_body, *self.localizer.rotations(state, roll, pitch), ranges)
-
-    def act(self, labels: uwb_localization.EkfState) -> bool:
-        """The rest of the tick; true when the mission has ended."""
-        world, state = self.world, self.state
-        _, roll, pitch = self.imu
-        est, events = self.localizer.step(state, roll, pitch, labels, self.obs)
-        track = self.perception.step(world.sense_cargo(state), roll, pitch)
-        executive = self.executive
-        cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
-                                        rotor_speeds=state.rotor_speeds,
-                                        on_ground=state.on_ground))
-        vel = self.command.step(cmd, est, state.t)
-        if cmd.do_adsorb:
-            state = world.attach_cargo(state, self.adsorb_prob)
-        after = world.touch_down(world.step(state, vel, self.dt), vel[2])
-        self.recorder.step(state, after, est, events, track, cmd, vel)
-        self.state = after
-        return executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED)
+    def _ticks(self, adsorb_prob: float, dt: float):
+        world, state, localizer = self.world, self.state, self.localizer
+        perception, executive = self.perception, self.executive
+        command, recorder = self.command, self.recorder
+        while True:
+            a_body, roll, pitch = world.sense_imu(state)
+            ranges = world.sense_uwb(state)
+            obs = world.sense_qr(state)
+            labels = yield (a_body, rotation_rows(roll, pitch, localizer.yaw),
+                            tuple(zip(*state.platform_attitude.rows)), ranges)
+            est, events = localizer.step(state, roll, pitch, labels, obs)
+            track = perception.step(world.sense_cargo(state), roll, pitch)
+            cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
+                                            rotor_speeds=state.rotor_speeds,
+                                            on_ground=state.on_ground))
+            vel = command.step(cmd, est, state.t)
+            if cmd.do_adsorb:
+                state = world.attach_cargo(state, adsorb_prob)
+            after = world.touch_down(world.step(state, vel, dt), vel[2])
+            recorder.step(state, after, est, events, track, cmd, vel)
+            self.state = state = after
+            if executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
+                return
 
     def summary(self) -> RunSummary:
         return self.recorder.summary(self.executive,
@@ -170,8 +176,10 @@ class LabelFilters:
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
         self.batch = None
 
-    def step(self, t: float, inputs: list[tuple]) -> None:
-        """Initialise from the first ranges, then predict and update."""
+    def step(self, t: float,
+             inputs: list[tuple]) -> list[uwb_localization.EkfState]:
+        """Initialise from the first ranges, then predict and update;
+        returns each flight's two labels (the batch itself for one)."""
         a_body, R_b_w, R_w_u, ranges = zip(*inputs)
         ranges = ranges[0] if len(ranges) == 1 else np.concatenate(ranges)
         if self.batch is None:
@@ -184,16 +192,14 @@ class LabelFilters:
                 uwb_localization.ekf_predict(self.batch, a_body, R_b_w, R_w_u,
                                              self.params),
                 ranges, self.anchors, self.params)
-
-    def of(self, k: int) -> uwb_localization.EkfState:
-        """Flight k's two labels; the batch itself when it holds one flight."""
         b = self.batch
         if len(b.mean) == 2:
-            return b
-        rows = slice(2 * k, 2 * k + 2)
-        return uwb_localization.EkfState(mean=b.mean[rows], cov=b.cov[rows],
-                                         timestamp=b.timestamp,
-                                         degraded=b.degraded[rows])
+            return [b]
+        return [uwb_localization.EkfState(mean=b.mean[k:k + 2],
+                                          cov=b.cov[k:k + 2],
+                                          timestamp=b.timestamp,
+                                          degraded=b.degraded[k:k + 2])
+                for k in range(0, len(b.mean), 2)]
 
     def keep(self, flights: list[bool]) -> None:
         """Drop the labels of every flight not kept."""
@@ -213,11 +219,6 @@ class Localizer:
         self.baseline = scenario.label_baseline
         self.yaw = 0.0  # calibration value before the first dual-label solution
         self.hybrid = hybrid_localizer.HybridState()
-
-    def rotations(self, state: SimState, roll: float, pitch: float) -> tuple:
-        """Body-to-world and world-to-anchor rotations for the prediction."""
-        return (rotation_rows(roll, pitch, self.yaw),
-                tuple(zip(*state.platform_attitude.rows)))
 
     def step(self, state: SimState, roll: float, pitch: float,
              labels: uwb_localization.EkfState,
