@@ -109,6 +109,8 @@ def fly_group(scenario: ScenarioConfig, mission: MissionConfig,
             flying = [f for f, k in zip(flying, kept) if k]
             if not flying:
                 break
+    for f in flying:  # still flying at max_time: free the tick's frame,
+        f.ticks.close()  # which refers back to its flight
     return flights
 
 

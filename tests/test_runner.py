@@ -347,5 +347,7 @@ def test_a_group_makes_one_filter_call_per_tick(monkeypatch):
                         max_time=1.0, keep_rows=True)
     ticks = {len(f.recorder.records) for f in flights}
     assert ticks == {50}
+    # a flight still flying at max_time has its tick generator closed
+    assert all(f.ticks.gi_frame is None for f in flights)
     # the first tick starts the filters from the ranges alone
     assert calls == {"ekf_predict": 49, "ekf_update": 49}
