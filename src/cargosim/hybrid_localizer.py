@@ -74,12 +74,10 @@ def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
         st.switch_count += 1
         st.active_source = source
 
-    chosen = qr if use_qr else uwb
-    st.push(chosen)
+    st.push(qr if use_qr else uwb)
 
     n = len(st.estimates)
     sx, sy, sz = st._pos_sum
     yaw = wrap_angle(math.atan2(st._sin_sum, st._cos_sum))
-    out = PoseEstimate(position=(sx / n, sy / n, sz / n), yaw=yaw, source=source,
-                       timestamp=chosen.timestamp)
+    out = PoseEstimate(position=(sx / n, sy / n, sz / n), yaw=yaw, source=source)
     return out, st, events

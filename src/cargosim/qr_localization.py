@@ -63,7 +63,6 @@ class PoseEstimate:
     position: tuple[float, float, float]
     yaw: float
     source: str  # "qr" or "uwb"
-    timestamp: float
 
     def __post_init__(self):
         if not (all(map(math.isfinite, self.position))
@@ -101,7 +100,6 @@ def estimate_pose(
     markers: dict[int, QrMarker],
     platform_attitude: EulerAngles,
     uav_roll_pitch: tuple[float, float],
-    timestamp: float = 0.0,
 ) -> PoseEstimate:
     """Average per-marker UAV pose solutions into one world-frame estimate.
 
@@ -138,4 +136,4 @@ def estimate_pose(
         sum(math.cos(y) for y in yaws) / len(yaws),
     )
     return PoseEstimate(position=mean_rows(positions),
-                        yaw=wrap_angle(yaw), source="qr", timestamp=timestamp)
+                        yaw=wrap_angle(yaw), source="qr")

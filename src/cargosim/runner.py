@@ -96,7 +96,7 @@ def fly_group(scenario: ScenarioConfig, mission: MissionConfig,
     flying = flights
     inputs = [next(f.ticks) for f in flying]
     for _ in range(int(round(max_time / dt))):
-        own_labels = labels.step(flying[0].state.t, inputs)
+        own_labels = labels.step(inputs)
         inputs, kept = [], []
         for f, own in zip(flying, own_labels):
             try:
@@ -120,8 +120,8 @@ class Flight:
     :attr:`ticks` runs the mission's ticks as a generator, split at the
     group's label-filter step: each tick reads the IMU, the ranges and
     the markers, yields the filters' inputs (acceleration, body-to-world
-    and world-to-anchor rotations, ranges), receives this flight's
-    filtered labels and runs the rest of the pipeline: :class:`Localizer`,
+    and world-to-anchor rotations, ranges), receives its two label
+    positions and runs the rest of the pipeline: :class:`Localizer`,
     :class:`CargoPerception`, the executive, :class:`Command`, the world's
     step and :class:`Recorder`.  It returns when the mission ends.
     """
@@ -170,7 +170,8 @@ class Flight:
 
 class LabelFilters:
     """The range EKFs of both labels of every flight in a group, as one
-    stacked batch: flight k's labels are rows 2k and 2k + 1."""
+    stacked batch: flight k's labels are rows 2k and 2k + 1, and reach
+    it as two rows of Python floats."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
         self.anchors = uwb_localization.AnchorSet(scenario.anchors)
@@ -178,43 +179,35 @@ class LabelFilters:
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
         self.batch = None
 
-    def step(self, t: float,
-             inputs: list[tuple]) -> list[uwb_localization.EkfState]:
+    def step(self, inputs: list[tuple]) -> list[list[list[float]]]:
         """Initialise from the first ranges, then predict and update;
-        returns each flight's two labels (the batch itself for one)."""
+        returns each flight's two label positions, rows of floats."""
         a_body, R_b_w, R_w_u, ranges = zip(*inputs)
         ranges = ranges[0] if len(ranges) == 1 else np.concatenate(ranges)
         if self.batch is None:
             self.batch = uwb_localization.initial_state(
                 [uwb_localization.multilaterate(list(enumerate(row)),
                                                 self.anchors)
-                 for row in ranges], t)
+                 for row in ranges])
         else:
             self.batch = uwb_localization.ekf_update(
                 uwb_localization.ekf_predict(self.batch, a_body, R_b_w, R_w_u,
                                              self.params),
                 ranges, self.anchors, self.params)
-        b = self.batch
-        if len(b.mean) == 2:
-            return [b]
-        return [uwb_localization.EkfState(mean=b.mean[k:k + 2],
-                                          cov=b.cov[k:k + 2],
-                                          timestamp=b.timestamp,
-                                          degraded=b.degraded[k:k + 2])
-                for k in range(0, len(b.mean), 2)]
+        rows = self.batch.mean[:, :3].tolist()
+        return [rows[k:k + 2] for k in range(0, len(rows), 2)]
 
     def keep(self, flights: list[bool]) -> None:
         """Drop the labels of every flight not kept."""
         rows = np.repeat(flights, 2)
         b = self.batch
         self.batch = uwb_localization.EkfState(
-            mean=b.mean[rows], cov=b.cov[rows], timestamp=b.timestamp,
-            degraded=b.degraded[rows])
+            mean=b.mean[rows], cov=b.cov[rows], degraded=b.degraded[rows])
 
 
 class Localizer:
-    """One flight's dual-label heading, the fusion of its label filters,
-    the marker fix and the arbitration between the two sources."""
+    """One flight's dual-label heading, the fusion of its two label
+    positions, the marker fix and the arbitration between the two sources."""
 
     def __init__(self, scenario: ScenarioConfig):
         self.markers = {m.label: m for m in scenario.qr_markers}
@@ -223,10 +216,10 @@ class Localizer:
         self.hybrid = hybrid_localizer.HybridState()
 
     def step(self, state: SimState, roll: float, pitch: float,
-             labels: uwb_localization.EkfState,
+             labels: list[list[float]],
              obs: list) -> tuple[PoseEstimate, list[str]]:
         R_a_w_rows = state.platform_attitude.rows
-        u1w, u2w = (rotate(R_a_w_rows, u) for u in labels.mean[:, :3].tolist())
+        u1w, u2w = (rotate(R_a_w_rows, u) for u in labels)
         try:
             self.yaw = uwb_localization.yaw_from_labels(
                 u1w, u2w, roll, pitch, self.baseline)
@@ -239,7 +232,7 @@ class Localizer:
         if obs:
             try:
                 qr_pose = estimate_pose(obs, self.markers, state.platform_attitude,
-                                        (roll, pitch), timestamp=state.t)
+                                        (roll, pitch))
             except NoFix:
                 pass  # no usable marker this tick
 

@@ -19,6 +19,7 @@ import numpy as np
 from .frames import EulerAngles, rotate, rotate_t, wrap_angle
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
+from .uwb_localization import AnchorSet
 
 GRAVITY = 9.81
 
@@ -125,15 +126,13 @@ class ScenarioConfig:
     occlusion_factor: float = 5.0
 
     def __post_init__(self):
-        anchors = np.asarray(self.anchors, dtype=float)
-        object.__setattr__(self, "anchors", anchors)
-        if anchors.shape[0] < 3:
-            raise ValueError("need at least three anchors")
-        centered = anchors - anchors.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
-            raise ValueError("anchors must be non-collinear")
+        object.__setattr__(self, "anchors", AnchorSet(self.anchors).positions)
         if self.label_baseline <= 0:
             raise ValueError("label baseline must be > 0")
+        for name in ("platform_roll_period", "platform_pitch_period",
+                     "wind_tau", "trim_tau", "vel_time_constant"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ValueError(f"{name} must be > 0")
         for fov in (self.qr_h_fov, self.qr_v_fov, self.det_h_fov, self.det_v_fov):
             if not (0 < fov < math.pi):
                 raise ValueError("fields of view must be in (0, 180) degrees")

@@ -2,11 +2,12 @@
 
 Each ranging label on the UAV carries its own 6-state filter (position
 and velocity in the platform-fixed anchor frame) driven by body-frame
-acceleration and corrected by ranges to the fixed anchors; the filters
-of both labels, and of every flight in a lockstep group, advance together
-as one batch per tick.  The two label states are averaged into the UAV
-center, rotated into the world frame, and their baseline vector yields
-the UAV yaw independent of the magnetometer.
+acceleration and corrected by ranges to the fixed anchors.  The filters
+only come as a batch: both labels of every flight in a lockstep group
+advance together, one predict and one update per tick.  A flight's two
+label positions are averaged into the UAV center, rotated into the world
+frame, and their baseline vector yields the UAV yaw independent of the
+magnetometer.
 """
 
 from __future__ import annotations
@@ -63,24 +64,22 @@ class EkfParams:
 
 @dataclass(frozen=True)
 class EkfState:
-    """Label state [position, velocity] with covariance, anchor frame.
+    """Label states [position, velocity] with covariances, anchor frame.
 
-    Labels that step together form a batch with a leading label axis:
-    mean (L, 6), cov (L, 6, 6) and one degraded flag per label.  A single
-    label is the case without that axis.
+    A batch of L labels with a leading label axis: mean (L, 6), cov
+    (L, 6, 6) and one degraded flag per label.
     """
 
-    mean: np.ndarray  # (6,) or (L, 6)
-    cov: np.ndarray  # (6, 6) or (L, 6, 6)
-    timestamp: float
+    mean: np.ndarray  # (L, 6)
+    cov: np.ndarray  # (L, 6, 6)
     degraded: np.ndarray | bool = False  # last update dropped all range rows
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim not in (1, 2) or mean.shape[-1] != 6 or \
+        if mean.ndim != 2 or mean.shape[-1] != 6 or \
                 cov.shape != mean.shape + (6,):
-            raise ValueError("state must be 6-dim with 6x6 covariance")
+            raise ValueError("states must be (L, 6) with (L, 6, 6) covariances")
         degraded = np.asarray(self.degraded, dtype=bool)
         if degraded.shape != mean.shape[:-1]:
             degraded = np.full(mean.shape[:-1], degraded)
@@ -88,23 +87,15 @@ class EkfState:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "degraded", degraded)
 
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[..., :3]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[..., 3:]
-
-
-def initial_state(position: np.ndarray, timestamp: float, pos_var: float = 0.25,
+def initial_state(position: np.ndarray, pos_var: float = 0.25,
                   vel_var: float = 0.25) -> EkfState:
-    """Rest state at `position`, (3,) for one label or (L, 3) for a batch."""
+    """Rest states at the (L, 3) label positions."""
     position = np.asarray(position, dtype=float)
     mean = np.concatenate([position, np.zeros_like(position)], axis=-1)
     cov = np.broadcast_to(np.diag([pos_var] * 3 + [vel_var] * 3),
                           position.shape[:-1] + (6, 6)).copy()
-    return EkfState(mean=mean, cov=cov, timestamp=timestamp)
+    return EkfState(mean=mean, cov=cov)
 
 
 @functools.lru_cache(maxsize=8)
@@ -138,15 +129,11 @@ def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
 
     Body acceleration is rotated world-then-anchor-frame before entering
     the input matrix; covariance grows by the jerk-noise term D Q D^T.
-    Either every label of the batch takes one acceleration, with one
-    pair of rotations; or the batch holds F flights' labels in turn, the
-    same count each, and `a_body`, `R_b_w` and `R_w_u` hold F
-    accelerations (each a tuple, list or array) and rotations, one per
-    flight.  The rotations are 3x3 arrays or their rows (see
-    frames.rotation_rows).
+    The batch holds F flights' labels in turn, the same count each, and
+    `a_body`, `R_b_w` and `R_w_u` hold F accelerations (each a tuple,
+    list or array) and rotations, one per flight.  The rotations are 3x3
+    arrays or their rows (see frames.rotation_rows).
     """
-    if not isinstance(a_body[0], (tuple, list, np.ndarray)):  # one flight
-        a_body, R_b_w, R_w_u = (a_body,), (R_b_w,), (R_w_u,)
     a_u = []
     for a, r_b_w, r_w_u in zip(a_body, R_b_w, R_w_u, strict=True):
         if not all(map(math.isfinite, a)):
@@ -165,7 +152,6 @@ def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
             B @ np.array(a_u)[:, None, :, None])
     cov = A @ s.cov @ A.T + DQD
     return EkfState(mean=mean.reshape(s.mean.shape), cov=cov,
-                    timestamp=s.timestamp + T,
                     degraded=np.zeros_like(s.degraded))
 
 
@@ -173,9 +159,9 @@ def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
                params: EkfParams) -> EkfState:
     """Range correction with rows linearized at the predicted mean.
 
-    `ranges` is either an array of ranges to every anchor, (N_a,) or one
-    row per label of a batch, (L, N_a); or a list of (anchor index,
-    range) pairs for a subset of the anchors.  Each row of the Jacobian
+    `ranges` is either an array of ranges to every anchor, one row per
+    label, (L, N_a); or a list of (anchor index, range) pairs for a
+    subset of the anchors, taken by every label.  Each row of the Jacobian
     is [(u - anchor)/d, 0, 0, 0]; the innovation uses the nonlinear
     predicted distance.  A range whose anchor sits at the predicted
     position (d < 1e-9) is dropped; a label whose every row is dropped
@@ -224,23 +210,22 @@ def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
     if any_dropped and degraded.any():
         mean = np.where(degraded[..., None], s.mean, mean)
         cov = np.where(degraded[..., None, None], P, cov)
-    return EkfState(mean=mean, cov=cov, timestamp=s.timestamp, degraded=degraded)
+    return EkfState(mean=mean, cov=cov, degraded=degraded)
 
 
-def fuse_labels(labels: EkfState, R_au_w, yaw: float = 0.0) -> PoseEstimate:
-    """Average the label positions of a batch, rotated into the world frame.
+def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,
+                yaw: float = 0.0) -> PoseEstimate:
+    """Average a flight's label positions, rotated into the world frame.
 
+    `labels` are the anchor-frame label positions, rows of floats.
     Averaging the symmetric labels cancels the baseline offset and
     decouples the estimate from platform attitude once rotated to world.
     R_au_w is the platform-to-world rotation, a 3x3 array or its rows
     (see frames.rotation_rows).  The yaw comes from elsewhere (see
     :func:`yaw_from_labels`) and is passed through.
     """
-    if labels.mean.ndim != 2:
-        raise ValueError("fusion needs a batch of label states")
-    position = rotate(R_au_w, mean_rows(labels.position.tolist()))
-    return PoseEstimate(position=position, yaw=yaw, source="uwb",
-                        timestamp=labels.timestamp)
+    return PoseEstimate(position=rotate(R_au_w, mean_rows(labels)), yaw=yaw,
+                        source="uwb")
 
 
 class BaselineGateError(ValueError):

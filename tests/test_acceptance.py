@@ -94,8 +94,7 @@ def test_marker_error_by_height_matches_field_bands():
             obs = world.sense_qr(state)
             if not obs:
                 continue
-            est = estimate_pose(obs, markers, platform,
-                                (0.0, 0.0), timestamp=0.0)
+            est = estimate_pose(obs, markers, platform, (0.0, 0.0))
             errs.append(float(np.linalg.norm(est.position - pos)))
         medians.append(float(np.median(errs)))
     for prev, cur in zip(medians, medians[1:]):
@@ -111,13 +110,13 @@ def test_ekf_noiseless_convergence_to_oracle():
     ranges = [(j, float(np.linalg.norm(truth - ANCHORS.positions[j])))
               for j in range(len(ANCHORS))]
     params = EkfParams(sigma_range=1e-6)
-    s = initial_state(truth + np.array([0.7, -0.5, 0.5]), 0.0)  # 1 m off
+    s = initial_state([truth + np.array([0.7, -0.5, 0.5])])  # 1 m off
     I3 = np.eye(3)
     for _ in range(50):
-        s = ekf_predict(s, np.zeros(3), I3, I3, params)
+        s = ekf_predict(s, [np.zeros(3)], [I3], [I3], params)
         s = ekf_update(s, ranges, ANCHORS, params)
     oracle = multilaterate(ranges, ANCHORS)
-    assert np.linalg.norm(s.position - oracle) <= 1e-6
+    assert np.linalg.norm(s.mean[0, :3] - oracle) <= 1e-6
 
 
 def test_ekf_hover_rmse_within_bands_and_beats_raw():
@@ -130,16 +129,16 @@ def test_ekf_hover_rmse_within_bands_and_beats_raw():
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
         first = list(enumerate(true_d + 0.1 * rng.normal(size=len(true_d))))
-        s = initial_state(multilaterate(first, ANCHORS), 0.0)
-        guess = s.position.copy()
+        s = initial_state([multilaterate(first, ANCHORS)])
+        guess = s.mean[0, :3].copy()
         ekf_err, raw_err = [], []
         for k in range(400):
             meas = list(enumerate(true_d + 0.1 * rng.normal(size=len(true_d))))
-            s = ekf_predict(s, np.zeros(3), I3, I3, params)
+            s = ekf_predict(s, [np.zeros(3)], [I3], [I3], params)
             s = ekf_update(s, meas, ANCHORS, params)
             guess = multilaterate(meas, ANCHORS, initial=guess, max_iter=10)
             if k >= 50:  # discard the settling transient
-                ekf_err.append(s.position - truth)
+                ekf_err.append(s.mean[0, :3] - truth)
                 raw_err.append(guess - truth)
         ekf_rmse.append(np.sqrt(np.mean(np.square(ekf_err), axis=0)))
         raw_rmse.append(np.sqrt(np.mean(np.square(raw_err), axis=0)))

@@ -126,6 +126,23 @@ def test_invalid_value_propagates_as_config_error(tmp_path):
         load_config(_write(tmp_path, {"scenario": {"label_baseline": -1.0}}))
 
 
+@pytest.mark.parametrize("width", [2, 4])
+def test_anchors_need_three_coordinates(tmp_path, width):
+    anchors = [[float(k), float(k % 2)] + [1.0] * (width - 2) for k in range(4)]
+    with pytest.raises(ConfigError, match="3 coordinates") as exc:
+        load_config(_write(tmp_path, {"scenario": {"anchors": anchors}}))
+    assert exc.value.path == "scenario"
+
+
+@pytest.mark.parametrize("name", ["trim_tau", "wind_tau", "vel_time_constant",
+                                  "platform_roll_period",
+                                  "platform_pitch_period"])
+def test_time_constants_must_be_positive(tmp_path, name):
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ConfigError, match=f"{name} must be > 0"):
+            load_config(_write(tmp_path, {"scenario": {name: value}}))
+
+
 def _attributes_read_outside(class_name: str) -> set[str]:
     """Every attribute name loaded anywhere in the package's source, except
     inside the class called class_name."""

@@ -7,9 +7,8 @@ from cargosim.hybrid_localizer import HybridState, arbitrate
 from cargosim.qr_localization import PoseEstimate
 
 
-def _pose(x, source, yaw=0.0, t=0.0):
-    return PoseEstimate(position=(x, 0.0, 0.0), yaw=yaw, source=source,
-                        timestamp=t)
+def _pose(x, source, yaw=0.0):
+    return PoseEstimate(position=(x, 0.0, 0.0), yaw=yaw, source=source)
 
 
 def test_window_validation():
@@ -21,7 +20,7 @@ def test_uwb_only_passthrough_mean():
     st = HybridState()
     outs = []
     for k in range(30):
-        out, st, ev = arbitrate(None, _pose(1.0, "uwb", t=k * 0.02), st)
+        out, st, ev = arbitrate(None, _pose(1.0, "uwb"), st)
         outs.append(out)
         assert ev == []
     assert outs[-1].source == "uwb"
@@ -53,11 +52,11 @@ def test_step_response_bounded_and_monotone():
     # window: no single-epoch jump above 0.30 / 25, settled within 0.5 s
     st = HybridState()
     for k in range(25):
-        out, st, _ = arbitrate(None, _pose(0.0, "uwb", t=k * 0.02), st)
+        out, st, _ = arbitrate(None, _pose(0.0, "uwb"), st)
     prev = out.position[0]
     xs = []
     for k in range(25, 50):
-        out, st, _ = arbitrate(None, _pose(0.30, "uwb", t=k * 0.02), st)
+        out, st, _ = arbitrate(None, _pose(0.30, "uwb"), st)
         xs.append(out.position[0])
     for x in xs:
         assert x - prev <= 0.30 / 25 + 1e-12

@@ -17,7 +17,7 @@ def _telemetry(mass):
 
 def _est(x, y, z, yaw=0.0):
     return PoseEstimate(position=np.array([x, y, z], dtype=float), yaw=yaw,
-                        source="uwb", timestamp=0.0)
+                        source="uwb")
 
 
 def _inputs(t, est, track=None, rotors=None, on_ground=False):

@@ -164,8 +164,7 @@ def test_qr_projection_inverts_exactly():
     assert obs, "markers must be visible from above the panel"
     markers = {m.label: m for m in cfg.qr_markers}
     est = estimate_pose(obs, markers, state.platform_attitude,
-                        (state.uav_euler.roll, state.uav_euler.pitch),
-                        timestamp=state.t)
+                        (state.uav_euler.roll, state.uav_euler.pitch))
     np.testing.assert_allclose(est.position, state.uav_pos, atol=1e-9)
 
 

@@ -1,23 +1,25 @@
 """The vectors handed from stage to stage are tuples of Python floats.
 
 The world state, the IMU acceleration, every pose estimate, the cargo
-track and the coverage waypoints cross a stage boundary each tick; a
-numpy array or a numpy scalar there means one stage wraps what the next
-must unwrap.
+track and the coverage waypoints cross a stage boundary each tick, and
+so does each flight's pair of filtered label positions, as two rows
+(lists) of floats; a numpy array or a numpy scalar there means one stage
+wraps what the next must unwrap.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from cargosim.frames import rotation_rows
 from cargosim.hybrid_localizer import HybridState, arbitrate
+from cargosim.mission import MissionConfig
 from cargosim.perception import CargoTrack, smooth_track
 from cargosim.planner import plan_coverage
 from cargosim.qr_localization import PoseEstimate, estimate_pose
+from cargosim.runner import Flight, LabelFilters
 from cargosim.sim_world import ScenarioConfig, SimWorld
-from cargosim.uwb_localization import fuse_labels, initial_state
+from cargosim.uwb_localization import fuse_labels
 
 from conftest import calm_scenario
 
@@ -55,15 +57,34 @@ def test_pose_estimates_are_float_tuples():
     obs = world.sense_qr(state)
     assert obs
     qr = estimate_pose(obs, {m.label: m for m in cfg.qr_markers},
-                       state.platform_attitude, (0.0, 0.0), timestamp=state.t)
+                       state.platform_attitude, (0.0, 0.0))
     _assert_floats(qr.position, 3)
-    labels = initial_state(np.array([[1.0, 2.2, 2.5], [1.0, 1.8, 2.5]]), 0.0)
+    labels = [[1.0, 2.2, 2.5], [1.0, 1.8, 2.5]]
     uwb = fuse_labels(labels, rotation_rows(0.1, -0.1, 0.3), yaw=0.2)
     _assert_floats(uwb.position, 3)
     st = HybridState()
     for source in (None, qr, qr):
         out, st, _ = arbitrate(source, uwb, st)
         _assert_floats(out.position, 3)
+
+
+@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+def test_label_filters_hand_each_flight_two_rows_of_floats(seeds):
+    scenario, dt = ScenarioConfig(), 0.02
+    flights = [Flight(ScenarioConfig(seed=s), MissionConfig(), dt, False)
+               for s in seeds]
+    inputs = [next(f.ticks) for f in flights]
+    labels = LabelFilters(scenario, dt)
+    for _ in range(2):  # the initialising step, then predict and update
+        own = labels.step(inputs)
+        assert type(own) is list and len(own) == len(seeds)
+        for rows in own:
+            assert type(rows) is list and len(rows) == 2, rows
+            for row in rows:
+                assert type(row) is list and len(row) == 3, row
+                assert all(type(x) is float for x in row), row
+    for f in flights:
+        f.ticks.close()
 
 
 def test_cargo_track_is_float_tuples():
@@ -93,4 +114,4 @@ def test_coverage_waypoints_are_float_tuples():
 ])
 def test_pose_estimate_rejects_non_finite(position, yaw):
     with pytest.raises(ValueError, match="finite"):
-        PoseEstimate(position=position, yaw=yaw, source="uwb", timestamp=0.0)
+        PoseEstimate(position=position, yaw=yaw, source="uwb")

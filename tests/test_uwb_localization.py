@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ ANCHORS = AnchorSet(np.array([
     [-1.7, 0.8, 3.7], [-1.7, -0.8, 3.7],
 ]))
 I3 = np.eye(3)
+Z3 = np.zeros(3)
+# one label's state, as the per-label reference below takes it
+Label = namedtuple("Label", "mean cov")
 
 
 def _ranges(point, anchors=ANCHORS, noise=None):
@@ -31,83 +35,89 @@ def test_anchor_set_validation():
         AnchorSet(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
 
 
+def test_state_is_always_a_batch_of_labels():
+    with pytest.raises(ValueError, match=r"\(L, 6\)"):
+        EkfState(mean=np.zeros(6), cov=np.eye(6))
+    assert initial_state([[1.0, 2.0, 3.0]]).mean.shape == (1, 6)
+
+
 def test_predict_stationary_grows_covariance():
-    s0 = initial_state([1.0, 2.0, 3.0], 0.0)
+    s0 = initial_state([[1.0, 2.0, 3.0]])
     params = EkfParams()
-    s1 = ekf_predict(s0, np.zeros(3), I3, I3, params)
-    np.testing.assert_allclose(s1.position, [1.0, 2.0, 3.0], atol=1e-15)
+    s1 = ekf_predict(s0, [Z3], [I3], [I3], params)
+    np.testing.assert_allclose(s1.mean[0, :3], [1.0, 2.0, 3.0], atol=1e-15)
     # uncertainty inflates on every axis without a measurement
-    assert np.all(np.diag(s1.cov) > np.diag(s0.cov))
-    assert s1.timestamp == pytest.approx(0.02)
+    assert np.all(np.diag(s1.cov[0]) > np.diag(s0.cov[0]))
 
 
 def test_predict_acceleration_input_block():
-    s0 = initial_state([0.0, 0.0, 0.0], 0.0)
-    s1 = ekf_predict(s0, np.array([1.0, 0.0, 0.0]), I3, I3, EkfParams())
+    s0 = initial_state([[0.0, 0.0, 0.0]])
+    s1 = ekf_predict(s0, [np.array([1.0, 0.0, 0.0])], [I3], [I3], EkfParams())
     # T^2/2 on position, T on velocity
-    assert s1.position[0] == pytest.approx(2e-4, abs=1e-15)
-    assert s1.velocity[0] == pytest.approx(0.02, abs=1e-15)
+    assert s1.mean[0, 0] == pytest.approx(2e-4, abs=1e-15)
+    assert s1.mean[0, 3] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_predict_velocity_telescopes():
-    s = EkfState(mean=np.array([0, 0, 0, 1.0, 0, 0]), cov=np.eye(6),
-                 timestamp=0.0)
+    s = EkfState(mean=np.array([[0, 0, 0, 1.0, 0, 0]]), cov=np.eye(6)[None])
     for _ in range(50):
-        s = ekf_predict(s, np.zeros(3), I3, I3, EkfParams())
-    assert s.position[0] == pytest.approx(1.0, abs=1e-12)
+        s = ekf_predict(s, [Z3], [I3], [I3], EkfParams())
+    assert s.mean[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_rotates_acceleration():
     R_b_w = rotation_from_rpy(0.0, 0.0, math.pi / 2)
-    s0 = initial_state([0.0, 0.0, 0.0], 0.0)
-    s1 = ekf_predict(s0, np.array([1.0, 0.0, 0.0]), R_b_w, I3, EkfParams())
-    assert s1.position[1] == pytest.approx(2e-4, abs=1e-12)
-    assert abs(s1.position[0]) < 1e-12
+    s0 = initial_state([[0.0, 0.0, 0.0]])
+    s1 = ekf_predict(s0, [np.array([1.0, 0.0, 0.0])], [R_b_w], [I3],
+                     EkfParams())
+    assert s1.mean[0, 1] == pytest.approx(2e-4, abs=1e-12)
+    assert abs(s1.mean[0, 0]) < 1e-12
 
 
 def test_update_zero_innovation_keeps_state():
     truth = np.array([0.4, -0.3, 1.2])
-    s = EkfState(mean=np.concatenate([truth, np.zeros(3)]),
-                 cov=1e-6 * np.eye(6), timestamp=0.0)
+    s = EkfState(mean=[np.concatenate([truth, Z3])],
+                 cov=[1e-6 * np.eye(6)])
     s2 = ekf_update(s, _ranges(truth), ANCHORS, EkfParams())
-    np.testing.assert_allclose(s2.position, truth, atol=1e-12)
+    np.testing.assert_allclose(s2.mean[0, :3], truth, atol=1e-12)
 
 
 def test_update_covariance_symmetric_psd(rng):
     params = EkfParams()
-    s = initial_state([0.2, 0.1, 1.0], 0.0)
+    s = initial_state([[0.2, 0.1, 1.0]])
     truth = np.array([0.5, -0.2, 1.5])
     for _ in range(100):
-        s = ekf_predict(s, rng.normal(size=3), I3, I3, params)
+        s = ekf_predict(s, [rng.normal(size=3)], [I3], [I3], params)
         noise = 0.1 * rng.normal(size=len(ANCHORS))
         s = ekf_update(s, _ranges(truth, noise=noise), ANCHORS, params)
-        np.testing.assert_allclose(s.cov, s.cov.T, atol=1e-9)
-        assert np.all(np.linalg.eigvalsh(s.cov) > -1e-10)
+        P = s.cov[0]
+        np.testing.assert_allclose(P, P.T, atol=1e-9)
+        assert np.all(np.linalg.eigvalsh(P) > -1e-10)
 
 
 def test_update_requires_ranges():
-    s = initial_state([0, 0, 0], 0.0)
+    s = initial_state([[0, 0, 0]])
     with pytest.raises(ValueError):
         ekf_update(s, [], ANCHORS, EkfParams())
 
 
 def test_update_degraded_when_all_rows_dropped():
     # predicted position exactly on the only anchor used
-    s = initial_state(ANCHORS.positions[0], 0.0)
+    s = initial_state(ANCHORS.positions[:1])
     s2 = ekf_update(s, [(0, 1.0)], ANCHORS, EkfParams())
-    assert s2.degraded
+    np.testing.assert_array_equal(s2.degraded, [True])
     np.testing.assert_allclose(s2.mean, s.mean)
 
 
 def test_noiseless_convergence_to_least_squares():
     truth = np.array([0.5, -0.4, 1.3])
     params = EkfParams(sigma_range=1e-6)
-    s = initial_state(truth + [0.6, -0.6, 0.5], 0.0)
+    s = initial_state([truth + [0.6, -0.6, 0.5]])
     for _ in range(50):
-        s = ekf_predict(s, np.zeros(3), I3, I3, params)
+        s = ekf_predict(s, [Z3], [I3], [I3], params)
         s = ekf_update(s, _ranges(truth), ANCHORS, params)
     oracle = multilaterate(_ranges(truth), ANCHORS)
-    assert np.linalg.norm(s.position - oracle) < 1e-6
+    assert np.linalg.norm(s.mean[0, :3] - oracle) < 1e-6
 
 
 def test_multilaterate_matches_scipy_oracle(rng):
@@ -131,39 +141,31 @@ def test_multilaterate_needs_three_ranges():
         multilaterate([(0, 1.0), (1, 2.0)], ANCHORS)
 
 
-def _batch(*states):
-    return EkfState(mean=np.stack([s.mean for s in states]),
-                    cov=np.stack([s.cov for s in states]),
-                    timestamp=states[0].timestamp)
+def _batch(*labels):
+    return EkfState(mean=np.stack([s.mean for s in labels]),
+                    cov=np.stack([s.cov for s in labels]))
 
 
 def test_fuse_labels_idempotent():
-    s = initial_state([1.0, 2.0, 3.0], 0.0)
-    pose = fuse_labels(_batch(s, s), I3)
+    pose = fuse_labels([[1.0, 2.0, 3.0]] * 2, I3)
     np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
     assert pose.source == "uwb"
 
 
 def test_fuse_labels_symmetric_cancellation():
-    s1 = initial_state([0.0, 1.0, 0.0], 0.0)
-    s2 = initial_state([0.0, -1.0, 0.0], 0.0)
-    pose = fuse_labels(_batch(s1, s2), I3)
+    pose = fuse_labels([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], I3)
     np.testing.assert_allclose(pose.position, [0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_fuse_labels_rotates_mean():
-    s1 = initial_state([0.0, 0.0, 1.0], 0.0)
     R = rotation_from_rpy(math.radians(10.0), 0.0, 0.0)
-    pose = fuse_labels(_batch(s1, s1), R)
+    pose = fuse_labels([[0.0, 0.0, 1.0]] * 2, R)
     np.testing.assert_allclose(pose.position, R @ [0.0, 0.0, 1.0], atol=1e-12)
     assert pose.position[2] != pytest.approx(1.0, abs=1e-6)
 
 
-def test_fuse_labels_passes_yaw_and_needs_a_batch():
-    s = initial_state([1.0, 2.0, 3.0], 0.0)
-    assert fuse_labels(_batch(s, s), I3, yaw=0.7).yaw == 0.7
-    with pytest.raises(ValueError, match="batch"):
-        fuse_labels(s, I3)
+def test_fuse_labels_passes_yaw():
+    assert fuse_labels([[1.0, 2.0, 3.0]] * 2, I3, yaw=0.7).yaw == 0.7
 
 
 def test_yaw_aligned_with_platform():
@@ -242,13 +244,7 @@ def _random_label(rng, position=None):
         if position is None else np.asarray(position, float)
     M = rng.normal(size=(6, 6))
     cov = 0.02 * M @ M.T + 1e-3 * np.eye(6)
-    return EkfState(mean=np.concatenate([pos, rng.normal(size=3)]), cov=cov,
-                    timestamp=1.0)
-
-
-def _label(batch, i):
-    return EkfState(mean=batch.mean[i], cov=batch.cov[i],
-                    timestamp=batch.timestamp)
+    return Label(mean=np.concatenate([pos, rng.normal(size=3)]), cov=cov)
 
 
 def _assert_label_matches(batch, i, mean, cov):
@@ -272,8 +268,7 @@ def test_batched_predict_matches_reference(rng):
                                   rng.uniform(-math.pi, math.pi))
         R_w_u = rotation_from_rpy(*rng.uniform(-0.2, 0.2, 3))
         a_body = rng.normal(scale=3.0, size=3)
-        out = ekf_predict(_batch(*labels), a_body, R_b_w, R_w_u, params)
-        assert out.timestamp == labels[0].timestamp + params.period
+        out = ekf_predict(_batch(*labels), [a_body], [R_b_w], [R_w_u], params)
         for i, s in enumerate(labels):
             _assert_label_matches(
                 out, i, *_ref_predict(s, a_body, R_b_w, R_w_u, params))
@@ -317,8 +312,8 @@ def test_a_group_of_flights_gives_each_flight_its_own_bits(rng):
             for f, (a_body, R_b_w, R_w_u) in enumerate(inputs):
                 rows = slice(2 * f, 2 * f + 2)
                 alone = ekf_update(
-                    ekf_predict(_batch(*labels[rows]), a_body, R_b_w, R_w_u,
-                                params), ranges[rows], ANCHORS, params)
+                    ekf_predict(_batch(*labels[rows]), [a_body], [R_b_w],
+                                [R_w_u], params), ranges[rows], ANCHORS, params)
                 assert group.mean[rows].tobytes() == alone.mean.tobytes()
                 assert group.cov[rows].tobytes() == alone.cov.tobytes()
                 np.testing.assert_array_equal(group.degraded[rows],
@@ -372,11 +367,10 @@ def test_update_on_a_subset_of_anchors_matches_reference(rng):
     for _ in range(50):
         s = _random_label(rng)
         subset = [(j, float(rng.uniform(1.0, 4.0))) for j in (1, 3, 4)]
-        out = ekf_update(s, subset, ANCHORS, params)
+        out = ekf_update(_batch(s), subset, ANCHORS, params)
         mean, cov, _ = _ref_update(s, subset, ANCHORS, params)
-        np.testing.assert_allclose(out.mean, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.cov, cov, rtol=0, atol=1e-12)
-        assert not out.degraded
+        _assert_label_matches(out, 0, mean, cov)
+        np.testing.assert_array_equal(out.degraded, [False])
 
 
 def test_batch_of_two_equals_two_batches_of_one(rng):
@@ -387,14 +381,15 @@ def test_batch_of_two_equals_two_batches_of_one(rng):
     for _ in range(50):
         labels = [_random_label(rng) for _ in range(2)]
         ranges = rng.uniform(1.0, 4.0, size=(2, 6))
-        batch = ekf_update(ekf_predict(_batch(*labels), a_body, R_b_w, R_w_u,
-                                       params), ranges, ANCHORS, params)
+        inputs = [a_body], [R_b_w], [R_w_u]
+        batch = ekf_update(ekf_predict(_batch(*labels), *inputs, params),
+                           ranges, ANCHORS, params)
         for i, s in enumerate(labels):
-            single = ekf_update(ekf_predict(s, a_body, R_b_w, R_w_u, params),
-                                ranges[i], ANCHORS, params)
-            np.testing.assert_array_equal(_label(batch, i).mean, single.mean)
-            np.testing.assert_array_equal(_label(batch, i).cov, single.cov)
-            assert batch.degraded[i] == single.degraded
+            single = ekf_update(ekf_predict(_batch(s), *inputs, params),
+                                ranges[i:i + 1], ANCHORS, params)
+            np.testing.assert_array_equal(batch.mean[i], single.mean[0])
+            np.testing.assert_array_equal(batch.cov[i], single.cov[0])
+            assert batch.degraded[i] == single.degraded[0]
 
 
 def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
@@ -405,21 +400,19 @@ def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
     params = EkfParams(sigma_jerk=200.0)
     rng = np.random.default_rng(11)
     truth = np.array([[0.9, 2.2, 1.5], [0.9, 1.8, 1.5]])
-    batch = initial_state(truth + 0.3, 0.0)
+    batch = initial_state(truth + 0.3)
     refs = [(batch.mean[i].copy(), batch.cov[i].copy()) for i in range(2)]
-    zero = np.zeros(3)
     for k in range(10_000):
         ranges = np.linalg.norm(ANCHORS.positions - truth[:, None, :], axis=-1) \
             + rng.normal(scale=params.sigma_range, size=(2, len(ANCHORS)))
-        batch = ekf_update(ekf_predict(batch, zero, I3, I3, params), ranges,
-                           ANCHORS, params)
+        batch = ekf_update(ekf_predict(batch, [Z3], [I3], [I3], params),
+                           ranges, ANCHORS, params)
         P = batch.cov
         asym = np.linalg.norm(P - P.swapaxes(-1, -2), axis=(-2, -1))
         assert np.all(asym <= 1e-12 * np.linalg.norm(P, axis=(-2, -1))), k
         np.linalg.cholesky(P)  # raises unless positive definite
         for i, (mean, cov) in enumerate(refs):
-            s = EkfState(mean=mean, cov=cov, timestamp=0.0)
-            s = EkfState(*_ref_predict(s, zero, I3, I3, params), timestamp=0.0)
+            s = Label(*_ref_predict(Label(mean, cov), Z3, I3, I3, params))
             mean, cov, _ = _ref_update(s, list(enumerate(ranges[i])), ANCHORS,
                                        params)
             refs[i] = (mean, cov)
