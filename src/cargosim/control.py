@@ -6,7 +6,8 @@ channels runs an independent discrete PID with a sliding 3-second
 integral window, the cargo velocity can be fed forward during landing,
 and the output is saturated with windup protection: while the previous
 command was saturated, errors that would push further into saturation
-are not accumulated, while counteracting errors are.
+are not accumulated, while counteracting errors are.  Fixed tuning: the
+window ``INTEGRAL_SPAN`` and the yaw-rate limit ``YAW_RATE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .frames import rotate, wrap_angle
+from .frames import require_finite, rotate, wrap_angle
 
 CHANNELS = ("x", "y", "z", "yaw")
+INTEGRAL_SPAN = 3.0  # s of errors summed by the integral term
+YAW_RATE_LIMIT = 0.5  # rad/s
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,7 @@ class PidGains:
     kp_yaw: float = 0.1
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.kp, self.ki, self.kd, self.kp_yaw) < 0:
             raise ValueError("gains must be >= 0")
 
@@ -53,7 +57,7 @@ PHASE_GAINS = {
 class VelocityLimits:
     horizontal: float = 0.6  # m/s
     vertical: float = 0.3  # m/s, differs per vehicle
-    yaw_rate: float = 0.5  # rad/s
+    yaw_rate = YAW_RATE_LIMIT  # no annotation: a class constant, not a field
 
     def for_channel(self, name: str) -> float:
         if name in ("x", "y"):
@@ -77,7 +81,7 @@ class _Channel:
     __slots__ = ("window", "window_sum", "prev_error", "prev_raw", "has_prev")
 
     def __init__(self):
-        self.window: deque = deque()  # (timestamp, error) pairs, 3 s span
+        self.window: deque = deque()  # (timestamp, error) pairs, last INTEGRAL_SPAN
         self.window_sum = 0.0  # running sum of the window's errors
         self.prev_error = 0.0
         self.prev_raw = 0.0
@@ -88,8 +92,8 @@ class _Channel:
 class ControllerState:
     """Integral windows and derivative history for the four channels."""
 
-    integral_span: float = 3.0  # s
-    channels: dict = field(default_factory=lambda: {c: _Channel() for c in CHANNELS})
+    channels: dict = field(init=False,
+                           default_factory=lambda: {c: _Channel() for c in CHANNELS})
 
     def reset_derivative(self) -> None:
         """Drop derivative history so a gain switch causes no kick."""
@@ -137,7 +141,7 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
         limit = limits.for_channel(name)
 
         if ki > 0.0:
-            _accumulate(ch, e, now, limit, st.integral_span)
+            _accumulate(ch, e, now, limit)
 
         p_term = kp * e
         i_term = ki * ch.window_sum
@@ -154,8 +158,7 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
     return VelocityCommand(*out), st
 
 
-def _accumulate(ch: _Channel, e: float, now: float, limit: float,
-                span: float) -> None:
+def _accumulate(ch: _Channel, e: float, now: float, limit: float) -> None:
     # Anti-windup: while the previous raw command was saturated, only
     # counteracting errors enter the window; reinforcing errors leave the
     # accumulator untouched (no append, no pruning).
@@ -165,6 +168,6 @@ def _accumulate(ch: _Channel, e: float, now: float, limit: float,
         return
     ch.window.append((now, e))
     ch.window_sum += e
-    while ch.window and now - ch.window[0][0] > span:
+    while ch.window and now - ch.window[0][0] > INTEGRAL_SPAN:
         ch.window_sum -= ch.window.popleft()[1]
 

@@ -1,4 +1,4 @@
-"""Euler-angle / rotation-matrix algebra shared by every other module.
+"""Rotation algebra, the pinhole camera model and a finite-value check.
 
 Attitude convention used throughout the package: intrinsic ZYX
 (yaw-pitch-roll), body-to-world, i.e.
@@ -18,11 +18,20 @@ the world frame -- the relation the dual-label heading recovery relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def require_finite(obj) -> None:
+    """Raise ValueError naming a NaN or infinite float (or tuple element) field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
 
 
 def wrap_angle(a: float) -> float:
@@ -97,6 +106,21 @@ def rotate_t(R, v) -> tuple[float, float, float]:
     x, y, z = v
     (a, b, c), (d, e, f), (g, h, i) = R
     return (a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z)
+
+
+def project(point, focal: float, diagonal: float) -> tuple[float, float, float]:
+    """Pinhole image (cx, cy, d) of an object of diagonal D centred at the
+    camera-frame point (x, y, z): d = -f D / (z + f), c = (x, y) d / D."""
+    x, y, z = point
+    d = -focal * diagonal / (z + focal)
+    return (x * d / diagonal, y * d / diagonal, d)
+
+
+def unproject(center, image_diagonal, focal, diagonal) -> tuple[float, float, float]:
+    """Camera-frame centre of an object of diagonal D from its image centre
+    and diagonal d': z = -f D / d' - f, (x, y) = c D / d' (see :func:`project`)."""
+    scale = diagonal / image_diagonal
+    return (center[0] * scale, center[1] * scale, -focal * scale - focal)
 
 
 def mean_rows(rows) -> tuple[float, ...]:

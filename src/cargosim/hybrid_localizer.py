@@ -4,7 +4,8 @@ The marker (QR) fix is preferred whenever it is available because of its
 higher accuracy near the platform; the ranging (UWB) fix is always
 present as the fallback.  A short mean-filter window over the selected
 estimates smooths the hand-over so the output position has no step
-discontinuities, and every source change is recorded as an event.
+discontinuities, and every source change is recorded as an event.  The
+marker fix takes over after ``QR_DEBOUNCE`` consecutive epochs.
 """
 
 from __future__ import annotations
@@ -16,23 +17,24 @@ from dataclasses import dataclass, field
 from .frames import wrap_angle
 from .qr_localization import PoseEstimate
 
+QR_DEBOUNCE = 2  # consecutive marker epochs before QR takes over
+
 
 @dataclass
 class HybridState:
     """Smoothing window plus source bookkeeping for one UAV."""
 
     window: int = 25
-    qr_debounce: int = 2
     estimates: deque = field(default_factory=deque, init=False)
-    active_source: str = "uwb"
-    qr_streak: int = 0
-    switch_count: int = 0
+    active_source: str = field(default="uwb", init=False)
+    qr_streak: int = field(default=0, init=False)
+    switch_count: int = field(default=0, init=False)
     # running sums over the window (kept incrementally; the loop runs at
     # 50 Hz so recomputing them every epoch is measurable), as Python
     # floats: elementwise float sums give the bits numpy's would
-    _pos_sum: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    _sin_sum: float = 0.0
-    _cos_sum: float = 0.0
+    _pos_sum: tuple = field(default=(0.0, 0.0, 0.0), init=False)
+    _sin_sum: float = field(default=0.0, init=False)
+    _cos_sum: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.window < 1:
@@ -46,28 +48,25 @@ class HybridState:
         self._sin_sum += sign * math.sin(e.yaw)
         self._cos_sum += sign * math.cos(e.yaw)
 
-    def _drop(self) -> None:
-        self._add(self.estimates.popleft(), -1.0)
-
     def push(self, e: PoseEstimate) -> None:
         self.estimates.append(e)
         self._add(e)
         while len(self.estimates) > self.window:
-            self._drop()
+            self._add(self.estimates.popleft(), -1.0)
 
 
 def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
               st: HybridState) -> tuple[PoseEstimate, HybridState, list[str]]:
     """Select a source for this epoch and return the window-mean output.
 
-    QR wins once it has been present for `qr_debounce` consecutive
+    QR wins once it has been present for `QR_DEBOUNCE` consecutive
     epochs; a single missing QR epoch falls back to UWB immediately.
     Returns (output, state, events); events holds "source_switch:..."
     strings on transitions.
     """
     events: list[str] = []
     st.qr_streak = st.qr_streak + 1 if qr is not None else 0
-    use_qr = qr is not None and st.qr_streak >= st.qr_debounce
+    use_qr = qr is not None and st.qr_streak >= QR_DEBOUNCE
     source = "qr" if use_qr else "uwb"
     if source != st.active_source:
         events.append(f"source_switch:{st.active_source}->{source}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import PHASE_GAINS, PidGains, yaw_error
+from .frames import require_finite
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
@@ -62,6 +63,7 @@ class MissionConfig:
     max_attach_attempts: int = 3
 
     def __post_init__(self):
+        require_finite(self)
         if not (0.0 < self.attach_delta < 1.0):
             raise ValueError("attach threshold must be in (0, 1)")
         for name in ("search_altitude", "descent_step", "waypoint_switch_radius",
@@ -249,7 +251,7 @@ class MissionExecutive:
             if self.wp_index + 1 < len(self.path.waypoints):
                 self.wp_index += 1
                 events.append(f"waypoint:{self.wp_index}")
-            else:
+            elif self.search_altitude != cfg.min_search_altitude:
                 # full coverage without a lock: descend and replan
                 prev_cells = len(self.path.cells)
                 self.search_altitude = max(cfg.min_search_altitude,
@@ -259,6 +261,8 @@ class MissionExecutive:
                     # grid must not get coarser as we descend
                     raise RuntimeError("replanned grid lost resolution")
                 events.append(f"coverage_replan:alt={self.search_altitude:.2f}")
+            else:  # at the floor the plan would not change: fly it again
+                self.wp_index = 0
         return TickCommand(phase=MissionPhase.SEARCH, mode="world", setpoint=sp,
                            yaw_setpoint=self.yaws[self.wp_index],
                            gains=cfg.gains["search"], events=tuple(events))

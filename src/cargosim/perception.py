@@ -7,7 +7,10 @@ shrinks around its box and only candidates inside it are considered,
 preventing identity jumps between objects.  The selected candidate's
 camera-frame position then passes through outlier rejection, a mean
 filter, and a constant-velocity Kalman filter that supplies the target
-velocity used as control feedforward.
+velocity used as control feedforward.  Fixed tuning: the wavegate's
+``LOCK_FRAMES``, ``LOSS_FRAMES``, ``ROI_SCALE`` and ``ASSOC_IOU``, and the
+smoothing's ``OUTLIER_WINDOW``, ``OUTLIER_NMAD``, ``MEAN_WINDOW``,
+``MAX_CONSECUTIVE_REJECTS``, ``KF_SIGMA_ACCEL`` and ``KF_SIGMA_MEAS``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .frames import mean_rows
+from .frames import mean_rows, unproject
 
 
 @dataclass(frozen=True)
@@ -37,19 +40,16 @@ class DetectionObservation:
             raise ValueError("box diagonal must be > 0")
 
 
-@dataclass(frozen=True)
-class PerceptionParams:
-    lock_frames: int = 5
-    loss_frames: int = 10
-    roi_scale: float = 2.0  # ROI side = scale x box side
-    assoc_iou: float = 0.2  # minimum overlap to count as the same object
-    outlier_window: int = 15
-    outlier_nmad: float = 3.0
-    mean_window: int = 10
-    max_consecutive_rejects: int = 8  # then the scene changed; start over
-    frame_period: float = 1.0 / 21.3
-    kf_sigma_accel: float = 2.0  # m/s^2
-    kf_sigma_meas: float = 0.02  # m
+LOCK_FRAMES = 5  # consecutive associated frames that lock the gate
+LOSS_FRAMES = 10  # frames without a match that unlock it
+ROI_SCALE = 2.0  # ROI side = scale x box side
+ASSOC_IOU = 0.2  # minimum overlap to count as the same object
+OUTLIER_WINDOW = 15  # samples in the outlier-rejection window
+OUTLIER_NMAD = 3.0  # rejection threshold in median absolute deviations
+MEAN_WINDOW = 10  # accepted samples averaged into the position
+MAX_CONSECUTIVE_REJECTS = 8  # then the scene changed; start over
+KF_SIGMA_ACCEL = 2.0  # m/s^2
+KF_SIGMA_MEAS = 0.02  # m
 
 
 @dataclass
@@ -94,15 +94,15 @@ def _obs_box(obs: DetectionObservation) -> tuple[float, float, float]:
     return (obs.image_center[0], obs.image_center[1], obs.box_diagonal)
 
 
-def wavegate_select(candidates: list[DetectionObservation], track: CargoTrack,
-                    params: PerceptionParams = PerceptionParams()) -> CargoTrack:
+def wavegate_select(candidates: list[DetectionObservation],
+                    track: CargoTrack) -> CargoTrack:
     """Select (or keep) the target candidate for this frame.
 
     Unlocked: highest confidence wins; the same object seen for
-    `lock_frames` consecutive frames locks the gate and shrinks the ROI
+    `LOCK_FRAMES` consecutive frames locks the gate and shrinks the ROI
     around its box.  Locked: only candidates inside the ROI compete, by
     overlap with the last box rather than confidence.  After
-    `loss_frames` frames without a match the gate unlocks and the full
+    `LOSS_FRAMES` frames without a match the gate unlocks and the full
     frame is used again.
     """
     chosen: DetectionObservation | None = None
@@ -118,7 +118,7 @@ def wavegate_select(candidates: list[DetectionObservation], track: CargoTrack,
                 chosen = None
         if chosen is None:
             track.frames_since_seen += 1
-            if track.frames_since_seen > params.loss_frames:
+            if track.frames_since_seen > LOSS_FRAMES:
                 track.locked = False
                 track.roi = None
                 track.last_box = None
@@ -133,18 +133,18 @@ def wavegate_select(candidates: list[DetectionObservation], track: CargoTrack,
             return track
         chosen = max(candidates, key=lambda c: c.confidence)
         if track.last_box is not None and \
-                _box_iou(_obs_box(chosen), track.last_box) >= params.assoc_iou:
+                _box_iou(_obs_box(chosen), track.last_box) >= ASSOC_IOU:
             track.streak += 1
         else:
             track.streak = 1
-        if track.streak >= params.lock_frames:
+        if track.streak >= LOCK_FRAMES:
             track.locked = True
 
     track.selected = chosen
     track.last_box = _obs_box(chosen)
     track.frames_since_seen = 0
     if track.locked:
-        half = params.roi_scale * (chosen.box_diagonal / math.sqrt(2.0)) / 2.0
+        half = ROI_SCALE * (chosen.box_diagonal / math.sqrt(2.0)) / 2.0
         track.roi = (chosen.image_center[0], chosen.image_center[1], half)
     return track
 
@@ -156,36 +156,33 @@ def cargo_position_from_detection(obs: DetectionObservation, focal_length: float
         raise ValueError("true diagonal must be > 0")
     if obs.box_diagonal <= 0:
         raise ValueError("degenerate box diagonal")
-    scale = true_diagonal / obs.box_diagonal
-    z = -focal_length * scale - focal_length
-    x = obs.image_center[0] * scale
-    y = obs.image_center[1] * scale
-    return (x, y, z)
+    return unproject(obs.image_center, obs.box_diagonal, focal_length,
+                     true_diagonal)
 
 
 def smooth_track(track: CargoTrack, new_pos: Sequence[float],
-                 params: PerceptionParams = PerceptionParams()) -> CargoTrack:
+                 period: float) -> CargoTrack:
     """Outlier-reject, mean-filter and velocity-filter one position sample.
 
-    A sample further than `outlier_nmad` median-absolute-deviations from
+    A sample further than `OUTLIER_NMAD` median-absolute-deviations from
     the recent window median (on any axis) is discarded.  Accepted
     samples feed a sliding mean for the position output and a
-    constant-velocity Kalman filter for the velocity estimate.
+    constant-velocity Kalman filter, stepped by `period`, for the velocity.
     """
     sample = [float(v) for v in new_pos]
     accept = True
     if len(track.raw_window) >= 5:
-        # at most `outlier_window` samples: plain Python beats np.median
+        # at most `OUTLIER_WINDOW` samples: plain Python beats np.median
         for value, column in zip(sample, zip(*track.raw_window)):
             med = statistics.median(column)
             mad = statistics.median([abs(v - med) for v in column])
-            if abs(value - med) > params.outlier_nmad * mad + 1e-9:
+            if abs(value - med) > OUTLIER_NMAD * mad + 1e-9:
                 accept = False
                 break
 
     if not accept:
         track.rejects += 1
-        if track.rejects > params.max_consecutive_rejects:
+        if track.rejects > MAX_CONSECUTIVE_REJECTS:
             # a long run of "outliers" means the target actually moved
             # (or the gate switched objects): restart the filters on the
             # new data instead of rejecting it forever
@@ -198,24 +195,24 @@ def smooth_track(track: CargoTrack, new_pos: Sequence[float],
     if accept:
         track.rejects = 0
         track.raw_window.append(sample)
-        while len(track.raw_window) > params.outlier_window:
+        while len(track.raw_window) > OUTLIER_WINDOW:
             track.raw_window.popleft()
         track.accepted.append(sample)
-        while len(track.accepted) > params.mean_window:
+        while len(track.accepted) > MEAN_WINDOW:
             track.accepted.popleft()
         track.position = mean_rows(track.accepted)
-        _kf_step(track, sample, params)
+        _kf_step(track, sample, period)
         if track.selected is not None:
             track.yaw = track.selected.box_yaw
     else:
-        _kf_step(track, None, params)
+        _kf_step(track, None, period)
     track.velocity = tuple(track.kf_mean[1]) if track.kf_mean is not None \
         else (0.0, 0.0, 0.0)
     return track
 
 
 def _kf_step(track: CargoTrack, meas: list[float] | None,
-             params: PerceptionParams) -> None:
+             period: float) -> None:
     # one 2-state (position, velocity) filter per axis; gains are shared
     # across axes so a single 2x2 covariance suffices.  The 2x2 algebra is
     # written out in Python floats, cheaper than a dozen numpy calls.
@@ -223,11 +220,11 @@ def _kf_step(track: CargoTrack, meas: list[float] | None,
         if meas is None:
             return
         track.kf_mean = (list(meas), [0.0, 0.0, 0.0])
-        track.kf_cov = ((params.kf_sigma_meas ** 2, 0.0), (0.0, 1.0))
+        track.kf_cov = ((KF_SIGMA_MEAS ** 2, 0.0), (0.0, 1.0))
         return
-    T = params.frame_period
+    T = period
     g0, g1 = T * T / 2, T
-    q = params.kf_sigma_accel ** 2
+    q = KF_SIGMA_ACCEL ** 2
     (p00, p01), (p10, p11) = track.kf_cov
     # predict: x <- A x and P <- A P A^T + q G G^T, A = [[1, T], [0, 1]]
     pos = [p + T * v for p, v in zip(*track.kf_mean)]
@@ -236,7 +233,7 @@ def _kf_step(track: CargoTrack, meas: list[float] | None,
     p00, p01 = a00 + T * a01 + q * g0 * g0, a01 + q * g0 * g1
     p10, p11 = p10 + T * p11 + q * g1 * g0, p11 + q * g1 * g1
     if meas is not None:
-        r = params.kf_sigma_meas ** 2
+        r = KF_SIGMA_MEAS ** 2
         k0, k1 = p00 / (p00 + r), p10 / (p00 + r)
         innov = [m - p for m, p in zip(meas, pos)]
         pos = [p + k0 * e for p, e in zip(pos, innov)]

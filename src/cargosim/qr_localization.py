@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import EulerAngles, mean_rows, rotate, rotation_rows, wrap_angle
+from .frames import (EulerAngles, mean_rows, require_finite, rotate, rotation_rows,
+                     unproject, wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,7 @@ class QrMarker:
     panel_xy: tuple[float, float]
 
     def __post_init__(self):
+        require_finite(self)
         if self.diagonal <= 0:
             raise ValueError(f"marker diagonal must be > 0, got {self.diagonal}")
 
@@ -72,23 +74,12 @@ class PoseEstimate:
 
 def marker_camera_coords(obs: QrObservation, marker: QrMarker,
                          ) -> tuple[float, float, float]:
-    """Camera-frame coordinates of a marker center from its image geometry.
-
-    Inverts the similar-triangles projection:
-
-        z = -f * d / d' - f
-        x = cx' * d / d',   y = cy' * d / d'
-
-    where d is the physical diagonal, d' the image diagonal and f the
-    focal length.  z is always negative (marker below the camera).
-    """
+    """Camera-frame coordinates of a marker center from its image geometry
+    (:func:`frames.unproject`); z is always negative (marker below the camera)."""
     if obs.label != marker.label:
         raise ValueError(f"label mismatch: observation {obs.label} vs marker {marker.label}")
-    scale = marker.diagonal / obs.image_diagonal
-    z = -obs.focal_length * scale - obs.focal_length
-    x = obs.image_center[0] * scale
-    y = obs.image_center[1] * scale
-    return (x, y, z)
+    return unproject(obs.image_center, obs.image_diagonal, obs.focal_length,
+                     marker.diagonal)
 
 
 class NoFix(Exception):

@@ -31,8 +31,8 @@ from .control import ControllerState, VelocityLimits, pid_step, saturate
 from .frames import rotate, rotation_rows, wrap_angle
 from .mission import (MissionConfig, MissionExecutive, MissionPhase, TickCommand,
                       TickInputs)
-from .perception import (CargoTrack, PerceptionParams, cargo_position_from_detection,
-                         smooth_track, wavegate_select)
+from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
+                         wavegate_select)
 from .qr_localization import NoFix, PoseEstimate, estimate_pose
 from .sim_world import ScenarioConfig, SimState, SimWorld
 
@@ -246,13 +246,13 @@ class CargoPerception:
     de-rotation and the smoothing filter."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
-        self.params = PerceptionParams(frame_period=dt)
+        self.dt = dt
         self.focal = scenario.det_focal
         self.diagonal = scenario.cargoes[0].top_diagonal
         self.track = CargoTrack()
 
     def step(self, candidates: list, roll: float, pitch: float) -> CargoTrack:
-        track = self.track = wavegate_select(candidates, self.track, self.params)
+        track = self.track = wavegate_select(candidates, self.track)
         if track.selected is not None:
             pos_cam = cargo_position_from_detection(track.selected, self.focal,
                                                     self.diagonal)
@@ -260,7 +260,7 @@ class CargoPerception:
             # own tilt shifts the apparent target the same way the command
             # pushes, a positive feedback that never converges
             pos_b = rotate(rotation_rows(roll, pitch, 0.0), pos_cam)
-            track = self.track = smooth_track(track, pos_b, self.params)
+            track = self.track = smooth_track(track, pos_b, self.dt)
         return track
 
 
@@ -307,9 +307,7 @@ class Recorder:
         self.dt = dt
         self.cargo_xy = np.asarray(scenario.cargoes[0].position[:2])
         self.records: list[list] | None = [] if keep_rows else None
-        # per source: ticks and running sums of the squared x, y, z errors,
-        # summed in tick order as np.mean(err * err, axis=0) sums them
-        self.sq_errors: dict[str, list] = {}
+        self.sq_errors = SquaredErrors()
         self.phase_durations: dict[str, float] = {}
         self.landing_error = float("nan")
 
@@ -319,11 +317,8 @@ class Recorder:
         """Score the estimate against the position it was made at; log the tick."""
         truth = before.uav_pos
         est_xyz = est.position
-        sq = self.sq_errors.setdefault(est.source, [0, 0.0, 0.0, 0.0])
-        sq[0] += 1
-        for k, (e, t) in enumerate(zip(est_xyz, truth), 1):
-            d = e - t
-            sq[k] += d * d
+        self.sq_errors.add(est.source, est_xyz[0] - truth[0],
+                           est_xyz[1] - truth[1], est_xyz[2] - truth[2])
         if "phase:land->adsorb" in cmd.events and math.isnan(self.landing_error):
             self.landing_error = float(np.linalg.norm(
                 np.subtract(after.uav_pos[:2], self.cargo_xy)))
@@ -353,9 +348,24 @@ class Recorder:
             phase_durations=self.phase_durations,
             landing_error=self.landing_error,
             attach_success=bool(executive.attach_success),
-            rmse={source: [math.sqrt(v / n) for v in sums]
-                  for source, (n, *sums) in sorted(self.sq_errors.items())},
+            rmse=dict(sorted(self.sq_errors.rmse().items())),
             source_switches=source_switches, total_time=total_time, seed=seed)
+
+
+class SquaredErrors(dict):
+    """source -> [count, sums of the squared x, y, z errors], summed in
+    order as np.mean(err * err, axis=0) sums them."""
+
+    def add(self, source: str, dx: float, dy: float, dz: float) -> None:
+        sq = self.setdefault(source, [0, 0.0, 0.0, 0.0])
+        sq[0] += 1
+        sq[1] += dx * dx
+        sq[2] += dy * dy
+        sq[3] += dz * dz
+
+    def rmse(self) -> dict[str, list[float]]:  # sources in first-seen order
+        return {source: [math.sqrt(v / n) for v in sums]
+                for source, (n, *sums) in self.items()}
 
 
 # --- logging ---------------------------------------------------------
@@ -413,9 +423,7 @@ def metrics_from_log(path) -> dict:
         raise LogFormatError(f"{path}: no {', '.join(missing)} column")
     tx, ty, tz, ex, ey, ez, src = (idx[name] for name in _METRIC_COLUMNS)
     width = len(header)
-    # per source: rows and running sums of the squared x, y, z errors,
-    # summed in row order as np.mean(err * err, axis=0) sums them
-    sq_errors: dict[str, list] = {}
+    sq_errors = SquaredErrors()
     qr_by_bucket: dict[int, list] = {}
     for number, row in enumerate(rows, 1):
         if len(row) != width:
@@ -429,22 +437,14 @@ def metrics_from_log(path) -> dict:
         except ValueError as exc:  # a cell that is not a number
             raise LogFormatError(f"{path}: row {number}: {exc}") from None
         source = row[src]
-        sq = sq_errors.get(source)
-        if sq is None:
-            sq = sq_errors[source] = [0, 0.0, 0.0, 0.0]
-        sq[0] += 1
-        sq[1] += dx * dx
-        sq[2] += dy * dy
-        sq[3] += dz * dz
+        sq_errors.add(source, dx, dy, dz)
         if source == "qr":
             if not math.isfinite(z):
                 raise LogFormatError(f"{path}: row {number}: marker fix at "
                                      f"height {z}")
             qr_by_bucket.setdefault(int(z // 1.0), []).append(
                 math.sqrt(dx * dx + dy * dy + dz * dz))
-    out = {"rmse": {}, "qr_error_by_height": {}}
-    for source, (n, *sums) in sq_errors.items():
-        out["rmse"][source] = [math.sqrt(v / n) for v in sums]
+    out = {"rmse": sq_errors.rmse(), "qr_error_by_height": {}}
     for bucket in sorted(qr_by_bucket):
         vals = qr_by_bucket[bucket]
         out["qr_error_by_height"][f"{bucket}m-{bucket + 1}m"] = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import EulerAngles, rotate, rotate_t, wrap_angle
+from .frames import EulerAngles, project, require_finite, rotate, rotate_t, wrap_angle
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
 from .uwb_localization import AnchorSet
@@ -34,6 +34,7 @@ class CargoSpec:
     yaw: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass <= 0 or self.top_diagonal <= 0:
             raise ValueError("cargo mass and diagonal must be > 0")
 
@@ -127,17 +128,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "anchors", AnchorSet(self.anchors).positions)
-        if self.label_baseline <= 0:
-            raise ValueError("label baseline must be > 0")
-        for name in ("platform_roll_period", "platform_pitch_period",
-                     "wind_tau", "trim_tau", "vel_time_constant"):
+        for name in ("label_baseline", "platform_roll_period", "platform_pitch_period",
+                     "wind_tau", "trim_tau", "vel_time_constant", "uav_mass"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be > 0")
+        require_finite(self)  # after the loop, which reports a NaN as not > 0
         for fov in (self.qr_h_fov, self.qr_v_fov, self.det_h_fov, self.det_v_fov):
             if not (0 < fov < math.pi):
                 raise ValueError("fields of view must be in (0, 180) degrees")
-        if self.uav_mass <= 0:
-            raise ValueError("UAV mass must be > 0")
         # the detector sees every cargo, but contact, adsorption, the
         # executive and the landing error know only cargoes[0]
         if len(self.cargoes) != 1:
@@ -376,9 +374,7 @@ class SimWorld:
                 continue
             if cfg.qr_dropout > 0.0 and self.rng.random() < cfg.qr_dropout:
                 continue
-            d_img = -cfg.qr_focal * marker.diagonal / (z + cfg.qr_focal)
-            cx = cam[0] * d_img / marker.diagonal
-            cy = cam[1] * d_img / marker.diagonal
+            cx, cy, d_img = project(cam, cfg.qr_focal, marker.diagonal)
             yaw = psi_img
             if cfg.qr_image_noise > 0.0:
                 cx += cfg.qr_image_noise * self.rng.standard_normal()
@@ -416,9 +412,7 @@ class SimWorld:
                 continue
             if cfg.det_dropout > 0.0 and self.rng.random() < cfg.det_dropout:
                 continue
-            d_img = -cfg.det_focal * cargo.top_diagonal / (z + cfg.det_focal)
-            cx = x * d_img / cargo.top_diagonal
-            cy = y * d_img / cargo.top_diagonal
+            cx, cy, d_img = project((x, y, z), cfg.det_focal, cargo.top_diagonal)
             conf = cfg.det_conf_base + cfg.det_conf_jitter * \
                 (2.0 * self.rng.random() - 1.0)
             yaw = wrap_angle(cargo.yaw - state.uav_euler.yaw)

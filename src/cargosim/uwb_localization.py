@@ -7,7 +7,8 @@ only come as a batch: both labels of every flight in a lockstep group
 advance together, one predict and one update per tick.  A flight's two
 label positions are averaged into the UAV center, rotated into the world
 frame, and their baseline vector yields the UAV yaw independent of the
-magnetometer.
+magnetometer.  Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``,
+``INITIAL_VEL_VAR`` and ``MULTILATERATE_TOL``; the rest is :class:`EkfParams`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ import numpy as np
 
 from .frames import mean_rows, rotate, wrap_angle
 from .qr_localization import PoseEstimate
+
+# The state lives in the platform-fixed frame, which rotates with the
+# sea state; at long lever arms that motion looks like large unmodeled
+# acceleration, so the jerk noise must be generous or the filter lags.
+SIGMA_JERK = 200.0  # m/s^3, enters through the D matrix
+INITIAL_POS_VAR = 0.25  # m^2, per axis of a fresh filter
+INITIAL_VEL_VAR = 0.25  # (m/s)^2
+MULTILATERATE_TOL = 1e-12  # m; Gauss-Newton stops on a shorter step
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,8 @@ class AnchorSet:
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         object.__setattr__(self, "positions", pos)
+        if not np.isfinite(pos).all():
+            raise ValueError("anchors must be finite")
         if pos.shape[0] < 3 or pos.shape[1] != 3:
             raise ValueError(f"need >= 3 anchors with 3 coordinates, got {pos.shape}")
         centered = pos - pos.mean(axis=0)
@@ -48,17 +59,13 @@ class AnchorSet:
 
 @dataclass(frozen=True)
 class EkfParams:
-    """Filter tuning: jerk-scale process noise, range noise, sample period."""
+    """Filter settings: range noise and sample period."""
 
-    # The state lives in the platform-fixed frame, which rotates with the
-    # sea state; at long lever arms that motion looks like large unmodeled
-    # acceleration, so the jerk noise must be generous or the filter lags.
-    sigma_jerk: float = 200.0  # m/s^3, enters through the D matrix
     sigma_range: float = 0.10  # m
     period: float = 0.02  # s
 
     def __post_init__(self):
-        if self.sigma_jerk <= 0 or self.sigma_range <= 0 or self.period <= 0:
+        if self.sigma_range <= 0 or self.period <= 0:
             raise ValueError("EKF parameters must be positive")
 
 
@@ -88,25 +95,23 @@ class EkfState:
         object.__setattr__(self, "degraded", degraded)
 
 
-def initial_state(position: np.ndarray, pos_var: float = 0.25,
-                  vel_var: float = 0.25) -> EkfState:
+def initial_state(position: np.ndarray) -> EkfState:
     """Rest states at the (L, 3) label positions."""
     position = np.asarray(position, dtype=float)
     mean = np.concatenate([position, np.zeros_like(position)], axis=-1)
-    cov = np.broadcast_to(np.diag([pos_var] * 3 + [vel_var] * 3),
+    cov = np.broadcast_to(np.diag([INITIAL_POS_VAR] * 3 + [INITIAL_VEL_VAR] * 3),
                           position.shape[:-1] + (6, 6)).copy()
     return EkfState(mean=mean, cov=cov)
 
 
 @functools.lru_cache(maxsize=8)
-def _transition_matrices(T: float, sigma_jerk: float,
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transition_matrices(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A, B and the jerk-noise term D Q D^T of one sample period."""
     I3 = np.eye(3)
     A = np.block([[I3, T * I3], [np.zeros((3, 3)), I3]])
     B = np.vstack([T * T / 2 * I3, T * I3])
     D = np.vstack([T ** 3 / 6 * I3, T * T / 2 * I3])
-    Q = (sigma_jerk ** 2) * I3
+    Q = (SIGMA_JERK ** 2) * I3
     out = (A, B, D @ Q @ D.T)
     for m in out:
         m.flags.writeable = False  # shared by every caller
@@ -144,7 +149,7 @@ def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
         raise ValueError(f"{flights} accelerations for "
                          f"{s.mean.size // 6} labels")
     T = params.period
-    A, B, DQD = _transition_matrices(T, params.sigma_jerk)
+    A, B, DQD = _transition_matrices(T)
     # matmul over the label axis runs the same product per label, and the
     # flight's input term is added per element, so a batch gives exactly
     # what its labels give one at a time
@@ -266,8 +271,8 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
 
 
 def multilaterate(ranges: list[tuple[int, float]], anchors: AnchorSet,
-                  initial: np.ndarray | None = None, max_iter: int = 50,
-                  tol: float = 1e-12) -> np.ndarray:
+                  initial: np.ndarray | None = None,
+                  max_iter: int = 50) -> np.ndarray:
     """Gauss-Newton least-squares position from one epoch of ranges.
 
     Used to initialize the filters from the first complete epoch and as
@@ -287,6 +292,6 @@ def multilaterate(ranges: list[tuple[int, float]], anchors: AnchorSet,
         r = dists - meas
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         u = u + step
-        if np.linalg.norm(step) < tol:
+        if np.linalg.norm(step) < MULTILATERATE_TOL:
             break
     return u

@@ -8,8 +8,10 @@ import pytest
 
 import cargosim
 from cargosim.config import ConfigError, load_config
+from cargosim.control import PidGains
 from cargosim.mission import MissionConfig
-from cargosim.sim_world import ScenarioConfig
+from cargosim.qr_localization import QrMarker
+from cargosim.sim_world import CargoSpec, ScenarioConfig
 
 
 def _write(tmp_path, payload):
@@ -141,6 +143,34 @@ def test_time_constants_must_be_positive(tmp_path, name):
     for value in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigError, match=f"{name} must be > 0"):
             load_config(_write(tmp_path, {"scenario": {name: value}}))
+
+
+def _float_fields():
+    """(config, field, tuple index or None) for every float field and every
+    float in a tuple field of each config type, found from its fields."""
+    configs = [ScenarioConfig(occlusion_center=(8.0, 0.0, 1.5)), MissionConfig(),
+               CargoSpec(position=(8.0, 0.0, 1.1), mass=0.9, top_diagonal=0.4),
+               QrMarker(label=1, diagonal=0.3, panel_xy=(1.0, 2.0)),
+               PidGains(kp=0.5, ki=0.1, kd=0.2)]
+    for config in configs:
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if isinstance(value, float):
+                yield pytest.param(config, f.name, None,
+                                   id=f"{type(config).__name__}.{f.name}")
+            elif isinstance(value, tuple):
+                yield from (pytest.param(config, f.name, k,
+                                         id=f"{type(config).__name__}.{f.name}[{k}]")
+                            for k, v in enumerate(value) if isinstance(v, float))
+
+
+@pytest.mark.parametrize("config, name, index", _float_fields())
+def test_non_finite_config_value_names_its_field(config, name, index):
+    old = getattr(config, name)
+    for bad in (math.nan, math.inf, -math.inf):
+        value = bad if index is None else (*old[:index], bad, *old[index + 1:])
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dataclasses.replace(config, **{name: value})
 
 
 def _attributes_read_outside(class_name: str) -> set[str]:

@@ -89,6 +89,20 @@ def test_search_advances_waypoints_and_replans_lower():
     assert ex.search_altitude == pytest.approx(5.0)
 
 
+def test_search_at_the_floor_altitude_restarts_without_replanning():
+    ex = _executive()
+    ex.phase = MissionPhase.SEARCH
+    ex.search_altitude = ex.cfg.min_search_altitude
+    ex._plan()
+    wp = ex.path.waypoints[0]
+    for k in range(3):  # sitting on the single waypoint, tick after tick
+        cmd = ex.tick(_inputs(20.0 + 0.02 * k, _est(wp[0], wp[1], 3.0)))
+        assert not any(e.startswith("coverage_replan") for e in cmd.events)
+        assert cmd.setpoint == (*wp, ex.cfg.min_search_altitude)
+    assert ex.search_altitude == ex.cfg.min_search_altitude
+    assert ex.wp_index == 0
+
+
 def test_search_locks_only_overhead():
     ex = _executive()
     ex.phase = MissionPhase.SEARCH

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cargosim.perception import (CargoTrack, DetectionObservation,
-                                 PerceptionParams, cargo_position_from_detection,
-                                 smooth_track, wavegate_select)
+from cargosim.perception import (LOCK_FRAMES, LOSS_FRAMES, MAX_CONSECUTIVE_REJECTS,
+                                 CargoTrack, DetectionObservation,
+                                 cargo_position_from_detection, smooth_track,
+                                 wavegate_select)
 
-PARAMS = PerceptionParams()
+PERIOD = 1.0 / 21.3  # a detector frame period
 
 
 def _det(cx=0.0, cy=0.0, diag=0.001, conf=0.8, yaw=0.0):
@@ -22,8 +23,8 @@ def test_detection_validation():
 
 def test_lock_after_stable_frames():
     track = CargoTrack()
-    for _ in range(PARAMS.lock_frames):
-        track = wavegate_select([_det()], track, PARAMS)
+    for _ in range(LOCK_FRAMES):
+        track = wavegate_select([_det()], track)
     assert track.locked
     assert track.roi is not None
 
@@ -32,29 +33,29 @@ def test_no_lock_on_jumping_candidate():
     track = CargoTrack()
     for k in range(20):
         # candidate teleports each frame; association streak never builds
-        track = wavegate_select([_det(cx=(k % 2) * 0.5)], track, PARAMS)
+        track = wavegate_select([_det(cx=(k % 2) * 0.5)], track)
     assert not track.locked
 
 
 def test_loss_unlocks_after_timeout():
     track = CargoTrack()
-    for k in range(PARAMS.lock_frames):
-        track = wavegate_select([_det()], track, PARAMS)
+    for k in range(LOCK_FRAMES):
+        track = wavegate_select([_det()], track)
     assert track.locked
-    for _ in range(PARAMS.loss_frames + 1):
-        track = wavegate_select([], track, PARAMS)
+    for _ in range(LOSS_FRAMES + 1):
+        track = wavegate_select([], track)
     assert not track.locked
     assert track.roi is None
 
 
 def test_roi_excludes_distant_decoy():
     track = CargoTrack()
-    for _ in range(PARAMS.lock_frames):
-        track = wavegate_select([_det()], track, PARAMS)
+    for _ in range(LOCK_FRAMES):
+        track = wavegate_select([_det()], track)
     # a more confident decoy far outside the ROI must not steal the lock
     decoy = _det(cx=0.5, cy=0.5, conf=0.99)
     target = _det(conf=0.4)
-    track = wavegate_select([decoy, target], track, PARAMS)
+    track = wavegate_select([decoy, target], track)
     assert track.selected is target
 
 
@@ -62,18 +63,18 @@ def test_unlocked_prefers_confidence():
     track = CargoTrack()
     weak = _det(conf=0.3)
     strong = _det(cx=0.3, conf=0.9)
-    track = wavegate_select([weak, strong], track, PARAMS)
+    track = wavegate_select([weak, strong], track)
     assert track.selected is strong
 
 
 def test_locked_association_by_overlap_not_confidence():
     track = CargoTrack()
-    for _ in range(PARAMS.lock_frames):
-        track = wavegate_select([_det()], track, PARAMS)
+    for _ in range(LOCK_FRAMES):
+        track = wavegate_select([_det()], track)
     half = track.roi[2]
     near = _det(cx=0.1 * half, conf=0.3)
     shifted = _det(cx=0.9 * half, conf=0.95)
-    track = wavegate_select([near, shifted], track, PARAMS)
+    track = wavegate_select([near, shifted], track)
     assert track.selected is near
 
 
@@ -106,7 +107,7 @@ def test_smooth_constant_input_settles():
     track = CargoTrack()
     p = np.array([0.3, -0.2, -1.5])
     for _ in range(60):
-        track = smooth_track(track, p, PARAMS)
+        track = smooth_track(track, p, PERIOD)
     np.testing.assert_allclose(track.position, p, atol=1e-12)
     assert np.linalg.norm(track.velocity) < 1e-3
 
@@ -116,9 +117,9 @@ def test_smooth_rejects_spike():
     rng = np.random.default_rng(0)
     base = np.array([0.0, 0.0, -2.0])
     for _ in range(20):
-        track = smooth_track(track, base + 0.01 * rng.normal(size=3), PARAMS)
+        track = smooth_track(track, base + 0.01 * rng.normal(size=3), PERIOD)
     before = track.position
-    track = smooth_track(track, base + np.array([10.0, 0.0, 0.0]), PARAMS)
+    track = smooth_track(track, base + np.array([10.0, 0.0, 0.0]), PERIOD)
     assert np.linalg.norm(np.subtract(track.position, before)) < 0.05
     assert track.rejects >= 1
 
@@ -131,10 +132,10 @@ def test_smooth_recovers_after_sustained_shift():
     rng = np.random.default_rng(1)
     for _ in range(20):
         track = smooth_track(track, 0.01 * rng.normal(size=3)
-                             + [0, 0, -2.0], PARAMS)
+                             + [0, 0, -2.0], PERIOD)
     new = np.array([3.0, 0.0, -2.0])
-    for _ in range(PARAMS.max_consecutive_rejects + 5):
-        track = smooth_track(track, new + 0.01 * rng.normal(size=3), PARAMS)
+    for _ in range(MAX_CONSECUTIVE_REJECTS + 5):
+        track = smooth_track(track, new + 0.01 * rng.normal(size=3), PERIOD)
     assert abs(track.position[0] - 3.0) < 0.1
     assert track.rejects == 0
 
@@ -144,8 +145,8 @@ def test_velocity_converges_on_ramp():
     v = np.array([0.2, 0.0, 0.0])
     t = 0.0
     while t < 2.0:
-        track = smooth_track(track, v * t, PARAMS)
-        t += PARAMS.frame_period
+        track = smooth_track(track, v * t, PERIOD)
+        t += PERIOD
     assert track.velocity[0] == pytest.approx(0.2, abs=0.02)
 
 

@@ -91,7 +91,7 @@ def test_cargo_track_is_float_tuples():
     track = CargoTrack()
     _assert_floats(track.velocity, 3)
     for k in range(8):
-        track = smooth_track(track, (0.1 + 0.01 * k, -0.2, -1.5))
+        track = smooth_track(track, (0.1 + 0.01 * k, -0.2, -1.5), 1.0 / 21.3)
         _assert_floats(track.position, 3)
         _assert_floats(track.velocity, 3)
 

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import least_squares
 
 from cargosim.frames import rotation_from_rpy, wrap_angle
-from cargosim.uwb_localization import (AnchorSet, BaselineGateError, EkfParams,
-                                       EkfState, ekf_predict, ekf_update,
+from cargosim.uwb_localization import (SIGMA_JERK, AnchorSet, BaselineGateError,
+                                       EkfParams, EkfState, ekf_predict, ekf_update,
                                        fuse_labels, initial_state,
                                        multilaterate, yaw_from_labels)
 
@@ -33,6 +33,9 @@ def test_anchor_set_validation():
         AnchorSet(np.array([[0, 0, 0], [1, 1, 1]]))
     with pytest.raises(ValueError):
         AnchorSet(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="anchors must be finite"):
+            AnchorSet(np.array([[0, 0, bad], [1, 0, 0], [0, 1, 0]]))
 
 
 def test_state_is_always_a_batch_of_labels():
@@ -214,7 +217,7 @@ def _ref_predict(s, a_body, R_b_w, R_w_u, params):
     B = np.vstack([T * T / 2 * I3, T * I3])
     D = np.vstack([T ** 3 / 6 * I3, T * T / 2 * I3])
     a_u = R_w_u @ (R_b_w @ a_body)
-    Q = (params.sigma_jerk ** 2) * np.eye(3)
+    Q = (SIGMA_JERK ** 2) * np.eye(3)
     return A @ s.mean + B @ a_u, A @ s.cov @ A.T + D @ Q @ D.T
 
 
@@ -395,9 +398,9 @@ def test_batch_of_two_equals_two_batches_of_one(rng):
 def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
     # The Joseph form keeps the covariance symmetric and positive definite
     # where the short form P - K S K^T drifts; 10 000 cycles of a hovering
-    # pair of labels at the default sigma_jerk = 200 must stay on the
+    # pair of labels at SIGMA_JERK = 200 must stay on the
     # reference (Joseph) filter above.
-    params = EkfParams(sigma_jerk=200.0)
+    params = EkfParams()
     rng = np.random.default_rng(11)
     truth = np.array([[0.9, 2.2, 1.5], [0.9, 1.8, 1.5]])
     batch = initial_state(truth + 0.3)
