@@ -97,7 +97,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_plan(args) -> int:
     scenario, mission = _load(args)
     executive = MissionExecutive(mission, scenario)
-    executive._plan()
+    executive.plan()
     path, yaws = executive.path, executive.yaws
     lines = ["x_m,y_m,z_m,yaw_rad"]
     for (x, y), yaw in zip(path.waypoints, yaws):

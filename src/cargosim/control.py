@@ -59,6 +59,11 @@ class VelocityLimits:
     vertical: float = 0.3  # m/s, differs per vehicle
     yaw_rate = YAW_RATE_LIMIT  # no annotation: a class constant, not a field
 
+    def __post_init__(self):
+        for name in ("horizontal", "vertical"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} limit must be > 0")
+
     def for_channel(self, name: str) -> float:
         if name in ("x", "y"):
             return self.horizontal
@@ -99,9 +104,6 @@ class ControllerState:
         """Drop derivative history so a gain switch causes no kick."""
         for ch in self.channels.values():
             ch.has_prev = False
-
-    def integral_sum(self, name: str) -> float:
-        return self.channels[name].window_sum
 
 
 def position_error_body(p_star: Sequence[float], p: Sequence[float],

@@ -56,13 +56,13 @@ class HybridState:
 
 
 def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
-              st: HybridState) -> tuple[PoseEstimate, HybridState, list[str]]:
+              st: HybridState) -> tuple[PoseEstimate, list[str]]:
     """Select a source for this epoch and return the window-mean output.
 
     QR wins once it has been present for `QR_DEBOUNCE` consecutive
     epochs; a single missing QR epoch falls back to UWB immediately.
-    Returns (output, state, events); events holds "source_switch:..."
-    strings on transitions.
+    Updates `st` in place and returns (output, events); events holds
+    "source_switch:..." strings on transitions.
     """
     events: list[str] = []
     st.qr_streak = st.qr_streak + 1 if qr is not None else 0
@@ -79,4 +79,4 @@ def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
     sx, sy, sz = st._pos_sum
     yaw = wrap_angle(math.atan2(st._sin_sum, st._cos_sum))
     out = PoseEstimate(position=(sx / n, sy / n, sz / n), yaw=yaw, source=source)
-    return out, st, events
+    return out, events

@@ -5,7 +5,11 @@ landing, adhesion and return, issuing either world-frame setpoints
 (tracked against the hybrid localization estimate) or direct body-frame
 errors (visual servoing), and deciding attachment success from the
 rotor-speed change between the hover windows before and after the
-adhesion action.
+adhesion action.  Fixed landing thresholds: ``DESCENT_STEP``,
+``WAYPOINT_SWITCH_RADIUS``, ``LOCK_CONE_RATIO``, ``DESCENT_CONE_RATIO``,
+``DESCENT_CONE_SLACK``, ``PRE_BLIND_HEIGHT``, ``BLIND_HORIZONTAL_THRESHOLD``,
+``BLIND_HOLD_TIME``, ``BLIND_DESCENT_SPEED``, ``REACQUIRE_TIME``,
+``BOUNCE_CLEARANCE`` and ``VERIFY_HEIGHT``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,19 @@ from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
 from .sim_world import RotorTelemetry, ScenarioConfig
 
+DESCENT_STEP = 1.0  # m the search drops after a full coverage without a lock
+WAYPOINT_SWITCH_RADIUS = 0.2  # m
+LOCK_CONE_RATIO = 0.75  # accept a lock only this far off-nadir
+DESCENT_CONE_RATIO = 0.3  # descend only while laterally aligned
+DESCENT_CONE_SLACK = 0.05  # m
+PRE_BLIND_HEIGHT = 0.10  # m, hover height above the cargo top
+BLIND_HORIZONTAL_THRESHOLD = 0.10  # m
+BLIND_HOLD_TIME = 2.0  # s centred at hover height before the blind descent
+BLIND_DESCENT_SPEED = 0.25  # m/s
+REACQUIRE_TIME = 3.0  # s of lost target -> back to search
+BOUNCE_CLEARANCE = 0.6  # m to climb above the cargo after contact
+VERIFY_HEIGHT = 1.5  # m, hover height above the cargo for the thrust check
+
 
 class MissionPhase(enum.Enum):
     TAKEOFF = "takeoff"
@@ -36,41 +53,28 @@ class MissionPhase(enum.Enum):
 
 @dataclass(frozen=True)
 class MissionConfig:
-    """Every mission threshold in one place; defaults follow the field setup."""
+    """The mission values a caller may set; defaults follow the field setup."""
 
     search_altitude: float = 6.0  # world z flown during search
-    min_search_altitude: float = 3.0
-    descent_step: float = 1.0
-    waypoint_switch_radius: float = 0.2
-    blind_horizontal_threshold: float = 0.10
-    blind_hold_time: float = 2.0
-    pre_blind_height: float = 0.10  # hover height above the cargo top
-    blind_descent_speed: float = 0.25
+    min_search_altitude: float = 3.0  # lowest search altitude, world z
     adsorb_settle_time: float = 8.0
     adsorb_success_prob: float = 1.0
     attach_delta: float = 0.05
     hover_window: float = 2.0
-    verify_height: float = 1.5  # hover height above cargo for the thrust check
     geofence: tuple[float, float, float, float] = (-6.0, 14.0, -8.0, 8.0)
     return_altitude: float = 6.0
-    lock_cone_ratio: float = 0.75  # accept a lock only this far off-nadir
-    descent_cone_ratio: float = 0.3  # descend only while laterally aligned
-    descent_cone_slack: float = 0.05
-    reacquire_time: float = 3.0  # lost target this long -> back to search
-    bounce_clearance: float = 0.6  # climb this far above cargo after contact
     gains: dict = field(default_factory=lambda: dict(PHASE_GAINS))
-    vertical_limit: float = 0.3
     max_attach_attempts: int = 3
 
     def __post_init__(self):
         require_finite(self)
         if not (0.0 < self.attach_delta < 1.0):
             raise ValueError("attach threshold must be in (0, 1)")
-        for name in ("search_altitude", "descent_step", "waypoint_switch_radius",
-                     "blind_horizontal_threshold", "blind_hold_time",
-                     "pre_blind_height", "adsorb_settle_time", "hover_window"):
+        for name in ("adsorb_settle_time", "hover_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not (0.0 < self.min_search_altitude <= self.search_altitude):
+            raise ValueError("min_search_altitude must be in (0, search_altitude]")
 
 
 def attachment_check(pre: RotorTelemetry, post: RotorTelemetry,
@@ -167,7 +171,8 @@ class MissionExecutive:
 
     # -- helpers ------------------------------------------------------
 
-    def _plan(self) -> None:
+    def plan(self) -> None:
+        """Plan the coverage at the current search altitude; start it over."""
         sc = self.scenario
         _, self.path = plan_coverage(
             deck_size=sc.deck_size, deck_center=sc.deck_center,
@@ -200,7 +205,7 @@ class MissionExecutive:
         height = -c_b[2]
         if height <= 0:
             return False
-        return math.hypot(c_b[0], c_b[1]) <= self.cfg.lock_cone_ratio * height
+        return math.hypot(c_b[0], c_b[1]) <= LOCK_CONE_RATIO * height
 
     # -- main tick ----------------------------------------------------
 
@@ -227,7 +232,7 @@ class MissionExecutive:
         # clear of the platform structures
         sp = (*self.home_xy, self.search_altitude)
         if z >= self.search_altitude - 0.15:
-            self._plan()
+            self.plan()
             self._transition(MissionPhase.SEARCH, events)
         return TickCommand(phase=MissionPhase.TAKEOFF, mode="world", setpoint=sp,
                            yaw_setpoint=0.0, gains=cfg.gains["takeoff"],
@@ -236,7 +241,7 @@ class MissionExecutive:
     def _tick_search(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
         if self.path is None:
-            self._plan()
+            self.plan()
         if inp.track.locked and inp.track.position is not None and \
                 self._lock_overhead(inp.track.position):
             events.append("cargo_locked")
@@ -247,7 +252,7 @@ class MissionExecutive:
         sp = (*wp, self.search_altitude)
         dist = math.hypot(inp.estimate.position[0] - wp[0],
                           inp.estimate.position[1] - wp[1])
-        if dist < cfg.waypoint_switch_radius:
+        if dist < WAYPOINT_SWITCH_RADIUS:
             if self.wp_index + 1 < len(self.path.waypoints):
                 self.wp_index += 1
                 events.append(f"waypoint:{self.wp_index}")
@@ -255,8 +260,8 @@ class MissionExecutive:
                 # full coverage without a lock: descend and replan
                 prev_cells = len(self.path.cells)
                 self.search_altitude = max(cfg.min_search_altitude,
-                                           self.search_altitude - cfg.descent_step)
-                self._plan()
+                                           self.search_altitude - DESCENT_STEP)
+                self.plan()
                 if len(self.path.cells) < prev_cells:
                     # grid must not get coarser as we descend
                     raise RuntimeError("replanned grid lost resolution")
@@ -277,7 +282,7 @@ class MissionExecutive:
                 return TickCommand(phase=MissionPhase.ADSORB, mode="velocity",
                                    velocity=STOP,
                                    gains=cfg.gains["land"], events=tuple(events))
-            vel = (0.0, 0.0, float(-cfg.blind_descent_speed), 0.0)
+            vel = (0.0, 0.0, -BLIND_DESCENT_SPEED, 0.0)
             return TickCommand(phase=MissionPhase.LAND, mode="velocity",
                                velocity=vel, gains=cfg.gains["land"],
                                events=tuple(events))
@@ -289,7 +294,7 @@ class MissionExecutive:
             self._hold_since = None
             self._bouncing = True
         if self._bouncing:
-            clear_z = self.cargo_top + cfg.bounce_clearance
+            clear_z = self.cargo_top + BOUNCE_CLEARANCE
             if inp.estimate.position[2] >= clear_z:
                 self._bouncing = False
             else:
@@ -303,7 +308,7 @@ class MissionExecutive:
             # and give up back to the coverage pattern if it stays lost
             if self._lost_since is None:
                 self._lost_since = inp.t
-            elif inp.t - self._lost_since >= cfg.reacquire_time:
+            elif inp.t - self._lost_since >= REACQUIRE_TIME:
                 self._lost_since = None
                 self._hold_since = None
                 events.append("target_lost")
@@ -315,25 +320,25 @@ class MissionExecutive:
 
         cx, cy, cz = track.position
         height = -cz  # height above the cargo top
-        err_z = cz + cfg.pre_blind_height
+        err_z = cz + PRE_BLIND_HEIGHT
         yaw_e = yaw_error(track.yaw)
         horiz = math.hypot(cx, cy)
-        if horiz > cfg.descent_cone_ratio * height + cfg.descent_cone_slack:
+        if horiz > DESCENT_CONE_RATIO * height + DESCENT_CONE_SLACK:
             # outside the approach funnel: correct laterally at altitude
             # so a gust cannot walk the vehicle down beside the cargo
             err_z = 0.0
 
-        near_hover = height <= cfg.pre_blind_height + 0.08
+        near_hover = height <= PRE_BLIND_HEIGHT + 0.08
         if near_hover:
             # collect the pre-adhesion hover telemetry window
             self._pre_window.append(inp.rotor_speeds.copy())
             span = int(round(cfg.hover_window / self.dt))
             if len(self._pre_window) > span:
                 self._pre_window = self._pre_window[-span:]
-        if near_hover and horiz < cfg.blind_horizontal_threshold:
+        if near_hover and horiz < BLIND_HORIZONTAL_THRESHOLD:
             if self._hold_since is None:
                 self._hold_since = inp.t
-            elif inp.t - self._hold_since >= cfg.blind_hold_time:
+            elif inp.t - self._hold_since >= BLIND_HOLD_TIME:
                 # never empty: this tick's sample went in above
                 self.pre_telemetry = RotorTelemetry(
                     speeds=np.mean(self._pre_window, axis=0))
@@ -365,7 +370,7 @@ class MissionExecutive:
     def _tick_return(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
         est = inp.estimate
-        verify_z = self.cargo_top + cfg.verify_height
+        verify_z = self.cargo_top + VERIFY_HEIGHT
         above_cargo = (self.cargo_x, self.cargo_y, verify_z)
 
         if self._return_stage == "ascend":

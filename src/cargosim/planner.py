@@ -90,15 +90,6 @@ def spiral_path(m: int, n: int) -> list[tuple[int, int]]:
     return [(r - r0, c0 - c) for r, c in order]
 
 
-def to_world(cells: list[tuple[int, int]], spec: GridSpec) -> np.ndarray:
-    """Map grid cells to world xy: rotate by the deck yaw, offset by its center."""
-    psi = spec.deck_yaw
-    rot = np.array([[math.cos(psi), math.sin(psi)],
-                    [-math.sin(psi), math.cos(psi)]])
-    pts = np.asarray(cells, dtype=float)
-    return spec.cell_side * pts @ rot.T + np.asarray(spec.deck_center)
-
-
 def yaw_schedule(cells: list[tuple[int, int]]) -> list[float]:
     """Alternating 0 / pi headings widening the 16:9 footprint coverage."""
     return [0.0 if i % 2 == 0 else math.pi for i in range(len(cells))]
@@ -128,5 +119,7 @@ def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, floa
     anchor = np.asarray(deck_center) - L * rot @ off
     spec = GridSpec(rows=m, cols=n, cell_side=L,
                     deck_center=(anchor[0], anchor[1]), deck_yaw=deck_yaw)
-    waypoints = [(x, y) for x, y in to_world(cells, spec).tolist()]
+    # world xy of each cell: rotate by the deck yaw, offset by the anchor
+    pts = np.asarray(cells, dtype=float)
+    waypoints = [(x, y) for x, y in (L * pts @ rot.T + anchor).tolist()]
     return spec, CoveragePath(cells=cells, waypoints=waypoints, altitude=altitude)

@@ -134,7 +134,7 @@ class Flight:
         self.localizer = Localizer(scenario)
         self.perception = CargoPerception(scenario, dt)
         self.executive = MissionExecutive(mission, scenario, dt=dt)
-        self.command = Command(mission, dt)
+        self.command = Command(dt)
         self.recorder = Recorder(scenario, dt, keep_rows)
         self.ticks = self._ticks(mission.adsorb_success_prob, dt)
 
@@ -236,9 +236,7 @@ class Localizer:
             except NoFix:
                 pass  # no usable marker this tick
 
-        est, self.hybrid, events = hybrid_localizer.arbitrate(
-            qr_pose, uwb_pose, self.hybrid)
-        return est, events
+        return hybrid_localizer.arbitrate(qr_pose, uwb_pose, self.hybrid)
 
 
 class CargoPerception:
@@ -268,10 +266,10 @@ class Command:
     """Mode dispatch, the derivative reset on a gain switch and the PID: the
     executive's command as a saturated (vx, vy, vz, yaw_rate) body velocity."""
 
-    def __init__(self, mission: MissionConfig, dt: float):
+    def __init__(self, dt: float):
         self.dt = dt
         self.ctrl = ControllerState()
-        self.limits = VelocityLimits(vertical=mission.vertical_limit)
+        self.limits = VelocityLimits()
         self.gains = None  # the gains of the last tick
 
     def step(self, cmd: TickCommand, est: PoseEstimate,

@@ -127,6 +127,21 @@ def test_removed_platform_size_field_is_a_config_error(tmp_path, capsys):
     assert "scenario.platform_size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mission, needle", [
+    ({"search_altitude": 2.0}, "min_search_altitude"),
+    ({"bounce_clearance": 0.6}, "mission.bounce_clearance"),
+])
+def test_bad_mission_value_is_a_config_error(tmp_path, capsys, mission, needle):
+    scenario = _scenario_file(tmp_path, {"mission": mission})
+    rc = cli.main(["run", "--scenario", scenario, "--seed", "0",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert needle in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_scenario_without_a_cargo_is_a_config_error(tmp_path, capsys):
     scenario = _scenario_file(tmp_path, {"scenario": {"cargoes": []}})
     rc = cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")])

@@ -145,6 +145,32 @@ def test_time_constants_must_be_positive(tmp_path, name):
             load_config(_write(tmp_path, {"scenario": {name: value}}))
 
 
+@pytest.mark.parametrize("search_altitude", [2.0, 2.5])
+def test_search_altitude_below_the_floor_is_rejected(tmp_path, search_altitude):
+    # the first descent would climb to the 3 m floor and coarsen the grid
+    with pytest.raises(ConfigError, match="min_search_altitude") as exc:
+        load_config(_write(tmp_path, {"mission": {
+            "search_altitude": search_altitude}}))
+    assert exc.value.path == "mission"
+
+
+# mission thresholds that are module constants of cargosim.mission
+DELETED_MISSION_KEYS = [
+    "descent_step", "waypoint_switch_radius", "blind_horizontal_threshold",
+    "blind_hold_time", "pre_blind_height", "blind_descent_speed",
+    "verify_height", "lock_cone_ratio", "descent_cone_ratio",
+    "descent_cone_slack", "reacquire_time", "bounce_clearance",
+    "vertical_limit",
+]
+
+
+@pytest.mark.parametrize("name", DELETED_MISSION_KEYS)
+def test_deleted_mission_key_is_rejected(tmp_path, name):
+    with pytest.raises(ConfigError, match="unknown field") as exc:
+        load_config(_write(tmp_path, {"mission": {name: 0.5}}))
+    assert exc.value.path == f"mission.{name}"
+
+
 def _float_fields():
     """(config, field, tuple index or None) for every float field and every
     float in a tuple field of each config type, found from its fields."""

@@ -19,6 +19,13 @@ def test_gains_validation():
         PidGains(kp=-0.1, ki=0.0, kd=0.0)
 
 
+@pytest.mark.parametrize("name", ["horizontal", "vertical"])
+@pytest.mark.parametrize("value", [-0.6, 0.0, math.nan])
+def test_velocity_limits_must_be_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} limit must be > 0"):
+        VelocityLimits(**{name: value})
+
+
 def test_search_gain_example_exact():
     # pure proportional search gains: 0.5 * 0.4 = 0.2 m/s exactly
     st_ = ControllerState()
@@ -47,8 +54,8 @@ def test_integral_window_slides():
         now = k * T
         cmd, st_ = pid_step(gains, {"x": 0.01}, st_, T, now, limits=limits)
     # window holds span/T + 1 samples at most
-    assert st_.integral_sum("x") <= 0.01 * (3.0 / T + 1) + 1e-9
-    assert cmd.vx == pytest.approx(st_.integral_sum("x"))
+    assert st_.channels["x"].window_sum <= 0.01 * (3.0 / T + 1) + 1e-9
+    assert cmd.vx == pytest.approx(st_.channels["x"].window_sum)
 
 
 def test_derivative_reset_prevents_kick():
@@ -75,27 +82,27 @@ def test_antiwindup_reinforcing_error_ignored():
     st_ = ControllerState()
     # drive the raw command far past the limit
     _, st_ = pid_step(gains, {"x": 5.0}, st_, T, 0.0)
-    acc_before = st_.integral_sum("x")
+    acc_before = st_.channels["x"].window_sum
     win_before = list(st_.channels["x"].window)
     # previous raw is saturated positive and the error reinforces it:
     # the accumulator must be left byte-for-byte untouched
     _, st_ = pid_step(gains, {"x": 2.0}, st_, T, T)
-    assert st_.integral_sum("x") == acc_before
+    assert st_.channels["x"].window_sum == acc_before
     assert list(st_.channels["x"].window) == win_before
     # a counteracting error does accumulate
     _, st_ = pid_step(gains, {"x": -0.5}, st_, T, 2 * T)
-    assert st_.integral_sum("x") == pytest.approx(acc_before - 0.5)
+    assert st_.channels["x"].window_sum == pytest.approx(acc_before - 0.5)
 
 
 def test_antiwindup_negative_side():
     gains = PidGains(kp=1.0, ki=0.5, kd=0.0)
     st_ = ControllerState()
     _, st_ = pid_step(gains, {"x": -5.0}, st_, T, 0.0)
-    acc = st_.integral_sum("x")
+    acc = st_.channels["x"].window_sum
     _, st_ = pid_step(gains, {"x": -1.0}, st_, T, T)
-    assert st_.integral_sum("x") == acc
+    assert st_.channels["x"].window_sum == acc
     _, st_ = pid_step(gains, {"x": 0.5}, st_, T, 2 * T)
-    assert st_.integral_sum("x") == pytest.approx(acc + 0.5)
+    assert st_.channels["x"].window_sum == pytest.approx(acc + 0.5)
 
 
 def test_antiwindup_raw_command_is_gate_not_output():
@@ -104,7 +111,7 @@ def test_antiwindup_raw_command_is_gate_not_output():
     st_ = ControllerState()
     st_.channels["x"].prev_raw = LIMITS.horizontal
     _, st_ = pid_step(gains, {"x": 0.001}, st_, T, 0.0)
-    assert st_.integral_sum("x") == 0.0
+    assert st_.channels["x"].window_sum == 0.0
 
 
 def test_saturate_limits_fuzz(rng):
@@ -173,7 +180,7 @@ def test_running_integral_equals_window_sum(rng):
         pid_step(gains, errors, st_, T, now)
         for name in ("x", "y", "z"):
             window = st_.channels[name].window
-            assert abs(st_.integral_sum(name) - sum(e for _, e in window)) \
+            assert abs(st_.channels[name].window_sum - sum(e for _, e in window)) \
                 <= 1e-12
             n_before, prev_raw = before[name]
             limit = LIMITS.for_channel(name)

@@ -20,7 +20,7 @@ def test_uwb_only_passthrough_mean():
     st = HybridState()
     outs = []
     for k in range(30):
-        out, st, ev = arbitrate(None, _pose(1.0, "uwb"), st)
+        out, ev = arbitrate(None, _pose(1.0, "uwb"), st)
         outs.append(out)
         assert ev == []
     assert outs[-1].source == "uwb"
@@ -29,10 +29,10 @@ def test_uwb_only_passthrough_mean():
 
 def test_single_qr_epoch_does_not_switch():
     st = HybridState()
-    out, st, _ = arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
+    out, _ = arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
     assert out.source == "uwb"
     # second consecutive marker epoch clears the debounce
-    out, st, ev = arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
+    out, ev = arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
     assert out.source == "qr"
     assert ev == ["source_switch:uwb->qr"]
     assert st.switch_count == 1
@@ -41,8 +41,8 @@ def test_single_qr_epoch_does_not_switch():
 def test_fallback_is_immediate():
     st = HybridState()
     for _ in range(5):
-        _, st, _ = arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
-    out, st, ev = arbitrate(None, _pose(0.0, "uwb"), st)
+        arbitrate(_pose(0.0, "qr"), _pose(0.0, "uwb"), st)
+    out, ev = arbitrate(None, _pose(0.0, "uwb"), st)
     assert out.source == "uwb"
     assert ev == ["source_switch:qr->uwb"]
 
@@ -52,11 +52,11 @@ def test_step_response_bounded_and_monotone():
     # window: no single-epoch jump above 0.30 / 25, settled within 0.5 s
     st = HybridState()
     for k in range(25):
-        out, st, _ = arbitrate(None, _pose(0.0, "uwb"), st)
+        out, _ = arbitrate(None, _pose(0.0, "uwb"), st)
     prev = out.position[0]
     xs = []
     for k in range(25, 50):
-        out, st, _ = arbitrate(None, _pose(0.30, "uwb"), st)
+        out, _ = arbitrate(None, _pose(0.30, "uwb"), st)
         xs.append(out.position[0])
     for x in xs:
         assert x - prev <= 0.30 / 25 + 1e-12
@@ -67,8 +67,8 @@ def test_step_response_bounded_and_monotone():
 
 def test_yaw_uses_circular_mean():
     st = HybridState(window=2)
-    _, st, _ = arbitrate(None, _pose(0.0, "uwb", yaw=math.pi - 0.05), st)
-    out, st, _ = arbitrate(None, _pose(0.0, "uwb", yaw=-math.pi + 0.05), st)
+    arbitrate(None, _pose(0.0, "uwb", yaw=math.pi - 0.05), st)
+    out, _ = arbitrate(None, _pose(0.0, "uwb", yaw=-math.pi + 0.05), st)
     assert abs(abs(out.yaw) - math.pi) < 1e-9
 
 
@@ -79,7 +79,7 @@ def test_running_sums_match_direct_mean(rng):
         qr = _pose(rng.uniform(-1, 1), "qr", yaw=rng.uniform(-3, 3)) \
             if rng.random() > 0.3 else None
         uwb = _pose(rng.uniform(-1, 1), "uwb", yaw=rng.uniform(-3, 3))
-        out, st, _ = arbitrate(qr, uwb, st)
+        out, _ = arbitrate(qr, uwb, st)
         direct = list(st.estimates)
         np.testing.assert_allclose(
             out.position, np.mean([e.position for e in direct], axis=0),

@@ -53,6 +53,10 @@ def test_mission_config_validation():
         MissionConfig(attach_delta=0.0)
     with pytest.raises(ValueError):
         MissionConfig(hover_window=-1.0)
+    for floor in (0.0, -1.0, 6.5):
+        with pytest.raises(ValueError, match="min_search_altitude"):
+            MissionConfig(min_search_altitude=floor)
+    MissionConfig(min_search_altitude=6.0)  # the search altitude itself
 
 
 # --- phase sequencing ------------------------------------------------
@@ -81,7 +85,7 @@ def test_takeoff_transitions_to_search_at_altitude():
 def test_search_advances_waypoints_and_replans_lower():
     ex = _executive()
     ex.phase = MissionPhase.SEARCH
-    ex._plan()
+    ex.plan()
     assert len(ex.path.waypoints) == 1  # replica deck: single waypoint
     wp = ex.path.waypoints[0]
     cmd = ex.tick(_inputs(20.0, _est(wp[0], wp[1], 6.0)))
@@ -93,7 +97,7 @@ def test_search_at_the_floor_altitude_restarts_without_replanning():
     ex = _executive()
     ex.phase = MissionPhase.SEARCH
     ex.search_altitude = ex.cfg.min_search_altitude
-    ex._plan()
+    ex.plan()
     wp = ex.path.waypoints[0]
     for k in range(3):  # sitting on the single waypoint, tick after tick
         cmd = ex.tick(_inputs(20.0 + 0.02 * k, _est(wp[0], wp[1], 3.0)))
@@ -106,7 +110,7 @@ def test_search_at_the_floor_altitude_restarts_without_replanning():
 def test_search_locks_only_overhead():
     ex = _executive()
     ex.phase = MissionPhase.SEARCH
-    ex._plan()
+    ex.plan()
     sideways = CargoTrack(locked=True)
     sideways.position = np.array([5.0, 0.0, -4.0])  # far off nadir
     cmd = ex.tick(_inputs(20.0, _est(4.0, 0.0, 6.0), track=sideways))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cargosim.planner import (CoveragePath, GridSpec, cell_size, plan_coverage,
-                              spiral_path, to_world, yaw_schedule)
+                              spiral_path, yaw_schedule)
 
 
 def test_cell_size_wide_fov_example():
@@ -60,19 +60,26 @@ def test_spiral_validation():
         spiral_path(0, 3)
 
 
+def _waypoint_of(cell, deck_yaw):
+    # a 5 x 5 m deck with 90-degree cameras at 1 m: a 3 x 3 grid of 2 m
+    # cells centred on the deck
+    fov = math.pi / 2
+    _, path = plan_coverage(deck_size=(5.0, 5.0), deck_center=(10.0, 5.0),
+                            deck_yaw=deck_yaw, altitude_above_deck=1.0,
+                            v_fov=fov, h_fov=fov, altitude=1.0)
+    assert len(path.cells) == 9
+    return path.waypoints[path.cells.index(cell)]
+
+
 def test_to_world_identity_rotation():
-    spec = GridSpec(rows=3, cols=3, cell_side=2.0, deck_center=(10.0, 5.0),
-                    deck_yaw=0.0)
-    np.testing.assert_allclose(to_world([(1, -1)], spec), [[12.0, 3.0]])
-    np.testing.assert_allclose(to_world([(0, 0)], spec), [[10.0, 5.0]])
+    np.testing.assert_allclose(_waypoint_of((1, -1), 0.0), [12.0, 3.0])
+    np.testing.assert_allclose(_waypoint_of((0, 0), 0.0), [10.0, 5.0])
 
 
 def test_to_world_quarter_turn():
-    spec = GridSpec(rows=3, cols=3, cell_side=2.0, deck_center=(10.0, 5.0),
-                    deck_yaw=math.pi / 2)
-    np.testing.assert_allclose(to_world([(1, -1)], spec), [[8.0, 3.0]],
+    np.testing.assert_allclose(_waypoint_of((1, -1), math.pi / 2), [8.0, 3.0],
                                atol=1e-12)
-    np.testing.assert_allclose(to_world([(0, 0)], spec), [[10.0, 5.0]],
+    np.testing.assert_allclose(_waypoint_of((0, 0), math.pi / 2), [10.0, 5.0],
                                atol=1e-12)
 
 

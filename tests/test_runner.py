@@ -277,6 +277,18 @@ def test_geofence_exclusion_aborts():
     assert summary.abort_reason == "geofence"
 
 
+def test_failed_adsorption_retries_then_aborts():
+    mission = MissionConfig(adsorb_success_prob=0.0)
+    summary, records = run_mission(ScenarioConfig(), mission, seed=0)
+    events = [e for row in records for e in row[-1].split(";")]
+    assert summary.final_phase == "aborted"
+    assert summary.abort_reason == "attach_retries_exhausted"
+    assert summary.attach_success is False
+    assert events.count("adsorb_complete") == mission.max_attach_attempts == 3
+    assert events.count("attach_failed") == 3
+    assert "attach_ok" not in events
+
+
 def test_mission_still_flying_at_max_time_is_a_timeout():
     summary, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0,
                                    max_time=2.0)

@@ -64,7 +64,7 @@ def test_pose_estimates_are_float_tuples():
     _assert_floats(uwb.position, 3)
     st = HybridState()
     for source in (None, qr, qr):
-        out, st, _ = arbitrate(source, uwb, st)
+        out, _ = arbitrate(source, uwb, st)
         _assert_floats(out.position, 3)
 
 
