@@ -42,7 +42,8 @@ def _load(args) -> tuple[ScenarioConfig, MissionConfig]:
 
 def _cmd_run(args) -> int:
     scenario, mission = _load(args)
-    summary, records = run_mission(scenario, mission, seed=args.seed)
+    seed = scenario.seed if args.seed is None else args.seed
+    summary, records = run_mission(scenario, mission, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_log(records, out / "trajectory.csv")
@@ -55,7 +56,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     scenario, mission = _load(args)
-    agg = montecarlo(scenario, mission, runs=args.runs, seed_base=args.seed,
+    seed = scenario.seed if args.seed is None else args.seed
+    agg = montecarlo(scenario, mission, runs=args.runs, seed_base=seed,
                      workers=args.workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,13 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one seeded mission")
     run.add_argument("--scenario", help="scenario JSON file (defaults built in)")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int, help="default: the scenario's seed")
     run.add_argument("--out", default="out", help="output directory")
     run.set_defaults(func=_cmd_run)
 
     mc = sub.add_parser("montecarlo", help="many seeded missions, aggregated")
     mc.add_argument("--scenario")
-    mc.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
+    mc.add_argument("--seed", type=int,
+                    help="base seed, run i uses seed+i; default: the scenario's seed")
     mc.add_argument("--runs", type=int, default=100)
     mc.add_argument("--workers", type=int, default=4)
     mc.add_argument("--out", default="out")
@@ -147,8 +150,8 @@ _LOWEST = {"seed": 0, "runs": 1, "workers": 1}
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     for name, lowest in _LOWEST.items():
-        value = getattr(args, name, lowest)
-        if value < lowest:
+        value = getattr(args, name, None)
+        if value is not None and value < lowest:
             print(f"error: --{name} must be at least {lowest}, got {value}",
                   file=sys.stderr)
             return EXIT_CONFIG

@@ -17,13 +17,6 @@ from .mission import MissionConfig
 from .qr_localization import QrMarker
 from .sim_world import CargoSpec, ScenarioConfig
 
-# scenario fields whose JSON form is degrees (key gets a _deg suffix)
-_SCENARIO_DEGREE_FIELDS = (
-    "qr_h_fov", "qr_v_fov", "det_h_fov", "det_v_fov",
-    "platform_roll_amp", "platform_pitch_amp", "tilt_limit",
-    "deck_yaw", "qr_yaw_noise", "det_yaw_noise",
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; `path` names the field, dotted."""
@@ -39,16 +32,18 @@ def _field_names(cls) -> set[str]:
 
 def _parse_scenario(raw: dict) -> ScenarioConfig:
     known = _field_names(ScenarioConfig)
+    degrees = {f.name for f in dataclasses.fields(ScenarioConfig)
+               if "range" in f.metadata and f.metadata["range"].unit == "deg"}
     kwargs = {}
     for key, value in raw.items():
         name = key[:-4] if key.endswith("_deg") else key
         if name not in known:
             raise ConfigError(f"scenario.{key}", "unknown field")
         if key.endswith("_deg"):
-            if name not in _SCENARIO_DEGREE_FIELDS:
+            if name not in degrees:
                 raise ConfigError(f"scenario.{key}", "field is not an angle")
             kwargs[name] = math.radians(float(value))
-        elif name in _SCENARIO_DEGREE_FIELDS:
+        elif name in degrees:
             raise ConfigError(f"scenario.{key}",
                               f"angle fields use degrees; write {key}_deg")
         elif name == "qr_markers":

@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .frames import require_finite, rotate, wrap_angle
+from .frames import NON_NEGATIVE, POSITIVE, Ranged, rotate, wrap_angle
 
 CHANNELS = ("x", "y", "z", "yaw")
 INTEGRAL_SPAN = 3.0  # s of errors summed by the integral term
@@ -25,18 +25,13 @@ YAW_RATE_LIMIT = 0.5  # rad/s
 
 
 @dataclass(frozen=True)
-class PidGains:
+class PidGains(Ranged):
     """Per-channel gains; kp/ki/kd apply to x, y, z, kp_yaw to heading."""
 
-    kp: float
-    ki: float
-    kd: float
-    kp_yaw: float = 0.1
-
-    def __post_init__(self):
-        require_finite(self)
-        if min(self.kp, self.ki, self.kd, self.kp_yaw) < 0:
-            raise ValueError("gains must be >= 0")
+    kp: float = NON_NEGATIVE()
+    ki: float = NON_NEGATIVE()
+    kd: float = NON_NEGATIVE()
+    kp_yaw: float = NON_NEGATIVE(0.1)
 
     def channel(self, name: str) -> tuple[float, float, float]:
         if name == "yaw":
@@ -54,15 +49,10 @@ PHASE_GAINS = {
 
 
 @dataclass(frozen=True)
-class VelocityLimits:
-    horizontal: float = 0.6  # m/s
-    vertical: float = 0.3  # m/s, differs per vehicle
+class VelocityLimits(Ranged):
+    horizontal: float = POSITIVE(0.6)  # m/s
+    vertical: float = POSITIVE(0.3)  # m/s, differs per vehicle
     yaw_rate = YAW_RATE_LIMIT  # no annotation: a class constant, not a field
-
-    def __post_init__(self):
-        for name in ("horizontal", "vertical"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} limit must be > 0")
 
     def for_channel(self, name: str) -> float:
         if name in ("x", "y"):

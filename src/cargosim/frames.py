@@ -1,4 +1,4 @@
-"""Rotation algebra, the pinhole camera model and a finite-value check.
+"""Rotation algebra, the pinhole camera model and the config field ranges.
 
 Attitude convention used throughout the package: intrinsic ZYX
 (yaw-pitch-roll), body-to-world, i.e.
@@ -18,20 +18,65 @@ the world frame -- the relation the dual-label heading recovery relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-def require_finite(obj) -> None:
-    """Raise ValueError naming a NaN or infinite float (or tuple element) field."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+@dataclass(frozen=True)
+class Range:
+    """The valid values of a config field: finite numbers (ints only when
+    `integer`) between low and high, each bound open or closed.  Calling a
+    range makes the field that carries it: ``qr_focal: float = POSITIVE(0.0036)``."""
+
+    text: str  # as the error message states it
+    low: float = -math.inf
+    high: float = math.inf
+    low_open: bool = False
+    high_open: bool = False
+    integer: bool = False
+    unit: str | None = None  # "deg": an angle, JSON key <name>_deg in degrees
+
+    def __contains__(self, v) -> bool:
+        if not isinstance(v, Integral if self.integer else Real) or isinstance(v, bool):
+            return False
+        return ((self.low < v if self.low_open else self.low <= v)
+                and (v < self.high if self.high_open else v <= self.high)
+                and (self.integer or math.isfinite(v)))
+
+    def __call__(self, default=MISSING):
+        return field(default=default, metadata={"range": self})
+
+
+FINITE = Range("finite")
+POSITIVE = Range("> 0", low=0.0, low_open=True)
+NON_NEGATIVE = Range(">= 0", low=0.0)
+PROBABILITY = Range("in [0, 1]", 0.0, 1.0)
+FRACTION = Range("in (0, 1)", 0.0, 1.0, True, True)
+NATURAL = Range("an integer >= 0", low=0, integer=True)
+COUNT = Range("an integer >= 1", low=1, integer=True)
+ANGLE = replace(FINITE, unit="deg")
+SPREAD = replace(NON_NEGATIVE, unit="deg")
+TILT = Range("in [0, pi/2)", 0.0, math.pi / 2, high_open=True, unit="deg")
+FIELD_OF_VIEW = Range("in (0, pi)", 0.0, math.pi, True, True, unit="deg")
+
+
+class Ranged:
+    """Base of the config dataclasses: construction checks every field that
+    has a range in its metadata, a tuple element by element; None passes
+    only where it is the default."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, valid = getattr(self, f.name), f.metadata.get("range")
+            if valid is None or (value is None and f.default is None):
+                continue
+            for v in value if isinstance(value, tuple) else (value,):
+                if v not in valid:
+                    raise ValueError(f"{f.name} must be {valid.text}, got {v!r}")
 
 
 def wrap_angle(a: float) -> float:

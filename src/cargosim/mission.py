@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import PHASE_GAINS, PidGains, yaw_error
-from .frames import require_finite
+from .frames import COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
@@ -52,29 +52,29 @@ class MissionPhase(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MissionConfig:
+class MissionConfig(Ranged):
     """The mission values a caller may set; defaults follow the field setup."""
 
-    search_altitude: float = 6.0  # world z flown during search
-    min_search_altitude: float = 3.0  # lowest search altitude, world z
-    adsorb_settle_time: float = 8.0
-    adsorb_success_prob: float = 1.0
-    attach_delta: float = 0.05
-    hover_window: float = 2.0
-    geofence: tuple[float, float, float, float] = (-6.0, 14.0, -8.0, 8.0)
-    return_altitude: float = 6.0
+    search_altitude: float = POSITIVE(6.0)  # world z flown during search
+    min_search_altitude: float = POSITIVE(3.0)  # lowest search altitude, world z
+    adsorb_settle_time: float = POSITIVE(8.0)
+    adsorb_success_prob: float = PROBABILITY(1.0)
+    attach_delta: float = FRACTION(0.05)
+    hover_window: float = POSITIVE(2.0)
+    geofence: tuple[float, float, float, float] = FINITE((-6.0, 14.0, -8.0, 8.0))
+    return_altitude: float = POSITIVE(6.0)
     gains: dict = field(default_factory=lambda: dict(PHASE_GAINS))
-    max_attach_attempts: int = 3
+    max_attach_attempts: int = COUNT(3)
 
     def __post_init__(self):
-        require_finite(self)
-        if not (0.0 < self.attach_delta < 1.0):
-            raise ValueError("attach threshold must be in (0, 1)")
-        for name in ("adsorb_settle_time", "hover_window"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.min_search_altitude <= self.search_altitude):
-            raise ValueError("min_search_altitude must be in (0, search_altitude]")
+        super().__post_init__()
+        if self.min_search_altitude > self.search_altitude:
+            raise ValueError(f"min_search_altitude must be <= search_altitude "
+                             f"({self.search_altitude}), got {self.min_search_altitude}")
+        xmin, xmax, ymin, ymax = self.geofence
+        if not (xmin < xmax and ymin < ymax):
+            raise ValueError(f"geofence must hold xmin < xmax and ymin < ymax, "
+                             f"got {self.geofence}")
 
 
 def attachment_check(pre: RotorTelemetry, post: RotorTelemetry,

@@ -13,26 +13,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .frames import (EulerAngles, mean_rows, require_finite, rotate, rotation_rows,
-                     unproject, wrap_angle)
+from .frames import (FINITE, NATURAL, POSITIVE, EulerAngles, Ranged, mean_rows, rotate,
+                     rotation_rows, unproject, wrap_angle)
 
 
 @dataclass(frozen=True)
-class QrMarker:
+class QrMarker(Ranged):
     """A square marker on the platform panel.
 
     panel_xy is the marker center in the panel frame (aligned with the
     platform frame); diagonal is the physical diagonal length in meters.
     """
 
-    label: int
-    diagonal: float
-    panel_xy: tuple[float, float]
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.diagonal <= 0:
-            raise ValueError(f"marker diagonal must be > 0, got {self.diagonal}")
+    label: int = NATURAL()
+    diagonal: float = POSITIVE()
+    panel_xy: tuple[float, float] = FINITE()
 
 
 @dataclass(frozen=True)

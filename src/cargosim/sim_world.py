@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import EulerAngles, project, require_finite, rotate, rotate_t, wrap_angle
+from .frames import (ANGLE, FIELD_OF_VIEW, FINITE, NATURAL, NON_NEGATIVE, POSITIVE,
+                     PROBABILITY, SPREAD, TILT, EulerAngles, Ranged, project, rotate,
+                     rotate_t, wrap_angle)
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
 from .uwb_localization import AnchorSet
@@ -25,18 +27,13 @@ GRAVITY = 9.81
 
 
 @dataclass(frozen=True)
-class CargoSpec:
+class CargoSpec(Ranged):
     """A transportable box on the target deck."""
 
-    position: tuple[float, float, float]  # world, top-face center
-    mass: float
-    top_diagonal: float
-    yaw: float = 0.0
-
-    def __post_init__(self):
-        require_finite(self)
-        if self.mass <= 0 or self.top_diagonal <= 0:
-            raise ValueError("cargo mass and diagonal must be > 0")
+    position: tuple[float, float, float] = FINITE()  # world, top-face center
+    mass: float = POSITIVE()
+    top_diagonal: float = POSITIVE()
+    yaw: float = ANGLE(0.0)
 
 
 def _default_anchors() -> np.ndarray:
@@ -58,84 +55,77 @@ def _default_markers() -> list[QrMarker]:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Ranged):
     """World geometry, noise levels and vehicle parameters for one run.
 
     Angles are radians here; the JSON schema uses degrees and is
     converted on load.  Defaults replicate the competition setup.
     """
 
-    seed: int = 0
+    seed: int = NATURAL(0)
     # localization infrastructure (platform frame)
     anchors: np.ndarray = field(default_factory=_default_anchors)
-    label_baseline: float = 0.4
+    label_baseline: float = POSITIVE(0.4)
     qr_markers: list[QrMarker] = field(default_factory=_default_markers)
     # cameras
-    qr_focal: float = 0.0036
-    qr_h_fov: float = math.radians(81.0)
-    qr_v_fov: float = math.radians(53.0)
-    qr_max_height: float = 5.0
+    qr_focal: float = POSITIVE(0.0036)
+    qr_h_fov: float = FIELD_OF_VIEW(math.radians(81.0))
+    qr_v_fov: float = FIELD_OF_VIEW(math.radians(53.0))
+    qr_max_height: float = POSITIVE(5.0)
     # calibrated so median fix error per 1 m height band reproduces the
     # field measurements (about 2 cm at 1 m up to 32 cm at 5 m)
-    qr_image_noise: float = 3e-5  # image-plane units, quantization stand-in
-    qr_yaw_noise: float = 0.01
-    qr_dropout: float = 0.05
-    det_focal: float = 0.0027
-    det_h_fov: float = math.radians(106.0)
-    det_v_fov: float = math.radians(73.0)
-    det_min_height: float = 0.09  # cargo fills the view below this
-    det_pos_noise: float = 0.01  # m, applied at the cargo plane
-    det_yaw_noise: float = 0.01
-    det_dropout: float = 0.05
-    det_conf_base: float = 0.75
-    det_conf_jitter: float = 0.15
+    qr_image_noise: float = NON_NEGATIVE(3e-5)  # image-plane units, quantization stand-in
+    qr_yaw_noise: float = SPREAD(0.01)
+    qr_dropout: float = PROBABILITY(0.05)
+    det_focal: float = POSITIVE(0.0027)
+    det_h_fov: float = FIELD_OF_VIEW(math.radians(106.0))
+    det_v_fov: float = FIELD_OF_VIEW(math.radians(73.0))
+    det_min_height: float = NON_NEGATIVE(0.09)  # cargo fills the view below this
+    det_pos_noise: float = NON_NEGATIVE(0.01)  # m, applied at the cargo plane
+    det_yaw_noise: float = SPREAD(0.01)
+    det_dropout: float = PROBABILITY(0.05)
+    det_conf_base: float = PROBABILITY(0.75)
+    det_conf_jitter: float = NON_NEGATIVE(0.15)
     # world geometry
-    uav_start: tuple[float, float, float] = (1.0, 2.0, 0.0)
-    deck_center: tuple[float, float] = (8.0, 0.0)
-    deck_yaw: float = 0.0
-    deck_size: tuple[float, float] = (4.0, 4.0)
-    deck_height: float = 1.0
+    uav_start: tuple[float, float, float] = FINITE((1.0, 2.0, 0.0))
+    deck_center: tuple[float, float] = FINITE((8.0, 0.0))
+    deck_yaw: float = ANGLE(0.0)
+    deck_size: tuple[float, float] = POSITIVE((4.0, 4.0))
+    deck_height: float = FINITE(1.0)
     cargoes: tuple[CargoSpec, ...] = (
         CargoSpec(position=(8.0, 0.0, 1.10), mass=0.89, top_diagonal=0.372),
     )
     # platform oscillation
-    platform_roll_amp: float = math.radians(8.0)
-    platform_pitch_amp: float = math.radians(10.0)
-    platform_roll_period: float = 6.0
-    platform_pitch_period: float = 5.0
-    platform_roll_phase: float = 0.0
-    platform_pitch_phase: float = 1.1
-    platform_yaw_walk: float = 0.0  # rad/sqrt(s)
+    platform_roll_amp: float = TILT(math.radians(8.0))
+    platform_pitch_amp: float = TILT(math.radians(10.0))
+    platform_roll_period: float = POSITIVE(6.0)
+    platform_pitch_period: float = POSITIVE(5.0)
+    platform_roll_phase: float = FINITE(0.0)
+    platform_pitch_phase: float = FINITE(1.1)
+    platform_yaw_walk: float = NON_NEGATIVE(0.0)  # rad/sqrt(s)
     # wind (Ornstein-Uhlenbeck gust velocity); defaults peak near 12 m/s
-    wind_mean: tuple[float, float] = (5.0, 2.0)  # m/s, world xy
-    wind_sigma: float = 2.0
-    wind_tau: float = 2.0
-    drag_coeff: float = 0.24  # gust velocity -> disturbance acceleration
+    wind_mean: tuple[float, float] = FINITE((5.0, 2.0))  # m/s, world xy
+    wind_sigma: float = NON_NEGATIVE(2.0)
+    wind_tau: float = POSITIVE(2.0)
+    drag_coeff: float = NON_NEGATIVE(0.24)  # gust velocity -> disturbance acceleration
     # the autopilot's inner velocity loop estimates and cancels slow wind
     # (it carries its own integrator); only gusts faster than this time
     # constant leak through as disturbance
-    trim_tau: float = 1.0
+    trim_tau: float = POSITIVE(1.0)
     # vehicle
-    uav_mass: float = 7.9
-    vel_time_constant: float = 0.3
-    tilt_limit: float = math.radians(15.0)
-    rotor_noise: float = 0.02  # rad/s on each rotor speed sample
+    uav_mass: float = POSITIVE(7.9)
+    vel_time_constant: float = POSITIVE(0.3)
+    tilt_limit: float = TILT(math.radians(15.0))
+    rotor_noise: float = NON_NEGATIVE(0.02)  # rad/s on each rotor speed sample
     # ranging noise
-    sigma_uwb: float = 0.10
-    occlusion_center: tuple[float, float, float] | None = None
-    occlusion_radius: float = 0.0
-    occlusion_factor: float = 5.0
+    sigma_uwb: float = NON_NEGATIVE(0.10)
+    occlusion_center: tuple[float, float, float] | None = FINITE(None)
+    occlusion_radius: float = NON_NEGATIVE(0.0)
+    occlusion_factor: float = NON_NEGATIVE(5.0)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "anchors", AnchorSet(self.anchors).positions)
-        for name in ("label_baseline", "platform_roll_period", "platform_pitch_period",
-                     "wind_tau", "trim_tau", "vel_time_constant", "uav_mass"):
-            if not getattr(self, name) > 0:  # NaN too
-                raise ValueError(f"{name} must be > 0")
-        require_finite(self)  # after the loop, which reports a NaN as not > 0
-        for fov in (self.qr_h_fov, self.qr_v_fov, self.det_h_fov, self.det_v_fov):
-            if not (0 < fov < math.pi):
-                raise ValueError("fields of view must be in (0, 180) degrees")
         # the detector sees every cargo, but contact, adsorption, the
         # executive and the landing error know only cargoes[0]
         if len(self.cargoes) != 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import mean_rows, rotate, wrap_angle
+from .frames import POSITIVE, Ranged, mean_rows, rotate, wrap_angle
 from .qr_localization import PoseEstimate
 
 # The state lives in the platform-fixed frame, which rotates with the
@@ -58,15 +58,11 @@ class AnchorSet:
 
 
 @dataclass(frozen=True)
-class EkfParams:
+class EkfParams(Ranged):
     """Filter settings: range noise and sample period."""
 
-    sigma_range: float = 0.10  # m
-    period: float = 0.02  # s
-
-    def __post_init__(self):
-        if self.sigma_range <= 0 or self.period <= 0:
-            raise ValueError("EKF parameters must be positive")
+    sigma_range: float = POSITIVE(0.10)  # m
+    period: float = POSITIVE(0.02)  # s
 
 
 @dataclass(frozen=True)

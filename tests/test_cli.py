@@ -142,6 +142,57 @@ def test_bad_mission_value_is_a_config_error(tmp_path, capsys, mission, needle):
     assert "Traceback" not in captured.out + captured.err
 
 
+OUT_OF_RANGE = [
+    ("scenario", "qr_focal", -0.0036, "qr_focal must be > 0, got -0.0036"),
+    ("scenario", "det_focal", -0.0027, "det_focal must be > 0, got -0.0027"),
+    ("scenario", "qr_dropout", 2.0, "qr_dropout must be in [0, 1], got 2.0"),
+    ("scenario", "det_dropout", -0.5, "det_dropout must be in [0, 1], got -0.5"),
+    ("scenario", "sigma_uwb", -0.1, "sigma_uwb must be >= 0, got -0.1"),
+    ("scenario", "occlusion_radius", -1.0, "occlusion_radius must be >= 0, got -1.0"),
+    ("scenario", "seed", -1, "seed must be an integer >= 0, got -1"),
+    ("mission", "max_attach_attempts", 0,
+     "max_attach_attempts must be an integer >= 1, got 0"),
+    ("mission", "adsorb_success_prob", 2.0, "adsorb_success_prob must be in [0, 1], got 2.0"),
+    ("mission", "return_altitude", -1.0, "return_altitude must be > 0, got -1.0"),
+    ("mission", "geofence", [14, -6, -8, 8], "geofence must hold xmin < xmax "
+     "and ymin < ymax, got (14.0, -6.0, -8.0, 8.0)"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", OUT_OF_RANGE,
+                         ids=[f"{section}.{key}" for section, key, *_ in OUT_OF_RANGE])
+def test_out_of_range_value_is_a_config_error(tmp_path, capsys, section, key, value,
+                                              message):
+    scenario = _scenario_file(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    rc = cli.main(["run", "--scenario", scenario, "--seed", "0", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG == 64
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {section}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    (["run"], [5]),
+    (["run", "--seed", "2"], [2]),
+    (["montecarlo", "--runs", "2", "--workers", "1"], [5, 6]),
+    (["montecarlo", "--runs", "2", "--workers", "1", "--seed", "2"], [2, 3]),
+])
+def test_seed_defaults_to_the_scenario_seed(tmp_path, capsys, argv, seeds):
+    # the fence excludes the pad, so each mission aborts at once
+    scenario = _scenario_file(tmp_path, {"scenario": {"seed": 5},
+                                         "mission": {"geofence": [0, 2, 1, 3]}})
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--scenario", scenario, "--out", str(out)])
+    assert rc == cli.EXIT_ABORTED
+    if argv[0] == "run":
+        flown = [json.loads((out / "summary.json").read_text())["seed"]]
+    else:
+        agg = json.loads((out / "montecarlo.json").read_text())
+        flown = [s["seed"] for s in agg["summaries"]]
+    assert flown == seeds
+
+
 def test_scenario_without_a_cargo_is_a_config_error(tmp_path, capsys):
     scenario = _scenario_file(tmp_path, {"scenario": {"cargoes": []}})
     rc = cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")])

@@ -2,16 +2,19 @@ import ast
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import cargosim
 from cargosim.config import ConfigError, load_config
-from cargosim.control import PidGains
+from cargosim.control import PidGains, VelocityLimits
 from cargosim.mission import MissionConfig
 from cargosim.qr_localization import QrMarker
 from cargosim.sim_world import CargoSpec, ScenarioConfig
+from cargosim.uwb_localization import EkfParams
 
 
 def _write(tmp_path, payload):
@@ -171,32 +174,113 @@ def test_deleted_mission_key_is_rejected(tmp_path, name):
     assert exc.value.path == f"mission.{name}"
 
 
-def _float_fields():
-    """(config, field, tuple index or None) for every float field and every
-    float in a tuple field of each config type, found from its fields."""
-    configs = [ScenarioConfig(occlusion_center=(8.0, 0.0, 1.5)), MissionConfig(),
-               CargoSpec(position=(8.0, 0.0, 1.1), mass=0.9, top_diagonal=0.4),
-               QrMarker(label=1, diagonal=0.3, panel_xy=(1.0, 2.0)),
-               PidGains(kp=0.5, ki=0.1, kd=0.2)]
-    for config in configs:
+# one valid instance of each config type, with the optional occlusion
+# centre set so that its elements are checked too
+CONFIGS = [ScenarioConfig(occlusion_center=(8.0, 0.0, 1.5)), MissionConfig(),
+           CargoSpec(position=(8.0, 0.0, 1.1), mass=0.9, top_diagonal=0.4),
+           QrMarker(label=1, diagonal=0.3, panel_xy=(1.0, 2.0)),
+           PidGains(kp=0.5, ki=0.1, kd=0.2), VelocityLimits(), EkfParams()]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) or (
+        isinstance(value, tuple) and value != ()
+        and all(isinstance(v, (int, float)) for v in value))
+
+
+def test_every_number_of_a_config_has_a_range():
+    # a new numeric field is covered by the tests below once it has a range
+    missing = [f"{type(config).__name__}.{f.name}" for config in CONFIGS
+               for f in dataclasses.fields(config)
+               if _is_number(getattr(config, f.name)) and "range" not in f.metadata]
+    assert missing == []
+
+
+def _ranged_numbers():
+    """(config, field, tuple index or None, range) for every number, or
+    number in a tuple field, that carries a range in its field metadata."""
+    for config in CONFIGS:
         for f in dataclasses.fields(config):
-            value = getattr(config, f.name)
-            if isinstance(value, float):
-                yield pytest.param(config, f.name, None,
-                                   id=f"{type(config).__name__}.{f.name}")
-            elif isinstance(value, tuple):
-                yield from (pytest.param(config, f.name, k,
-                                         id=f"{type(config).__name__}.{f.name}[{k}]")
-                            for k, v in enumerate(value) if isinstance(v, float))
+            if "range" not in f.metadata:
+                continue
+            value, valid = getattr(config, f.name), f.metadata["range"]
+            name = f"{type(config).__name__}.{f.name}"
+            if isinstance(value, tuple):
+                yield from (pytest.param(config, f.name, k, valid, id=f"{name}[{k}]")
+                            for k in range(len(value)))
+            else:
+                yield pytest.param(config, f.name, None, valid, id=name)
 
 
-@pytest.mark.parametrize("config, name, index", _float_fields())
-def test_non_finite_config_value_names_its_field(config, name, index):
+def _replaced(config, name, index, v):
     old = getattr(config, name)
+    value = v if index is None else (*old[:index], v, *old[index + 1:])
+    return dataclasses.replace(config, **{name: value})
+
+
+def _error(name, valid, value=None):
+    got = "" if value is None else re.escape(repr(value)) + "$"
+    return f"^{name} must be {re.escape(valid.text)}, got {got}"
+
+
+@pytest.mark.parametrize("config, name, index, valid", _ranged_numbers())
+def test_non_finite_config_value_names_its_field(config, name, index, valid):
     for bad in (math.nan, math.inf, -math.inf):
-        value = bad if index is None else (*old[:index], bad, *old[index + 1:])
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            dataclasses.replace(config, **{name: value})
+        with pytest.raises(ValueError, match=_error(name, valid)):
+            _replaced(config, name, index, bad)
+
+
+def _past_each_bound():
+    """The first value outside each finite bound of every range."""
+    for param in _ranged_numbers():
+        valid = param.values[-1]
+        for side, bound, is_open, step in (("low", valid.low, valid.low_open, -1),
+                                           ("high", valid.high, valid.high_open, 1)):
+            if not math.isfinite(bound):
+                continue
+            if is_open:
+                value = bound
+            elif valid.integer:
+                value = bound + step
+            else:
+                value = math.nextafter(bound, step * math.inf)
+            yield pytest.param(*param.values, value, id=f"{param.id}-{side}")
+
+
+@pytest.mark.parametrize("config, name, index, valid, value", _past_each_bound())
+def test_value_past_a_bound_names_its_field_and_range(config, name, index, valid,
+                                                      value):
+    with pytest.raises(ValueError, match=_error(name, valid, value)):
+        _replaced(config, name, index, value)
+
+
+def _in_range(valid):
+    if valid.integer:
+        return st.integers(min_value=valid.low)
+    finite = {key: bound for key, bound in (("min_value", valid.low),
+                                            ("max_value", valid.high))
+              if math.isfinite(bound)}
+    return st.floats(**finite, exclude_min=valid.low_open, exclude_max=valid.high_open,
+                     allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_in_range_values_build_every_config(config, data):
+    kwargs = {}
+    for f in dataclasses.fields(config):
+        if "range" in f.metadata:
+            value, number = getattr(config, f.name), _in_range(f.metadata["range"])
+            kwargs[f.name] = (tuple(data.draw(number) for _ in value)
+                              if isinstance(value, tuple) else data.draw(number))
+    if isinstance(config, MissionConfig):  # its two cross-field rules
+        kwargs["min_search_altitude"], kwargs["search_altitude"] = sorted(
+            (kwargs["min_search_altitude"], kwargs["search_altitude"]))
+        xmin, xmax, ymin, ymax = kwargs["geofence"]
+        assume(xmin != xmax and ymin != ymax)
+        kwargs["geofence"] = (*sorted((xmin, xmax)), *sorted((ymin, ymax)))
+    dataclasses.replace(config, **kwargs)
 
 
 def _attributes_read_outside(class_name: str) -> set[str]:

@@ -22,7 +22,7 @@ def test_gains_validation():
 @pytest.mark.parametrize("name", ["horizontal", "vertical"])
 @pytest.mark.parametrize("value", [-0.6, 0.0, math.nan])
 def test_velocity_limits_must_be_positive(name, value):
-    with pytest.raises(ValueError, match=f"{name} limit must be > 0"):
+    with pytest.raises(ValueError, match=f"^{name} must be > 0, got "):
         VelocityLimits(**{name: value})
 
 

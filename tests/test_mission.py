@@ -57,6 +57,9 @@ def test_mission_config_validation():
         with pytest.raises(ValueError, match="min_search_altitude"):
             MissionConfig(min_search_altitude=floor)
     MissionConfig(min_search_altitude=6.0)  # the search altitude itself
+    for fence in ((14.0, -6.0, -8.0, 8.0), (-6.0, 14.0, 8.0, 8.0)):
+        with pytest.raises(ValueError, match="^geofence must hold xmin < xmax"):
+            MissionConfig(geofence=fence)
 
 
 # --- phase sequencing ------------------------------------------------
