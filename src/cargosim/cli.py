@@ -7,10 +7,10 @@ Subcommands:
   plan        emit the coverage waypoints for a scenario as CSV
 
 Exit codes: 0 mission completed (or command succeeded), 2 mission
-aborted, 64 configuration error or an option out of range (such as a
+aborted (a fault inside a mission tick, such as a non-finite estimate,
+aborts it), 64 configuration error or an option out of range (such as a
 negative --seed), 65 unreadable or malformed trajectory log (metrics),
-70 fault while running (any other invalid value, such as a non-finite
-estimate inside a mission).
+70 fault while running outside a mission tick (any other invalid value).
 """
 
 from __future__ import annotations

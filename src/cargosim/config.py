@@ -8,11 +8,12 @@ offending field so the command line can point at it directly.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 
-from .control import PidGains
+from .control import PHASE_GAINS, PidGains
 from .mission import MissionConfig
 from .qr_localization import QrMarker
 from .sim_world import CargoSpec, ScenarioConfig
@@ -30,6 +31,29 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+@contextlib.contextmanager
+def _field(path: str):
+    """Report a missing key or a bad value inside as a ConfigError at `path`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(path, f"missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+_VECTORS = {"deck_center": 2, "deck_size": 2, "uav_start": 3, "wind_mean": 2,
+            "occlusion_center": 3}  # the scenario's vectors and their lengths
+
+
+def _numbers(value, n: int, what: str = "") -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"expected {what or f'a list of {n} numbers'}, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _parse_scenario(raw: dict) -> ScenarioConfig:
     known = _field_names(ScenarioConfig)
     degrees = {f.name for f in dataclasses.fields(ScenarioConfig)
@@ -39,51 +63,58 @@ def _parse_scenario(raw: dict) -> ScenarioConfig:
         name = key[:-4] if key.endswith("_deg") else key
         if name not in known:
             raise ConfigError(f"scenario.{key}", "unknown field")
-        if key.endswith("_deg"):
-            if name not in degrees:
-                raise ConfigError(f"scenario.{key}", "field is not an angle")
-            kwargs[name] = math.radians(float(value))
-        elif name in degrees:
+        if key.endswith("_deg") and name not in degrees:
+            raise ConfigError(f"scenario.{key}", "field is not an angle")
+        if name in degrees and not key.endswith("_deg"):
             raise ConfigError(f"scenario.{key}",
                               f"angle fields use degrees; write {key}_deg")
-        elif name == "qr_markers":
-            kwargs[name] = [_parse_marker(m, f"scenario.qr_markers[{i}]")
-                            for i, m in enumerate(value)]
-        elif name == "cargoes":
-            kwargs[name] = tuple(_parse_cargo(c, f"scenario.cargoes[{i}]")
-                                 for i, c in enumerate(value))
-        elif name in ("deck_center", "deck_size", "uav_start", "wind_mean"):
-            kwargs[name] = tuple(float(v) for v in value)
-        elif name == "occlusion_center":
-            kwargs[name] = None if value is None else tuple(float(v) for v in value)
-        else:
-            kwargs[name] = value
-    try:
+        with _field(f"scenario.{key}"):
+            if name in degrees:
+                value = math.radians(float(value))
+            elif name == "qr_markers":
+                value = [_parse_marker(m, f"scenario.qr_markers[{i}]")
+                         for i, m in enumerate(value)]
+            elif name == "cargoes":
+                value = tuple(_parse_cargo(c, f"scenario.cargoes[{i}]")
+                              for i, c in enumerate(value))
+            elif name in _VECTORS and value is not None:
+                value = _numbers(value, _VECTORS[name])
+        kwargs[name] = value
+    with _field("scenario"):
         return ScenarioConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("scenario", str(exc)) from exc
 
 
 def _parse_marker(raw: dict, path: str) -> QrMarker:
-    try:
+    with _field(path):
         return QrMarker(label=int(raw["label"]), diagonal=float(raw["diagonal"]),
                         panel_xy=tuple(float(v) for v in raw["panel_xy"]))
-    except KeyError as exc:
-        raise ConfigError(path, f"missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
 def _parse_cargo(raw: dict, path: str) -> CargoSpec:
-    try:
-        return CargoSpec(position=tuple(float(v) for v in raw["position"]),
+    for key in raw if isinstance(raw, dict) else ():
+        if key not in ("position", "mass", "top_diagonal", "yaw_deg"):
+            raise ConfigError(f"{path}.{key}", "unknown field" + (
+                "; angle fields use degrees, write yaw_deg" if key == "yaw" else ""))
+    with _field(path):
+        return CargoSpec(position=_numbers(raw["position"], 3),
                          mass=float(raw["mass"]),
                          top_diagonal=float(raw["top_diagonal"]),
                          yaw=math.radians(float(raw.get("yaw_deg", 0.0))))
-    except KeyError as exc:
-        raise ConfigError(path, f"missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+
+
+def _parse_gains(raw) -> dict:
+    """The default phase gains, with those of `raw` in their place."""
+    if not isinstance(raw, dict):
+        raise ConfigError("mission.gains", f"expected an object, got {raw!r}")
+    gains = dict(PHASE_GAINS)
+    for phase, g in raw.items():
+        path = f"mission.gains.{phase}"
+        if phase not in PHASE_GAINS or not isinstance(g, dict):
+            raise ConfigError(path, f"expected an object of gains for one of "
+                              f"{', '.join(PHASE_GAINS)}, got {g!r}")
+        with _field(path):
+            gains[phase] = PidGains(**{k: float(v) for k, v in g.items()})
+    return gains
 
 
 def _parse_mission(raw: dict) -> MissionConfig:
@@ -92,27 +123,14 @@ def _parse_mission(raw: dict) -> MissionConfig:
     for key, value in raw.items():
         if key not in known:
             raise ConfigError(f"mission.{key}", "unknown field")
-        if key == "geofence":
-            if len(value) != 4:
-                raise ConfigError("mission.geofence",
-                                  "expected [xmin, xmax, ymin, ymax]")
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key == "gains":
-            gains = {}
-            for phase, g in value.items():
-                try:
-                    gains[phase] = PidGains(**{k: float(v) for k, v in g.items()})
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"mission.gains.{phase}", str(exc)) from exc
-            base = MissionConfig().gains
-            base.update(gains)
-            kwargs[key] = base
-        else:
-            kwargs[key] = value
-    try:
+        with _field(f"mission.{key}"):
+            if key == "geofence":
+                value = _numbers(value, 4, "[xmin, xmax, ymin, ymax]")
+            elif key == "gains":
+                value = _parse_gains(value)
+        kwargs[key] = value
+    with _field("mission"):
         return MissionConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("mission", str(exc)) from exc
 
 
 def load_config(path) -> tuple[ScenarioConfig, MissionConfig]:

@@ -187,6 +187,11 @@ class MissionExecutive:
         events.append(f"phase:{self.phase.value}->{phase.value}")
         self.phase = phase
 
+    def abort(self, reason: str, events: list[str]) -> None:
+        """End the mission aborted, for `reason`."""
+        self.abort_reason = reason
+        self._transition(MissionPhase.ABORTED, events)
+
     def _enter_land(self, events: list[str]) -> None:
         self._hold_since = None
         self._blind = False
@@ -216,8 +221,7 @@ class MissionExecutive:
 
         ended = (MissionPhase.DONE, MissionPhase.ABORTED)
         if self.phase not in ended and not self._geofence_ok(est):
-            self.abort_reason = "geofence"
-            self._transition(MissionPhase.ABORTED, events)
+            self.abort("geofence", events)
         if self.phase in ended:
             return TickCommand(phase=self.phase, mode="velocity",
                                velocity=STOP, gains=cfg.gains["search"],
@@ -391,8 +395,7 @@ class MissionExecutive:
                 if self.pre_telemetry is None:
                     # the landing never filled its hover window, so there is
                     # no effort to compare the post-adhesion hover against
-                    self.abort_reason = "no_pre_hover_window"
-                    self._transition(MissionPhase.ABORTED, events)
+                    self.abort("no_pre_hover_window", events)
                 elif attachment_check(self.pre_telemetry, post_telemetry,
                                       cfg.attach_delta):
                     self.attach_success = True
@@ -402,8 +405,7 @@ class MissionExecutive:
                     self.attach_success = False
                     events.append("attach_failed")
                     if self.attach_attempts >= cfg.max_attach_attempts:
-                        self.abort_reason = "attach_retries_exhausted"
-                        self._transition(MissionPhase.ABORTED, events)
+                        self.abort("attach_retries_exhausted", events)
                     else:
                         self._pre_window = []
                         self._enter_land(events)

@@ -1,17 +1,16 @@
 """Closed-loop mission execution, logging, metrics and Monte-Carlo fan-out.
 
-One 50 Hz tick of a mission reads the world's sensors and runs a
-pipeline of stages, each a small stateful object with one ``step``:
-:class:`LabelFilters` (the label range EKFs), :class:`Localizer` (the rest
-of the anchor-based localization), :class:`CargoPerception` (the cargo
-track), the mission executive, :class:`Command` (mode dispatch and the
-PID) and :class:`Recorder` (the log rows and the run summary).  Ground
-contact is world physics and lives in :mod:`sim_world`.
+One 50 Hz tick of a mission (:meth:`Flight.tick`) reads the world's
+sensors and runs a pipeline of stages, each a small stateful object with
+one ``step``: :class:`LabelFilters` (the two label range EKFs, one float
+kernel per label), :class:`Localizer` (the rest of the anchor-based
+localization), :class:`CargoPerception` (the cargo track), the mission
+executive, :class:`Command` (mode dispatch and the PID) and
+:class:`Recorder` (the log rows and the run summary).  Ground contact is
+world physics and lives in :mod:`sim_world`.
 
-:func:`fly_group` flies several seeds in lockstep, each a :class:`Flight`
-with its own world and stages, while :class:`LabelFilters` keeps the
-filters of all of them in one batch; :func:`run_mission` flies a group of
-one, and :func:`montecarlo` one group per worker.
+A flight shares nothing with another: :func:`run_mission` flies one, and
+:func:`montecarlo` flies a block of seeds one after another per worker.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import csv
 import dataclasses
 import io
 import math
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -29,8 +27,8 @@ import numpy as np
 from . import control, hybrid_localizer, uwb_localization
 from .control import ControllerState, VelocityLimits, pid_step, saturate
 from .frames import rotate, rotation_rows, wrap_angle
-from .mission import (MissionConfig, MissionExecutive, MissionPhase, TickCommand,
-                      TickInputs)
+from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
+                      TickCommand, TickInputs)
 from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
                          wavegate_select)
 from .qr_localization import NoFix, PoseEstimate, estimate_pose
@@ -44,6 +42,8 @@ LOG_COLUMNS = [
     "cmd_vx", "cmd_vy", "cmd_vz", "cmd_yaw_rate", "rotor_sum_sq", "events",
 ]
 NAN3 = (float("nan"),) * 3  # the cargo columns of a tick without a track
+MAX_TIME = 600.0  # s a mission may fly
+DT = 0.02  # s, the 50 Hz tick
 
 
 @dataclass
@@ -65,102 +65,70 @@ class RunSummary:
 
 
 def run_mission(scenario: ScenarioConfig, mission: MissionConfig,
-                seed: int | None = None, max_time: float = 600.0,
-                dt: float = 0.02) -> tuple[RunSummary, list[list]]:
+                seed: int | None = None, max_time: float = MAX_TIME,
+                dt: float = DT) -> tuple[RunSummary, list[list]]:
     """Execute one full mission; returns (summary, trajectory records)."""
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    (flight,) = fly_group(scenario, mission, [scenario.seed], max_time, dt,
-                          keep_rows=True)
+    flight = Flight(scenario, mission, dt, keep_rows=True)
+    flight.fly(max_time)
     return flight.summary(), flight.recorder.records
 
 
-def fly_group(scenario: ScenarioConfig, mission: MissionConfig,
-              seeds: Sequence[int], max_time: float = 600.0, dt: float = 0.02,
-              keep_rows: bool = False) -> list[Flight]:
-    """Fly one mission per seed in lockstep; returns the flights in order.
-
-    Each flight owns its world, whose one random generator draws noise
-    in the order of its tick: ``sense_uwb``, ``sense_qr``, ``sense_cargo``,
-    the adsorption draw of ``attach_cargo``, then ``step``.  Any other
-    order flies other missions.  The label filters of every flight still
-    flying are one stacked batch with one predict and one update per
-    tick, between the flights' sensing and the rest of their ticks (see
-    :class:`Flight`); a flight leaves the batch on the tick it ends.
-    Each label's arithmetic is its own, so a seed flies the same mission
-    in any group.
-    """
-    flights = [Flight(replace(scenario, seed=s), mission, dt, keep_rows)
-               for s in seeds]
-    labels = LabelFilters(scenario, dt)
-    flying = flights
-    inputs = [next(f.ticks) for f in flying]
-    for _ in range(int(round(max_time / dt))):
-        own_labels = labels.step(inputs)
-        inputs, kept = [], []
-        for f, own in zip(flying, own_labels):
-            try:
-                inputs.append(f.ticks.send(own))
-                kept.append(True)
-            except StopIteration:  # the mission ended on this tick
-                kept.append(False)
-        if not all(kept):
-            labels.keep(kept)
-            flying = [f for f, k in zip(flying, kept) if k]
-            if not flying:
-                break
-    for f in flying:  # still flying at max_time: free the tick's frame,
-        f.ticks.close()  # which refers back to its flight
-    return flights
-
-
 class Flight:
-    """One seeded mission: its world and its per-flight stages.
-
-    :attr:`ticks` runs the mission's ticks as a generator, split at the
-    group's label-filter step: each tick reads the IMU, the ranges and
-    the markers, yields the filters' inputs (acceleration, body-to-world
-    and world-to-anchor rotations, ranges), receives its two label
-    positions and runs the rest of the pipeline: :class:`Localizer`,
-    :class:`CargoPerception`, the executive, :class:`Command`, the world's
-    step and :class:`Recorder`.  It returns when the mission ends.
+    """One seeded mission: its world and its stages.  The world's one
+    random generator draws noise in the order of :meth:`tick`:
+    ``sense_uwb``, ``sense_qr``, ``sense_cargo``, the adsorption draw of
+    ``attach_cargo``, then ``step``.  Any other order flies other missions.
     """
 
     def __init__(self, scenario: ScenarioConfig, mission: MissionConfig,
                  dt: float, keep_rows: bool):
         self.seed = scenario.seed
+        self.dt = dt
+        self.adsorb_prob = mission.adsorb_success_prob
         self.world = SimWorld(scenario)
         self.state = self.world.initial_state()
+        self.labels = LabelFilters(scenario, dt)
         self.localizer = Localizer(scenario)
         self.perception = CargoPerception(scenario, dt)
         self.executive = MissionExecutive(mission, scenario, dt=dt)
         self.command = Command(dt)
         self.recorder = Recorder(scenario, dt, keep_rows)
-        self.ticks = self._ticks(mission.adsorb_success_prob, dt)
 
-    def _ticks(self, adsorb_prob: float, dt: float):
-        world, state, localizer = self.world, self.state, self.localizer
-        perception, executive = self.perception, self.executive
-        command, recorder = self.command, self.recorder
-        while True:
-            a_body, roll, pitch = world.sense_imu(state)
-            ranges = world.sense_uwb(state)
-            obs = world.sense_qr(state)
-            labels = yield (a_body, rotation_rows(roll, pitch, localizer.yaw),
-                            tuple(zip(*state.platform_attitude.rows)), ranges)
-            est, events = localizer.step(state, roll, pitch, labels, obs)
-            track = perception.step(world.sense_cargo(state), roll, pitch)
-            cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
-                                            rotor_speeds=state.rotor_speeds,
-                                            on_ground=state.on_ground))
-            vel = command.step(cmd, est, state.t)
-            if cmd.do_adsorb:
-                state = world.attach_cargo(state, adsorb_prob)
-            after = world.touch_down(world.step(state, vel, dt), vel[2])
-            recorder.step(state, after, est, events, track, cmd, vel)
-            self.state = state = after
-            if executive.phase in (MissionPhase.DONE, MissionPhase.ABORTED):
+    def fly(self, max_time: float) -> None:
+        """Tick until the mission ends or `max_time` runs out; a ValueError
+        or ArithmeticError in a tick aborts it with ``estimator_fault``."""
+        for _ in range(int(round(max_time / self.dt))):
+            try:
+                if not self.tick():
+                    return
+            except (ValueError, ArithmeticError) as exc:
+                events = [f"estimator_fault:{type(exc).__name__}: {exc}"]
+                self.executive.abort("estimator_fault", events)
+                self.recorder.fault(self.state, self.executive.phase, events)
                 return
+
+    def tick(self) -> bool:
+        """One 50 Hz tick; False once the mission has ended."""
+        world, state, executive = self.world, self.state, self.executive
+        a_body, roll, pitch = world.sense_imu(state)
+        labels = self.labels.step(
+            a_body, rotation_rows(roll, pitch, self.localizer.yaw),
+            tuple(zip(*state.platform_attitude.rows)), world.sense_uwb(state))
+        est, events = self.localizer.step(state, roll, pitch, labels,
+                                          world.sense_qr(state))
+        track = self.perception.step(world.sense_cargo(state), roll, pitch)
+        cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
+                                        rotor_speeds=state.rotor_speeds,
+                                        on_ground=state.on_ground))
+        vel = self.command.step(cmd, est, state.t)
+        if cmd.do_adsorb:
+            state = world.attach_cargo(state, self.adsorb_prob)
+        after = world.touch_down(world.step(state, vel, self.dt), vel[2])
+        self.recorder.step(state, after, est, events, track, cmd, vel)
+        self.state = after
+        return executive.phase not in (MissionPhase.DONE, MissionPhase.ABORTED)
 
     def summary(self) -> RunSummary:
         return self.recorder.summary(self.executive,
@@ -169,40 +137,35 @@ class Flight:
 
 
 class LabelFilters:
-    """The range EKFs of both labels of every flight in a group, as one
-    stacked batch: flight k's labels are rows 2k and 2k + 1, and reach
-    it as two rows of Python floats."""
+    """The range EKFs of a flight's two labels, each a (mean, covariance)
+    in Python floats (see :func:`uwb_localization.predict_label`)."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
         self.anchors = uwb_localization.AnchorSet(scenario.anchors)
-        self.params = uwb_localization.EkfParams(
+        self.points = self.anchors.positions.tolist()
+        params = uwb_localization.EkfParams(
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
-        self.batch = None
+        self.var, self.period = params.sigma_range ** 2, params.period
+        self.filters = None
 
-    def step(self, inputs: list[tuple]) -> list[list[list[float]]]:
-        """Initialise from the first ranges, then predict and update;
-        returns each flight's two label positions, rows of floats."""
-        a_body, R_b_w, R_w_u, ranges = zip(*inputs)
-        ranges = ranges[0] if len(ranges) == 1 else np.concatenate(ranges)
-        if self.batch is None:
-            self.batch = uwb_localization.initial_state(
-                [uwb_localization.multilaterate(list(enumerate(row)),
-                                                self.anchors)
-                 for row in ranges])
+    def step(self, a_body, R_b_w, R_w_u, ranges: np.ndarray,
+             ) -> list[list[float]]:
+        """Initialise from the first ranges, then predict and update each
+        label; returns the two label positions, rows of floats."""
+        rows = ranges.tolist()
+        if self.filters is None:
+            self.filters = [uwb_localization.initial_label(
+                uwb_localization.multilaterate(list(enumerate(row)),
+                                               self.anchors)) for row in rows]
         else:
-            self.batch = uwb_localization.ekf_update(
-                uwb_localization.ekf_predict(self.batch, a_body, R_b_w, R_w_u,
-                                             self.params),
-                ranges, self.anchors, self.params)
-        rows = self.batch.mean[:, :3].tolist()
-        return [rows[k:k + 2] for k in range(0, len(rows), 2)]
-
-    def keep(self, flights: list[bool]) -> None:
-        """Drop the labels of every flight not kept."""
-        rows = np.repeat(flights, 2)
-        b = self.batch
-        self.batch = uwb_localization.EkfState(
-            mean=b.mean[rows], cov=b.cov[rows], degraded=b.degraded[rows])
+            a_u = uwb_localization.anchor_acceleration(a_body, R_b_w, R_w_u)
+            predict = uwb_localization.predict_label
+            update = uwb_localization.update_label
+            self.filters = [
+                update(*predict(mean, cov, a_u, self.period), row, self.points,
+                       self.var)[:2]
+                for (mean, cov), row in zip(self.filters, rows)]
+        return [mean[:3] for mean, _ in self.filters]
 
 
 class Localizer:
@@ -334,6 +297,16 @@ class Recorder:
         self.phase_durations[cmd.phase.value] = \
             self.phase_durations.get(cmd.phase.value, 0.0) + self.dt
 
+    def fault(self, state: SimState, phase: MissionPhase,
+              events: list[str]) -> None:
+        """Log the tick from `state` that raised: the truth, with no
+        estimate, track or command; the world did not step."""
+        if self.records is not None:
+            self.records.append([
+                round(state.t, 6), phase.value, *state.uav_pos,
+                state.uav_euler.yaw, *NAN3, NAN3[0], "", *NAN3, *STOP,
+                state.rotor_sum_sq, ";".join(events)])
+
     def summary(self, executive: MissionExecutive, source_switches: int,
                 total_time: float, seed: int) -> RunSummary:
         phase, reason = executive.phase, executive.abort_reason
@@ -435,6 +408,8 @@ def metrics_from_log(path) -> dict:
         except ValueError as exc:  # a cell that is not a number
             raise LogFormatError(f"{path}: row {number}: {exc}") from None
         source = row[src]
+        if not source:  # the tick of a fault, which made no estimate
+            continue
         sq_errors.add(source, dx, dy, dz)
         if source == "qr":
             if not math.isfinite(z):
@@ -454,29 +429,35 @@ def metrics_from_log(path) -> dict:
 
 def _fly_summaries(args) -> list[dict]:
     scenario, mission, seeds = args
-    return [f.summary().to_dict() for f in fly_group(scenario, mission, seeds)]
+    summaries = []
+    for seed in seeds:
+        flight = Flight(replace(scenario, seed=seed), mission, DT, keep_rows=False)
+        flight.fly(MAX_TIME)
+        summaries.append(flight.summary().to_dict())
+    return summaries
 
 
 def montecarlo(scenario: ScenarioConfig, mission: MissionConfig, runs: int,
                seed_base: int = 0, workers: int = 1) -> dict:
-    """N independent seeded runs, flown as min(workers, runs) lockstep
-    groups of interleaved seeds, one per worker process (in this process
-    for one group); the summaries are in seed order whatever the grouping."""
+    """N independent seeded runs, split into min(workers, runs) blocks of
+    interleaved seeds, each flown one seed after another in a worker
+    process (in this process for one block); the summaries are in seed
+    order whatever the split."""
     if runs < 1:
         raise ValueError("need at least one run")
     if workers < 1:
         raise ValueError("need at least one worker")
-    groups = min(workers, runs)
-    jobs = [(scenario, mission, range(seed_base + g, seed_base + runs, groups))
-            for g in range(groups)]
-    if groups > 1:
-        with ProcessPoolExecutor(max_workers=groups) as pool:
+    blocks = min(workers, runs)
+    jobs = [(scenario, mission, range(seed_base + b, seed_base + runs, blocks))
+            for b in range(blocks)]
+    if blocks > 1:
+        with ProcessPoolExecutor(max_workers=blocks) as pool:
             flown = list(pool.map(_fly_summaries, jobs))
     else:
         flown = [_fly_summaries(jobs[0])]
     summaries = [None] * runs
-    for g, group in enumerate(flown):
-        summaries[g::groups] = group
+    for b, block in enumerate(flown):
+        summaries[b::blocks] = block
 
     landing = np.array([s["landing_error"] for s in summaries])
     done = np.array([s["final_phase"] == "done" for s in summaries])

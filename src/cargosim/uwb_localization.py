@@ -2,18 +2,18 @@
 
 Each ranging label on the UAV carries its own 6-state filter (position
 and velocity in the platform-fixed anchor frame) driven by body-frame
-acceleration and corrected by ranges to the fixed anchors.  The filters
-only come as a batch: both labels of every flight in a lockstep group
-advance together, one predict and one update per tick.  A flight's two
-label positions are averaged into the UAV center, rotated into the world
-frame, and their baseline vector yields the UAV yaw independent of the
-magnetometer.  Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``,
-``INITIAL_VEL_VAR`` and ``MULTILATERATE_TOL``; the rest is :class:`EkfParams`.
+acceleration and corrected by ranges to the fixed anchors, one label at
+a time by a kernel in Python floats (:func:`predict_label`,
+:func:`update_label`) that :func:`ekf_predict` and :func:`ekf_update` loop
+over an :class:`EkfState` batch.  A flight's two label positions are
+averaged into the UAV center, rotated into the world frame, and their
+baseline vector yields the UAV yaw independent of the magnetometer.
+Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR`` and
+``MULTILATERATE_TOL``; the rest is :class:`EkfParams`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -67,11 +67,8 @@ class EkfParams(Ranged):
 
 @dataclass(frozen=True)
 class EkfState:
-    """Label states [position, velocity] with covariances, anchor frame.
-
-    A batch of L labels with a leading label axis: mean (L, 6), cov
-    (L, 6, 6) and one degraded flag per label.
-    """
+    """A batch of L label states [position, velocity] in the anchor frame:
+    mean (L, 6), cov (L, 6, 6) and one degraded flag per label."""
 
     mean: np.ndarray  # (L, 6)
     cov: np.ndarray  # (L, 6, 6)
@@ -83,135 +80,161 @@ class EkfState:
         if mean.ndim != 2 or mean.shape[-1] != 6 or \
                 cov.shape != mean.shape + (6,):
             raise ValueError("states must be (L, 6) with (L, 6, 6) covariances")
-        degraded = np.asarray(self.degraded, dtype=bool)
-        if degraded.shape != mean.shape[:-1]:
-            degraded = np.full(mean.shape[:-1], degraded)
+        degraded = np.broadcast_to(np.asarray(self.degraded, dtype=bool),
+                                   mean.shape[:-1]).copy()
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "degraded", degraded)
 
 
+# the 21 stored entries of a label covariance, its upper triangle row by
+# row, and each entry of the full 6x6 matrix as an index into them
+_ROWS, _COLS = np.triu_indices(6)
+_FULL = np.empty((6, 6), dtype=int)
+_FULL[_ROWS, _COLS] = _FULL[_COLS, _ROWS] = np.arange(21)
+_REST_COV = np.diag([INITIAL_POS_VAR] * 3 + [INITIAL_VEL_VAR] * 3)[_ROWS, _COLS]
+
+
+def initial_label(position) -> tuple[list[float], list[float]]:
+    """A label at rest at `position`, as :func:`predict_label` takes it."""
+    return [*map(float, position), 0.0, 0.0, 0.0], _REST_COV.tolist()
+
+
 def initial_state(position: np.ndarray) -> EkfState:
     """Rest states at the (L, 3) label positions."""
-    position = np.asarray(position, dtype=float)
-    mean = np.concatenate([position, np.zeros_like(position)], axis=-1)
-    cov = np.broadcast_to(np.diag([INITIAL_POS_VAR] * 3 + [INITIAL_VEL_VAR] * 3),
-                          position.shape[:-1] + (6, 6)).copy()
-    return EkfState(mean=mean, cov=cov)
+    return _batch([initial_label(p) for p in np.asarray(position, dtype=float)])
 
 
-@functools.lru_cache(maxsize=8)
-def _transition_matrices(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A, B and the jerk-noise term D Q D^T of one sample period."""
-    I3 = np.eye(3)
-    A = np.block([[I3, T * I3], [np.zeros((3, 3)), I3]])
-    B = np.vstack([T * T / 2 * I3, T * I3])
-    D = np.vstack([T ** 3 / 6 * I3, T * T / 2 * I3])
-    Q = (SIGMA_JERK ** 2) * I3
-    out = (A, B, D @ Q @ D.T)
-    for m in out:
-        m.flags.writeable = False  # shared by every caller
-    return out
+def _labels(s: EkfState):
+    """The (mean, cov) of each label of a batch, as the kernel takes them."""
+    return zip(s.mean.tolist(), s.cov[:, _ROWS, _COLS].tolist())
 
 
-@functools.lru_cache(maxsize=8)
-def _range_noise(sigma_range: float, rows: int) -> np.ndarray:
-    R = (sigma_range ** 2) * np.eye(rows)
-    R.flags.writeable = False
-    return R
+def _batch(labels) -> EkfState:
+    """The batch of labels given as (mean, cov[, degraded])."""
+    means, covs, *degraded = zip(*labels)
+    return EkfState(mean=np.array(means), cov=np.array(covs)[:, _FULL],
+                    degraded=np.array(degraded[0] if degraded else False))
 
 
-_I6 = np.eye(6)
+def anchor_acceleration(a_body, R_b_w, R_w_u) -> tuple[float, float, float]:
+    """Body acceleration rotated world-then-anchor-frame; the rotations are
+    3x3 arrays or their rows (see frames.rotation_rows)."""
+    if not all(map(math.isfinite, a_body)):
+        raise ValueError("acceleration must be finite")
+    return rotate(R_w_u, rotate(R_b_w, a_body))
+
+
+def predict_label(mean: list[float], cov: list[float], a_u, T: float,
+                  ) -> tuple[list[float], list[float]]:
+    """One label's constant-acceleration prediction over a period T.
+
+    `mean` is [position, velocity], 6 floats, and `cov` the upper triangle
+    of its covariance row by row, 21 floats.  A P A^T + D Q D^T is written
+    out on the 3x3 blocks: P_pp + T (P_pv + P_vp) + T^2 P_vv, P_pv + T P_vv
+    and P_vv, plus the jerk noise on each block's diagonal."""
+    x, y, z, vx, vy, vz = mean
+    ax, ay, az = a_u
+    h = T * T / 2
+    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15, p22, p23, p24, p25,
+     p33, p34, p35, p44, p45, p55) = cov
+    q = SIGMA_JERK * SIGMA_JERK * T ** 4
+    qvv, qpv, qpp = q / 4, q * T / 12, q * T * T / 36
+    # P_pv + T P_vv, without its noise
+    c03, c04, c05 = p03 + T * p33, p04 + T * p34, p05 + T * p35
+    c13, c14, c15 = p13 + T * p34, p14 + T * p44, p15 + T * p45
+    c23, c24, c25 = p23 + T * p35, p24 + T * p45, p25 + T * p55
+    return ([x + T * vx + h * ax, y + T * vy + h * ay, z + T * vz + h * az,
+             vx + T * ax, vy + T * ay, vz + T * az],
+            [p00 + T * (p03 + c03) + qpp, p01 + T * (p13 + c04), p02 + T * (p23 + c05),
+             c03 + qpv, c04, c05, p11 + T * (p14 + c14) + qpp, p12 + T * (p24 + c15),
+             c13, c14 + qpv, c15, p22 + T * (p25 + c25) + qpp, c23, c24, c25 + qpv,
+             p33 + qvv, p34, p35, p44 + qvv, p45, p55 + qvv])
+
+
+def update_label(mean: list[float], cov: list[float], ranges, points,
+                 var: float) -> tuple[list[float], list[float], bool]:
+    """One label's correction by `ranges` of variance `var` to the anchors
+    at `points` (rows of floats), one scalar update per range.
+
+    Every row h = [(u - anchor)/d, 0, 0, 0] is linearised at the predicted
+    mean u, so with diagonal noise this is exactly the batch update (Simon,
+    *Optimal State Estimation*, 2006, section 7.1); P - P h^T h P / s keeps
+    the stored triangle symmetric.  A range with d < 1e-9 is skipped; a
+    label with every range skipped is degraded and keeps its prediction.
+    Returns the mean, the covariance and that flag."""
+    x, y, z = mean[0], mean[1], mean[2]
+    m0, m1, m2, m3, m4, m5 = mean
+    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15, p22, p23, p24, p25,
+     p33, p34, p35, p44, p45, p55) = cov
+    degraded = True
+    for (px, py, pz), r in zip(points, ranges):
+        hx, hy, hz = x - px, y - py, z - pz
+        d = math.sqrt(hx * hx + hy * hy + hz * hz)
+        if d < 1e-9:
+            continue
+        degraded = False
+        hx, hy, hz = hx / d, hy / d, hz / d
+        # v = P h^T
+        v0, v1 = p00 * hx + p01 * hy + p02 * hz, p01 * hx + p11 * hy + p12 * hz
+        v2, v3 = p02 * hx + p12 * hy + p22 * hz, p03 * hx + p13 * hy + p23 * hz
+        v4, v5 = p04 * hx + p14 * hy + p24 * hz, p05 * hx + p15 * hy + p25 * hz
+        # one statement each below: assigning four or more names at once
+        # builds a tuple, which cost a tenth of this loop
+        s = hx * v0 + hy * v1 + hz * v2 + var
+        k = (r - d - hx * (m0 - x) - hy * (m1 - y) - hz * (m2 - z)) / s
+        m0 += v0 * k; m1 += v1 * k; m2 += v2 * k
+        m3 += v3 * k; m4 += v4 * k; m5 += v5 * k
+        w0 = v0 / s; w1 = v1 / s; w2 = v2 / s; w3 = v3 / s; w4 = v4 / s; w5 = v5 / s
+        p00 -= w0 * v0; p01 -= w0 * v1; p02 -= w0 * v2; p03 -= w0 * v3
+        p04 -= w0 * v4; p05 -= w0 * v5; p11 -= w1 * v1; p12 -= w1 * v2
+        p13 -= w1 * v3; p14 -= w1 * v4; p15 -= w1 * v5; p22 -= w2 * v2
+        p23 -= w2 * v3; p24 -= w2 * v4; p25 -= w2 * v5; p33 -= w3 * v3
+        p34 -= w3 * v4; p35 -= w3 * v5; p44 -= w4 * v4; p45 -= w4 * v5
+        p55 -= w5 * v5
+    if degraded:
+        return mean, cov, True
+    return ([m0, m1, m2, m3, m4, m5],
+            [p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15, p22, p23,
+             p24, p25, p33, p34, p35, p44, p45, p55], False)
 
 
 def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
                 params: EkfParams) -> EkfState:
-    """Constant-acceleration prediction over one sample period.
-
-    Body acceleration is rotated world-then-anchor-frame before entering
-    the input matrix; covariance grows by the jerk-noise term D Q D^T.
-    The batch holds F flights' labels in turn, the same count each, and
-    `a_body`, `R_b_w` and `R_w_u` hold F accelerations (each a tuple,
-    list or array) and rotations, one per flight.  The rotations are 3x3
-    arrays or their rows (see frames.rotation_rows).
-    """
-    a_u = []
-    for a, r_b_w, r_w_u in zip(a_body, R_b_w, R_w_u, strict=True):
-        if not all(map(math.isfinite, a)):
-            raise ValueError("acceleration must be finite")
-        a_u.append(rotate(r_w_u, rotate(r_b_w, a)))
-    flights = len(a_u)
-    if s.mean.size % (6 * flights):
-        raise ValueError(f"{flights} accelerations for "
-                         f"{s.mean.size // 6} labels")
-    T = params.period
-    A, B, DQD = _transition_matrices(T)
-    # matmul over the label axis runs the same product per label, and the
-    # flight's input term is added per element, so a batch gives exactly
-    # what its labels give one at a time
-    mean = (A @ s.mean.reshape(flights, -1, 6, 1) +
-            B @ np.array(a_u)[:, None, :, None])
-    cov = A @ s.cov @ A.T + DQD
-    return EkfState(mean=mean.reshape(s.mean.shape), cov=cov,
-                    degraded=np.zeros_like(s.degraded))
+    """:func:`predict_label` for every label of a batch that holds F
+    flights' labels in turn, the same count each; `a_body`, `R_b_w` and
+    `R_w_u` hold one acceleration and two rotations per flight (see
+    :func:`anchor_acceleration`)."""
+    a_u = [anchor_acceleration(*flight)
+           for flight in zip(a_body, R_b_w, R_w_u, strict=True)]
+    labels = len(s.mean)
+    if labels % len(a_u):
+        raise ValueError(f"{len(a_u)} accelerations for {labels} labels")
+    per_flight = labels // len(a_u)
+    return _batch([predict_label(mean, cov, a_u[i // per_flight], params.period)
+                   for i, (mean, cov) in enumerate(_labels(s))])
 
 
 def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
                params: EkfParams) -> EkfState:
-    """Range correction with rows linearized at the predicted mean.
-
-    `ranges` is either an array of ranges to every anchor, one row per
-    label, (L, N_a); or a list of (anchor index, range) pairs for a
-    subset of the anchors, taken by every label.  Each row of the Jacobian
-    is [(u - anchor)/d, 0, 0, 0]; the innovation uses the nonlinear
-    predicted distance.  A range whose anchor sits at the predicted
-    position (d < 1e-9) is dropped; a label whose every row is dropped
-    keeps its state and has its degraded flag set.  The gain comes from
-    solving the innovation system, and the covariance is updated in
-    Joseph form to preserve symmetry/PSD.
-    """
+    """:func:`update_label` for every label of a batch.  `ranges` is an
+    (L, N_a) array of ranges to every anchor, one row per label, or a list
+    of (anchor index, range) pairs for a subset of the anchors, taken by
+    every label."""
     if isinstance(ranges, np.ndarray):
-        measured, points = ranges, anchors.positions
+        rows, points = ranges.tolist(), anchors.positions.tolist()
     else:
-        measured = np.array([r for _, r in ranges], dtype=float)
-        points = anchors.positions[[j for j, _ in ranges]]
-    if measured.shape[-1] == 0:
+        rows = [[r for _, r in ranges]] * len(s.mean)
+        points = anchors.positions[[j for j, _ in ranges]].tolist()
+    if not points or not rows[0]:
         raise ValueError("at least one range measurement is required")
-    if measured.shape[-1] != points.shape[0]:
-        raise ValueError(f"{measured.shape[-1]} ranges for "
-                         f"{points.shape[0]} anchors")
-
-    P = s.cov
-    diff = s.mean[..., None, :3] - points  # (..., M, 3)
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    any_dropped = d.min() < 1e-9
-    if any_dropped:
-        dropped = d < 1e-9
-        # a zero Jacobian row with zero innovation leaves the update as if
-        # that range had not been taken
-        d = np.where(dropped, 1.0, d)
-        diff = np.where(dropped[..., None], 0.0, diff)
-        measured = np.where(dropped, 1.0, measured)
-    h = diff / d[..., None]  # position block of H; the velocity block is 0
-    y = measured - d
-    R = _range_noise(params.sigma_range, h.shape[-2])
-
-    PHt = P[..., :, :3] @ h.swapaxes(-1, -2)  # (..., 6, M)
-    S = h @ PHt[..., :3, :] + R
-    K = np.linalg.solve(S, PHt.swapaxes(-1, -2)).swapaxes(-1, -2)
-    mean = s.mean + (K @ y[..., None])[..., 0]
-    IKH = np.empty_like(P)
-    IKH[...] = _I6
-    IKH[..., :, :3] -= K @ h
-    cov = IKH @ P @ IKH.swapaxes(-1, -2) + \
-        params.sigma_range ** 2 * (K @ K.swapaxes(-1, -2))
-
-    degraded = dropped.all(axis=-1) if any_dropped else \
-        np.zeros(d.shape[:-1], dtype=bool)
-    if any_dropped and degraded.any():
-        mean = np.where(degraded[..., None], s.mean, mean)
-        cov = np.where(degraded[..., None, None], P, cov)
-    return EkfState(mean=mean, cov=cov, degraded=degraded)
+    if len(rows[0]) != len(points):
+        raise ValueError(f"{len(rows[0])} ranges for {len(points)} anchors")
+    var = params.sigma_range ** 2
+    out = _batch([update_label(mean, cov, row, points, var)
+                  for (mean, cov), row in zip(_labels(s), rows, strict=True)])
+    out.cov[out.degraded] = s.cov[out.degraded]  # as given, even if asymmetric
+    return out
 
 
 def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,

@@ -193,6 +193,29 @@ def test_seed_defaults_to_the_scenario_seed(tmp_path, capsys, argv, seeds):
     assert flown == seeds
 
 
+MALFORMED = [
+    ({"scenario": {"wind_mean": 5}}, "scenario.wind_mean"),
+    ({"scenario": {"deck_center": ["a", 0]}}, "scenario.deck_center"),
+    ({"scenario": {"platform_roll_amp_deg": "x"}}, "scenario.platform_roll_amp_deg"),
+    ({"scenario": {"cargoes": [{"position": [8.0, 0.0, 1.1], "mass": 0.89,
+                                "top_diagonal": 0.372, "yaw": 45}]}},
+     "scenario.cargoes[0].yaw"),
+    ({"mission": {"gains": {"land": 3}}}, "mission.gains.land"),
+]
+
+
+@pytest.mark.parametrize("payload, path", MALFORMED,
+                         ids=[path for _, path in MALFORMED])
+def test_malformed_value_is_a_config_error_naming_its_field(tmp_path, capsys,
+                                                            payload, path):
+    rc = cli.main(["plan", "--scenario", _scenario_file(tmp_path, payload)])
+    assert rc == cli.EXIT_CONFIG == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {path}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_scenario_without_a_cargo_is_a_config_error(tmp_path, capsys):
     scenario = _scenario_file(tmp_path, {"scenario": {"cargoes": []}})
     rc = cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")])

@@ -1,10 +1,12 @@
 """Golden missions of the default scenario, seeds 0, 1 and 93.
 
 A refactor that keeps the missions keeps these summaries exactly (the
-landing error to 1e-9 m), and one that keeps the log format keeps the
-SHA-256 of the trajectory CSV that ``write_log`` makes of each flight.
-A deliberate change of behaviour re-records ``golden_missions.json`` and
-says so in CHANGES.md:
+landing error to 1e-9 m) and the SHA-256 of each flight's discrete trace,
+its ``phase``, ``source`` and ``events`` columns.  One that also keeps
+every float's bits and the log format keeps the SHA-256 of the trajectory
+CSV that ``write_log`` makes of each flight; a refactor that changes the
+float order on purpose re-records only that hash.  A deliberate change of
+behaviour re-records ``golden_missions.json`` and says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_missions.py
 """
@@ -17,12 +19,13 @@ from pathlib import Path
 import pytest
 
 from cargosim.mission import MissionConfig
-from cargosim.runner import run_mission, write_log
+from cargosim.runner import LOG_COLUMNS, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig
 
 GOLDEN = Path(__file__).with_name("golden_missions.json")
 SEEDS = (0, 1, 93)  # 93 touches down beside the cargo, yet reports done
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
+DISCRETE = [LOG_COLUMNS.index(name) for name in ("phase", "source", "events")]
 
 
 def _flight(seed: int):
@@ -37,6 +40,11 @@ def _summary(flight) -> dict:
 def _csv_sha256(flight, path: Path) -> str:
     write_log(flight[1], path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _trace_sha256(flight) -> str:
+    trace = [[row[k] for k in DISCRETE] for row in flight[1]]
+    return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=str)
@@ -55,6 +63,11 @@ def test_mission_matches_its_golden_summary(golden_flight):
                                                  rel=0, abs=1e-9)
 
 
+def test_discrete_trace_matches_its_golden_hash(golden_flight):
+    want, flight = golden_flight
+    assert _trace_sha256(flight) == want["discrete_trace_sha256"]
+
+
 def test_trajectory_csv_matches_its_golden_hash(golden_flight, tmp_path):
     want, flight = golden_flight
     got = _csv_sha256(flight, tmp_path / "trajectory.csv")
@@ -66,6 +79,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             flight = _flight(seed)
-            golden[str(seed)] = {**_summary(flight), "trajectory_csv_sha256":
-                                 _csv_sha256(flight, Path(tmp) / "t.csv")}
+            golden[str(seed)] = {
+                **_summary(flight),
+                "discrete_trace_sha256": _trace_sha256(flight),
+                "trajectory_csv_sha256": _csv_sha256(flight, Path(tmp) / "t.csv")}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")

@@ -8,9 +8,9 @@ import pytest
 from cargosim import uwb_localization
 from cargosim.mission import MissionConfig
 from cargosim.runner import (LOG_COLUMNS, LOG_SCHEMA, LogFormatError,
-                             RunSummary, fly_group, metrics_from_log,
-                             montecarlo, read_log, run_mission, write_log)
-from cargosim.sim_world import ScenarioConfig
+                             RunSummary, metrics_from_log, montecarlo,
+                             read_log, run_mission, write_log)
+from cargosim.sim_world import ScenarioConfig, SimWorld
 
 from conftest import calm_scenario
 
@@ -327,8 +327,8 @@ def test_montecarlo_validates_workers():
 @pytest.mark.parametrize("fence", [0.05, 0.1])
 def test_montecarlo_groups_fly_each_seed_as_run_mission_does(fence):
     # a geofence this close round the start aborts each flight at its own
-    # tick, so every group shrinks while its other flights fly on; 0.05 m
-    # ends some flights on their first tick, before any filter step
+    # tick, while the other flights of its worker fly on; 0.05 m ends some
+    # flights on their first tick, before any filter step
     scenario = ScenarioConfig()
     x, y, _ = scenario.uav_start
     mission = MissionConfig(geofence=(x - fence, x + fence, y - fence, y + fence))
@@ -342,8 +342,9 @@ def test_montecarlo_groups_fly_each_seed_as_run_mission_does(fence):
             [json.dumps(s) for s in alone], workers
 
 
-def test_a_group_makes_one_filter_call_per_tick(monkeypatch):
-    calls = {"ekf_predict": 0, "ekf_update": 0}
+def test_each_label_filter_makes_one_predict_and_update_per_tick(monkeypatch):
+    calls = dict.fromkeys(["predict_label", "update_label", "ekf_predict",
+                           "ekf_update"], 0)
 
     def counted(name):
         original = getattr(uwb_localization, name)
@@ -355,11 +356,62 @@ def test_a_group_makes_one_filter_call_per_tick(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(uwb_localization, name, counted(name))
-    flights = fly_group(ScenarioConfig(), MissionConfig(), [0, 1, 2],
-                        max_time=1.0, keep_rows=True)
-    ticks = {len(f.recorder.records) for f in flights}
-    assert ticks == {50}
-    # a flight still flying at max_time has its tick generator closed
-    assert all(f.ticks.gi_frame is None for f in flights)
-    # the first tick starts the filters from the ranges alone
-    assert calls == {"ekf_predict": 49, "ekf_update": 49}
+    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0,
+                             max_time=1.0)
+    assert len(records) == 50
+    # the first tick starts both filters from the ranges alone; the batch
+    # forms are for callers outside a flight
+    assert calls == {"predict_label": 98, "update_label": 98,
+                     "ekf_predict": 0, "ekf_update": 0}
+
+
+FAULTY_SEED = 1
+
+
+@pytest.fixture
+def nan_ranges_from_one_second(monkeypatch):
+    """Seed FAULTY_SEED's first label reads NaN ranges from t = 1 s on."""
+    original = SimWorld.sense_uwb
+
+    def sense_uwb(self, state):
+        ranges = original(self, state)
+        if self.cfg.seed == FAULTY_SEED and state.t >= 1.0:
+            ranges[0] = math.nan
+        return ranges
+    monkeypatch.setattr(SimWorld, "sense_uwb", sense_uwb)
+
+
+def test_a_fault_inside_a_tick_aborts_the_flight(nan_ranges_from_one_second,
+                                                 tmp_path):
+    summary, records = run_mission(ScenarioConfig(), MissionConfig(),
+                                   seed=FAULTY_SEED)
+    assert summary.final_phase == "aborted"
+    assert summary.abort_reason == "estimator_fault"
+    assert summary.total_time == pytest.approx(1.0)
+    assert len(records) == 51  # 50 ticks, then the one that raised
+    last = dict(zip(LOG_COLUMNS, records[-1]))
+    assert last["t"] == pytest.approx(summary.total_time)
+    assert last["phase"] == "aborted" and last["source"] == ""
+    fault, transition = last["events"].split(";")
+    assert fault.startswith("estimator_fault:ValueError: ")
+    assert transition == "phase:takeoff->aborted"
+    path = tmp_path / "trajectory.csv"
+    write_log(records, path)
+    rmse = metrics_from_log(path)["rmse"]  # the fault's row has no estimate
+    assert "" not in rmse and np.isfinite(list(rmse.values())).all()
+
+
+def test_montecarlo_keeps_every_other_summary_when_a_seed_faults(
+        nan_ranges_from_one_second):
+    # the pool's workers are forked, so they inherit the fault
+    scenario = ScenarioConfig()
+    x, y, _ = scenario.uav_start
+    mission = MissionConfig(geofence=(x - 0.1, x + 0.1, y - 0.1, y + 0.1))
+    agg = montecarlo(scenario, mission, runs=4, seed_base=0, workers=2)
+    faulted = agg["summaries"][FAULTY_SEED]
+    assert (faulted["final_phase"], faulted["abort_reason"]) == \
+        ("aborted", "estimator_fault")
+    for seed, summary in enumerate(agg["summaries"]):
+        if seed != FAULTY_SEED:
+            alone = run_mission(scenario, mission, seed=seed)[0].to_dict()
+            assert json.dumps(summary) == json.dumps(alone)

@@ -299,8 +299,8 @@ def test_batched_predict_checks_each_flights_acceleration(rng):
 
 
 def test_a_group_of_flights_gives_each_flight_its_own_bits(rng):
-    # a stacked batch must give every flight the very bits it gets alone,
-    # signed zeros included: Monte-Carlo groups rely on it
+    # a batch must give every flight the very bits it gets alone, signed
+    # zeros included
     params = EkfParams()
     for flights in (2, 3, 6):
         for k in range(30):
