@@ -2,7 +2,7 @@
 
 The world state, the IMU acceleration, every pose estimate, the cargo
 track and the coverage waypoints cross a stage boundary each tick, and
-so does the flight's pair of filtered label positions, as two rows
+so does each flight's pair of filtered label positions, as two rows
 (lists) of floats; a numpy array or a numpy scalar there means one stage
 wraps what the next must unwrap.
 """
@@ -13,10 +13,11 @@ import pytest
 
 from cargosim.frames import rotation_rows
 from cargosim.hybrid_localizer import HybridState, arbitrate
+from cargosim.mission import MissionConfig
 from cargosim.perception import CargoTrack, smooth_track
 from cargosim.planner import plan_coverage
 from cargosim.qr_localization import PoseEstimate, estimate_pose
-from cargosim.runner import LabelFilters
+from cargosim.runner import Flight
 from cargosim.sim_world import ScenarioConfig, SimWorld
 from cargosim.uwb_localization import fuse_labels
 
@@ -67,23 +68,26 @@ def test_pose_estimates_are_float_tuples():
         _assert_floats(out.position, 3)
 
 
-def test_label_filters_hand_the_flight_two_rows_of_floats():
-    scenario = ScenarioConfig()
-    world = SimWorld(scenario)
-    state = world.initial_state()
-    labels = LabelFilters(scenario, 0.02)
-    a_body, roll, pitch = world.sense_imu(state)
+@pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+def test_label_filters_hand_each_flight_two_rows_of_floats(seeds):
+    flights = [Flight(ScenarioConfig(seed=s), MissionConfig(), 0.02, False)
+               for s in seeds]
     for _ in range(2):  # the initialising step, then predict and update
-        rows = labels.step(a_body, rotation_rows(roll, pitch, 0.0),
-                           tuple(zip(*state.platform_attitude.rows)),
-                           world.sense_uwb(state))
-        assert type(rows) is list and len(rows) == 2, rows
-        for row in rows:
-            assert type(row) is list and len(row) == 3, row
-            assert all(type(x) is float for x in row), row
-        for mean, cov in labels.filters:  # each filter is floats too
-            assert [type(x) for x in mean] == [float] * 6
-            assert [type(x) for x in cov] == [float] * 21
+        for f in flights:  # interleaved: each flight owns its filters
+            a_body, roll, pitch = f.world.sense_imu(f.state)
+            rows = f.labels.step(
+                a_body, rotation_rows(roll, pitch, 0.0),
+                tuple(zip(*f.state.platform_attitude.rows)),
+                f.world.sense_uwb(f.state))
+            assert type(rows) is list and len(rows) == 2, rows
+            for row in rows:
+                assert type(row) is list and len(row) == 3, row
+                assert all(type(x) is float for x in row), row
+            for mean, cov in f.labels.filters:  # each filter is floats too
+                assert [type(x) for x in mean] == [float] * 6
+                assert [type(x) for x in cov] == [float] * 21
+    owned = [id(f.labels.filters) for f in flights]
+    assert len(set(owned)) == len(flights)
 
 
 def test_cargo_track_is_float_tuples():
