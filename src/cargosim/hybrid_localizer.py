@@ -18,13 +18,13 @@ from .frames import wrap_angle
 from .qr_localization import PoseEstimate
 
 QR_DEBOUNCE = 2  # consecutive marker epochs before QR takes over
+WINDOW = 25  # estimates in the smoothing window
 
 
 @dataclass
 class HybridState:
     """Smoothing window plus source bookkeeping for one UAV."""
 
-    window: int = 25
     estimates: deque = field(default_factory=deque, init=False)
     active_source: str = field(default="uwb", init=False)
     qr_streak: int = field(default=0, init=False)
@@ -35,10 +35,6 @@ class HybridState:
     _pos_sum: tuple = field(default=(0.0, 0.0, 0.0), init=False)
     _sin_sum: float = field(default=0.0, init=False)
     _cos_sum: float = field(default=0.0, init=False)
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
     def _add(self, e: PoseEstimate, sign: float = 1.0) -> None:
         # s + (-1.0 * x) is s - x exactly, so one body adds and removes
@@ -51,7 +47,7 @@ class HybridState:
     def push(self, e: PoseEstimate) -> None:
         self.estimates.append(e)
         self._add(e)
-        while len(self.estimates) > self.window:
+        while len(self.estimates) > WINDOW:
             self._add(self.estimates.popleft(), -1.0)
 
 

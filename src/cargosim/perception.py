@@ -57,7 +57,9 @@ class CargoTrack:
     """Wavegate selection state plus the smoothed cargo estimate.
 
     The position and velocity are (x, y, z) tuples of floats in the body
-    frame.
+    frame.  `window` holds the last `OUTLIER_WINDOW` accepted samples as
+    [x, y, z] float lists; the outlier test reads all of them and the
+    position is the mean of the last `MEAN_WINDOW`.
     """
 
     locked: bool = False
@@ -71,8 +73,7 @@ class CargoTrack:
     yaw: float = 0.0
     # internals
     rejects: int = 0
-    raw_window: deque = field(default_factory=deque)  # [x, y, z] float lists
-    accepted: deque = field(default_factory=deque)  # the same, accepted only
+    window: deque = field(default_factory=lambda: deque(maxlen=OUTLIER_WINDOW))
     kf_mean: tuple | None = None  # ([x, y, z] position, [x, y, z] velocity)
     kf_cov: tuple | None = None  # 2x2 rows, shared across axes
 
@@ -171,9 +172,10 @@ def smooth_track(track: CargoTrack, new_pos: Sequence[float],
     """
     sample = [float(v) for v in new_pos]
     accept = True
-    if len(track.raw_window) >= 5:
+    window = track.window
+    if len(window) >= 5:
         # at most `OUTLIER_WINDOW` samples: plain Python beats np.median
-        for value, column in zip(sample, zip(*track.raw_window)):
+        for value, column in zip(sample, zip(*window)):
             med = statistics.median(column)
             mad = statistics.median([abs(v - med) for v in column])
             if abs(value - med) > OUTLIER_NMAD * mad + 1e-9:
@@ -186,21 +188,15 @@ def smooth_track(track: CargoTrack, new_pos: Sequence[float],
             # a long run of "outliers" means the target actually moved
             # (or the gate switched objects): restart the filters on the
             # new data instead of rejecting it forever
-            track.raw_window.clear()
-            track.accepted.clear()
+            window.clear()
             track.kf_mean = None
             track.kf_cov = None
             accept = True
 
     if accept:
         track.rejects = 0
-        track.raw_window.append(sample)
-        while len(track.raw_window) > OUTLIER_WINDOW:
-            track.raw_window.popleft()
-        track.accepted.append(sample)
-        while len(track.accepted) > MEAN_WINDOW:
-            track.accepted.popleft()
-        track.position = mean_rows(track.accepted)
+        window.append(sample)
+        track.position = mean_rows(list(window)[-MEAN_WINDOW:])
         _kf_step(track, sample, period)
         if track.selected is not None:
             track.yaw = track.selected.box_yaw

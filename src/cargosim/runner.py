@@ -32,7 +32,7 @@ from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
 from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
                          wavegate_select)
 from .qr_localization import NoFix, PoseEstimate, estimate_pose
-from .sim_world import ScenarioConfig, SimState, SimWorld
+from .sim_world import ScenarioConfig, SimState, SimWorld, check_step
 
 LOG_SCHEMA = "cargosim-log-v1"
 LOG_COLUMNS = [
@@ -84,6 +84,7 @@ class Flight:
 
     def __init__(self, scenario: ScenarioConfig, mission: MissionConfig,
                  dt: float, keep_rows: bool):
+        check_step(dt)  # a bad step is a configuration error, not a fault
         self.seed = scenario.seed
         self.dt = dt
         self.adsorb_prob = mission.adsorb_success_prob
@@ -148,11 +149,10 @@ class LabelFilters:
         self.var, self.period = params.sigma_range ** 2, params.period
         self.filters = None
 
-    def step(self, a_body, R_b_w, R_w_u, ranges: np.ndarray,
+    def step(self, a_body, R_b_w, R_w_u, rows: list[list[float]],
              ) -> list[list[float]]:
         """Initialise from the first ranges, then predict and update each
         label; returns the two label positions, rows of floats."""
-        rows = ranges.tolist()
         if self.filters is None:
             self.filters = [uwb_localization.initial_label(
                 uwb_localization.multilaterate(list(enumerate(row)),

@@ -26,6 +26,12 @@ from .uwb_localization import AnchorSet
 GRAVITY = 9.81
 
 
+def check_step(dt: float) -> None:
+    """Raise ValueError unless :meth:`SimWorld.step` takes a step of `dt` s."""
+    if not (0.0 < dt <= 0.1):
+        raise ValueError(f"dt must be in (0, 0.1], got {dt}")
+
+
 @dataclass(frozen=True)
 class CargoSpec(Ranged):
     """A transportable box on the target deck."""
@@ -227,8 +233,7 @@ class SimWorld:
         if not (math.isfinite(c_vx) and math.isfinite(c_vy)
                 and math.isfinite(c_vz) and math.isfinite(c_yaw)):
             raise ValueError("command must be finite")
-        if not (0.0 < dt <= 0.1):
-            raise ValueError(f"dt must be in (0, 0.1], got {dt}")
+        check_step(dt)
 
         t = state.t + dt
         if cfg.platform_yaw_walk > 0.0:
@@ -305,9 +310,9 @@ class SimWorld:
             labels.append(rotate_t(R_a_w, (px + x, py + y, pz + z)))
         return labels
 
-    def sense_uwb(self, state: SimState) -> np.ndarray:
+    def sense_uwb(self, state: SimState) -> list[list[float]]:
         """Noisy label-to-anchor ranges; row i holds label i's range to
-        every anchor, shape (labels, anchors)."""
+        every anchor, one row per label."""
         cfg = self.cfg
         labels = self._labels_platform(state)
         ranges = [[math.dist(u, a) for a in self._anchors] for u in labels]
@@ -321,7 +326,7 @@ class SimWorld:
         rows = self.rng.standard_normal((len(noisy), len(self._anchors)))
         for i, noise in zip(noisy, rows.tolist()):
             ranges[i] = [r + sigmas[i] * n for r, n in zip(ranges[i], noise)]
-        return np.array(ranges)
+        return ranges
 
     def sense_imu(self, state: SimState,
                   ) -> tuple[tuple[float, float, float], float, float]:

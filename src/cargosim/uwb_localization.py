@@ -2,12 +2,13 @@
 
 Each ranging label on the UAV carries its own 6-state filter (position
 and velocity in the platform-fixed anchor frame) driven by body-frame
-acceleration and corrected by ranges to the fixed anchors, one label at
-a time by a kernel in Python floats (:func:`predict_label`,
-:func:`update_label`) that :func:`ekf_predict` and :func:`ekf_update` loop
-over an :class:`EkfState` batch.  A flight's two label positions are
-averaged into the UAV center, rotated into the world frame, and their
-baseline vector yields the UAV yaw independent of the magnetometer.
+acceleration and corrected by ranges to the fixed anchors: a kernel in
+Python floats (:func:`predict_label`, :func:`update_label`) on one
+label's (mean, covariance) pair, which a flight runs per label and
+:func:`ekf_predict` and :func:`ekf_update` run over an :class:`EkfState`.
+A flight's two label positions are averaged into the UAV center, rotated
+into the world frame, and their baseline vector yields the UAV yaw
+independent of the magnetometer.
 Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR`` and
 ``MULTILATERATE_TOL``; the rest is :class:`EkfParams`.
 """
@@ -67,54 +68,32 @@ class EkfParams(Ranged):
 
 @dataclass(frozen=True)
 class EkfState:
-    """A batch of L label states [position, velocity] in the anchor frame:
-    mean (L, 6), cov (L, 6, 6) and one degraded flag per label."""
+    """The states [position, velocity] of L labels in the anchor frame, each
+    a (mean, cov) pair as :func:`predict_label` takes it."""
 
-    mean: np.ndarray  # (L, 6)
-    cov: np.ndarray  # (L, 6, 6)
-    degraded: np.ndarray | bool = False  # last update dropped all range rows
+    labels: tuple[tuple[list[float], list[float]], ...]
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 2 or mean.shape[-1] != 6 or \
-                cov.shape != mean.shape + (6,):
-            raise ValueError("states must be (L, 6) with (L, 6, 6) covariances")
-        degraded = np.broadcast_to(np.asarray(self.degraded, dtype=bool),
-                                   mean.shape[:-1]).copy()
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "degraded", degraded)
+    @property
+    def mean(self) -> np.ndarray:
+        """The (L, 6) label means."""
+        return np.array([mean for mean, _ in self.labels])
 
 
-# the 21 stored entries of a label covariance, its upper triangle row by
-# row, and each entry of the full 6x6 matrix as an index into them
-_ROWS, _COLS = np.triu_indices(6)
-_FULL = np.empty((6, 6), dtype=int)
-_FULL[_ROWS, _COLS] = _FULL[_COLS, _ROWS] = np.arange(21)
-_REST_COV = np.diag([INITIAL_POS_VAR] * 3 + [INITIAL_VEL_VAR] * 3)[_ROWS, _COLS]
+# a label covariance at rest: its 21 stored entries, the upper triangle row
+# by row (see predict_label)
+_REST_COV = [INITIAL_POS_VAR, 0.0, 0.0, 0.0, 0.0, 0.0, INITIAL_POS_VAR, 0.0, 0.0,
+             0.0, 0.0, INITIAL_POS_VAR, 0.0, 0.0, 0.0, INITIAL_VEL_VAR, 0.0, 0.0,
+             INITIAL_VEL_VAR, 0.0, INITIAL_VEL_VAR]
 
 
 def initial_label(position) -> tuple[list[float], list[float]]:
     """A label at rest at `position`, as :func:`predict_label` takes it."""
-    return [*map(float, position), 0.0, 0.0, 0.0], _REST_COV.tolist()
+    return [*map(float, position), 0.0, 0.0, 0.0], list(_REST_COV)
 
 
 def initial_state(position: np.ndarray) -> EkfState:
     """Rest states at the (L, 3) label positions."""
-    return _batch([initial_label(p) for p in np.asarray(position, dtype=float)])
-
-
-def _labels(s: EkfState):
-    """The (mean, cov) of each label of a batch, as the kernel takes them."""
-    return zip(s.mean.tolist(), s.cov[:, _ROWS, _COLS].tolist())
-
-
-def _batch(labels) -> EkfState:
-    """The batch of labels given as (mean, cov[, degraded])."""
-    means, covs, *degraded = zip(*labels)
-    return EkfState(mean=np.array(means), cov=np.array(covs)[:, _FULL],
-                    degraded=np.array(degraded[0] if degraded else False))
+    return EkfState(tuple(map(initial_label, np.asarray(position, dtype=float))))
 
 
 def anchor_acceleration(a_body, R_b_w, R_w_u) -> tuple[float, float, float]:
@@ -201,40 +180,26 @@ def update_label(mean: list[float], cov: list[float], ranges, points,
 
 def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
                 params: EkfParams) -> EkfState:
-    """:func:`predict_label` for every label of a batch that holds F
-    flights' labels in turn, the same count each; `a_body`, `R_b_w` and
-    `R_w_u` hold one acceleration and two rotations per flight (see
-    :func:`anchor_acceleration`)."""
-    a_u = [anchor_acceleration(*flight)
-           for flight in zip(a_body, R_b_w, R_w_u, strict=True)]
-    labels = len(s.mean)
-    if labels % len(a_u):
-        raise ValueError(f"{len(a_u)} accelerations for {labels} labels")
-    per_flight = labels // len(a_u)
-    return _batch([predict_label(mean, cov, a_u[i // per_flight], params.period)
-                   for i, (mean, cov) in enumerate(_labels(s))])
+    """:func:`predict_label` for every label of one flight; `a_body`,
+    `R_b_w` and `R_w_u` each hold the flight's one acceleration or rotation
+    (see :func:`anchor_acceleration`)."""
+    (a,), (b_w,), (w_u,) = a_body, R_b_w, R_w_u
+    a_u = anchor_acceleration(a, b_w, w_u)
+    return EkfState(tuple(predict_label(mean, cov, a_u, params.period)
+                          for mean, cov in s.labels))
 
 
-def ekf_update(s: EkfState, ranges, anchors: AnchorSet,
-               params: EkfParams) -> EkfState:
-    """:func:`update_label` for every label of a batch.  `ranges` is an
-    (L, N_a) array of ranges to every anchor, one row per label, or a list
-    of (anchor index, range) pairs for a subset of the anchors, taken by
-    every label."""
-    if isinstance(ranges, np.ndarray):
-        rows, points = ranges.tolist(), anchors.positions.tolist()
-    else:
-        rows = [[r for _, r in ranges]] * len(s.mean)
-        points = anchors.positions[[j for j, _ in ranges]].tolist()
-    if not points or not rows[0]:
+def ekf_update(s: EkfState, ranges: list[tuple[int, float]],
+               anchors: AnchorSet, params: EkfParams) -> EkfState:
+    """:func:`update_label` for every label by the same (anchor index,
+    range) pairs."""
+    if not ranges:
         raise ValueError("at least one range measurement is required")
-    if len(rows[0]) != len(points):
-        raise ValueError(f"{len(rows[0])} ranges for {len(points)} anchors")
+    row = [r for _, r in ranges]
+    points = anchors.positions[[j for j, _ in ranges]].tolist()
     var = params.sigma_range ** 2
-    out = _batch([update_label(mean, cov, row, points, var)
-                  for (mean, cov), row in zip(_labels(s), rows, strict=True)])
-    out.cov[out.degraded] = s.cov[out.degraded]  # as given, even if asymmetric
-    return out
+    return EkfState(tuple(update_label(mean, cov, row, points, var)[:2]
+                          for mean, cov in s.labels))
 
 
 def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,

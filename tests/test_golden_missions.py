@@ -1,12 +1,15 @@
-"""Golden missions of the default scenario, seeds 0, 1 and 93.
+"""Golden missions of the default scenario, seeds 0, 1 and 93, and a
+Monte-Carlo batch of seeds 86-93.
 
 A refactor that keeps the missions keeps these summaries exactly (the
 landing error to 1e-9 m) and the SHA-256 of each flight's discrete trace,
 its ``phase``, ``source`` and ``events`` columns.  One that also keeps
 every float's bits and the log format keeps the SHA-256 of the trajectory
 CSV that ``write_log`` makes of each flight; a refactor that changes the
-float order on purpose re-records only that hash.  A deliberate change of
-behaviour re-records ``golden_missions.json`` and says so in CHANGES.md:
+float order on purpose re-records only that hash.  The SHA-256 of the
+batch's ``montecarlo`` result is the same for one worker and for two.  A
+deliberate change of behaviour re-records ``golden_missions.json`` and
+says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_missions.py
 """
@@ -19,13 +22,15 @@ from pathlib import Path
 import pytest
 
 from cargosim.mission import MissionConfig
-from cargosim.runner import LOG_COLUMNS, run_mission, write_log
+from cargosim.runner import LOG_COLUMNS, montecarlo, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig
 
 GOLDEN = Path(__file__).with_name("golden_missions.json")
 SEEDS = (0, 1, 93)  # 93 touches down beside the cargo, yet reports done
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
 DISCRETE = [LOG_COLUMNS.index(name) for name in ("phase", "source", "events")]
+BATCH = {"runs": 8, "seed_base": 86}  # seed 93 last
+WORKERS = (1, 2)
 
 
 def _flight(seed: int):
@@ -45,6 +50,11 @@ def _csv_sha256(flight, path: Path) -> str:
 def _trace_sha256(flight) -> str:
     trace = [[row[k] for k in DISCRETE] for row in flight[1]]
     return hashlib.sha256(json.dumps(trace).encode()).hexdigest()
+
+
+def _montecarlo_sha256(workers: int) -> str:
+    agg = montecarlo(ScenarioConfig(), MissionConfig(), **BATCH, workers=workers)
+    return hashlib.sha256(json.dumps(agg, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=str)
@@ -74,6 +84,12 @@ def test_trajectory_csv_matches_its_golden_hash(golden_flight, tmp_path):
     assert got == want["trajectory_csv_sha256"]
 
 
+@pytest.mark.parametrize("workers", WORKERS)
+def test_montecarlo_matches_its_golden_hash(workers):
+    want = json.loads(GOLDEN.read_text())["montecarlo_sha256"]
+    assert _montecarlo_sha256(workers) == want[str(workers)]
+
+
 if __name__ == "__main__":
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,4 +99,5 @@ if __name__ == "__main__":
                 **_summary(flight),
                 "discrete_trace_sha256": _trace_sha256(flight),
                 "trajectory_csv_sha256": _csv_sha256(flight, Path(tmp) / "t.csv")}
+    golden["montecarlo_sha256"] = {str(w): _montecarlo_sha256(w) for w in WORKERS}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")

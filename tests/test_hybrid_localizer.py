@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cargosim.hybrid_localizer import HybridState, arbitrate
+from cargosim.hybrid_localizer import WINDOW, HybridState, arbitrate
 from cargosim.qr_localization import PoseEstimate
 
 
 def _pose(x, source, yaw=0.0):
     return PoseEstimate(position=(x, 0.0, 0.0), yaw=yaw, source=source)
-
-
-def test_window_validation():
-    with pytest.raises(ValueError):
-        HybridState(window=0)
 
 
 def test_uwb_only_passthrough_mean():
@@ -66,14 +61,14 @@ def test_step_response_bounded_and_monotone():
 
 
 def test_yaw_uses_circular_mean():
-    st = HybridState(window=2)
+    st = HybridState()
     arbitrate(None, _pose(0.0, "uwb", yaw=math.pi - 0.05), st)
     out, _ = arbitrate(None, _pose(0.0, "uwb", yaw=-math.pi + 0.05), st)
     assert abs(abs(out.yaw) - math.pi) < 1e-9
 
 
 def test_running_sums_match_direct_mean(rng):
-    st = HybridState(window=7)
+    st = HybridState()
     poses = []
     for k in range(40):
         qr = _pose(rng.uniform(-1, 1), "qr", yaw=rng.uniform(-3, 3)) \
@@ -87,3 +82,4 @@ def test_running_sums_match_direct_mean(rng):
         sin_m = np.mean([math.sin(e.yaw) for e in direct])
         cos_m = np.mean([math.cos(e.yaw) for e in direct])
         assert out.yaw == pytest.approx(math.atan2(sin_m, cos_m), abs=1e-12)
+    assert len(st.estimates) == WINDOW  # the oldest were evicted

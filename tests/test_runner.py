@@ -298,6 +298,16 @@ def test_mission_still_flying_at_max_time_is_a_timeout():
     assert records[-1][1] == "takeoff"
 
 
+def test_a_step_the_world_cannot_take_raises_before_the_first_tick():
+    with pytest.raises(ValueError, match=r"dt must be in \(0, 0.1\], got 0.2"):
+        run_mission(ScenarioConfig(), MissionConfig(), seed=0, dt=0.2)
+    for dt in (0.1, 0.05):
+        summary, records = run_mission(ScenarioConfig(), MissionConfig(),
+                                       seed=0, max_time=2.0, dt=dt)
+        assert summary.abort_reason == "timeout", dt
+        assert len(records) == round(2.0 / dt)
+
+
 def test_summary_serializes_to_json():
     s = RunSummary(final_phase="done", landing_error=0.01, seed=4)
     text = json.dumps(s.to_dict())
@@ -359,8 +369,8 @@ def test_each_label_filter_makes_one_predict_and_update_per_tick(monkeypatch):
     _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0,
                              max_time=1.0)
     assert len(records) == 50
-    # the first tick starts both filters from the ranges alone; the batch
-    # forms are for callers outside a flight
+    # the first tick starts both filters from the ranges alone; the
+    # EkfState forms are for callers outside a flight
     assert calls == {"predict_label": 98, "update_label": 98,
                      "ekf_predict": 0, "ekf_update": 0}
 
@@ -376,7 +386,7 @@ def nan_ranges_from_one_second(monkeypatch):
     def sense_uwb(self, state):
         ranges = original(self, state)
         if self.cfg.seed == FAULTY_SEED and state.t >= 1.0:
-            ranges[0] = math.nan
+            ranges[0] = [math.nan] * len(ranges[0])
         return ranges
     monkeypatch.setattr(SimWorld, "sense_uwb", sense_uwb)
 

@@ -111,19 +111,19 @@ def test_range_zero_at_anchor_and_345_triangle():
                         uav_start=(3.0, 3.8, 0.0))
     world = SimWorld(cfg)
     state = world.initial_state()
-    ranges = world.sense_uwb(state)
+    ranges = np.array(world.sense_uwb(state))
     assert ranges.shape == (2, 3)  # (labels, anchors)
     # label 0 sits at uav + (0, 0.2, 0) = (3, 4, 0)
     assert ranges[0, 0] == pytest.approx(5.0, abs=1e-12)
     cfg2 = calm_scenario(anchors=anchors, uav_start=(0.0, -0.2, 0.0))
     world2 = SimWorld(cfg2)
-    r2 = world2.sense_uwb(world2.initial_state())
+    r2 = np.array(world2.sense_uwb(world2.initial_state()))
     assert r2[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def _noise_free_ranges(cfg, state):
     """The ranges of the same state from a twin world without range noise."""
-    return SimWorld(replace(cfg, sigma_uwb=0.0)).sense_uwb(state)
+    return np.array(SimWorld(replace(cfg, sigma_uwb=0.0)).sense_uwb(state))
 
 
 def test_range_noise_sigma_calibrated():
@@ -133,7 +133,7 @@ def test_range_noise_sigma_calibrated():
     true_d = _noise_free_ranges(cfg, state)
     residuals = []
     while len(residuals) < 100_000:
-        residuals.extend((world.sense_uwb(state) - true_d).ravel())
+        residuals.extend((np.array(world.sense_uwb(state)) - true_d).ravel())
     std = float(np.std(residuals))
     assert 0.098 <= std <= 0.102
 
@@ -148,7 +148,7 @@ def test_occlusion_inflates_noise():
         world = SimWorld(cfg)
         state = world.initial_state()
         true_d = _noise_free_ranges(cfg, state)
-        res = [world.sense_uwb(state) - true_d for _ in range(500)]
+        res = [np.array(world.sense_uwb(state)) - true_d for _ in range(500)]
         return np.std(res)
 
     assert spread(occluded) == pytest.approx(5.0 * spread(base), rel=0.1)
