@@ -1,4 +1,4 @@
-"""Rotation algebra, the pinhole camera model and the config field ranges.
+"""Rotation algebra, the pinhole camera model and the config field checks.
 
 Attitude convention used throughout the package: intrinsic ZYX
 (yaw-pitch-roll), body-to-world, i.e.
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache
 from numbers import Integral, Real
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,19 +66,43 @@ TILT = Range("in [0, pi/2)", 0.0, math.pi / 2, high_open=True, unit="deg")
 FIELD_OF_VIEW = Range("in (0, pi)", 0.0, math.pi, True, True, unit="deg")
 
 
+# the resolved annotations of a dataclass's fields; resolving costs far
+# more than a config check, so it is done once per class
+field_types = cache(get_type_hints)
+
+
+@cache
+def _checks(cls) -> tuple:
+    """(name, range, tuple length, None allowed) of each field of `cls` that
+    has a range; the length is n for tuple[X1, ..., Xn] (or that | None)."""
+    checks = []
+    for f in fields(cls):
+        hint = field_types(cls)[f.name]
+        args = get_args(hint)
+        if type(None) in args:  # X | None
+            hint, args = args[0], get_args(args[0])
+        length = len(args) if get_origin(hint) is tuple and ... not in args else None
+        if "range" in f.metadata:
+            checks.append((f.name, f.metadata["range"], length, f.default is None))
+    return tuple(checks)
+
+
 class Ranged:
     """Base of the config dataclasses: construction checks every field that
-    has a range in its metadata, a tuple element by element; None passes
-    only where it is the default."""
+    has a range in its metadata, a tuple for its annotated length and then
+    element by element; None passes only where it is the default."""
 
     def __post_init__(self):
-        for f in fields(self):
-            value, valid = getattr(self, f.name), f.metadata.get("range")
-            if valid is None or (value is None and f.default is None):
+        for name, valid, length, optional in _checks(type(self)):
+            value = getattr(self, name)
+            if value is None and optional:
                 continue
-            for v in value if isinstance(value, tuple) else (value,):
+            if length and not (isinstance(value, tuple) and len(value) == length):
+                raise ValueError(f"{name} must be a tuple of {length} values, "
+                                 f"got {value!r}")
+            for v in value if length else (value,):
                 if v not in valid:
-                    raise ValueError(f"{f.name} must be {valid.text}, got {v!r}")
+                    raise ValueError(f"{name} must be {valid.text}, got {v!r}")
 
 
 def wrap_angle(a: float) -> float:

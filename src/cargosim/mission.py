@@ -63,7 +63,7 @@ class MissionConfig(Ranged):
     hover_window: float = POSITIVE(2.0)
     geofence: tuple[float, float, float, float] = FINITE((-6.0, 14.0, -8.0, 8.0))
     return_altitude: float = POSITIVE(6.0)
-    gains: dict = field(default_factory=lambda: dict(PHASE_GAINS))
+    gains: dict[str, PidGains] = field(default_factory=lambda: dict(PHASE_GAINS))
     max_attach_attempts: int = COUNT(3)
 
     def __post_init__(self):

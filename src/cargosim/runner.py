@@ -146,7 +146,9 @@ class LabelFilters:
         self.points = self.anchors.positions.tolist()
         params = uwb_localization.EkfParams(
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
-        self.var, self.period = params.sigma_range ** 2, params.period
+        # a sigma past 1e154 m has no float variance: the ranges weigh nothing
+        self.var = params.sigma_range ** 2 if params.sigma_range < 1e154 else math.inf
+        self.period = params.period
         self.filters = None
 
     def step(self, a_body, R_b_w, R_w_u, rows: list[list[float]],

@@ -3,8 +3,10 @@ import dataclasses
 import json
 import math
 import re
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from cargosim.config import ConfigError, load_config
 from cargosim.control import PidGains, VelocityLimits
 from cargosim.mission import MissionConfig
 from cargosim.qr_localization import QrMarker
+from cargosim.runner import run_mission
 from cargosim.sim_world import CargoSpec, ScenarioConfig
 from cargosim.uwb_localization import EkfParams
 
@@ -24,7 +27,6 @@ def _write(tmp_path, payload):
 
 
 def test_empty_file_gives_defaults(tmp_path):
-    import numpy as np
     scenario, mission = load_config(_write(tmp_path, {}))
     defaults = ScenarioConfig()
     assert np.array_equal(scenario.anchors, defaults.anchors)
@@ -99,7 +101,7 @@ def test_mission_gains_merge_defaults(tmp_path):
 
 
 def test_geofence_shape_checked(tmp_path):
-    with pytest.raises(ConfigError, match="xmin"):
+    with pytest.raises(ConfigError, match="geofence must be a tuple of 4 values"):
         load_config(_write(tmp_path, {"mission": {"geofence": [0, 1, 2]}}))
 
 
@@ -264,8 +266,14 @@ def _in_range(valid):
                      allow_nan=False, allow_infinity=False)
 
 
+# the named reasons a flight may abort for; estimator_fault is a tick that
+# raised a ValueError or ArithmeticError (see runner.Flight.fly)
+REASONS = {"geofence", "no_pre_hover_window", "attach_retries_exhausted", "timeout",
+           "estimator_fault"}
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_in_range_values_build_every_config(config, data):
     kwargs = {}
@@ -280,7 +288,99 @@ def test_in_range_values_build_every_config(config, data):
         xmin, xmax, ymin, ymax = kwargs["geofence"]
         assume(xmin != xmax and ymin != ymax)
         kwargs["geofence"] = (*sorted((xmin, xmax)), *sorted((ymin, ymax)))
-    dataclasses.replace(config, **kwargs)
+    built = dataclasses.replace(config, **kwargs)
+    if isinstance(built, ScenarioConfig):  # an in-range scenario flies to a named end
+        summary, _ = run_mission(built, MissionConfig(), max_time=5.0)
+        assert (summary.final_phase, summary.abort_reason) in (
+            {("done", None)} | {("aborted", reason) for reason in REASONS})
+
+
+def _fixed_tuples():
+    """(config, field, length) for every field annotated tuple[X1, ..., Xn],
+    or that | None, of the config types."""
+    for config in CONFIGS:
+        hints = typing.get_type_hints(type(config))
+        for f in dataclasses.fields(config):
+            hint = hints[f.name]
+            if type(None) in typing.get_args(hint):
+                hint = typing.get_args(hint)[0]
+            args = typing.get_args(hint)
+            if typing.get_origin(hint) is tuple and ... not in args:
+                yield pytest.param(config, f.name, len(args),
+                                   id=f"{type(config).__name__}.{f.name}")
+
+
+FIXED_TUPLES = list(_fixed_tuples())
+
+
+@pytest.mark.parametrize("config, name, length", FIXED_TUPLES)
+def test_vector_of_the_wrong_length_names_its_field(config, name, length):
+    value = getattr(config, name)
+    assert len(value) == length
+    for wrong in (value[:-1], value + value[-1:]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a tuple of {length} values, got {wrong!r}")):
+            dataclasses.replace(config, **{name: wrong})
+
+
+def _in_degrees(f) -> bool:
+    return f.metadata.get("range") is not None and f.metadata["range"].unit == "deg"
+
+
+def _dump(config) -> dict:
+    """`config` as the JSON object that load_config reads: angles in degrees
+    under <name>_deg, tuples and arrays as lists, dataclasses as objects."""
+    out = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if _in_degrees(f):
+            out[f"{f.name}_deg"] = math.degrees(value)
+        else:
+            out[f.name] = _json(value)
+    return out
+
+
+def _json(value):
+    if dataclasses.is_dataclass(value):
+        return _dump(value)
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
+
+
+def test_every_field_round_trips_through_json(tmp_path):
+    scenario = ScenarioConfig(occlusion_center=(8.0, 0.0, 1.5))
+    path = _write(tmp_path, {"scenario": _dump(scenario), "mission": _dump(MissionConfig())})
+    loaded, mission = load_config(path)
+    assert mission == MissionConfig()
+    for f in dataclasses.fields(scenario):
+        want, got = getattr(scenario, f.name), getattr(loaded, f.name)
+        if f.name == "anchors":
+            assert np.array_equal(got, want)
+        elif _in_degrees(f):
+            assert got == pytest.approx(want, rel=0, abs=1e-12), f.name
+        else:
+            assert got == want, f.name
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = re.search(r"## Scenario files.*?```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "example.json"
+    path.write_text(text)
+    scenario, mission = load_config(path)
+    example = json.loads(text)
+    dumped = {"scenario": _dump(scenario), "mission": _dump(mission)}
+    for section, values in example.items():
+        for key, value in values.items():
+            if isinstance(value, (int, float)):
+                assert dumped[section][key] == pytest.approx(value, rel=1e-12), key
+    assert mission.gains["search"] == PidGains(**example["mission"]["gains"]["search"])
+    assert mission.gains["land"] == MissionConfig().gains["land"]
 
 
 def _attributes_read_outside(class_name: str) -> set[str]:
