@@ -18,7 +18,7 @@ import math
 import sys
 import typing
 
-from .frames import field_types
+from .frames import field_shapes
 from .mission import MissionConfig
 from .sim_world import ScenarioConfig
 
@@ -35,12 +35,12 @@ class ConfigError(ValueError):
 
 @functools.cache
 def _schema(cls) -> dict:
-    """Each JSON key of the dataclass `cls`: (field, annotation, in degrees)."""
+    """Each JSON key of the dataclass `cls`: (field, type, in degrees)."""
     schema = {}
     for f in dataclasses.fields(cls):
         degrees = getattr(f.metadata.get("range"), "unit", None) == "deg"
         key = f"{f.name}_deg" if degrees else f.name
-        schema[key] = (f, field_types(cls)[f.name], degrees)
+        schema[key] = (f, field_shapes(cls)[f.name][0], degrees)
     return schema
 
 
@@ -56,7 +56,8 @@ def _build(cls, raw, path: str):
             known = key.removesuffix("_deg") in schema
             raise ConfigError(f"{path}.{key}", "field is not an angle" if known else "unknown field")
         f, hint, degrees = schema[key]
-        value = _value(hint, value, f"{path}.{key}", f)
+        if value is not None or f.default is not None:  # null only where it is the default
+            value = _value(hint, value, f"{path}.{key}", f)
         kwargs[f.name] = math.radians(value) if degrees else value
     for key, (f, _, _) in schema.items():
         if f.name not in kwargs and f.default is f.default_factory is dataclasses.MISSING:
@@ -70,8 +71,6 @@ def _build(cls, raw, path: str):
 def _value(hint, raw, path: str, f=None):
     """The JSON value `raw` as the annotation `hint` takes it."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if type(None) in args:  # X | None
-        return None if raw is None else _value(args[0], raw, path)
     if dataclasses.is_dataclass(hint):
         return _build(hint, raw, path)
     if origin in (list, tuple):

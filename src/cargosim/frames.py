@@ -66,25 +66,29 @@ TILT = Range("in [0, pi/2)", 0.0, math.pi / 2, high_open=True, unit="deg")
 FIELD_OF_VIEW = Range("in (0, pi)", 0.0, math.pi, True, True, unit="deg")
 
 
-# the resolved annotations of a dataclass's fields; resolving costs far
-# more than a config check, so it is done once per class
-field_types = cache(get_type_hints)
+@cache
+def field_shapes(cls) -> dict:
+    """{name: (type, length)} of each field of the dataclass `cls`: its
+    resolved annotation without any ``| None``, and n where that is
+    tuple[X1, ..., Xn] (else None).  Resolving annotations costs far more
+    than a config check, so it is done once per class."""
+    hints, shapes = get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        if type(None) in get_args(hint):  # X | None
+            hint = get_args(hint)[0]
+        args = get_args(hint)
+        fixed = get_origin(hint) is tuple and ... not in args
+        shapes[f.name] = (hint, len(args) if fixed else None)
+    return shapes
 
 
 @cache
 def _checks(cls) -> tuple:
     """(name, range, tuple length, None allowed) of each field of `cls` that
-    has a range; the length is n for tuple[X1, ..., Xn] (or that | None)."""
-    checks = []
-    for f in fields(cls):
-        hint = field_types(cls)[f.name]
-        args = get_args(hint)
-        if type(None) in args:  # X | None
-            hint, args = args[0], get_args(args[0])
-        length = len(args) if get_origin(hint) is tuple and ... not in args else None
-        if "range" in f.metadata:
-            checks.append((f.name, f.metadata["range"], length, f.default is None))
-    return tuple(checks)
+    has a range (see field_shapes)."""
+    return tuple((f.name, f.metadata["range"], field_shapes(cls)[f.name][1],
+                  f.default is None) for f in fields(cls) if "range" in f.metadata)
 
 
 class Ranged:

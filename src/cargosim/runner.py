@@ -98,15 +98,18 @@ class Flight:
         self.recorder = Recorder(scenario, dt, keep_rows)
 
     def fly(self, max_time: float) -> None:
-        """Tick until the mission ends or `max_time` runs out; a ValueError
-        or ArithmeticError in a tick aborts it with ``estimator_fault``."""
+        """Tick until the mission ends or `max_time` runs out.  A reading the
+        filters cannot take aborts it with ``sensor_fault``; any other
+        ValueError or ArithmeticError in a tick, with ``estimator_fault``."""
         for _ in range(int(round(max_time / self.dt))):
             try:
                 if not self.tick():
                     return
             except (ValueError, ArithmeticError) as exc:
-                events = [f"estimator_fault:{type(exc).__name__}: {exc}"]
-                self.executive.abort("estimator_fault", events)
+                reason = ("sensor_fault" if isinstance(exc, uwb_localization.SensorFault)
+                          else "estimator_fault")
+                events = [f"{reason}:{type(exc).__name__}: {exc}"]
+                self.executive.abort(reason, events)
                 self.recorder.fault(self.state, self.executive.phase, events)
                 return
 
@@ -146,9 +149,7 @@ class LabelFilters:
         self.points = self.anchors.positions.tolist()
         params = uwb_localization.EkfParams(
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
-        # a sigma past 1e154 m has no float variance: the ranges weigh nothing
-        self.var = params.sigma_range ** 2 if params.sigma_range < 1e154 else math.inf
-        self.period = params.period
+        self.var, self.period = params.range_variance, params.period
         self.filters = None
 
     def step(self, a_body, R_b_w, R_w_u, rows: list[list[float]],

@@ -175,6 +175,16 @@ class RotorTelemetry:
         return float(np.dot(self.speeds, self.speeds))
 
 
+def _wave(amp: float, t: float, period: float, phase: float) -> float:
+    """amp sin(2 pi t / period + phase).  Where that angle leaves the float
+    range (a period of a few 1e-324 s, a phase near 1e308) it is taken from
+    the start of the current period, which has the same sine."""
+    angle = 2 * math.pi * t / period + phase
+    if not math.isfinite(angle):
+        angle = 2 * math.pi * math.fmod(t, period) / period + phase
+    return amp * math.sin(angle)
+
+
 class SimWorld:
     """Steppable world; owns the seeded generator for all noise draws."""
 
@@ -214,10 +224,10 @@ class SimWorld:
 
     def _platform_attitude(self, t: float) -> EulerAngles:
         cfg = self.cfg
-        roll = cfg.platform_roll_amp * math.sin(
-            2 * math.pi * t / cfg.platform_roll_period + cfg.platform_roll_phase)
-        pitch = cfg.platform_pitch_amp * math.sin(
-            2 * math.pi * t / cfg.platform_pitch_period + cfg.platform_pitch_phase)
+        roll = _wave(cfg.platform_roll_amp, t, cfg.platform_roll_period,
+                     cfg.platform_roll_phase)
+        pitch = _wave(cfg.platform_pitch_amp, t, cfg.platform_pitch_period,
+                      cfg.platform_pitch_phase)
         return EulerAngles(roll, pitch, wrap_angle(self._platform_yaw))
 
     def step(self, state: SimState, cmd, dt: float) -> SimState:
@@ -226,7 +236,9 @@ class SimWorld:
         cmd is [vx, vy, vz, yaw_rate].  The UAV velocity follows the
         command through a first-order lag; gusts act as a bounded
         disturbance acceleration; rotor speeds balance the carried
-        weight plus the commanded vertical acceleration.
+        weight plus the commanded vertical acceleration.  A lag (velocity,
+        gust or trim) with a time constant shorter than dt settles within
+        the step, so no Euler step overshoots its target.
         """
         cfg = self.cfg
         c_vx, c_vy, c_vz, c_yaw = cmd
@@ -243,7 +255,7 @@ class SimWorld:
 
         wx, wy = state.wind_vel
         if cfg.wind_sigma > 0.0:
-            relax = dt / cfg.wind_tau
+            relax = min(dt / cfg.wind_tau, 1.0)
             gust = cfg.wind_sigma * math.sqrt(dt)
             n0, n1 = self.rng.standard_normal(2).tolist()
             wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n0
@@ -255,10 +267,10 @@ class SimWorld:
         dist_x = cfg.drag_coeff * (wx - vx)
         dist_y = cfg.drag_coeff * (wy - vy)
         tx, ty = state.wind_trim
-        trim_gain = dt / cfg.trim_tau
+        trim_gain = min(dt / cfg.trim_tau, 1.0)
         tx = tx + (dist_x - tx) * trim_gain
         ty = ty + (dist_y - ty) * trim_gain
-        tau = cfg.vel_time_constant
+        tau = max(cfg.vel_time_constant, dt)
         ax = (cy * c_vx - sy * c_vy - vx) / tau + (dist_x - tx)
         ay = (sy * c_vx + cy * c_vy - vy) / tau + (dist_y - ty)
         az = (c_vz - vz) / tau + 0.0  # no vertical disturbance
@@ -376,9 +388,11 @@ class SimWorld:
                 cy += cfg.qr_image_noise * self.rng.standard_normal()
                 d_img = abs(d_img + cfg.qr_image_noise * self.rng.standard_normal())
             if cfg.qr_yaw_noise > 0.0:
-                yaw = wrap_angle(yaw + cfg.qr_yaw_noise * self.rng.standard_normal())
+                yaw = yaw + cfg.qr_yaw_noise * self.rng.standard_normal()
+            if not (d_img > 0.0 and all(map(math.isfinite, (cx, cy, d_img, yaw)))):
+                continue  # an image too small, or noise past the float range
             out.append(QrObservation(label=marker.label, image_diagonal=d_img,
-                                     image_center=(cx, cy), image_yaw=yaw,
+                                     image_center=(cx, cy), image_yaw=wrap_angle(yaw),
                                      focal_length=cfg.qr_focal))
         return out
 
@@ -412,10 +426,12 @@ class SimWorld:
                 (2.0 * self.rng.random() - 1.0)
             yaw = wrap_angle(cargo.yaw - state.uav_euler.yaw)
             if cfg.det_yaw_noise > 0.0:
-                yaw = wrap_angle(yaw + cfg.det_yaw_noise * self.rng.standard_normal())
+                yaw = yaw + cfg.det_yaw_noise * self.rng.standard_normal()
+            if not (d_img > 0.0 and all(map(math.isfinite, (cx, cy, d_img, yaw)))):
+                continue  # an image too small, or noise past the float range
             out.append(DetectionObservation(
                 confidence=min(1.0, max(0.0, conf)), image_center=(cx, cy),
-                box_diagonal=d_img, box_yaw=yaw))
+                box_diagonal=d_img, box_yaw=wrap_angle(yaw)))
         return out
 
     def attach_cargo(self, state: SimState, success_prob: float) -> SimState:

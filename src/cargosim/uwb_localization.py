@@ -65,6 +65,12 @@ class EkfParams(Ranged):
     sigma_range: float = POSITIVE(0.10)  # m
     period: float = POSITIVE(0.02)  # s
 
+    @property
+    def range_variance(self) -> float:
+        """sigma_range squared, with sigma held at 1e154 m or below, where
+        its square is still a float: such ranges weigh next to nothing."""
+        return min(self.sigma_range, 1e154) ** 2
+
 
 @dataclass(frozen=True)
 class EkfState:
@@ -96,11 +102,16 @@ def initial_state(position: np.ndarray) -> EkfState:
     return EkfState(tuple(map(initial_label, np.asarray(position, dtype=float))))
 
 
+class SensorFault(ValueError):
+    """A reading the filters cannot take: an acceleration that is not
+    finite, or an epoch of ranges that locates no position."""
+
+
 def anchor_acceleration(a_body, R_b_w, R_w_u) -> tuple[float, float, float]:
     """Body acceleration rotated world-then-anchor-frame; the rotations are
     3x3 arrays or their rows (see frames.rotation_rows)."""
     if not all(map(math.isfinite, a_body)):
-        raise ValueError("acceleration must be finite")
+        raise SensorFault("acceleration must be finite")
     return rotate(R_w_u, rotate(R_b_w, a_body))
 
 
@@ -197,7 +208,7 @@ def ekf_update(s: EkfState, ranges: list[tuple[int, float]],
         raise ValueError("at least one range measurement is required")
     row = [r for _, r in ranges]
     points = anchors.positions[[j for j, _ in ranges]].tolist()
-    var = params.sigma_range ** 2
+    var = params.range_variance
     return EkfState(tuple(update_label(mean, cov, row, points, var)[:2]
                           for mean, cov in s.labels))
 
@@ -261,9 +272,13 @@ def multilaterate(ranges: list[tuple[int, float]], anchors: AnchorSet,
 
     Used to initialize the filters from the first complete epoch and as
     the raw per-epoch baseline the filtered estimate is compared against.
+    Ranges that are not finite are left out; an epoch that locates no
+    position (fewer than 3 ranges left, or a solve that leaves the float
+    range) raises :class:`SensorFault`.
     """
+    ranges = [(j, r) for j, r in ranges if math.isfinite(r)]
     if len(ranges) < 3:
-        raise ValueError("multilateration needs at least 3 ranges")
+        raise SensorFault("multilateration needs at least 3 finite ranges")
     idx = np.array([j for j, _ in ranges])
     meas = np.array([r for _, r in ranges])
     pts = anchors.positions[idx]
@@ -274,8 +289,12 @@ def multilaterate(ranges: list[tuple[int, float]], anchors: AnchorSet,
         dists = np.maximum(dists, 1e-12)
         J = diff / dists[:, None]
         r = dists - meas
+        if not np.isfinite(r).all():
+            raise SensorFault("ranges past the float range of the solve")
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         u = u + step
         if np.linalg.norm(step) < MULTILATERATE_TOL:
             break
+    if not np.isfinite(u).all():
+        raise SensorFault("ranges past the float range of the solve")
     return u

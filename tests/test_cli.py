@@ -196,48 +196,54 @@ def test_seed_defaults_to_the_scenario_seed(tmp_path, capsys, argv, seeds):
 MARKER = {"label": 1, "diagonal": 0.3, "panel_xy": [1.0, 2.0]}
 CARGO = {"position": [8.0, 0.0, 1.1], "mass": 0.89, "top_diagonal": 0.372}
 
-# (file, dotted key): the key is the error's path, or the error's path is
-# the object that holds the key and its message starts with the key's name
+# (file, dotted key, holder): the error names the key, as `<key>: ...`;
+# where the type's own check refuses the value, the error names the object
+# that holds the key instead, as `<holder>: <field name> ...`
 MALFORMED = [
-    ({"scenario": {"wind_mean": 5}}, "scenario.wind_mean"),
-    ({"scenario": {"deck_center": ["a", 0]}}, "scenario.deck_center"),
-    ({"scenario": {"platform_roll_amp_deg": "x"}}, "scenario.platform_roll_amp_deg"),
-    ({"scenario": {"cargoes": [{**CARGO, "yaw": 45}]}}, "scenario.cargoes[0].yaw"),
-    ({"mission": {"gains": {"land": 3}}}, "mission.gains.land"),
+    ({"scenario": {"wind_mean": 5}}, "scenario.wind_mean", None),
+    ({"scenario": {"deck_center": ["a", 0]}}, "scenario.deck_center", None),
+    ({"scenario": {"platform_roll_amp_deg": "x"}}, "scenario.platform_roll_amp_deg", None),
+    ({"scenario": {"cargoes": [{**CARGO, "yaw": 45}]}}, "scenario.cargoes[0].yaw", None),
+    ({"mission": {"gains": {"land": 3}}}, "mission.gains.land", None),
     ({"scenario": {"qr_markers": [{**MARKER, "label": 1.7}]}},
-     "scenario.qr_markers[0].label"),
+     "scenario.qr_markers[0].label", "scenario.qr_markers[0]"),
     ({"scenario": {"qr_markers": [MARKER, {**MARKER, "label": True}]}},
-     "scenario.qr_markers[1].label"),
+     "scenario.qr_markers[1].label", "scenario.qr_markers[1]"),
     ({"scenario": {"qr_markers": [{**MARKER, "bogus": 1}]}},
-     "scenario.qr_markers[0].bogus"),
+     "scenario.qr_markers[0].bogus", None),
     ({"scenario": {"qr_markers": [{**MARKER, "panel_xy": [1, 2, 3]}]}},
-     "scenario.qr_markers[0].panel_xy"),
+     "scenario.qr_markers[0].panel_xy", "scenario.qr_markers[0]"),
     ({"scenario": {"qr_markers": [MARKER, {**MARKER, "panel_xy": "12"}]}},
-     "scenario.qr_markers[1].panel_xy"),
-    ({"scenario": {"cargoes": [{**CARGO, "mass": "0.89"}]}}, "scenario.cargoes[0].mass"),
-    ({"scenario": {"tilt_limit_deg": "15"}}, "scenario.tilt_limit_deg"),
-    pytest.param({"scenario": {"tilt_limit_deg": True}}, "scenario.tilt_limit_deg",
+     "scenario.qr_markers[1].panel_xy", None),
+    ({"scenario": {"cargoes": [{**CARGO, "mass": "0.89"}]}}, "scenario.cargoes[0].mass",
+     None),
+    ({"scenario": {"tilt_limit_deg": "15"}}, "scenario.tilt_limit_deg", None),
+    pytest.param({"scenario": {"tilt_limit_deg": True}}, "scenario.tilt_limit_deg", None,
                  id="scenario.tilt_limit_deg-true"),
-    pytest.param({"scenario": {"wind_mean": [True, 2]}}, "scenario.wind_mean",
+    pytest.param({"scenario": {"wind_mean": [True, 2]}}, "scenario.wind_mean", None,
                  id="scenario.wind_mean-bool"),
-    pytest.param({"scenario": {"qr_markers": {"label": 1}}}, "scenario.qr_markers",
+    pytest.param({"scenario": {"qr_markers": {"label": 1}}}, "scenario.qr_markers", None,
                  id="scenario.qr_markers-object"),
-    ({"mission": {"gains": {"land": {"kp": 0.3, "kd": 0.05}}}}, "mission.gains.land.ki"),
-    ({"scenario": {"sigma_uwb": 10 ** 400}}, "scenario.sigma_uwb"),  # past the float range
+    ({"mission": {"gains": {"land": {"kp": 0.3, "kd": 0.05}}}}, "mission.gains.land.ki",
+     None),
+    # an integer past the float range reads as infinity, which sigma_uwb's range refuses
+    ({"scenario": {"sigma_uwb": 10 ** 400}}, "scenario.sigma_uwb", "scenario"),
 ]
 
 
-@pytest.mark.parametrize("payload, key", MALFORMED,
+@pytest.mark.parametrize("payload, key, holder", MALFORMED,
                          ids=[p.id if hasattr(p, "id") else p[1] for p in MALFORMED])
 def test_malformed_value_is_a_config_error_naming_its_field(tmp_path, capsys,
-                                                            payload, key):
+                                                            payload, key, holder):
     rc = cli.main(["plan", "--scenario", _scenario_file(tmp_path, payload)])
     assert rc == cli.EXIT_CONFIG == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    holder, _, name = key.rpartition(".")
-    assert captured.err.startswith((f"configuration error: {key}: ",
-                                    f"configuration error: {holder}: {name} "))
+    if holder is None:
+        assert captured.err.startswith(f"configuration error: {key}: ")
+    else:
+        name = key.removeprefix(f"{holder}.")
+        assert captured.err.startswith(f"configuration error: {holder}: {name} ")
     assert "Traceback" not in captured.err
 
 

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import math
 import re
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import cargosim
 from cargosim.config import ConfigError, load_config
 from cargosim.control import PidGains, VelocityLimits
+from cargosim.frames import field_shapes
 from cargosim.mission import MissionConfig
 from cargosim.qr_localization import QrMarker
 from cargosim.runner import run_mission
@@ -266,10 +266,10 @@ def _in_range(valid):
                      allow_nan=False, allow_infinity=False)
 
 
-# the named reasons a flight may abort for; estimator_fault is a tick that
-# raised a ValueError or ArithmeticError (see runner.Flight.fly)
+# the named reasons an in-range flight may abort for; not estimator_fault,
+# which is a tick that raised (see runner.Flight.fly)
 REASONS = {"geofence", "no_pre_hover_window", "attach_retries_exhausted", "timeout",
-           "estimator_fault"}
+           "sensor_fault"}
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
@@ -296,18 +296,13 @@ def test_in_range_values_build_every_config(config, data):
 
 
 def _fixed_tuples():
-    """(config, field, length) for every field annotated tuple[X1, ..., Xn],
-    or that | None, of the config types."""
+    """(config, field, length) for every fixed-length tuple field of the
+    config types, as their annotations give it."""
     for config in CONFIGS:
-        hints = typing.get_type_hints(type(config))
-        for f in dataclasses.fields(config):
-            hint = hints[f.name]
-            if type(None) in typing.get_args(hint):
-                hint = typing.get_args(hint)[0]
-            args = typing.get_args(hint)
-            if typing.get_origin(hint) is tuple and ... not in args:
-                yield pytest.param(config, f.name, len(args),
-                                   id=f"{type(config).__name__}.{f.name}")
+        for name, (_, length) in field_shapes(type(config)).items():
+            if length is not None:
+                yield pytest.param(config, name, length,
+                                   id=f"{type(config).__name__}.{name}")
 
 
 FIXED_TUPLES = list(_fixed_tuples())

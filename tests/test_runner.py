@@ -411,6 +411,16 @@ def test_a_fault_inside_a_tick_aborts_the_flight(nan_ranges_from_one_second,
     assert "" not in rmse and np.isfinite(list(rmse.values())).all()
 
 
+def test_a_first_epoch_that_locates_no_label_aborts_with_sensor_fault():
+    # ranges near 1e307 m square past the float range in the solve
+    summary, records = run_mission(ScenarioConfig(uav_start=(1e307, 0.0, 0.0)),
+                                   MissionConfig())
+    assert (summary.final_phase, summary.abort_reason) == ("aborted", "sensor_fault")
+    last = dict(zip(LOG_COLUMNS, records[-1]))
+    assert len(records) == 1 and last["source"] == ""
+    assert last["events"].startswith("sensor_fault:SensorFault: ")
+
+
 def test_montecarlo_keeps_every_other_summary_when_a_seed_faults(
         nan_ranges_from_one_second):
     # the pool's workers are forked, so they inherit the fault

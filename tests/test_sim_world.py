@@ -59,6 +59,25 @@ def test_velocity_tracks_command():
     assert state.uav_vel[0] == pytest.approx(0.5, abs=0.01)
 
 
+def test_a_lag_faster_than_the_step_settles_within_it():
+    # an Euler step of a 1 ns lag would overshoot its target 2e7-fold
+    world = SimWorld(calm_scenario(vel_time_constant=1e-9, trim_tau=1e-9, wind_tau=1e-9,
+                                   wind_mean=(12.0, 0.0), wind_sigma=2.0))
+    state = world.initial_state()
+    for _ in range(3):
+        state = world.step(state, np.array([0.5, 0.0, 0.0, 0.0]), 0.02)
+        assert state.uav_vel[0] == pytest.approx(0.5, rel=1e-12)
+        assert abs(state.wind_vel[0] - 12.0) < 2.0  # one gust of 0.28 m/s per sigma
+
+
+def test_platform_attitude_is_finite_for_the_shortest_period():
+    world = SimWorld(calm_scenario(platform_roll_amp=0.1, platform_roll_period=5e-324,
+                                   platform_pitch_amp=0.1, platform_pitch_period=1e-300))
+    state = world.step(world.initial_state(), np.zeros(4), 0.02)
+    assert math.isfinite(state.platform_attitude.roll)
+    assert math.isfinite(state.platform_attitude.pitch)
+
+
 def test_steady_wind_is_trimmed_out():
     # the velocity loop's trim integrator cancels constant wind; only
     # gusts leak through, so with zero gusts the hover drift stays small
@@ -193,6 +212,17 @@ def test_cargo_detection_suppressed_when_filling_view():
                                    cargo.position[2] + 0.05))
     world = SimWorld(cfg)
     assert world.sense_cargo(world.initial_state()) == []
+
+
+def test_an_image_too_small_for_a_float_is_not_reported():
+    # f D / depth underflows to 0: 1e-300 * 0.6 / 1e30
+    cargo = calm_scenario().cargoes[0]
+    for x, y, sense in ((1.0, 2.0, SimWorld.sense_qr),
+                        (cargo.position[0], cargo.position[1], SimWorld.sense_cargo)):
+        for height, seen in ((2.5, True), (1e30, False)):
+            world = SimWorld(calm_scenario(uav_start=(x, y, height), qr_max_height=1e31,
+                                           qr_focal=1e-300, det_focal=1e-300))
+            assert bool(sense(world, world.initial_state())) == seen
 
 
 def test_cargo_confidence_fluctuates():

@@ -7,7 +7,7 @@ from scipy.optimize import least_squares
 
 from cargosim.frames import rotation_from_rpy, wrap_angle
 from cargosim.uwb_localization import (SIGMA_JERK, AnchorSet, BaselineGateError,
-                                       EkfParams, anchor_acceleration,
+                                       EkfParams, SensorFault, anchor_acceleration,
                                        ekf_predict, ekf_update, fuse_labels,
                                        initial_label, initial_state,
                                        multilaterate, predict_label,
@@ -172,6 +172,21 @@ def test_multilaterate_matches_scipy_oracle(rng):
 def test_multilaterate_needs_three_ranges():
     with pytest.raises(ValueError):
         multilaterate([(0, 1.0), (1, 2.0)], ANCHORS)
+
+
+def test_multilaterate_leaves_out_ranges_that_are_not_finite():
+    ranges = _ranges([0.3, -0.4, 1.2])
+    held = [(j, {1: math.inf, 4: math.nan}.get(j, r)) for j, r in ranges]
+    np.testing.assert_allclose(multilaterate(held, ANCHORS),
+                               multilaterate([ranges[j] for j in (0, 2, 3, 5)], ANCHORS),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r, message", [(math.inf, "at least 3 finite ranges"),
+                                        (1e307, "past the float range")])
+def test_an_epoch_that_locates_no_position_is_a_sensor_fault(r, message):
+    with pytest.raises(SensorFault, match=message):
+        multilaterate([(j, r) for j in range(len(ANCHORS))], ANCHORS)
 
 
 def test_fuse_labels_idempotent():
