@@ -18,6 +18,7 @@ the world frame -- the relation the dual-label heading recovery relies on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache
 from numbers import Integral, Real
@@ -30,9 +31,10 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class Range:
-    """The valid values of a config field: finite numbers (ints only when
-    `integer`) between low and high, each bound open or closed.  Calling a
-    range makes the field that carries it: ``qr_focal: float = POSITIVE(0.0036)``."""
+    """The valid values of a config field: finite numbers within the float
+    range (ints only when `integer`) between low and high, each bound open
+    or closed.  Calling a range makes the field that carries it:
+    ``qr_focal: float = POSITIVE(0.0036)``."""
 
     text: str  # as the error message states it
     low: float = -math.inf
@@ -47,7 +49,7 @@ class Range:
             return False
         return ((self.low < v if self.low_open else self.low <= v)
                 and (v < self.high if self.high_open else v <= self.high)
-                and (self.integer or math.isfinite(v)))
+                and (self.integer or abs(v) <= sys.float_info.max))
 
     def __call__(self, default=MISSING):
         return field(default=default, metadata={"range": self})

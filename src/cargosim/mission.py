@@ -1,21 +1,27 @@
-"""Five-phase mission executive and attachment determination.
+"""Mission executive and attachment determination.
 
-Drives the vehicle through take-off, coverage search, visual-servo
-landing, adhesion and return, issuing either world-frame setpoints
-(tracked against the hybrid localization estimate) or direct body-frame
-errors (visual servoing), and deciding attachment success from the
-rotor-speed change between the hover windows before and after the
-adhesion action.  Fixed landing thresholds: ``DESCENT_STEP``,
-``WAYPOINT_SWITCH_RADIUS``, ``LOCK_CONE_RATIO``, ``DESCENT_CONE_RATIO``,
-``DESCENT_CONE_SLACK``, ``PRE_BLIND_HEIGHT``, ``BLIND_HORIZONTAL_THRESHOLD``,
-``BLIND_HOLD_TIME``, ``BLIND_DESCENT_SPEED``, ``REACQUIRE_TIME``,
-``BOUNCE_CLEARANCE`` and ``VERIFY_HEIGHT``.
+The executive is one state machine: ``STAGES`` maps each of its stages to
+the phase it belongs to, and each stage that is not an end has one
+handler.  LAND is ``servo`` (visual servoing down to a hover above the
+cargo), ``bounce`` (the climb clear after a contact while servoing) and
+``blind`` (the open-loop descent); RETURN is ``ascend``, ``verify``
+(attachment success from the rotor-speed change between the hover windows
+before and after the adhesion action), ``cruise`` home and ``descend``
+onto the pad.  A tick that changes the phase carries the event
+``phase:<from>-><to>``.  Commands are world-frame setpoints (tracked
+against the hybrid localization estimate), body-frame errors (visual
+servoing) or open-loop body velocities.  Fixed landing thresholds:
+``DESCENT_STEP``, ``WAYPOINT_SWITCH_RADIUS``, ``LOCK_CONE_RATIO``,
+``DESCENT_CONE_RATIO``, ``DESCENT_CONE_SLACK``, ``PRE_BLIND_HEIGHT``,
+``BLIND_HORIZONTAL_THRESHOLD``, ``BLIND_HOLD_TIME``, ``BLIND_DESCENT_SPEED``,
+``REACQUIRE_TIME``, ``BOUNCE_CLEARANCE`` and ``VERIFY_HEIGHT``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +31,7 @@ from .frames import COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
-from .sim_world import RotorTelemetry, ScenarioConfig
+from .sim_world import RotorTelemetry, ScenarioConfig, check_step
 
 DESCENT_STEP = 1.0  # m the search drops after a full coverage without a lock
 WAYPOINT_SWITCH_RADIUS = 0.2  # m
@@ -49,6 +55,17 @@ class MissionPhase(enum.Enum):
     RETURN = "return"
     DONE = "done"
     ABORTED = "aborted"
+
+
+STAGES = {  # stage -> the phase it belongs to
+    "takeoff": MissionPhase.TAKEOFF, "search": MissionPhase.SEARCH,
+    "servo": MissionPhase.LAND, "bounce": MissionPhase.LAND,
+    "blind": MissionPhase.LAND, "adsorb": MissionPhase.ADSORB,
+    "ascend": MissionPhase.RETURN, "verify": MissionPhase.RETURN,
+    "cruise": MissionPhase.RETURN, "descend": MissionPhase.RETURN,
+    "done": MissionPhase.DONE, "aborted": MissionPhase.ABORTED,
+}
+ENDED = ("done", "aborted")  # the stages without a handler
 
 
 @dataclass(frozen=True)
@@ -75,6 +92,11 @@ class MissionConfig(Ranged):
         if not (xmin < xmax and ymin < ymax):
             raise ValueError(f"geofence must hold xmin < xmax and ymin < ymax, "
                              f"got {self.geofence}")
+        gains = self.gains
+        if not (isinstance(gains, dict) and gains.keys() == PHASE_GAINS.keys()
+                and all(isinstance(g, PidGains) for g in gains.values())):
+            raise ValueError(f"gains must map each of {', '.join(PHASE_GAINS)} "
+                             f"to PidGains, got {gains!r}")
 
 
 def attachment_check(pre: RotorTelemetry, post: RotorTelemetry,
@@ -111,7 +133,6 @@ class TickCommand:
     mode "velocity": open-loop body velocity (blind descent).
     """
 
-    phase: MissionPhase
     mode: str
     setpoint: tuple[float, float, float] | None = None
     yaw_setpoint: float = 0.0
@@ -128,46 +149,38 @@ STOP = (0.0, 0.0, 0.0, 0.0)  # the velocity command that holds still
 
 
 class MissionExecutive:
-    """Sequences the transport phases for one vehicle and its cargo."""
+    """Sequences the transport stages for one vehicle and its cargo."""
 
     def __init__(self, mission: MissionConfig, scenario: ScenarioConfig,
                  dt: float = 0.02):
-        if dt <= 0:
-            raise ValueError("tick period must be > 0")
+        check_step(dt)
         self.cfg = mission
         self.scenario = scenario
-        self.dt = dt  # tick period; sizes the pre-adhesion hover window
-        self.phase = MissionPhase.TAKEOFF
+        self.stage = "takeoff"
         self.home_xy = tuple(float(v) for v in scenario.uav_start[:2])
-        # the cargo's top-face centre
-        self.cargo_x, self.cargo_y, self.cargo_top = \
-            (float(v) for v in scenario.cargoes[0].position)
+        # the hover above the cargo's top-face centre for the thrust check
+        x, y, self.cargo_top = (float(v) for v in scenario.cargoes[0].position)
+        self.verify_point = (x, y, self.cargo_top + VERIFY_HEIGHT)
         self.search_altitude = mission.search_altitude
         self.path: CoveragePath | None = None
         self.yaws: list[float] | None = None
         self.wp_index = 0
         self.attach_attempts = 0
         self.attach_success: bool | None = None
-        # hover telemetry accumulation
-        self._pre_window: list[np.ndarray] = []
+        # hover telemetry: the last hover_window of the landing, and the verify hover
+        self._pre_window = deque(maxlen=max(1, round(mission.hover_window / dt)))
         self._post_window: list[np.ndarray] = []
         self.pre_telemetry: RotorTelemetry | None = None
-        # timers / sub-states
         self._hold_since: float | None = None
+        self._lost_since: float | None = None
         self._adsorb_until: float | None = None
         self._verify_since: float | None = None
-        self._return_stage = "verify"
-        self._blind = False
-        self._bouncing = False
-        self._lost_since: float | None = None
         self.abort_reason: str | None = None
-        self._handlers = {
-            MissionPhase.TAKEOFF: self._tick_takeoff,
-            MissionPhase.SEARCH: self._tick_search,
-            MissionPhase.LAND: self._tick_land,
-            MissionPhase.ADSORB: self._tick_adsorb,
-            MissionPhase.RETURN: self._tick_return,
-        }
+
+    @property
+    def phase(self) -> MissionPhase:
+        """The phase of the current stage; set the stage to change it."""
+        return STAGES[self.stage]
 
     # -- helpers ------------------------------------------------------
 
@@ -183,21 +196,35 @@ class MissionExecutive:
         self.yaws = yaw_schedule(self.path.cells)
         self.wp_index = 0
 
-    def _transition(self, phase: MissionPhase, events: list[str]) -> None:
-        events.append(f"phase:{self.phase.value}->{phase.value}")
-        self.phase = phase
+    def _enter(self, stage: str, events: list[str]) -> None:
+        """Move to `stage`; a change of phase is an event, and entering
+        LAND starts its servo timers afresh."""
+        old, new = self.phase, STAGES[stage]
+        if new is not old:
+            events.append(f"phase:{old.value}->{new.value}")
+            if new is MissionPhase.LAND:
+                self._hold_since = self._lost_since = None
+        self.stage = stage
 
     def abort(self, reason: str, events: list[str]) -> None:
         """End the mission aborted, for `reason`."""
         self.abort_reason = reason
-        self._transition(MissionPhase.ABORTED, events)
+        self._enter("aborted", events)
 
-    def _enter_land(self, events: list[str]) -> None:
-        self._hold_since = None
-        self._blind = False
-        self._bouncing = False
-        self._lost_since = None
-        self._transition(MissionPhase.LAND, events)
+    def _world(self, setpoint, yaw: float, gains: str, events) -> TickCommand:
+        return TickCommand(mode="world", setpoint=setpoint, yaw_setpoint=yaw,
+                           gains=self.cfg.gains[gains], events=tuple(events))
+
+    def _body(self, error, yaw_e: float, feedforward, events) -> TickCommand:
+        return TickCommand(mode="body", body_error=error, body_yaw_error=yaw_e,
+                           feedforward=feedforward, gains=self.cfg.gains["land"],
+                           events=tuple(events))
+
+    def _velocity(self, velocity, gains: str, events,
+                  do_adsorb: bool = False) -> TickCommand:
+        return TickCommand(mode="velocity", velocity=velocity,
+                           gains=self.cfg.gains[gains], do_adsorb=do_adsorb,
+                           events=tuple(events))
 
     def _geofence_ok(self, est: PoseEstimate) -> bool:
         x, y, _ = est.position
@@ -216,31 +243,20 @@ class MissionExecutive:
 
     def tick(self, inp: TickInputs) -> TickCommand:
         events: list[str] = []
-        cfg = self.cfg
-        est = inp.estimate
-
-        ended = (MissionPhase.DONE, MissionPhase.ABORTED)
-        if self.phase not in ended and not self._geofence_ok(est):
+        if self.stage not in ENDED and not self._geofence_ok(inp.estimate):
             self.abort("geofence", events)
-        if self.phase in ended:
-            return TickCommand(phase=self.phase, mode="velocity",
-                               velocity=STOP, gains=cfg.gains["search"],
-                               events=tuple(events))
-
-        return self._handlers[self.phase](inp, events)
+        if self.stage in ENDED:
+            return self._velocity(STOP, "search", events)
+        return HANDLERS[self.stage](self, inp, events)
 
     def _tick_takeoff(self, inp: TickInputs, events: list[str]) -> TickCommand:
-        cfg = self.cfg
-        z = inp.estimate.position[2]
         # vertical-priority ascent: hold the pad position laterally until
         # clear of the platform structures
         sp = (*self.home_xy, self.search_altitude)
-        if z >= self.search_altitude - 0.15:
+        if inp.estimate.position[2] >= self.search_altitude - 0.15:
             self.plan()
-            self._transition(MissionPhase.SEARCH, events)
-        return TickCommand(phase=MissionPhase.TAKEOFF, mode="world", setpoint=sp,
-                           yaw_setpoint=0.0, gains=cfg.gains["takeoff"],
-                           events=tuple(events))
+            self._enter("search", events)
+        return self._world(sp, 0.0, "takeoff", events)
 
     def _tick_search(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
@@ -249,8 +265,8 @@ class MissionExecutive:
         if inp.track.locked and inp.track.position is not None and \
                 self._lock_overhead(inp.track.position):
             events.append("cargo_locked")
-            self._enter_land(events)
-            return self._tick_land(inp, events)
+            self._enter("servo", events)
+            return self._tick_servo(inp, events)
 
         wp = self.path.waypoints[self.wp_index]
         sp = (*wp, self.search_altitude)
@@ -261,71 +277,49 @@ class MissionExecutive:
                 self.wp_index += 1
                 events.append(f"waypoint:{self.wp_index}")
             elif self.search_altitude != cfg.min_search_altitude:
-                # full coverage without a lock: descend and replan
-                prev_cells = len(self.path.cells)
+                # full coverage without a lock: descend and replan; the
+                # grid only gets finer as the footprint shrinks
                 self.search_altitude = max(cfg.min_search_altitude,
                                            self.search_altitude - DESCENT_STEP)
                 self.plan()
-                if len(self.path.cells) < prev_cells:
-                    # grid must not get coarser as we descend
-                    raise RuntimeError("replanned grid lost resolution")
                 events.append(f"coverage_replan:alt={self.search_altitude:.2f}")
             else:  # at the floor the plan would not change: fly it again
                 self.wp_index = 0
-        return TickCommand(phase=MissionPhase.SEARCH, mode="world", setpoint=sp,
-                           yaw_setpoint=self.yaws[self.wp_index],
-                           gains=cfg.gains["search"], events=tuple(events))
+        return self._world(sp, self.yaws[self.wp_index], "search", events)
 
-    def _tick_land(self, inp: TickInputs, events: list[str]) -> TickCommand:
-        cfg = self.cfg
-        track = inp.track
-        if self._blind:
-            if inp.on_ground:
-                self._adsorb_until = inp.t + cfg.adsorb_settle_time
-                self._transition(MissionPhase.ADSORB, events)
-                return TickCommand(phase=MissionPhase.ADSORB, mode="velocity",
-                                   velocity=STOP,
-                                   gains=cfg.gains["land"], events=tuple(events))
-            vel = (0.0, 0.0, -BLIND_DESCENT_SPEED, 0.0)
-            return TickCommand(phase=MissionPhase.LAND, mode="velocity",
-                               velocity=vel, gains=cfg.gains["land"],
-                               events=tuple(events))
-
-        if inp.on_ground and not self._bouncing:
+    def _tick_servo(self, inp: TickInputs, events: list[str]) -> TickCommand:
+        if inp.on_ground:
             # touched something while still servoing (deck or cargo edge):
             # climb clear and retry the approach
             events.append("land_bounce")
             self._hold_since = None
-            self._bouncing = True
-        if self._bouncing:
-            clear_z = self.cargo_top + BOUNCE_CLEARANCE
-            if inp.estimate.position[2] >= clear_z:
-                self._bouncing = False
-            else:
-                return TickCommand(phase=MissionPhase.LAND, mode="velocity",
-                                   velocity=(0.0, 0.0, 0.3, 0.0),
-                                   gains=cfg.gains["land"],
-                                   events=tuple(events))
+            self._enter("bounce", events)
+            return self._tick_bounce(inp, events)
+        return self._servo_approach(inp, events)
 
+    def _tick_bounce(self, inp: TickInputs, events: list[str]) -> TickCommand:
+        if inp.estimate.position[2] < self.cargo_top + BOUNCE_CLEARANCE:
+            return self._velocity((0.0, 0.0, 0.3, 0.0), "land", events)
+        self._enter("servo", events)
+        return self._servo_approach(inp, events)
+
+    def _servo_approach(self, inp: TickInputs, events: list[str]) -> TickCommand:
+        """The servo stage's command once clear of any contact."""
+        track = inp.track
         if not track.locked or track.position is None:
             # target lost before lock-in to blind descent: hold position,
             # and give up back to the coverage pattern if it stays lost
             if self._lost_since is None:
                 self._lost_since = inp.t
             elif inp.t - self._lost_since >= REACQUIRE_TIME:
-                self._lost_since = None
-                self._hold_since = None
                 events.append("target_lost")
-                self._transition(MissionPhase.SEARCH, events)
-            return TickCommand(phase=self.phase, mode="body",
-                               body_error=(0.0, 0.0, 0.0), body_yaw_error=0.0,
-                               gains=cfg.gains["land"], events=tuple(events))
+                self._enter("search", events)
+            return self._body((0.0, 0.0, 0.0), 0.0, None, events)
         self._lost_since = None
 
         cx, cy, cz = track.position
         height = -cz  # height above the cargo top
         err_z = cz + PRE_BLIND_HEIGHT
-        yaw_e = yaw_error(track.yaw)
         horiz = math.hypot(cx, cy)
         if horiz > DESCENT_CONE_RATIO * height + DESCENT_CONE_SLACK:
             # outside the approach funnel: correct laterally at altitude
@@ -333,12 +327,8 @@ class MissionExecutive:
             err_z = 0.0
 
         near_hover = height <= PRE_BLIND_HEIGHT + 0.08
-        if near_hover:
-            # collect the pre-adhesion hover telemetry window
+        if near_hover:  # the pre-adhesion hover telemetry window
             self._pre_window.append(inp.rotor_speeds.copy())
-            span = int(round(cfg.hover_window / self.dt))
-            if len(self._pre_window) > span:
-                self._pre_window = self._pre_window[-span:]
         if near_hover and horiz < BLIND_HORIZONTAL_THRESHOLD:
             if self._hold_since is None:
                 self._hold_since = inp.t
@@ -346,91 +336,78 @@ class MissionExecutive:
                 # never empty: this tick's sample went in above
                 self.pre_telemetry = RotorTelemetry(
                     speeds=np.mean(self._pre_window, axis=0))
-                self._blind = True
+                self._enter("blind", events)
                 events.append("blind_descent")
         else:
             self._hold_since = None
+        return self._body((cx, cy, err_z), yaw_error(track.yaw), track.velocity,
+                          events)
 
-        return TickCommand(phase=MissionPhase.LAND, mode="body",
-                           body_error=(cx, cy, err_z), body_yaw_error=yaw_e,
-                           feedforward=track.velocity,
-                           gains=cfg.gains["land"], events=tuple(events))
+    def _tick_blind(self, inp: TickInputs, events: list[str]) -> TickCommand:
+        if inp.on_ground:
+            self._adsorb_until = inp.t + self.cfg.adsorb_settle_time
+            self._enter("adsorb", events)
+            return self._velocity(STOP, "land", events)
+        return self._velocity((0.0, 0.0, -BLIND_DESCENT_SPEED, 0.0), "land", events)
 
     def _tick_adsorb(self, inp: TickInputs, events: list[str]) -> TickCommand:
-        cfg = self.cfg
-        if inp.t >= self._adsorb_until:
-            events.append("adsorb_complete")
-            self.attach_attempts += 1
+        if inp.t < self._adsorb_until:
+            return self._velocity(STOP, "land", events)
+        events.append("adsorb_complete")
+        self.attach_attempts += 1
+        self._enter("ascend", events)
+        return self._velocity(STOP, "return", events, do_adsorb=True)
+
+    def _tick_ascend(self, inp: TickInputs, events: list[str]) -> TickCommand:
+        if inp.estimate.position[2] >= self.verify_point[2] - 0.1:
+            self._verify_since = inp.t
             self._post_window = []
-            self._return_stage = "ascend"
-            self._transition(MissionPhase.RETURN, events)
-            return TickCommand(phase=MissionPhase.RETURN, mode="velocity",
-                               velocity=STOP, gains=cfg.gains["return"],
-                               do_adsorb=True, events=tuple(events))
-        return TickCommand(phase=MissionPhase.ADSORB, mode="velocity",
-                           velocity=STOP, gains=cfg.gains["land"],
-                           events=tuple(events))
+            self._enter("verify", events)
+        return self._world(self.verify_point, inp.estimate.yaw, "takeoff", events)
 
-    def _tick_return(self, inp: TickInputs, events: list[str]) -> TickCommand:
+    def _tick_verify(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
-        est = inp.estimate
-        verify_z = self.cargo_top + VERIFY_HEIGHT
-        above_cargo = (self.cargo_x, self.cargo_y, verify_z)
-
-        if self._return_stage == "ascend":
-            sp = above_cargo
-            if est.position[2] >= verify_z - 0.1:
-                self._return_stage = "verify"
-                self._verify_since = inp.t
-            return TickCommand(phase=MissionPhase.RETURN, mode="world",
-                               setpoint=sp, yaw_setpoint=est.yaw,
-                               gains=cfg.gains["takeoff"], events=tuple(events))
-
-        if self._return_stage == "verify":
-            self._post_window.append(inp.rotor_speeds.copy())
-            sp = above_cargo
-            if inp.t - self._verify_since >= cfg.hover_window:
-                post_telemetry = RotorTelemetry(
-                    speeds=np.mean(self._post_window, axis=0))
-                if self.pre_telemetry is None:
-                    # the landing never filled its hover window, so there is
-                    # no effort to compare the post-adhesion hover against
-                    self.abort("no_pre_hover_window", events)
-                elif attachment_check(self.pre_telemetry, post_telemetry,
-                                      cfg.attach_delta):
-                    self.attach_success = True
-                    events.append("attach_ok")
-                    self._return_stage = "cruise"
+        self._post_window.append(inp.rotor_speeds.copy())
+        if inp.t - self._verify_since >= cfg.hover_window:
+            post_telemetry = RotorTelemetry(speeds=np.mean(self._post_window, axis=0))
+            if self.pre_telemetry is None:
+                # the landing never filled its hover window, so there is
+                # no effort to compare the post-adhesion hover against
+                self.abort("no_pre_hover_window", events)
+            elif attachment_check(self.pre_telemetry, post_telemetry,
+                                  cfg.attach_delta):
+                self.attach_success = True
+                events.append("attach_ok")
+                self._enter("cruise", events)
+            else:
+                self.attach_success = False
+                events.append("attach_failed")
+                if self.attach_attempts >= cfg.max_attach_attempts:
+                    self.abort("attach_retries_exhausted", events)
                 else:
-                    self.attach_success = False
-                    events.append("attach_failed")
-                    if self.attach_attempts >= cfg.max_attach_attempts:
-                        self.abort("attach_retries_exhausted", events)
-                    else:
-                        self._pre_window = []
-                        self._enter_land(events)
-            return TickCommand(phase=MissionPhase.RETURN, mode="world",
-                               setpoint=sp, yaw_setpoint=est.yaw,
-                               gains=cfg.gains["return"], events=tuple(events))
+                    self._pre_window.clear()
+                    self._enter("servo", events)
+        return self._world(self.verify_point, inp.estimate.yaw, "return", events)
 
-        if self._return_stage == "cruise":
-            x, y, z = est.position
-            sp = (*self.home_xy, cfg.return_altitude)
-            if z < cfg.return_altitude - 0.2:
-                # climb over the deck before crossing back
-                sp = (x, y, cfg.return_altitude)
-            horiz = math.hypot(x - self.home_xy[0], y - self.home_xy[1])
-            if horiz < 0.3 and z >= cfg.return_altitude - 0.3:
-                self._return_stage = "descend"
-            return TickCommand(phase=MissionPhase.RETURN, mode="world",
-                               setpoint=sp, yaw_setpoint=0.0,
-                               gains=cfg.gains["return"], events=tuple(events))
+    def _tick_cruise(self, inp: TickInputs, events: list[str]) -> TickCommand:
+        altitude = self.cfg.return_altitude
+        x, y, z = inp.estimate.position
+        sp = (*self.home_xy, altitude)
+        if z < altitude - 0.2:
+            # climb over the deck before crossing back
+            sp = (x, y, altitude)
+        horiz = math.hypot(x - self.home_xy[0], y - self.home_xy[1])
+        if horiz < 0.3 and z >= altitude - 0.3:
+            self._enter("descend", events)
+        return self._world(sp, 0.0, "return", events)
 
-        # descend onto the platform pad
-        sp = (*self.home_xy, 0.0)
+    def _tick_descend(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.on_ground:
             events.append("platform_landed")
-            self._transition(MissionPhase.DONE, events)
-        return TickCommand(phase=self.phase, mode="world", setpoint=sp,
-                           yaw_setpoint=0.0, gains=cfg.gains["land"],
-                           events=tuple(events))
+            self._enter("done", events)
+        return self._world((*self.home_xy, 0.0), 0.0, "land", events)
+
+
+# the handler of each stage that is not an end: MissionExecutive._tick_<stage>
+HANDLERS = {stage: getattr(MissionExecutive, f"_tick_{stage}")
+            for stage in STAGES if stage not in ENDED}

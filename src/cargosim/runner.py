@@ -130,9 +130,10 @@ class Flight:
         if cmd.do_adsorb:
             state = world.attach_cargo(state, self.adsorb_prob)
         after = world.touch_down(world.step(state, vel, self.dt), vel[2])
-        self.recorder.step(state, after, est, events, track, cmd, vel)
+        phase = executive.phase  # a tick that changes the phase logs the new one
+        self.recorder.step(state, after, est, events, track, cmd, vel, phase)
         self.state = after
-        return executive.phase not in (MissionPhase.DONE, MissionPhase.ABORTED)
+        return phase not in (MissionPhase.DONE, MissionPhase.ABORTED)
 
     def summary(self) -> RunSummary:
         return self.recorder.summary(self.executive,
@@ -277,8 +278,9 @@ class Recorder:
 
     def step(self, before: SimState, after: SimState, est: PoseEstimate,
              events: list[str], track: CargoTrack, cmd: TickCommand,
-             vel: tuple[float, float, float, float]) -> None:
-        """Score the estimate against the position it was made at; log the tick."""
+             vel: tuple[float, float, float, float], phase: MissionPhase) -> None:
+        """Score the estimate against the position it was made at; log the
+        tick under `phase`, the executive's phase after it."""
         truth = before.uav_pos
         est_xyz = est.position
         self.sq_errors.add(est.source, est_xyz[0] - truth[0],
@@ -290,15 +292,15 @@ class Recorder:
         if self.records is not None:
             c_b = track.position if track.position is not None else NAN3
             self.records.append([  # a list display, not unpacking: no spare slots
-                round(after.t, 6), cmd.phase.value,
+                round(after.t, 6), phase.value,
                 truth[0], truth[1], truth[2], after.uav_euler.yaw,
                 est_xyz[0], est_xyz[1], est_xyz[2], est.yaw,
                 est.source, c_b[0], c_b[1], c_b[2],
                 vel[0], vel[1], vel[2], vel[3],
                 after.rotor_sum_sq, ";".join([*events, *cmd.events]),
             ])
-        self.phase_durations[cmd.phase.value] = \
-            self.phase_durations.get(cmd.phase.value, 0.0) + self.dt
+        self.phase_durations[phase.value] = \
+            self.phase_durations.get(phase.value, 0.0) + self.dt
 
     def fault(self, state: SimState, phase: MissionPhase,
               events: list[str]) -> None:

@@ -227,7 +227,9 @@ def _error(name, valid, value=None):
 
 @pytest.mark.parametrize("config, name, index, valid", _ranged_numbers())
 def test_non_finite_config_value_names_its_field(config, name, index, valid):
-    for bad in (math.nan, math.inf, -math.inf):
+    # an int past the float range has no finite float value either
+    huge = () if valid.integer else (10 ** 400, -10 ** 400)
+    for bad in (math.nan, math.inf, -math.inf, *huge):
         with pytest.raises(ValueError, match=_error(name, valid)):
             _replaced(config, name, index, bad)
 

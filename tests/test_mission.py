@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cargosim.mission import (MissionConfig, MissionExecutive, MissionPhase,
-                              RotorTelemetry, TickInputs, attachment_check)
+from cargosim.control import PHASE_GAINS, PidGains
+from cargosim.mission import (STAGES, MissionConfig, MissionExecutive,
+                              MissionPhase, RotorTelemetry, TickInputs,
+                              attachment_check)
 from cargosim.perception import CargoTrack
 from cargosim.qr_localization import PoseEstimate
 
@@ -60,6 +62,12 @@ def test_mission_config_validation():
     for fence in ((14.0, -6.0, -8.0, 8.0), (-6.0, 14.0, 8.0, 8.0)):
         with pytest.raises(ValueError, match="^geofence must hold xmin < xmax"):
             MissionConfig(geofence=fence)
+    search = PHASE_GAINS["search"]
+    for gains in ({"search": search}, {**PHASE_GAINS, "hover": search},
+                  {**PHASE_GAINS, "land": (0.3, 0.001, 0.05)}, None):
+        with pytest.raises(ValueError, match="^gains must map each of takeoff, "):
+            MissionConfig(gains=gains)
+    MissionConfig(gains={**PHASE_GAINS, "search": PidGains(kp=0.9, ki=0.0, kd=0.1)})
 
 
 # --- phase sequencing ------------------------------------------------
@@ -68,10 +76,19 @@ def _executive(**mission_overrides):
     return MissionExecutive(MissionConfig(**mission_overrides), calm_scenario())
 
 
+def test_the_phase_is_the_stage_s_phase_and_read_only():
+    ex = _executive()
+    for stage, phase in STAGES.items():
+        ex.stage = stage
+        assert ex.phase is phase
+    with pytest.raises(AttributeError):
+        ex.phase = MissionPhase.LAND
+
+
 def test_takeoff_holds_pad_position_laterally():
     ex = _executive()
     cmd = ex.tick(_inputs(0.0, _est(1.0, 2.0, 0.5)))
-    assert cmd.phase is MissionPhase.TAKEOFF
+    assert ex.phase is MissionPhase.TAKEOFF
     assert cmd.mode == "world"
     np.testing.assert_allclose(cmd.setpoint[:2], [1.0, 2.0])
     assert cmd.setpoint[2] == pytest.approx(6.0)
@@ -87,7 +104,7 @@ def test_takeoff_transitions_to_search_at_altitude():
 
 def test_search_advances_waypoints_and_replans_lower():
     ex = _executive()
-    ex.phase = MissionPhase.SEARCH
+    ex.stage = "search"
     ex.plan()
     assert len(ex.path.waypoints) == 1  # replica deck: single waypoint
     wp = ex.path.waypoints[0]
@@ -98,7 +115,7 @@ def test_search_advances_waypoints_and_replans_lower():
 
 def test_search_at_the_floor_altitude_restarts_without_replanning():
     ex = _executive()
-    ex.phase = MissionPhase.SEARCH
+    ex.stage = "search"
     ex.search_altitude = ex.cfg.min_search_altitude
     ex.plan()
     wp = ex.path.waypoints[0]
@@ -112,7 +129,7 @@ def test_search_at_the_floor_altitude_restarts_without_replanning():
 
 def test_search_locks_only_overhead():
     ex = _executive()
-    ex.phase = MissionPhase.SEARCH
+    ex.stage = "search"
     ex.plan()
     sideways = CargoTrack(locked=True)
     sideways.position = np.array([5.0, 0.0, -4.0])  # far off nadir
@@ -128,7 +145,7 @@ def test_search_locks_only_overhead():
 
 def test_land_servo_descends_only_inside_funnel():
     ex = _executive()
-    ex.phase = MissionPhase.LAND
+    ex.stage = "servo"
     track = CargoTrack(locked=True)
     track.position = np.array([1.5, 0.0, -2.0])  # badly off to the side
     cmd = ex.tick(_inputs(30.0, _est(8.0, 0.0, 3.0), track=track))
@@ -141,7 +158,7 @@ def test_land_servo_descends_only_inside_funnel():
 
 def test_land_blind_descent_after_hold():
     ex = _executive()
-    ex.phase = MissionPhase.LAND
+    ex.stage = "servo"
     track = CargoTrack(locked=True)
     track.position = np.array([0.02, 0.01, -0.15])  # centered, near hover
     t = 40.0
@@ -159,8 +176,7 @@ def test_land_blind_descent_after_hold():
 
 def test_land_touchdown_enters_adsorb_then_return():
     ex = _executive(adsorb_settle_time=0.5)
-    ex.phase = MissionPhase.LAND
-    ex._blind = True
+    ex.stage = "blind"
     cmd = ex.tick(_inputs(50.0, _est(8.0, 0.0, 1.1), on_ground=True))
     assert ex.phase is MissionPhase.ADSORB
     t = 50.0
@@ -173,7 +189,7 @@ def test_land_touchdown_enters_adsorb_then_return():
 
 def test_lost_target_returns_to_search():
     ex = _executive()
-    ex.phase = MissionPhase.LAND
+    ex.stage = "servo"
     empty = CargoTrack()  # not locked
     t = 60.0
     events = []
@@ -187,7 +203,7 @@ def test_lost_target_returns_to_search():
 
 def test_bounce_recovery_climbs_clear():
     ex = _executive()
-    ex.phase = MissionPhase.LAND
+    ex.stage = "servo"
     track = CargoTrack(locked=True)
     track.position = np.array([0.3, 0.0, -0.5])
     cmd = ex.tick(_inputs(70.0, _est(8.0, 0.3, 1.15), track=track,
@@ -206,30 +222,45 @@ def test_hover_windows_span_the_same_time_at_any_tick():
     # 200 samples, as many as the post-adhesion verification collects
     dt = 0.01
     ex = MissionExecutive(MissionConfig(), calm_scenario(), dt=dt)
-    ex.phase = MissionPhase.LAND
+    ex.stage = "servo"
     # near hover height, but too far off-centre to start the blind hold
     track = CargoTrack(locked=True, position=np.array([0.15, 0.0, -0.12]))
     for k in range(300):
         ex.tick(_inputs(60.0 + k * dt, _est(8.0, 0.0, 1.3), track=track))
-    assert ex.phase is MissionPhase.LAND and not ex._blind
+    assert ex.stage == "servo"
     assert len(ex._pre_window) == 200
 
     ex.pre_telemetry = _telemetry(7.9)
-    ex.phase = MissionPhase.RETURN
-    ex._return_stage = "verify"
+    ex.stage = "verify"
     ex._verify_since = 90.0
     k = 0
-    while ex._return_stage == "verify":
+    while ex.stage == "verify":
         k += 1
         ex.tick(_inputs(90.0 + k * dt, _est(8.0, 0.0, 2.6)))
     assert len(ex._post_window) == 200
 
 
+def test_hover_window_shorter_than_half_a_tick_holds_one_sample():
+    ex = MissionExecutive(MissionConfig(hover_window=0.005), calm_scenario(),
+                          dt=0.02)
+    ex.stage = "servo"
+    track = CargoTrack(locked=True, position=np.array([0.15, 0.0, -0.12]))
+    for k in range(300):
+        ex.tick(_inputs(60.0 + k * 0.02, _est(8.0, 0.0, 1.3), track=track))
+    assert ex.stage == "servo"
+    assert len(ex._pre_window) == 1
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.02, 0.2, math.nan])
+def test_executive_takes_the_step_the_world_takes(dt):
+    with pytest.raises(ValueError, match=r"^dt must be in \(0, 0.1\], got "):
+        MissionExecutive(MissionConfig(), calm_scenario(), dt=dt)
+
+
 def test_attach_failure_reenters_land_then_aborts():
     ex = _executive(max_attach_attempts=2, hover_window=0.1)
     ex.pre_telemetry = _telemetry(7.9)
-    ex.phase = MissionPhase.RETURN
-    ex._return_stage = "verify"
+    ex.stage = "verify"
     ex._verify_since = 80.0
     ex.attach_attempts = 1
     hover = np.full(4, math.sqrt(7.9 * 9.81 / 4.0))  # unchanged: no cargo
@@ -242,8 +273,7 @@ def test_attach_failure_reenters_land_then_aborts():
 
     # second failed verification exhausts the attempts
     ex.attach_attempts = 2
-    ex.phase = MissionPhase.RETURN
-    ex._return_stage = "verify"
+    ex.stage = "verify"
     ex._verify_since = t
     ex._post_window = []
     while ex.phase is MissionPhase.RETURN:
@@ -256,18 +286,17 @@ def test_attach_failure_reenters_land_then_aborts():
 def test_successful_verify_cruises_home_and_lands():
     ex = _executive(hover_window=0.1)
     ex.pre_telemetry = _telemetry(7.9)
-    ex.phase = MissionPhase.RETURN
-    ex._return_stage = "verify"
+    ex.stage = "verify"
     ex._verify_since = 90.0
     loaded = np.full(4, math.sqrt(8.79 * 9.81 / 4.0))
     t = 90.0
-    while ex._return_stage == "verify":
+    while ex.stage == "verify":
         t += 0.02
         ex.tick(_inputs(t, _est(8.0, 0.0, 2.6), rotors=loaded))
     assert ex.attach_success is True
-    assert ex._return_stage == "cruise"
+    assert ex.stage == "cruise"
     cmd = ex.tick(_inputs(t, _est(1.1, 2.0, 6.0), rotors=loaded))
-    assert ex._return_stage == "descend"
+    assert ex.stage == "descend"
     cmd = ex.tick(_inputs(t, _est(1.0, 2.0, 0.05), rotors=loaded,
                           on_ground=True))
     assert ex.phase is MissionPhase.DONE
@@ -277,12 +306,12 @@ def test_successful_verify_cruises_home_and_lands():
 def test_missing_pre_hover_window_aborts_with_a_reason():
     # adsorption without a landing hover: the pre-adhesion window is empty
     ex = MissionExecutive(MissionConfig(hover_window=0.1), calm_scenario())
-    ex.phase = MissionPhase.ADSORB
+    ex.stage = "adsorb"
     ex._adsorb_until = 10.0
     t, stages = 10.0, set()
     while ex.phase is not MissionPhase.ABORTED and t < 20.0:
         ex.tick(_inputs(t, _est(8.0, 0.0, 2.6)))
-        stages.add(ex._return_stage)
+        stages.add(ex.stage)
         t += 0.02
     assert "verify" in stages
     assert ex.pre_telemetry is None
@@ -301,7 +330,7 @@ def test_geofence_breach_aborts_within_one_tick():
 
 def test_terminal_phases_hold_zero_velocity():
     ex = _executive()
-    ex.phase = MissionPhase.DONE
+    ex.stage = "done"
     cmd = ex.tick(_inputs(0.0, _est(1.0, 2.0, 0.0)))
-    assert cmd.phase is MissionPhase.DONE
+    assert ex.phase is MissionPhase.DONE
     np.testing.assert_array_equal(cmd.velocity, np.zeros(4))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cargosim.planner import (CoveragePath, GridSpec, cell_size, plan_coverage,
                               spiral_path, yaw_schedule)
@@ -100,6 +101,24 @@ def test_plan_replica_single_waypoint():
     assert len(path.cells) == 1
     np.testing.assert_allclose(path.waypoints, [[8.0, 0.0]], atol=1e-12)
     assert path.altitude == 6.0
+
+
+def _cells(deck, fov, z):
+    _, path = plan_coverage(deck_size=deck, deck_center=(0.0, 0.0), deck_yaw=0.0,
+                            altitude_above_deck=z, v_fov=fov[0], h_fov=fov[1],
+                            altitude=z)
+    return len(path.cells)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(deck=st.tuples(st.floats(0.5, 20.0), st.floats(0.5, 20.0)),
+       fov=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+       heights=st.tuples(st.floats(0.5, 15.0), st.floats(0.5, 15.0)))
+def test_a_lower_search_never_plans_fewer_cells(deck, fov, heights):
+    # the search replans lower after a coverage without a lock: its grid
+    # can only get finer, since the footprint shrinks with height
+    low, high = sorted(heights)
+    assert _cells(deck, fov, low) >= _cells(deck, fov, high)
 
 
 def _footprint_covers(deck_size, deck_center, deck_yaw, z, fov, samples=60):

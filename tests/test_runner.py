@@ -277,9 +277,17 @@ def test_geofence_exclusion_aborts():
     assert summary.abort_reason == "geofence"
 
 
-def test_failed_adsorption_retries_then_aborts():
-    mission = MissionConfig(adsorb_success_prob=0.0)
-    summary, records = run_mission(ScenarioConfig(), mission, seed=0)
+FAILED_ADSORPTION = MissionConfig(adsorb_success_prob=0.0)
+
+
+@pytest.fixture(scope="module")
+def failed_adsorption_run():
+    return run_mission(ScenarioConfig(), FAILED_ADSORPTION, seed=0)
+
+
+def test_failed_adsorption_retries_then_aborts(failed_adsorption_run):
+    mission = FAILED_ADSORPTION
+    summary, records = failed_adsorption_run
     events = [e for row in records for e in row[-1].split(";")]
     assert summary.final_phase == "aborted"
     assert summary.abort_reason == "attach_retries_exhausted"
@@ -287,6 +295,17 @@ def test_failed_adsorption_retries_then_aborts():
     assert events.count("adsorb_complete") == mission.max_attach_attempts == 3
     assert events.count("attach_failed") == 3
     assert "attach_ok" not in events
+
+
+@pytest.mark.parametrize("run", ["noiseless_run", "failed_adsorption_run"])
+def test_a_row_that_changes_the_phase_logs_the_new_phase(run, request):
+    _, records = request.getfixturevalue(run)
+    phase, events = LOG_COLUMNS.index("phase"), LOG_COLUMNS.index("events")
+    changes = [(row[phase], e.split("->")[1]) for row in records
+               for e in row[events].split(";") if e.startswith("phase:")]
+    assert len(changes) >= 5
+    for logged, entered in changes:
+        assert logged == entered
 
 
 def test_mission_still_flying_at_max_time_is_a_timeout():
