@@ -32,6 +32,7 @@ from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
 from .sim_world import RotorTelemetry, ScenarioConfig, check_step
+from .uwb_localization import SensorFault
 
 DESCENT_STEP = 1.0  # m the search drops after a full coverage without a lock
 WAYPOINT_SWITCH_RADIUS = 0.2  # m
@@ -108,7 +109,7 @@ def attachment_check(pre: RotorTelemetry, post: RotorTelemetry,
     sum(post^2) > (1 + delta) * sum(pre^2).
     """
     if pre.sum_sq <= 0.0 or not math.isfinite(pre.sum_sq):
-        raise ValueError("pre-adhesion hover window is empty or invalid")
+        raise SensorFault("pre-adhesion hover window is empty or invalid")
     return post.sum_sq > (1.0 + delta) * pre.sum_sq
 
 
@@ -260,8 +261,6 @@ class MissionExecutive:
 
     def _tick_search(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
-        if self.path is None:
-            self.plan()
         if inp.track.locked and inp.track.position is not None and \
                 self._lock_overhead(inp.track.position):
             events.append("cargo_locked")

@@ -2,12 +2,11 @@
 
 One 50 Hz tick of a mission (:meth:`Flight.tick`) reads the world's
 sensors and runs a pipeline of stages, each a small stateful object with
-one ``step``: :class:`LabelFilters` (the two label range EKFs, one float
-kernel per label), :class:`Localizer` (the rest of the anchor-based
-localization), :class:`CargoPerception` (the cargo track), the mission
-executive, :class:`Command` (mode dispatch and the PID) and
-:class:`Recorder` (the log rows and the run summary).  Ground contact is
-world physics and lives in :mod:`sim_world`.
+one ``step``: :class:`Localizer` (the anchor-based localization, from the
+IMU, range and marker readings to the pose), :class:`CargoPerception`
+(the cargo track), the mission executive, :class:`Command` (mode dispatch
+and the PID) and :class:`Recorder` (the log rows and the run summary).
+Ground contact is world physics and lives in :mod:`sim_world`.
 
 A flight shares nothing with another: :func:`run_mission` flies one, and
 :func:`montecarlo` flies a block of seeds one after another per worker.
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import control, hybrid_localizer, uwb_localization
 from .control import ControllerState, VelocityLimits, pid_step, saturate
-from .frames import rotate, rotation_rows, wrap_angle
+from .frames import EulerAngles, rotate, rotation_rows, wrap_angle
 from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
                       TickCommand, TickInputs)
 from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
@@ -90,8 +89,7 @@ class Flight:
         self.adsorb_prob = mission.adsorb_success_prob
         self.world = SimWorld(scenario)
         self.state = self.world.initial_state()
-        self.labels = LabelFilters(scenario, dt)
-        self.localizer = Localizer(scenario)
+        self.localizer = Localizer(scenario, dt)
         self.perception = CargoPerception(scenario, dt)
         self.executive = MissionExecutive(mission, scenario, dt=dt)
         self.command = Command(dt)
@@ -117,10 +115,8 @@ class Flight:
         """One 50 Hz tick; False once the mission has ended."""
         world, state, executive = self.world, self.state, self.executive
         a_body, roll, pitch = world.sense_imu(state)
-        labels = self.labels.step(
-            a_body, rotation_rows(roll, pitch, self.localizer.yaw),
-            tuple(zip(*state.platform_attitude.rows)), world.sense_uwb(state))
-        est, events = self.localizer.step(state, roll, pitch, labels,
+        est, events = self.localizer.step(state.platform_attitude, a_body, roll,
+                                          pitch, world.sense_uwb(state),
                                           world.sense_qr(state))
         track = self.perception.step(world.sense_cargo(state), roll, pitch)
         cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
@@ -141,9 +137,12 @@ class Flight:
                                      self.state.t, self.seed)
 
 
-class LabelFilters:
-    """The range EKFs of a flight's two labels, each a (mean, covariance)
-    in Python floats (see :func:`uwb_localization.predict_label`)."""
+class Localizer:
+    """One flight's anchor-based localization: the range EKFs of its two
+    labels, each a (mean, covariance) in Python floats (see
+    :func:`uwb_localization.predict_label`), the dual-label heading, the
+    fusion of the two label positions, the marker fix and the arbitration
+    between the two sources."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
         self.anchors = uwb_localization.AnchorSet(scenario.anchors)
@@ -152,54 +151,45 @@ class LabelFilters:
             sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
         self.var, self.period = params.range_variance, params.period
         self.filters = None
-
-    def step(self, a_body, R_b_w, R_w_u, rows: list[list[float]],
-             ) -> list[list[float]]:
-        """Initialise from the first ranges, then predict and update each
-        label; returns the two label positions, rows of floats."""
-        if self.filters is None:
-            self.filters = [uwb_localization.initial_label(
-                uwb_localization.multilaterate(list(enumerate(row)),
-                                               self.anchors)) for row in rows]
-        else:
-            a_u = uwb_localization.anchor_acceleration(a_body, R_b_w, R_w_u)
-            predict = uwb_localization.predict_label
-            update = uwb_localization.update_label
-            self.filters = [
-                update(*predict(mean, cov, a_u, self.period), row, self.points,
-                       self.var)[:2]
-                for (mean, cov), row in zip(self.filters, rows)]
-        return [mean[:3] for mean, _ in self.filters]
-
-
-class Localizer:
-    """One flight's dual-label heading, the fusion of its two label
-    positions, the marker fix and the arbitration between the two sources."""
-
-    def __init__(self, scenario: ScenarioConfig):
         self.markers = {m.label: m for m in scenario.qr_markers}
         self.baseline = scenario.label_baseline
         self.yaw = 0.0  # calibration value before the first dual-label solution
         self.hybrid = hybrid_localizer.HybridState()
 
-    def step(self, state: SimState, roll: float, pitch: float,
-             labels: list[list[float]],
+    def step(self, platform: EulerAngles, a_body, roll: float, pitch: float,
+             ranges: list[list[float]],
              obs: list) -> tuple[PoseEstimate, list[str]]:
-        R_a_w_rows = state.platform_attitude.rows
-        u1w, u2w = (rotate(R_a_w_rows, u) for u in labels)
+        """Start each label's filter from the first ranges, then predict it
+        under the last heading and update it; then solve the heading, fuse
+        the labels, fix on the markers and arbitrate."""
+        R_a_w = platform.rows
+        if self.filters is None:
+            self.filters = [uwb_localization.initial_label(
+                uwb_localization.multilaterate(list(enumerate(row)),
+                                               self.anchors)) for row in ranges]
+        else:
+            a_u = uwb_localization.anchor_acceleration(
+                a_body, rotation_rows(roll, pitch, self.yaw), tuple(zip(*R_a_w)))
+            predict = uwb_localization.predict_label
+            update = uwb_localization.update_label
+            self.filters = [
+                update(*predict(mean, cov, a_u, self.period), row, self.points,
+                       self.var)[:2]
+                for (mean, cov), row in zip(self.filters, ranges)]
+        labels = [mean[:3] for mean, _ in self.filters]
+
+        u1w, u2w = (rotate(R_a_w, u) for u in labels)
         try:
             self.yaw = uwb_localization.yaw_from_labels(
                 u1w, u2w, roll, pitch, self.baseline)
         except uwb_localization.BaselineGateError:
             pass  # hold the last valid heading
-        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w_rows,
-                                                yaw=self.yaw)
+        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w, yaw=self.yaw)
 
         qr_pose = None
         if obs:
             try:
-                qr_pose = estimate_pose(obs, self.markers, state.platform_attitude,
-                                        (roll, pitch))
+                qr_pose = estimate_pose(obs, self.markers, platform, (roll, pitch))
             except NoFix:
                 pass  # no usable marker this tick
 

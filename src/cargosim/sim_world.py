@@ -186,7 +186,9 @@ def _wave(amp: float, t: float, period: float, phase: float) -> float:
 
 
 class SimWorld:
-    """Steppable world; owns the seeded generator for all noise draws."""
+    """Steppable world; owns the seeded generator for all noise draws.  What
+    it draws depends on what the sensors see, never on a noise level: a
+    noise of 0 still takes its draw (``platform_yaw_walk`` aside, see step)."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -248,18 +250,19 @@ class SimWorld:
         check_step(dt)
 
         t = state.t + dt
+        # the one noise drawn only when above 0: its default is 0, and a
+        # draw on every tick would shift the stream of every default mission
         if cfg.platform_yaw_walk > 0.0:
             self._platform_yaw += cfg.platform_yaw_walk * math.sqrt(dt) * \
                 self.rng.standard_normal()
         platform = self._platform_attitude(t)
 
         wx, wy = state.wind_vel
-        if cfg.wind_sigma > 0.0:
-            relax = min(dt / cfg.wind_tau, 1.0)
-            gust = cfg.wind_sigma * math.sqrt(dt)
-            n0, n1 = self.rng.standard_normal(2).tolist()
-            wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n0
-            wy = wy + (cfg.wind_mean[1] - wy) * relax + gust * n1
+        relax = min(dt / cfg.wind_tau, 1.0)
+        gust = cfg.wind_sigma * math.sqrt(dt)
+        n0, n1 = self.rng.standard_normal(2).tolist()
+        wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n0
+        wy = wy + (cfg.wind_mean[1] - wy) * relax + gust * n1
 
         yaw = wrap_angle(state.uav_euler.yaw + c_yaw * dt)
         cy, sy = math.cos(yaw), math.sin(yaw)
@@ -298,12 +301,7 @@ class SimWorld:
 
         mass = cfg.uav_mass + state.attached_mass
         thrust = max(0.05 * mass * GRAVITY, mass * (GRAVITY + az))
-        speed = math.sqrt(thrust / 4.0)
-        if cfg.rotor_noise > 0.0:
-            # speed + noise * n per rotor, as numpy draws it: the same stream
-            rotors = self.rng.normal(speed, cfg.rotor_noise, 4)
-        else:
-            rotors = np.full(4, speed)
+        rotors = self.rng.normal(math.sqrt(thrust / 4.0), cfg.rotor_noise, 4)
 
         return SimState(t=t, platform_attitude=platform, uav_pos=pos,
                         uav_euler=euler, uav_vel=vel, uav_acc=acc,
@@ -332,13 +330,9 @@ class SimWorld:
         sigmas = [cfg.sigma_uwb * (cfg.occlusion_factor if occluded is not None and
                                    math.dist(u, occluded) <= cfg.occlusion_radius
                                    else 1.0) for u in labels]
-        noisy = [i for i, sigma in enumerate(sigmas) if sigma > 0.0]
-        # one draw for every noisy label: the generator yields the same
-        # stream as one draw of len(anchors) values per label
-        rows = self.rng.standard_normal((len(noisy), len(self._anchors)))
-        for i, noise in zip(noisy, rows.tolist()):
-            ranges[i] = [r + sigmas[i] * n for r, n in zip(ranges[i], noise)]
-        return ranges
+        noise = self.rng.standard_normal((len(labels), len(self._anchors)))
+        return [[r + sigma * n for r, n in zip(row, draws)]
+                for row, sigma, draws in zip(ranges, sigmas, noise.tolist())]
 
     def sense_imu(self, state: SimState,
                   ) -> tuple[tuple[float, float, float], float, float]:
@@ -379,16 +373,14 @@ class SimWorld:
                 continue
             if abs(cam[0]) > tan_h * depth or abs(cam[1]) > tan_v * depth:
                 continue
-            if cfg.qr_dropout > 0.0 and self.rng.random() < cfg.qr_dropout:
+            if self.rng.random() < cfg.qr_dropout:
                 continue
             cx, cy, d_img = project(cam, cfg.qr_focal, marker.diagonal)
-            yaw = psi_img
-            if cfg.qr_image_noise > 0.0:
-                cx += cfg.qr_image_noise * self.rng.standard_normal()
-                cy += cfg.qr_image_noise * self.rng.standard_normal()
-                d_img = abs(d_img + cfg.qr_image_noise * self.rng.standard_normal())
-            if cfg.qr_yaw_noise > 0.0:
-                yaw = yaw + cfg.qr_yaw_noise * self.rng.standard_normal()
+            n0, n1, n2, n3 = self.rng.standard_normal(4).tolist()
+            cx += cfg.qr_image_noise * n0
+            cy += cfg.qr_image_noise * n1
+            d_img = abs(d_img + cfg.qr_image_noise * n2)
+            yaw = psi_img + cfg.qr_yaw_noise * n3
             if not (d_img > 0.0 and all(map(math.isfinite, (cx, cy, d_img, yaw)))):
                 continue  # an image too small, or noise past the float range
             out.append(QrObservation(label=marker.label, image_diagonal=d_img,
@@ -407,11 +399,10 @@ class SimWorld:
         for cargo in cfg.cargoes:
             qx, qy, qz = cargo.position
             x, y, z = rotate_t(R_b_w, (qx - px, qy - py, qz - pz))
-            if cfg.det_pos_noise > 0.0:
-                nx, ny, nz = self.rng.standard_normal(3).tolist()
-                x += cfg.det_pos_noise * nx
-                y += cfg.det_pos_noise * ny
-                z += cfg.det_pos_noise * nz
+            nx, ny, nz = self.rng.standard_normal(3).tolist()
+            x += cfg.det_pos_noise * nx
+            y += cfg.det_pos_noise * ny
+            z += cfg.det_pos_noise * nz
             if z >= -cfg.det_focal:
                 continue
             depth = -z
@@ -419,14 +410,13 @@ class SimWorld:
                 continue  # cargo fills the field of view
             if abs(x) > tan_h * depth or abs(y) > tan_v * depth:
                 continue
-            if cfg.det_dropout > 0.0 and self.rng.random() < cfg.det_dropout:
+            if self.rng.random() < cfg.det_dropout:
                 continue
             cx, cy, d_img = project((x, y, z), cfg.det_focal, cargo.top_diagonal)
             conf = cfg.det_conf_base + cfg.det_conf_jitter * \
                 (2.0 * self.rng.random() - 1.0)
-            yaw = wrap_angle(cargo.yaw - state.uav_euler.yaw)
-            if cfg.det_yaw_noise > 0.0:
-                yaw = yaw + cfg.det_yaw_noise * self.rng.standard_normal()
+            yaw = wrap_angle(cargo.yaw - state.uav_euler.yaw) + \
+                cfg.det_yaw_noise * self.rng.standard_normal()
             if not (d_img > 0.0 and all(map(math.isfinite, (cx, cy, d_img, yaw)))):
                 continue  # an image too small, or noise past the float range
             out.append(DetectionObservation(

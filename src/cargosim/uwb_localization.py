@@ -104,7 +104,8 @@ def initial_state(position: np.ndarray) -> EkfState:
 
 class SensorFault(ValueError):
     """A reading the filters cannot take: an acceleration that is not
-    finite, or an epoch of ranges that locates no position."""
+    finite, an epoch of ranges that locates no position, or a hover window
+    whose rotor effort is not finite."""
 
 
 def anchor_acceleration(a_body, R_b_w, R_w_u) -> tuple[float, float, float]:
@@ -150,8 +151,9 @@ def update_label(mean: list[float], cov: list[float], ranges, points,
     Every row h = [(u - anchor)/d, 0, 0, 0] is linearised at the predicted
     mean u, so with diagonal noise this is exactly the batch update (Simon,
     *Optimal State Estimation*, 2006, section 7.1); P - P h^T h P / s keeps
-    the stored triangle symmetric.  A range with d < 1e-9 is skipped; a
-    label with every range skipped is degraded and keeps its prediction.
+    the stored triangle symmetric.  A range that is not finite, or one at
+    d < 1e-9, is skipped; a label with every range skipped is degraded and
+    keeps its prediction.
     Returns the mean, the covariance and that flag."""
     x, y, z = mean[0], mean[1], mean[2]
     m0, m1, m2, m3, m4, m5 = mean
@@ -161,7 +163,7 @@ def update_label(mean: list[float], cov: list[float], ranges, points,
     for (px, py, pz), r in zip(points, ranges):
         hx, hy, hz = x - px, y - py, z - pz
         d = math.sqrt(hx * hx + hy * hy + hz * hz)
-        if d < 1e-9:
+        if d < 1e-9 or not math.isfinite(r):
             continue
         degraded = False
         hx, hy, hz = hx / d, hy / d, hz / d

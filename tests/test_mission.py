@@ -190,6 +190,7 @@ def test_land_touchdown_enters_adsorb_then_return():
 def test_lost_target_returns_to_search():
     ex = _executive()
     ex.stage = "servo"
+    ex.plan()  # a flight plans at takeoff, before it can servo
     empty = CargoTrack()  # not locked
     t = 60.0
     events = []

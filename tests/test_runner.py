@@ -398,19 +398,19 @@ FAULTY_SEED = 1
 
 
 @pytest.fixture
-def nan_ranges_from_one_second(monkeypatch):
-    """Seed FAULTY_SEED's first label reads NaN ranges from t = 1 s on."""
-    original = SimWorld.sense_uwb
+def nan_roll_from_one_second(monkeypatch):
+    """Seed FAULTY_SEED's IMU reads a NaN roll from t = 1 s on."""
+    original = SimWorld.sense_imu
 
-    def sense_uwb(self, state):
-        ranges = original(self, state)
+    def sense_imu(self, state):
+        a_body, roll, pitch = original(self, state)
         if self.cfg.seed == FAULTY_SEED and state.t >= 1.0:
-            ranges[0] = [math.nan] * len(ranges[0])
-        return ranges
-    monkeypatch.setattr(SimWorld, "sense_uwb", sense_uwb)
+            roll = math.nan
+        return a_body, roll, pitch
+    monkeypatch.setattr(SimWorld, "sense_imu", sense_imu)
 
 
-def test_a_fault_inside_a_tick_aborts_the_flight(nan_ranges_from_one_second,
+def test_a_fault_inside_a_tick_aborts_the_flight(nan_roll_from_one_second,
                                                  tmp_path):
     summary, records = run_mission(ScenarioConfig(), MissionConfig(),
                                    seed=FAULTY_SEED)
@@ -430,6 +430,30 @@ def test_a_fault_inside_a_tick_aborts_the_flight(nan_ranges_from_one_second,
     assert "" not in rmse and np.isfinite(list(rmse.values())).all()
 
 
+def test_a_range_that_is_not_finite_is_left_out_of_the_flight(monkeypatch):
+    original = SimWorld.sense_uwb
+
+    def sense_uwb(self, state):  # label 0's range to anchor 0 is lost at 1 s
+        ranges = original(self, state)
+        if state.t >= 1.0:
+            ranges[0][0] = math.nan
+        return ranges
+    monkeypatch.setattr(SimWorld, "sense_uwb", sense_uwb)
+    summary, _ = run_mission(ScenarioConfig(), MissionConfig(), seed=FAULTY_SEED)
+    assert (summary.final_phase, summary.abort_reason) == ("done", None)
+    assert summary.landing_error <= 0.15
+
+
+def test_a_hover_effort_past_the_float_range_is_a_sensor_fault():
+    # the rotor speeds of a 1e308 kg vehicle square to infinity, so the
+    # attachment check has no finite hover effort to compare against
+    summary, records = run_mission(ScenarioConfig(uav_mass=1e308),
+                                   MissionConfig(), seed=FAULTY_SEED)
+    assert (summary.final_phase, summary.abort_reason) == ("aborted", "sensor_fault")
+    assert records[-1][LOG_COLUMNS.index("events")].startswith(
+        "sensor_fault:SensorFault: pre-adhesion hover window")
+
+
 def test_a_first_epoch_that_locates_no_label_aborts_with_sensor_fault():
     # ranges near 1e307 m square past the float range in the solve
     summary, records = run_mission(ScenarioConfig(uav_start=(1e307, 0.0, 0.0)),
@@ -441,7 +465,7 @@ def test_a_first_epoch_that_locates_no_label_aborts_with_sensor_fault():
 
 
 def test_montecarlo_keeps_every_other_summary_when_a_seed_faults(
-        nan_ranges_from_one_second):
+        nan_roll_from_one_second):
     # the pool's workers are forked, so they inherit the fault
     scenario = ScenarioConfig()
     x, y, _ = scenario.uav_start

@@ -109,6 +109,31 @@ def test_failed_adsorption_still_takes_its_draw():
     assert world.rng.random() == twin.rng.random()
 
 
+NOISES = ("qr_image_noise", "qr_yaw_noise", "qr_dropout", "det_pos_noise",
+          "det_yaw_noise", "det_dropout", "wind_sigma", "sigma_uwb", "rotor_noise")
+
+
+def test_a_noise_level_never_changes_what_the_world_draws():
+    # hovering where the camera sees the markers and the detector the
+    # cargo, on a moving platform, so every sensor draws
+    states = []
+    seen = {"qr": 0, "cargo": 0}
+    for level in (0.0, 1e-300):
+        world = SimWorld(calm_scenario(
+            uav_start=(4.5, 1.0, 4.5), platform_roll_amp=math.radians(8.0),
+            platform_pitch_amp=math.radians(10.0),
+            **{name: level for name in NOISES}))
+        state = world.initial_state()
+        for _ in range(200):
+            world.sense_uwb(state)
+            seen["qr"] += bool(world.sense_qr(state))
+            seen["cargo"] += bool(world.sense_cargo(state))
+            state = world.step(state, (0.0, 0.0, 0.0, 0.05), 0.02)
+        states.append(world.rng.bit_generator.state)
+    assert seen["qr"] > 0 and seen["cargo"] > 0, seen
+    assert states[0] == states[1]
+
+
 def test_support_height_of_cargo_deck_and_sea():
     cfg = ScenarioConfig()
     world = SimWorld(cfg)

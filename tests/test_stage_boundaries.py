@@ -2,9 +2,9 @@
 
 The world state, the IMU acceleration, every pose estimate, the cargo
 track and the coverage waypoints cross a stage boundary each tick, and
-so does each flight's pair of filtered label positions, as two rows
-(lists) of floats; a numpy array or a numpy scalar there means one stage
-wraps what the next must unwrap.
+each flight's two label filters keep their state as lists of floats; a
+numpy array or a numpy scalar there means one stage wraps what the next
+must unwrap.
 """
 
 import math
@@ -75,18 +75,16 @@ def test_label_filters_hand_each_flight_two_rows_of_floats(seeds):
     for _ in range(2):  # the initialising step, then predict and update
         for f in flights:  # interleaved: each flight owns its filters
             a_body, roll, pitch = f.world.sense_imu(f.state)
-            rows = f.labels.step(
-                a_body, rotation_rows(roll, pitch, 0.0),
-                tuple(zip(*f.state.platform_attitude.rows)),
-                f.world.sense_uwb(f.state))
-            assert type(rows) is list and len(rows) == 2, rows
-            for row in rows:
-                assert type(row) is list and len(row) == 3, row
-                assert all(type(x) is float for x in row), row
-            for mean, cov in f.labels.filters:  # each filter is floats too
+            est, _ = f.localizer.step(
+                f.state.platform_attitude, a_body, roll, pitch,
+                f.world.sense_uwb(f.state), f.world.sense_qr(f.state))
+            _assert_floats(est.position, 3)
+            filters = f.localizer.filters
+            assert type(filters) is list and len(filters) == 2, filters
+            for mean, cov in filters:  # each filter is floats
                 assert [type(x) for x in mean] == [float] * 6
                 assert [type(x) for x in cov] == [float] * 21
-    owned = [id(f.labels.filters) for f in flights]
+    owned = [id(f.localizer.filters) for f in flights]
     assert len(set(owned)) == len(flights)
 
 

@@ -142,6 +142,18 @@ def test_update_degraded_when_all_rows_dropped():
     assert ekf_update(s, [(0, 1.0)], ANCHORS, EkfParams()).labels == s.labels
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_range_that_is_not_finite_is_left_out(bad):
+    s = _rest([0.2, 0.1, 1.0])
+    ranges = _ranges([0.5, -0.2, 1.5])
+    kept = _update(s, ranges[1:], ANCHORS, EkfParams())
+    mean, cov, degraded = _update(s, [(0, bad), *ranges[1:]], ANCHORS, EkfParams())
+    assert mean.tolist() == kept[0].tolist() and not degraded
+    np.testing.assert_array_equal(cov, kept[1])
+    # a label with no finite range keeps its prediction
+    assert _update(s, [(0, bad)], ANCHORS, EkfParams())[2]
+
+
 def test_noiseless_convergence_to_least_squares():
     truth = np.array([0.5, -0.4, 1.3])
     params = EkfParams(sigma_range=1e-6)
