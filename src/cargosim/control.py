@@ -1,13 +1,13 @@
 """Four-channel PID velocity command generation.
 
-World-frame position errors are rotated into the UAV body frame (the
-vehicle's velocity interface is body-frame), each of the x, y, z and yaw
-channels runs an independent discrete PID with a sliding 3-second
-integral window, the cargo velocity can be fed forward during landing,
-and the output is saturated with windup protection: while the previous
-command was saturated, errors that would push further into saturation
-are not accumulated, while counteracting errors are.  Fixed tuning: the
-window ``INTEGRAL_SPAN`` and the yaw-rate limit ``YAW_RATE_LIMIT``.
+The controller acts on body-frame errors (the vehicle's velocity interface
+is body-frame), each of the x, y, z and yaw channels runs an independent
+discrete PID with a sliding 3-second integral window, the cargo velocity
+can be fed forward during landing, and the output is saturated with
+windup protection: while the previous command was saturated, errors that
+would push further into saturation are not accumulated, while
+counteracting errors are.  Fixed tuning: the window ``INTEGRAL_SPAN`` and
+the yaw-rate limit ``YAW_RATE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ class PidGains(Ranged):
     kd: float = NON_NEGATIVE()
     kp_yaw: float = NON_NEGATIVE(0.1)
 
-    def channel(self, name: str) -> tuple[float, float, float]:
-        if name == "yaw":
-            return (self.kp_yaw, 0.0, 0.0)
-        return (self.kp, self.ki, self.kd)
-
 
 # Per-phase defaults used by the mission executive.
 PHASE_GAINS = {
@@ -53,13 +48,6 @@ class VelocityLimits(Ranged):
     horizontal: float = POSITIVE(0.6)  # m/s
     vertical: float = POSITIVE(0.3)  # m/s, differs per vehicle
     yaw_rate = YAW_RATE_LIMIT  # no annotation: a class constant, not a field
-
-    def for_channel(self, name: str) -> float:
-        if name in ("x", "y"):
-            return self.horizontal
-        if name == "z":
-            return self.vertical
-        return self.yaw_rate
 
 
 @dataclass(frozen=True)
@@ -125,12 +113,13 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
     """
     if T <= 0:
         raise ValueError("period must be > 0")
+    pid = (gains.kp, gains.ki, gains.kd)
+    rows = zip(CHANNELS, (pid, pid, pid, (gains.kp_yaw, 0.0, 0.0)),  # yaw: P only
+               (limits.horizontal, limits.horizontal, limits.vertical, limits.yaw_rate))
     out = []
-    for i, name in enumerate(CHANNELS):
+    for i, (name, (kp, ki, kd), limit) in enumerate(rows):
         e = errors.get(name, 0.0)
-        kp, ki, kd = gains.channel(name)
         ch = st.channels[name]
-        limit = limits.for_channel(name)
 
         if ki > 0.0:
             _accumulate(ch, e, now, limit)

@@ -8,9 +8,9 @@ cargo), ``bounce`` (the climb clear after a contact while servoing) and
 (attachment success from the rotor-speed change between the hover windows
 before and after the adhesion action), ``cruise`` home and ``descend``
 onto the pad.  A tick that changes the phase carries the event
-``phase:<from>-><to>``.  Commands are world-frame setpoints (tracked
-against the hybrid localization estimate), body-frame errors (visual
-servoing) or open-loop body velocities.  Fixed landing thresholds:
+``phase:<from>-><to>``.  A command is a body-frame error (from a world
+setpoint and the hybrid localization estimate, or from the cargo track
+while servoing) or an open-loop body velocity.  Fixed landing thresholds:
 ``DESCENT_STEP``, ``WAYPOINT_SWITCH_RADIUS``, ``LOCK_CONE_RATIO``,
 ``DESCENT_CONE_RATIO``, ``DESCENT_CONE_SLACK``, ``PRE_BLIND_HEIGHT``,
 ``BLIND_HORIZONTAL_THRESHOLD``, ``BLIND_HOLD_TIME``, ``BLIND_DESCENT_SPEED``,
@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import PHASE_GAINS, PidGains, yaw_error
-from .frames import COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged
+from .control import PHASE_GAINS, PidGains, position_error_body, yaw_error
+from .frames import (COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged,
+                     rotation_rows, wrap_angle)
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
@@ -126,22 +127,17 @@ class TickInputs:
 
 @dataclass(frozen=True)
 class TickCommand:
-    """Executive output: one of three command modes plus bookkeeping.
+    """Executive output: the controller's input plus bookkeeping.
 
-    mode "world": track (setpoint, yaw) against the localization estimate.
-    mode "body": body-frame error supplied directly (visual servoing),
-    with optional velocity feedforward.
-    mode "velocity": open-loop body velocity (blind descent).
+    Exactly one of `error`, the body-frame (x, y, z, yaw) error the PID acts
+    on under `gains` (with the cargo velocity as `feedforward` while
+    servoing), and `velocity`, an open-loop body velocity, is set.
     """
 
-    mode: str
-    setpoint: tuple[float, float, float] | None = None
-    yaw_setpoint: float = 0.0
-    body_error: tuple[float, float, float] | None = None
-    body_yaw_error: float = 0.0
+    gains: PidGains
+    error: tuple[float, float, float, float] | None = None
     feedforward: tuple[float, float, float] | None = None
     velocity: tuple[float, float, float, float] | None = None
-    gains: PidGains | None = None
     do_adsorb: bool = False
     events: tuple[str, ...] = ()
 
@@ -212,20 +208,23 @@ class MissionExecutive:
         self.abort_reason = reason
         self._enter("aborted", events)
 
-    def _world(self, setpoint, yaw: float, gains: str, events) -> TickCommand:
-        return TickCommand(mode="world", setpoint=setpoint, yaw_setpoint=yaw,
-                           gains=self.cfg.gains[gains], events=tuple(events))
-
-    def _body(self, error, yaw_e: float, feedforward, events) -> TickCommand:
-        return TickCommand(mode="body", body_error=error, body_yaw_error=yaw_e,
-                           feedforward=feedforward, gains=self.cfg.gains["land"],
+    def _world(self, est, setpoint, yaw: float, gains: str, events) -> TickCommand:
+        # the velocity interface is yaw-aligned and horizontal, so
+        # tilt must not leak altitude error into the x/y channels
+        R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
+        error = (*position_error_body(setpoint, est.position, R_w_b),
+                 wrap_angle(yaw - est.yaw))
+        return TickCommand(self.cfg.gains[gains], error=error,
                            events=tuple(events))
+
+    def _body(self, error, feedforward, events) -> TickCommand:
+        return TickCommand(self.cfg.gains["land"], error=error,
+                           feedforward=feedforward, events=tuple(events))
 
     def _velocity(self, velocity, gains: str, events,
                   do_adsorb: bool = False) -> TickCommand:
-        return TickCommand(mode="velocity", velocity=velocity,
-                           gains=self.cfg.gains[gains], do_adsorb=do_adsorb,
-                           events=tuple(events))
+        return TickCommand(self.cfg.gains[gains], velocity=velocity,
+                           do_adsorb=do_adsorb, events=tuple(events))
 
     def _geofence_ok(self, est: PoseEstimate) -> bool:
         x, y, _ = est.position
@@ -257,7 +256,7 @@ class MissionExecutive:
         if inp.estimate.position[2] >= self.search_altitude - 0.15:
             self.plan()
             self._enter("search", events)
-        return self._world(sp, 0.0, "takeoff", events)
+        return self._world(inp.estimate, sp, 0.0, "takeoff", events)
 
     def _tick_search(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
@@ -284,7 +283,8 @@ class MissionExecutive:
                 events.append(f"coverage_replan:alt={self.search_altitude:.2f}")
             else:  # at the floor the plan would not change: fly it again
                 self.wp_index = 0
-        return self._world(sp, self.yaws[self.wp_index], "search", events)
+        return self._world(inp.estimate, sp, self.yaws[self.wp_index], "search",
+                           events)
 
     def _tick_servo(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.on_ground:
@@ -313,7 +313,7 @@ class MissionExecutive:
             elif inp.t - self._lost_since >= REACQUIRE_TIME:
                 events.append("target_lost")
                 self._enter("search", events)
-            return self._body((0.0, 0.0, 0.0), 0.0, None, events)
+            return self._body((0.0, 0.0, 0.0, 0.0), None, events)
         self._lost_since = None
 
         cx, cy, cz = track.position
@@ -339,7 +339,7 @@ class MissionExecutive:
                 events.append("blind_descent")
         else:
             self._hold_since = None
-        return self._body((cx, cy, err_z), yaw_error(track.yaw), track.velocity,
+        return self._body((cx, cy, err_z, yaw_error(track.yaw)), track.velocity,
                           events)
 
     def _tick_blind(self, inp: TickInputs, events: list[str]) -> TickCommand:
@@ -362,7 +362,8 @@ class MissionExecutive:
             self._verify_since = inp.t
             self._post_window = []
             self._enter("verify", events)
-        return self._world(self.verify_point, inp.estimate.yaw, "takeoff", events)
+        return self._world(inp.estimate, self.verify_point, inp.estimate.yaw,
+                           "takeoff", events)
 
     def _tick_verify(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
@@ -386,7 +387,8 @@ class MissionExecutive:
                 else:
                     self._pre_window.clear()
                     self._enter("servo", events)
-        return self._world(self.verify_point, inp.estimate.yaw, "return", events)
+        return self._world(inp.estimate, self.verify_point, inp.estimate.yaw,
+                           "return", events)
 
     def _tick_cruise(self, inp: TickInputs, events: list[str]) -> TickCommand:
         altitude = self.cfg.return_altitude
@@ -398,13 +400,13 @@ class MissionExecutive:
         horiz = math.hypot(x - self.home_xy[0], y - self.home_xy[1])
         if horiz < 0.3 and z >= altitude - 0.3:
             self._enter("descend", events)
-        return self._world(sp, 0.0, "return", events)
+        return self._world(inp.estimate, sp, 0.0, "return", events)
 
     def _tick_descend(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.on_ground:
             events.append("platform_landed")
             self._enter("done", events)
-        return self._world((*self.home_xy, 0.0), 0.0, "land", events)
+        return self._world(inp.estimate, (*self.home_xy, 0.0), 0.0, "land", events)
 
 
 # the handler of each stage that is not an end: MissionExecutive._tick_<stage>

@@ -4,8 +4,8 @@ One 50 Hz tick of a mission (:meth:`Flight.tick`) reads the world's
 sensors and runs a pipeline of stages, each a small stateful object with
 one ``step``: :class:`Localizer` (the anchor-based localization, from the
 IMU, range and marker readings to the pose), :class:`CargoPerception`
-(the cargo track), the mission executive, :class:`Command` (mode dispatch
-and the PID) and :class:`Recorder` (the log rows and the run summary).
+(the cargo track), the mission executive, :class:`Command` (the PID, or
+the velocity clamp) and :class:`Recorder` (the log rows and the summary).
 Ground contact is world physics and lives in :mod:`sim_world`.
 
 A flight shares nothing with another: :func:`run_mission` flies one, and
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import control, hybrid_localizer, uwb_localization
-from .control import ControllerState, VelocityLimits, pid_step, saturate
-from .frames import EulerAngles, rotate, rotation_rows, wrap_angle
+from . import hybrid_localizer, uwb_localization
+from .control import CHANNELS, ControllerState, VelocityLimits, pid_step, saturate
+from .frames import EulerAngles, rotate, rotation_rows
 from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
                       TickCommand, TickInputs)
 from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
@@ -122,7 +122,7 @@ class Flight:
         cmd = executive.tick(TickInputs(t=state.t, estimate=est, track=track,
                                         rotor_speeds=state.rotor_speeds,
                                         on_ground=state.on_ground))
-        vel = self.command.step(cmd, est, state.t)
+        vel = self.command.step(cmd, state.t)
         if cmd.do_adsorb:
             state = world.attach_cargo(state, self.adsorb_prob)
         after = world.touch_down(world.step(state, vel, self.dt), vel[2])
@@ -161,8 +161,10 @@ class Localizer:
              obs: list) -> tuple[PoseEstimate, list[str]]:
         """Start each label's filter from the first ranges, then predict it
         under the last heading and update it; then solve the heading, fuse
-        the labels, fix on the markers and arbitrate."""
+        the labels, fix on the markers and arbitrate.  A label that took no
+        range this tick adds the event ``uwb_degraded:<label index>``."""
         R_a_w = platform.rows
+        lost = ()
         if self.filters is None:
             self.filters = [uwb_localization.initial_label(
                 uwb_localization.multilaterate(list(enumerate(row)),
@@ -172,10 +174,11 @@ class Localizer:
                 a_body, rotation_rows(roll, pitch, self.yaw), tuple(zip(*R_a_w)))
             predict = uwb_localization.predict_label
             update = uwb_localization.update_label
-            self.filters = [
-                update(*predict(mean, cov, a_u, self.period), row, self.points,
-                       self.var)[:2]
-                for (mean, cov), row in zip(self.filters, ranges)]
+            updated = [update(*predict(mean, cov, a_u, self.period), row,
+                              self.points, self.var)
+                       for (mean, cov), row in zip(self.filters, ranges)]
+            self.filters = [(mean, cov) for mean, cov, _ in updated]
+            lost = [f"uwb_degraded:{i}" for i, u in enumerate(updated) if u[2]]
         labels = [mean[:3] for mean, _ in self.filters]
 
         u1w, u2w = (rotate(R_a_w, u) for u in labels)
@@ -193,7 +196,8 @@ class Localizer:
             except NoFix:
                 pass  # no usable marker this tick
 
-        return hybrid_localizer.arbitrate(qr_pose, uwb_pose, self.hybrid)
+        pose, events = hybrid_localizer.arbitrate(qr_pose, uwb_pose, self.hybrid)
+        return pose, [*lost, *events] if lost else events
 
 
 class CargoPerception:
@@ -220,8 +224,9 @@ class CargoPerception:
 
 
 class Command:
-    """Mode dispatch, the derivative reset on a gain switch and the PID: the
-    executive's command as a saturated (vx, vy, vz, yaw_rate) body velocity."""
+    """The derivative reset on a gain switch, then the PID on the command's
+    body-frame error or the clamp of its open-loop velocity: the executive's
+    command as a saturated (vx, vy, vz, yaw_rate) body velocity."""
 
     def __init__(self, dt: float):
         self.dt = dt
@@ -229,28 +234,18 @@ class Command:
         self.limits = VelocityLimits()
         self.gains = None  # the gains of the last tick
 
-    def step(self, cmd: TickCommand, est: PoseEstimate,
-             t: float) -> tuple[float, float, float, float]:
+    def step(self, cmd: TickCommand, t: float) -> tuple[float, float, float, float]:
         if cmd.gains is not self.gains:
             self.ctrl.reset_derivative()
             self.gains = cmd.gains
         limits = self.limits
-        if cmd.mode == "velocity":
+        if cmd.velocity is not None:
             vx, vy, vz, yaw_rate = cmd.velocity
             return (saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
                     saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate))
-        if cmd.mode == "world":
-            # the velocity interface is yaw-aligned and horizontal, so
-            # tilt must not leak altitude error into the x/y channels
-            R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
-            e_b = control.position_error_body(cmd.setpoint, est.position, R_w_b)
-            yaw_e = wrap_angle(cmd.yaw_setpoint - est.yaw)
-        else:  # body: visual servoing
-            e_b = cmd.body_error
-            yaw_e = cmd.body_yaw_error
-        errors = {"x": e_b[0], "y": e_b[1], "z": e_b[2], "yaw": yaw_e}
-        vel_cmd, self.ctrl = pid_step(cmd.gains, errors, self.ctrl, self.dt, t,
-                                      limits=limits, feedforward=cmd.feedforward)
+        vel_cmd, self.ctrl = pid_step(cmd.gains, dict(zip(CHANNELS, cmd.error)),
+                                      self.ctrl, self.dt, t, limits=limits,
+                                      feedforward=cmd.feedforward)
         return (vel_cmd.vx, vel_cmd.vy, vel_cmd.vz, vel_cmd.yaw_rate)
 
 

@@ -172,6 +172,7 @@ def test_running_integral_equals_window_sum(rng):
     st_ = ControllerState()
     now = 0.0
     seen = {"pruned": 0, "gate_pos": 0, "gate_neg": 0}
+    limits = {"x": LIMITS.horizontal, "y": LIMITS.horizontal, "z": LIMITS.vertical}
     for _ in range(10_000):
         now += float(rng.uniform(0.0, 0.1))
         errors = {name: float(rng.normal(scale=0.5)) for name in CHANNELS}
@@ -183,7 +184,7 @@ def test_running_integral_equals_window_sum(rng):
             assert abs(st_.channels[name].window_sum - sum(e for _, e in window)) \
                 <= 1e-12
             n_before, prev_raw = before[name]
-            limit = LIMITS.for_channel(name)
+            limit = limits[name]
             if prev_raw >= limit and errors[name] > 0.0:
                 seen["gate_pos"] += 1
             elif prev_raw <= -limit and errors[name] < 0.0:

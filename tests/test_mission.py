@@ -89,9 +89,20 @@ def test_takeoff_holds_pad_position_laterally():
     ex = _executive()
     cmd = ex.tick(_inputs(0.0, _est(1.0, 2.0, 0.5)))
     assert ex.phase is MissionPhase.TAKEOFF
-    assert cmd.mode == "world"
-    np.testing.assert_allclose(cmd.setpoint[:2], [1.0, 2.0])
-    assert cmd.setpoint[2] == pytest.approx(6.0)
+    assert cmd.velocity is None
+    # the pad (1, 2) at the search altitude 6, seen from (1, 2, 0.5) at yaw 0
+    assert cmd.error == pytest.approx((0.0, 0.0, 5.5, 0.0))
+
+
+def test_a_world_setpoint_is_rotated_into_the_body_frame():
+    # 1 m short of the pad along world -x, heading along world +y: the pad
+    # lies to the vehicle's right (body -y), and the setpoint's heading 0
+    # is a quarter turn clockwise
+    ex = _executive()
+    cmd = ex.tick(_inputs(0.0, _est(0.0, 2.0, 0.5, yaw=math.pi / 2)))
+    assert ex.stage == "takeoff" and cmd.velocity is None
+    assert cmd.error == pytest.approx((0.0, -1.0, 5.5, -math.pi / 2),
+                                      rel=0, abs=1e-12)
 
 
 def test_takeoff_transitions_to_search_at_altitude():
@@ -122,7 +133,8 @@ def test_search_at_the_floor_altitude_restarts_without_replanning():
     for k in range(3):  # sitting on the single waypoint, tick after tick
         cmd = ex.tick(_inputs(20.0 + 0.02 * k, _est(wp[0], wp[1], 3.0)))
         assert not any(e.startswith("coverage_replan") for e in cmd.events)
-        assert cmd.setpoint == (*wp, ex.cfg.min_search_altitude)
+        # the waypoint at the floor altitude, where the vehicle already is
+        assert cmd.error[:3] == pytest.approx((0.0, 0.0, 0.0))
     assert ex.search_altitude == ex.cfg.min_search_altitude
     assert ex.wp_index == 0
 
@@ -149,11 +161,11 @@ def test_land_servo_descends_only_inside_funnel():
     track = CargoTrack(locked=True)
     track.position = np.array([1.5, 0.0, -2.0])  # badly off to the side
     cmd = ex.tick(_inputs(30.0, _est(8.0, 0.0, 3.0), track=track))
-    assert cmd.mode == "body"
-    assert cmd.body_error[2] == 0.0  # no descent while misaligned
+    assert cmd.velocity is None
+    assert cmd.error[2] == 0.0  # no descent while misaligned
     track.position = np.array([0.05, 0.0, -2.0])
     cmd = ex.tick(_inputs(30.1, _est(8.0, 0.0, 3.0), track=track))
-    assert cmd.body_error[2] < 0.0
+    assert cmd.error[2] < 0.0
 
 
 def test_land_blind_descent_after_hold():
@@ -170,7 +182,7 @@ def test_land_blind_descent_after_hold():
     assert "blind_descent" in events
     assert ex.pre_telemetry is not None
     cmd = ex.tick(_inputs(t, _est(8.0, 0.0, 1.2), track=track))
-    assert cmd.mode == "velocity"
+    assert cmd.error is None
     assert cmd.velocity[2] < 0.0
 
 
@@ -210,12 +222,12 @@ def test_bounce_recovery_climbs_clear():
     cmd = ex.tick(_inputs(70.0, _est(8.0, 0.3, 1.15), track=track,
                           on_ground=True))
     assert any(e == "land_bounce" for e in cmd.events)
-    assert cmd.mode == "velocity" and cmd.velocity[2] > 0.0
+    assert cmd.error is None and cmd.velocity[2] > 0.0
     # stays in climb mode until clear of the cargo top
     cmd = ex.tick(_inputs(70.1, _est(8.0, 0.3, 1.3), track=track))
-    assert cmd.mode == "velocity" and cmd.velocity[2] > 0.0
+    assert cmd.error is None and cmd.velocity[2] > 0.0
     cmd = ex.tick(_inputs(70.2, _est(8.0, 0.3, 1.8), track=track))
-    assert cmd.mode == "body"  # back to servoing
+    assert cmd.velocity is None  # back to servoing
 
 
 def test_hover_windows_span_the_same_time_at_any_tick():
@@ -325,7 +337,7 @@ def test_geofence_breach_aborts_within_one_tick():
     cmd = ex.tick(_inputs(0.0, _est(50.0, 0.0, 3.0)))
     assert ex.phase is MissionPhase.ABORTED
     assert ex.abort_reason == "geofence"
-    assert cmd.mode == "velocity"
+    assert cmd.error is None
     np.testing.assert_array_equal(cmd.velocity, np.zeros(4))
 
 

@@ -444,6 +444,26 @@ def test_a_range_that_is_not_finite_is_left_out_of_the_flight(monkeypatch):
     assert summary.landing_error <= 0.15
 
 
+def test_a_label_that_takes_no_range_is_logged_degraded(monkeypatch):
+    original = SimWorld.sense_uwb
+
+    def sense_uwb(self, state):  # every range of label 0 is lost at 1 s
+        ranges = original(self, state)
+        if state.t >= 1.0:
+            ranges[0] = [math.nan] * len(ranges[0])
+        return ranges
+    monkeypatch.setattr(SimWorld, "sense_uwb", sense_uwb)
+    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=FAULTY_SEED,
+                             max_time=2.0)
+    t, events = LOG_COLUMNS.index("t"), LOG_COLUMNS.index("events")
+    marked = [row for row in records if "uwb_degraded" in row[events]]
+    # the tick that senses at t = 1 s is logged at its end, t = 1.02 s
+    assert marked[0][t] == pytest.approx(1.02)
+    assert marked[0][events] == "uwb_degraded:0"
+    assert [row[t] for row in marked] == [row[t] for row in records[50:]]
+    assert all(row[events].split(";")[0] == "uwb_degraded:0" for row in marked)
+
+
 def test_a_hover_effort_past_the_float_range_is_a_sensor_fault():
     # the rotor speeds of a 1e308 kg vehicle square to infinity, so the
     # attachment check has no finite hover effort to compare against

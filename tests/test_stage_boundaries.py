@@ -1,10 +1,10 @@
 """The vectors handed from stage to stage are tuples of Python floats.
 
 The world state, the IMU acceleration, every pose estimate, the cargo
-track and the coverage waypoints cross a stage boundary each tick, and
-each flight's two label filters keep their state as lists of floats; a
-numpy array or a numpy scalar there means one stage wraps what the next
-must unwrap.
+track, the executive's command and the coverage waypoints cross a stage
+boundary each tick, and each flight's two label filters keep their state
+as lists of floats; a numpy array or a numpy scalar there means one stage
+wraps what the next must unwrap.
 """
 
 import math
@@ -17,7 +17,7 @@ from cargosim.mission import MissionConfig
 from cargosim.perception import CargoTrack, smooth_track
 from cargosim.planner import plan_coverage
 from cargosim.qr_localization import PoseEstimate, estimate_pose
-from cargosim.runner import Flight
+from cargosim.runner import Command, Flight, run_mission
 from cargosim.sim_world import ScenarioConfig, SimWorld
 from cargosim.uwb_localization import fuse_labels
 
@@ -86,6 +86,29 @@ def test_label_filters_hand_each_flight_two_rows_of_floats(seeds):
                 assert [type(x) for x in cov] == [float] * 21
     owned = [id(f.localizer.filters) for f in flights]
     assert len(set(owned)) == len(flights)
+
+
+def test_every_command_is_a_body_error_or_an_open_loop_velocity(monkeypatch):
+    commands = []
+    step = Command.step
+
+    def recorded(self, cmd, t):
+        commands.append(cmd)
+        return step(self, cmd, t)
+    monkeypatch.setattr(Command, "step", recorded)
+    summary, records = run_mission(
+        calm_scenario(platform_roll_amp=math.radians(8.0),
+                      platform_pitch_amp=math.radians(10.0)),
+        MissionConfig(), seed=3)
+    assert summary.final_phase == "done" and len(commands) == len(records)
+    for cmd in commands:
+        assert (cmd.error is None) != (cmd.velocity is None), cmd
+        _assert_floats(cmd.velocity if cmd.error is None else cmd.error, 4)
+        if cmd.feedforward is not None:
+            _assert_floats(cmd.feedforward, 3)
+    # the flight servos on the cargo track and descends blind
+    assert any(cmd.velocity is not None for cmd in commands)
+    assert any(cmd.feedforward is not None for cmd in commands)
 
 
 def test_cargo_track_is_float_tuples():
