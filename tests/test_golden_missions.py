@@ -1,5 +1,7 @@
-"""Golden missions of the default scenario, seeds 0, 1 and 93, and a
-Monte-Carlo batch of seeds 86-93.
+"""Golden missions of the default scenario, seeds 0, 1, 93 and 103, and a
+Monte-Carlo batch of seeds 86-93.  Seeds 0, 1 and 93 each lock on the
+cargo once; seed 103 also replans its coverage, loses the target and
+bounces off a touchdown while it still servos.
 
 A refactor that keeps the missions keeps these summaries exactly (the
 landing error to 1e-9 m) and the SHA-256 of each flight's discrete trace,
@@ -26,7 +28,7 @@ from cargosim.runner import LOG_COLUMNS, montecarlo, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig
 
 GOLDEN = Path(__file__).with_name("golden_missions.json")
-SEEDS = (0, 1, 93)  # 93 touches down beside the cargo, yet reports done
+SEEDS = (0, 1, 93, 103)  # 93 touches down beside the cargo, yet reports done
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
 DISCRETE = [LOG_COLUMNS.index(name) for name in ("phase", "source", "events")]
 BATCH = {"runs": 8, "seed_base": 86}  # seed 93 last
