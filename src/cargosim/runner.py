@@ -78,7 +78,8 @@ class Flight:
     """One seeded mission: its world and its stages.  The world's one
     random generator draws noise in the order of :meth:`tick`:
     ``sense_uwb``, ``sense_qr``, ``sense_cargo``, the adsorption draw of
-    ``attach_cargo``, then ``step``.  Any other order flies other missions.
+    ``attach_cargo``, then ``step``, the whole physical step, contact
+    included, which draws last.  Any other order flies other missions.
     """
 
     def __init__(self, scenario: ScenarioConfig, mission: MissionConfig,
@@ -125,7 +126,7 @@ class Flight:
         vel = self.command.step(cmd, state.t)
         if cmd.do_adsorb:
             state = world.attach_cargo(state, self.adsorb_prob)
-        after = world.touch_down(world.step(state, vel, self.dt), vel[2])
+        after = world.step(state, vel, self.dt)
         phase = executive.phase  # a tick that changes the phase logs the new one
         self.recorder.step(state, after, est, events, track, cmd, vel, phase)
         self.state = after
@@ -270,7 +271,7 @@ class Recorder:
         est_xyz = est.position
         self.sq_errors.add(est.source, est_xyz[0] - truth[0],
                            est_xyz[1] - truth[1], est_xyz[2] - truth[2])
-        if "phase:land->adsorb" in cmd.events and math.isnan(self.landing_error):
+        if phase is MissionPhase.ADSORB and math.isnan(self.landing_error):
             self.landing_error = float(np.linalg.norm(
                 np.subtract(after.uav_pos[:2], self.cargo_xy)))
 

@@ -185,6 +185,17 @@ def _wave(amp: float, t: float, period: float, phase: float) -> float:
     return amp * math.sin(angle)
 
 
+def _in_view(point, r: float, view) -> bool:
+    """Whether the camera-frame `point`, or any point within `r` of it, lies
+    in front of the lens, within the near/far depth and inside the field of
+    view of a camera `view` = (focal, near, far, tan_h, tan_v), the tangents
+    of half its fields of view.  A NaN coordinate fails no test."""
+    x, y, z = point
+    focal, near, far, tan_h, tan_v = view
+    return not (z - r >= -focal or r - z < near or -z - r > far
+                or abs(x) - r > tan_h * (r - z) or abs(y) - r > tan_v * (r - z))
+
+
 class SimWorld:
     """Steppable world; owns the seeded generator for all noise draws.  What
     it draws depends on what the sensors see, never on a noise level: a
@@ -206,6 +217,10 @@ class SimWorld:
             if panels else (0.0, 0.0, 0.0)
         self._qr_radius = max((math.dist(p, self._qr_center)
                                for p in self._qr_panels), default=0.0) + 1e-6
+        self._qr_view = (cfg.qr_focal, 0.0, cfg.qr_max_height,
+                         math.tan(cfg.qr_h_fov / 2.0), math.tan(cfg.qr_v_fov / 2.0))
+        self._det_view = (cfg.det_focal, cfg.det_min_height, math.inf,
+                          math.tan(cfg.det_h_fov / 2.0), math.tan(cfg.det_v_fov / 2.0))
 
     def initial_state(self) -> SimState:
         cfg = self.cfg
@@ -241,6 +256,11 @@ class SimWorld:
         weight plus the commanded vertical acceleration.  A lag (velocity,
         gust or trim) with a time constant shorter than dt settles within
         the step, so no Euler step overshoots its target.
+
+        Contact: a grounded vehicle holds still until a command climbs,
+        which lifts it off.  A flying vehicle that sinks, under a command
+        that does not climb, to within 2 cm of the surface under it (see
+        :meth:`support_height`) is grounded and stops where it stands.
         """
         cfg = self.cfg
         c_vx, c_vy, c_vz, c_yaw = cmd
@@ -277,19 +297,19 @@ class SimWorld:
         ax = (cy * c_vx - sy * c_vy - vx) / tau + (dist_x - tx)
         ay = (sy * c_vx + cy * c_vy - vy) / tau + (dist_y - ty)
         az = (c_vz - vz) / tau + 0.0  # no vertical disturbance
-        on_ground = state.on_ground
-        if on_ground and c_vz <= 0.0:
+        on_ground = state.on_ground and c_vz <= 0.0
+        if on_ground:
             vel = acc = (0.0, 0.0, 0.0)
             pos = state.uav_pos
             ax = ay = az = 0.0
         else:
-            if c_vz > 0.0:
-                on_ground = False
             vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
             px, py, pz = state.uav_pos
-            vel = (vx, vy, vz)
             acc = (ax, ay, az)
             pos = (px + vx * dt, py + vy * dt, pz + vz * dt)
+            on_ground = (c_vz <= 0.0 and vz <= 0.0
+                         and pos[2] <= self.support_height(pos[0], pos[1]) + 0.02)
+            vel = (0.0, 0.0, 0.0) if on_ground else (vx, vy, vz)
 
         # tilt follows the commanded horizontal acceleration
         a_bx = cy * ax + sy * ay
@@ -345,8 +365,6 @@ class SimWorld:
         cfg = self.cfg
         R_a_w, R_b_w = state.platform_attitude.rows, state.uav_euler.rows
         px, py, pz = state.uav_pos
-        tan_h = math.tan(cfg.qr_h_fov / 2.0)
-        tan_v = math.tan(cfg.qr_v_fov / 2.0)
 
         def camera(point):  # platform-frame point -> camera frame
             x, y, z = rotate(R_a_w, point)
@@ -355,25 +373,15 @@ class SimWorld:
         # Every marker lies within _qr_radius of _qr_center, so when the
         # centre fails a visibility test by more than that radius, every
         # marker fails it too, before any noise is drawn for it.
-        x, y, z = camera(self._qr_center)
-        r = self._qr_radius
-        if (z - r >= -cfg.qr_focal or -z - r > cfg.qr_max_height
-                or abs(x) - r > tan_h * (r - z) or abs(y) - r > tan_v * (r - z)):
+        view = self._qr_view
+        if not _in_view(camera(self._qr_center), self._qr_radius, view):
             return []
         psi_img = wrap_angle(state.platform_attitude.yaw - state.uav_euler.yaw
                              - math.pi)
         out = []
         for marker, panel in zip(cfg.qr_markers, self._qr_panels):
             cam = camera(panel)
-            z = cam[2]
-            if z >= -cfg.qr_focal:
-                continue
-            depth = -z
-            if depth > cfg.qr_max_height:
-                continue
-            if abs(cam[0]) > tan_h * depth or abs(cam[1]) > tan_v * depth:
-                continue
-            if self.rng.random() < cfg.qr_dropout:
+            if not _in_view(cam, 0.0, view) or self.rng.random() < cfg.qr_dropout:
                 continue
             cx, cy, d_img = project(cam, cfg.qr_focal, marker.diagonal)
             n0, n1, n2, n3 = self.rng.standard_normal(4).tolist()
@@ -393,8 +401,6 @@ class SimWorld:
         cfg = self.cfg
         R_b_w = state.uav_euler.rows
         px, py, pz = state.uav_pos
-        tan_h = math.tan(cfg.det_h_fov / 2.0)
-        tan_v = math.tan(cfg.det_v_fov / 2.0)
         out = []
         for cargo in cfg.cargoes:
             qx, qy, qz = cargo.position
@@ -403,14 +409,9 @@ class SimWorld:
             x += cfg.det_pos_noise * nx
             y += cfg.det_pos_noise * ny
             z += cfg.det_pos_noise * nz
-            if z >= -cfg.det_focal:
-                continue
-            depth = -z
-            if depth < cfg.det_min_height:
-                continue  # cargo fills the field of view
-            if abs(x) > tan_h * depth or abs(y) > tan_v * depth:
-                continue
-            if self.rng.random() < cfg.det_dropout:
+            # nearer than det_min_height the cargo fills the field of view
+            if not _in_view((x, y, z), 0.0, self._det_view) or \
+                    self.rng.random() < cfg.det_dropout:
                 continue
             cx, cy, d_img = project((x, y, z), cfg.det_focal, cargo.top_diagonal)
             conf = cfg.det_conf_base + cfg.det_conf_jitter * \
@@ -442,12 +443,3 @@ class SimWorld:
         if abs(dx) <= cfg.deck_size[0] / 2 and abs(dy) <= cfg.deck_size[1] / 2:
             return cfg.deck_height
         return 0.0
-
-    def touch_down(self, state: SimState, c_vz: float) -> SimState:
-        """Ground a vehicle that sinks, under a command that does not climb,
-        to within 2 cm of the surface under it; it stops there."""
-        x, y, z = state.uav_pos
-        if not state.on_ground and state.uav_vel[2] <= 0.0 and \
-                z <= self.support_height(x, y) + 0.02 and c_vz <= 0.0:
-            return replace(state, on_ground=True, uav_vel=(0.0, 0.0, 0.0))
-        return state

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cargosim.qr_localization import estimate_pose
+from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.sim_world import CargoSpec, ScenarioConfig, SimWorld
 
 from conftest import calm_scenario
+
+AIRBORNE = (1.0, 2.0, 2.0)  # 2 m above the pad: no contact in the tests below
 
 
 def test_scenario_validation():
@@ -20,21 +22,23 @@ def test_scenario_validation():
 
 
 def test_hover_equilibrium():
-    world = SimWorld(calm_scenario())
+    world = SimWorld(calm_scenario(uav_start=AIRBORNE))
     state = world.initial_state()
     first_sum = state.rotor_sum_sq
     for _ in range(100):
         state = world.step(state, np.zeros(4), 0.02)
+    assert not state.on_ground
     np.testing.assert_allclose(state.uav_pos, world.cfg.uav_start, atol=1e-12)
     assert state.rotor_sum_sq == pytest.approx(first_sum, rel=1e-12)
 
 
 def test_zero_command_altitude_drift_over_minute():
-    world = SimWorld(calm_scenario())
+    world = SimWorld(calm_scenario(uav_start=AIRBORNE))
     state = world.initial_state()
     z0 = state.uav_pos[2]
     for _ in range(3000):  # 60 s at 50 Hz
         state = world.step(state, np.zeros(4), 0.02)
+    assert not state.on_ground
     assert abs(state.uav_pos[2] - z0) < 1e-9
 
 
@@ -52,7 +56,7 @@ def test_step_determinism():
 
 
 def test_velocity_tracks_command():
-    world = SimWorld(calm_scenario())
+    world = SimWorld(calm_scenario(uav_start=AIRBORNE))
     state = world.initial_state()
     for _ in range(400):  # 8 s >> the 0.3 s lag and the 1 s trim constant
         state = world.step(state, np.array([0.5, 0.0, 0.0, 0.0]), 0.02)
@@ -62,7 +66,8 @@ def test_velocity_tracks_command():
 def test_a_lag_faster_than_the_step_settles_within_it():
     # an Euler step of a 1 ns lag would overshoot its target 2e7-fold
     world = SimWorld(calm_scenario(vel_time_constant=1e-9, trim_tau=1e-9, wind_tau=1e-9,
-                                   wind_mean=(12.0, 0.0), wind_sigma=2.0))
+                                   wind_mean=(12.0, 0.0), wind_sigma=2.0,
+                                   uav_start=AIRBORNE))
     state = world.initial_state()
     for _ in range(3):
         state = world.step(state, np.array([0.5, 0.0, 0.0, 0.0]), 0.02)
@@ -72,7 +77,8 @@ def test_a_lag_faster_than_the_step_settles_within_it():
 
 def test_platform_attitude_is_finite_for_the_shortest_period():
     world = SimWorld(calm_scenario(platform_roll_amp=0.1, platform_roll_period=5e-324,
-                                   platform_pitch_amp=0.1, platform_pitch_period=1e-300))
+                                   platform_pitch_amp=0.1, platform_pitch_period=1e-300,
+                                   uav_start=AIRBORNE))
     state = world.step(world.initial_state(), np.zeros(4), 0.02)
     assert math.isfinite(state.platform_attitude.roll)
     assert math.isfinite(state.platform_attitude.pitch)
@@ -81,15 +87,16 @@ def test_platform_attitude_is_finite_for_the_shortest_period():
 def test_steady_wind_is_trimmed_out():
     # the velocity loop's trim integrator cancels constant wind; only
     # gusts leak through, so with zero gusts the hover drift stays small
-    world = SimWorld(calm_scenario(wind_mean=(12.0, 0.0)))
+    world = SimWorld(calm_scenario(wind_mean=(12.0, 0.0), uav_start=AIRBORNE))
     state = world.initial_state()
     for _ in range(500):
         state = world.step(state, np.zeros(4), 0.02)
+    assert not state.on_ground
     assert abs(state.uav_vel[0]) < 0.05
 
 
 def test_attach_raises_rotor_effort_by_mass_ratio():
-    cfg = calm_scenario()
+    cfg = calm_scenario(uav_start=AIRBORNE)
     world = SimWorld(cfg)
     state = world.step(world.initial_state(), np.zeros(4), 0.02)
     before = state.rotor_sum_sq
@@ -260,7 +267,7 @@ def test_cargo_confidence_fluctuates():
 
 
 def test_imu_reports_body_acceleration():
-    world = SimWorld(calm_scenario())
+    world = SimWorld(calm_scenario(uav_start=AIRBORNE))
     state = world.initial_state()
     state = world.step(state, np.array([0.5, 0.0, 0.0, 0.0]), 0.02)
     a_body, roll, pitch = world.sense_imu(state)
@@ -281,7 +288,7 @@ def test_step_rejects_bad_inputs():
 
 def test_ground_contact_freezes_vehicle():
     world = SimWorld(calm_scenario())
-    state = world.touch_down(world.initial_state(), 0.0)  # on the pad
+    state = world.step(world.initial_state(), np.zeros(4), 0.02)  # on the pad
     assert state.on_ground
     s2 = world.step(state, np.array([0.2, 0.0, -0.1, 0.0]), 0.02)
     np.testing.assert_array_equal(s2.uav_pos, state.uav_pos)
@@ -289,3 +296,61 @@ def test_ground_contact_freezes_vehicle():
     # a climb command releases the contact
     s3 = world.step(s2, np.array([0.0, 0.0, 0.3, 0.0]), 0.02)
     assert not s3.on_ground
+
+
+def _surfaces():
+    cfg = ScenarioConfig()
+    cx, cy, top = cfg.cargoes[0].position
+    return {"pad": (*cfg.uav_start[:2], 0.0),
+            "deck": (cfg.deck_center[0] + 1.0, cfg.deck_center[1], cfg.deck_height),
+            "cargo_top": (cx, cy, top)}
+
+
+@pytest.mark.parametrize("surface", ["pad", "deck", "cargo_top"])
+@pytest.mark.parametrize("height, grounds", [(0.02, True), (0.0, True), (0.03, False)])
+def test_step_grounds_a_vehicle_that_sinks_to_within_two_centimeters(
+        surface, height, grounds):
+    # one step of a 0.1 m/s descent sinks 0.13 mm from `height`
+    x, y, z = _surfaces()[surface]
+    world = SimWorld(calm_scenario(uav_start=(x, y, z + height)))
+    state = world.step(world.initial_state(), (0.0, 0.0, -0.1, 0.0), 0.02)
+    assert state.uav_pos[2] - z <= 0.02 if grounds else state.uav_pos[2] - z > 0.02
+    assert state.on_ground is grounds
+    if grounds:
+        assert state.uav_vel == (0.0, 0.0, 0.0)
+        held = world.step(state, (0.5, 0.0, -0.1, 0.0), 0.02)
+        assert held.on_ground and held.uav_pos == state.uav_pos
+    else:
+        assert state.uav_vel[2] < 0.0
+
+
+@pytest.mark.parametrize("surface", ["pad", "deck", "cargo_top"])
+def test_a_climbing_command_never_grounds(surface):
+    # sinking at 1 m/s through the surface, but commanded up
+    x, y, z = _surfaces()[surface]
+    world = SimWorld(calm_scenario(uav_start=(x, y, z + 0.01)))
+    state = replace(world.initial_state(), uav_vel=(0.0, 0.0, -1.0))
+    for _ in range(3):
+        state = world.step(state, (0.0, 0.0, 0.3, 0.0), 0.02)
+        assert not state.on_ground
+    assert state.uav_pos[2] < z and state.uav_vel[2] < 0.0
+
+
+@pytest.mark.parametrize("axis, fov", [(0, "h_fov"), (1, "v_fov")])
+@pytest.mark.parametrize("scale, seen", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_both_cameras_see_to_the_edge_of_their_field_of_view(axis, fov, scale, seen):
+    # a target straight ahead but for an offset of tan(fov / 2) * depth
+    # along one camera axis, scaled just inside or just outside that edge
+    depth = 2.0
+    cfg = calm_scenario()
+    offset = [0.0, 0.0]
+    offset[axis] = math.tan(getattr(cfg, "qr_" + fov) / 2) * depth * scale
+    marker = QrMarker(label=1, diagonal=0.3, panel_xy=(0.0, 0.0))
+    world = SimWorld(calm_scenario(qr_markers=[marker],
+                                   uav_start=(-offset[0], -offset[1], depth)))
+    assert bool(world.sense_qr(world.initial_state())) is seen
+    cx, cy, top = cfg.cargoes[0].position
+    offset[axis] = math.tan(getattr(cfg, "det_" + fov) / 2) * depth * scale
+    world = SimWorld(calm_scenario(uav_start=(cx - offset[0], cy - offset[1],
+                                              top + depth)))
+    assert bool(world.sense_cargo(world.initial_state())) is seen

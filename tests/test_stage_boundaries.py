@@ -43,7 +43,7 @@ def test_world_vectors_are_float_tuples():
     _assert_state(flying)
     a_body, _, _ = world.sense_imu(flying)
     _assert_floats(a_body, 3)
-    grounded = world.touch_down(state, 0.0)  # at rest on the pad
+    grounded = world.step(state, (0.0, 0.0, 0.0, 0.0), 0.02)  # at rest on the pad
     assert grounded.on_ground
     _assert_state(grounded)
     _assert_state(world.step(grounded, (0.0, 0.0, -0.1, 0.0), 0.02))
