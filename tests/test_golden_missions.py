@@ -1,7 +1,11 @@
-"""Golden missions of the default scenario, seeds 0, 1, 93 and 103, and a
-Monte-Carlo batch of seeds 86-93.  Seeds 0, 1 and 93 each lock on the
-cargo once; seed 103 also replans its coverage, loses the target and
-bounces off a touchdown while it still servos.
+"""Golden missions, each keyed by name in ``golden_missions.json``, and a
+Monte-Carlo batch of seeds 86-93.  Seeds 0, 1, 93 and 103 fly the default
+scenario and mission: 0, 1 and 93 each lock on the cargo once; seed 103
+also replans its coverage, loses the target and bounces off a touchdown
+while it still servos.  ``retried_adsorption`` (seed 1, an adsorption that
+succeeds with probability 0.5) fails its first thrust check and lands
+again; ``yaw_walk`` (seed 0, a platform yaw walk of 0.05 rad/sqrt(s))
+flies over a deck that turns.
 
 A refactor that keeps the missions keeps these summaries exactly (the
 landing error to 1e-9 m) and the SHA-256 of each flight's discrete trace,
@@ -28,15 +32,26 @@ from cargosim.runner import LOG_COLUMNS, montecarlo, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig
 
 GOLDEN = Path(__file__).with_name("golden_missions.json")
-SEEDS = (0, 1, 93, 103)  # 93 touches down beside the cargo, yet reports done
+# name -> (seed, ScenarioConfig fields, MissionConfig fields); 93 touches
+# down beside the cargo, yet reports done
+FLIGHTS = {
+    "0": (0, {}, {}),
+    "1": (1, {}, {}),
+    "93": (93, {}, {}),
+    "103": (103, {}, {}),
+    "retried_adsorption": (1, {}, {"adsorb_success_prob": 0.5}),
+    "yaw_walk": (0, {"platform_yaw_walk": 0.05}, {}),
+}
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
 DISCRETE = [LOG_COLUMNS.index(name) for name in ("phase", "source", "events")]
 BATCH = {"runs": 8, "seed_base": 86}  # seed 93 last
 WORKERS = (1, 2)
 
 
-def _flight(seed: int):
-    return run_mission(ScenarioConfig(), MissionConfig(), seed=seed)
+def _flight(name: str):
+    seed, scenario, mission = FLIGHTS[name]
+    return run_mission(ScenarioConfig(**scenario), MissionConfig(**mission),
+                       seed=seed)
 
 
 def _summary(flight) -> dict:
@@ -59,10 +74,10 @@ def _montecarlo_sha256(workers: int) -> str:
     return hashlib.sha256(json.dumps(agg, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.fixture(scope="module", params=SEEDS, ids=str)
+@pytest.fixture(scope="module", params=FLIGHTS, ids=str)
 def golden_flight(request):
-    """One flight per seed, shared by the summary and the log-hash test."""
-    want = json.loads(GOLDEN.read_text())[str(request.param)]
+    """One flight per name, shared by the summary and the log-hash test."""
+    want = json.loads(GOLDEN.read_text())[request.param]
     return want, _flight(request.param)
 
 
@@ -95,9 +110,9 @@ def test_montecarlo_matches_its_golden_hash(workers):
 if __name__ == "__main__":
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            flight = _flight(seed)
-            golden[str(seed)] = {
+        for name in FLIGHTS:
+            flight = _flight(name)
+            golden[name] = {
                 **_summary(flight),
                 "discrete_trace_sha256": _trace_sha256(flight),
                 "trajectory_csv_sha256": _csv_sha256(flight, Path(tmp) / "t.csv")}
