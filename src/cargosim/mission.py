@@ -131,10 +131,11 @@ class TickCommand:
 
     Exactly one of `error`, the body-frame (x, y, z, yaw) error the PID acts
     on under `gains` (with the cargo velocity as `feedforward` while
-    servoing), and `velocity`, an open-loop body velocity, is set.
+    servoing), and `velocity`, an open-loop body velocity, is set; `gains`
+    comes only with `error`.
     """
 
-    gains: PidGains
+    gains: PidGains | None = None
     error: tuple[float, float, float, float] | None = None
     feedforward: tuple[float, float, float] | None = None
     velocity: tuple[float, float, float, float] | None = None
@@ -221,10 +222,9 @@ class MissionExecutive:
         return TickCommand(self.cfg.gains["land"], error=error,
                            feedforward=feedforward, events=tuple(events))
 
-    def _velocity(self, velocity, gains: str, events,
-                  do_adsorb: bool = False) -> TickCommand:
-        return TickCommand(self.cfg.gains[gains], velocity=velocity,
-                           do_adsorb=do_adsorb, events=tuple(events))
+    def _velocity(self, velocity, events, do_adsorb: bool = False) -> TickCommand:
+        return TickCommand(velocity=velocity, do_adsorb=do_adsorb,
+                           events=tuple(events))
 
     def _geofence_ok(self, est: PoseEstimate) -> bool:
         x, y, _ = est.position
@@ -246,7 +246,7 @@ class MissionExecutive:
         if self.stage not in ENDED and not self._geofence_ok(inp.estimate):
             self.abort("geofence", events)
         if self.stage in ENDED:
-            return self._velocity(STOP, "search", events)
+            return self._velocity(STOP, events)
         return HANDLERS[self.stage](self, inp, events)
 
     def _tick_takeoff(self, inp: TickInputs, events: list[str]) -> TickCommand:
@@ -298,7 +298,7 @@ class MissionExecutive:
 
     def _tick_bounce(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.estimate.position[2] < self.cargo_top + BOUNCE_CLEARANCE:
-            return self._velocity((0.0, 0.0, 0.3, 0.0), "land", events)
+            return self._velocity((0.0, 0.0, 0.3, 0.0), events)
         self._enter("servo", events)
         return self._servo_approach(inp, events)
 
@@ -346,16 +346,16 @@ class MissionExecutive:
         if inp.on_ground:
             self._adsorb_until = inp.t + self.cfg.adsorb_settle_time
             self._enter("adsorb", events)
-            return self._velocity(STOP, "land", events)
-        return self._velocity((0.0, 0.0, -BLIND_DESCENT_SPEED, 0.0), "land", events)
+            return self._velocity(STOP, events)
+        return self._velocity((0.0, 0.0, -BLIND_DESCENT_SPEED, 0.0), events)
 
     def _tick_adsorb(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.t < self._adsorb_until:
-            return self._velocity(STOP, "land", events)
+            return self._velocity(STOP, events)
         events.append("adsorb_complete")
         self.attach_attempts += 1
         self._enter("ascend", events)
-        return self._velocity(STOP, "return", events, do_adsorb=True)
+        return self._velocity(STOP, events, do_adsorb=True)
 
     def _tick_ascend(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.estimate.position[2] >= self.verify_point[2] - 0.1:

@@ -59,11 +59,11 @@ class CargoTrack:
     The position and velocity are (x, y, z) tuples of floats in the body
     frame.  `window` holds the last `OUTLIER_WINDOW` accepted samples as
     [x, y, z] float lists; the outlier test reads all of them and the
-    position is the mean of the last `MEAN_WINDOW`.
+    position is the mean of the last `MEAN_WINDOW`.  `last_box` is set
+    whenever the gate is locked, and it alone places the gate's ROI.
     """
 
     locked: bool = False
-    roi: tuple[float, float, float] | None = None  # (cx, cy, half_side); None = full frame
     last_box: tuple[float, float, float] | None = None  # (cx, cy, diagonal)
     streak: int = 0
     frames_since_seen: int = 0
@@ -100,19 +100,20 @@ def wavegate_select(candidates: list[DetectionObservation],
     """Select (or keep) the target candidate for this frame.
 
     Unlocked: highest confidence wins; the same object seen for
-    `LOCK_FRAMES` consecutive frames locks the gate and shrinks the ROI
-    around its box.  Locked: only candidates inside the ROI compete, by
-    overlap with the last box rather than confidence.  After
-    `LOSS_FRAMES` frames without a match the gate unlocks and the full
-    frame is used again.
+    `LOCK_FRAMES` consecutive frames locks the gate.  Locked: only
+    candidates inside the ROI (a square `ROI_SCALE` times the last box's
+    side, centred on it) compete, by overlap with the last box rather than
+    confidence.  After `LOSS_FRAMES` frames without a match the gate
+    unlocks and the full frame is used again.
     """
     chosen: DetectionObservation | None = None
     if track.locked:
-        cx, cy, half = track.roi
+        cx, cy, diagonal = track.last_box
+        half = ROI_SCALE * (diagonal / math.sqrt(2.0)) / 2.0
         inside = [c for c in candidates
                   if abs(c.image_center[0] - cx) <= half
                   and abs(c.image_center[1] - cy) <= half]
-        if inside and track.last_box is not None:
+        if inside:
             chosen = max(inside, key=lambda c: (_box_iou(_obs_box(c), track.last_box),
                                                 c.confidence))
             if _box_iou(_obs_box(chosen), track.last_box) <= 0.0:
@@ -121,7 +122,6 @@ def wavegate_select(candidates: list[DetectionObservation],
             track.frames_since_seen += 1
             if track.frames_since_seen > LOSS_FRAMES:
                 track.locked = False
-                track.roi = None
                 track.last_box = None
                 track.streak = 0
                 track.frames_since_seen = 0
@@ -144,9 +144,6 @@ def wavegate_select(candidates: list[DetectionObservation],
     track.selected = chosen
     track.last_box = _obs_box(chosen)
     track.frames_since_seen = 0
-    if track.locked:
-        half = ROI_SCALE * (chosen.box_diagonal / math.sqrt(2.0)) / 2.0
-        track.roi = (chosen.image_center[0], chosen.image_center[1], half)
     return track
 
 

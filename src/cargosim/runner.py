@@ -225,25 +225,25 @@ class CargoPerception:
 
 
 class Command:
-    """The derivative reset on a gain switch, then the PID on the command's
-    body-frame error or the clamp of its open-loop velocity: the executive's
-    command as a saturated (vx, vy, vz, yaw_rate) body velocity."""
+    """The executive's command as a saturated (vx, vy, vz, yaw_rate) body
+    velocity: an open-loop velocity clamped, or the PID on a body-frame error
+    (its derivative restarted when the gains change between PID ticks)."""
 
     def __init__(self, dt: float):
         self.dt = dt
         self.ctrl = ControllerState()
         self.limits = VelocityLimits()
-        self.gains = None  # the gains of the last tick
+        self.gains = None  # the gains of the last PID tick
 
     def step(self, cmd: TickCommand, t: float) -> tuple[float, float, float, float]:
-        if cmd.gains is not self.gains:
-            self.ctrl.reset_derivative()
-            self.gains = cmd.gains
         limits = self.limits
         if cmd.velocity is not None:
             vx, vy, vz, yaw_rate = cmd.velocity
             return (saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
                     saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate))
+        if cmd.gains is not self.gains:
+            self.ctrl.reset_derivative()
+            self.gains = cmd.gains
         vel_cmd, self.ctrl = pid_step(cmd.gains, dict(zip(CHANNELS, cmd.error)),
                                       self.ctrl, self.dt, t, limits=limits,
                                       feedforward=cmd.feedforward)

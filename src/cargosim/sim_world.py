@@ -141,7 +141,8 @@ class ScenarioConfig(Ranged):
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot of the world at time t.
+    """Immutable snapshot of the world at time t, the platform yaw included:
+    `SimWorld.step` reads no other per-flight state than its generator.
 
     The small vectors are tuples of Python floats, (x, y, z) or world
     (x, y); only the rotor speeds, drawn as an array, are numpy.
@@ -197,14 +198,13 @@ def _in_view(point, r: float, view) -> bool:
 
 
 class SimWorld:
-    """Steppable world; owns the seeded generator for all noise draws.  What
-    it draws depends on what the sensors see, never on a noise level: a
-    noise of 0 still takes its draw (``platform_yaw_walk`` aside, see step)."""
+    """Steppable world whose only per-flight state is the generator of all
+    noise.  What it draws depends on what the sensors see, never on a noise
+    level: a noise of 0 still draws (``platform_yaw_walk`` aside, see step)."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self._platform_yaw = 0.0
         # fixed body- and panel-frame points, one per row
         half = cfg.label_baseline / 2
         self._label_offsets = [[0.0, half, 0.0], [0.0, -half, 0.0]]
@@ -228,7 +228,7 @@ class SimWorld:
         wx, wy = map(float, cfg.wind_mean)
         return SimState(
             t=0.0,
-            platform_attitude=self._platform_attitude(0.0),
+            platform_attitude=self._platform_attitude(0.0, 0.0),
             uav_pos=tuple(map(float, cfg.uav_start)),
             uav_euler=EulerAngles(0.0, 0.0, 0.0),
             uav_vel=(0.0, 0.0, 0.0),
@@ -239,13 +239,13 @@ class SimWorld:
             rotor_speeds=np.full(4, hover),
         )
 
-    def _platform_attitude(self, t: float) -> EulerAngles:
+    def _platform_attitude(self, t: float, yaw: float) -> EulerAngles:
         cfg = self.cfg
         roll = _wave(cfg.platform_roll_amp, t, cfg.platform_roll_period,
                      cfg.platform_roll_phase)
         pitch = _wave(cfg.platform_pitch_amp, t, cfg.platform_pitch_period,
                       cfg.platform_pitch_phase)
-        return EulerAngles(roll, pitch, wrap_angle(self._platform_yaw))
+        return EulerAngles(roll, pitch, wrap_angle(yaw))
 
     def step(self, state: SimState, cmd, dt: float) -> SimState:
         """Advance one control period under a body-frame velocity command.
@@ -272,10 +272,10 @@ class SimWorld:
         t = state.t + dt
         # the one noise drawn only when above 0: its default is 0, and a
         # draw on every tick would shift the stream of every default mission
-        if cfg.platform_yaw_walk > 0.0:
-            self._platform_yaw += cfg.platform_yaw_walk * math.sqrt(dt) * \
-                self.rng.standard_normal()
-        platform = self._platform_attitude(t)
+        platform_yaw, walk = state.platform_attitude.yaw, cfg.platform_yaw_walk
+        if walk > 0.0:
+            platform_yaw += walk * math.sqrt(dt) * self.rng.standard_normal()
+        platform = self._platform_attitude(t, platform_yaw)
 
         wx, wy = state.wind_vel
         relax = min(dt / cfg.wind_tau, 1.0)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cargosim.perception import (LOCK_FRAMES, LOSS_FRAMES, MAX_CONSECUTIVE_REJECTS,
-                                 CargoTrack, DetectionObservation,
+                                 ROI_SCALE, CargoTrack, DetectionObservation,
                                  cargo_position_from_detection, smooth_track,
                                  wavegate_select)
 
@@ -26,7 +28,7 @@ def test_lock_after_stable_frames():
     for _ in range(LOCK_FRAMES):
         track = wavegate_select([_det()], track)
     assert track.locked
-    assert track.roi is not None
+    assert track.last_box == (0.0, 0.0, 0.001)
 
 
 def test_no_lock_on_jumping_candidate():
@@ -45,7 +47,27 @@ def test_loss_unlocks_after_timeout():
     for _ in range(LOSS_FRAMES + 1):
         track = wavegate_select([], track)
     assert not track.locked
-    assert track.roi is None
+    assert track.last_box is None
+
+
+def _roi_half_side(track):
+    assert track.locked
+    return ROI_SCALE * (track.last_box[2] / math.sqrt(2.0)) / 2.0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("scale, admitted", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_a_locked_gate_admits_only_candidates_within_the_roi_of_its_last_box(
+        axis, scale, admitted):
+    # a box twice the last one's size, centred just inside or just outside
+    # the ROI's edge, still overlaps the last box either way
+    track = CargoTrack(locked=True, last_box=(0.01, -0.02, 0.002))
+    center = [0.01, -0.02]
+    center[axis] += _roi_half_side(track) * scale
+    candidate = _det(cx=center[0], cy=center[1], diag=0.004)
+    track = wavegate_select([candidate], track)
+    assert (track.selected is candidate) is admitted
+    assert track.frames_since_seen == (0 if admitted else 1)
 
 
 def test_roi_excludes_distant_decoy():
@@ -71,7 +93,7 @@ def test_locked_association_by_overlap_not_confidence():
     track = CargoTrack()
     for _ in range(LOCK_FRAMES):
         track = wavegate_select([_det()], track)
-    half = track.roi[2]
+    half = _roi_half_side(track)
     near = _det(cx=0.1 * half, conf=0.3)
     shifted = _det(cx=0.9 * half, conf=0.95)
     track = wavegate_select([near, shifted], track)

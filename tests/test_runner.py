@@ -1,13 +1,15 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cargosim import uwb_localization
-from cargosim.mission import MissionConfig
-from cargosim.runner import (LOG_COLUMNS, LOG_SCHEMA, LogFormatError,
+from cargosim.control import PHASE_GAINS
+from cargosim.mission import STOP, MissionConfig, TickCommand
+from cargosim.runner import (LOG_COLUMNS, LOG_SCHEMA, Command, LogFormatError,
                              RunSummary, metrics_from_log, montecarlo,
                              read_log, run_mission, write_log)
 from cargosim.sim_world import ScenarioConfig, SimWorld
@@ -498,3 +500,51 @@ def test_montecarlo_keeps_every_other_summary_when_a_seed_faults(
         if seed != FAULTY_SEED:
             alone = run_mission(scenario, mission, seed=seed)[0].to_dict()
             assert json.dumps(summary) == json.dumps(alone)
+
+
+LAND = PHASE_GAINS["land"]
+ERROR = (0.1, -0.2, 0.05, 0.02)  # body-frame (x, y, z, yaw) error
+
+
+def _pid_after_open_loop(gains):
+    """The third tick's output of error(land) -> velocity -> error(gains)."""
+    command = Command(0.02)
+    command.step(TickCommand(LAND, error=(0.0, 0.0, 0.0, 0.0)), 0.0)
+    command.step(TickCommand(velocity=STOP), 0.02)
+    return command.step(TickCommand(gains, error=ERROR), 0.04)
+
+
+def _pid_after(gains, first=None):
+    """The same error under `gains` after only the first PID tick of
+    `first`, or from a fresh controller when `first` is None."""
+    command = Command(0.02)
+    if first is not None:
+        command.step(TickCommand(first, error=(0.0, 0.0, 0.0, 0.0)), 0.0)
+    return command.step(TickCommand(gains, error=ERROR), 0.04)
+
+
+def test_an_open_loop_velocity_keeps_the_derivative_of_unchanged_gains():
+    kept = _pid_after_open_loop(LAND)
+    assert kept == _pid_after(LAND, first=LAND)
+    assert kept != _pid_after(LAND)  # the derivative acts
+
+
+def test_new_gains_after_an_open_loop_velocity_restart_the_derivative():
+    # return's gains with land's derivative, so that a restart shows
+    returning = replace(PHASE_GAINS["return"], kd=LAND.kd)
+    restarted = _pid_after_open_loop(returning)
+    assert restarted == _pid_after(returning)
+    assert restarted != _pid_after(returning, first=returning)
+
+
+def test_an_open_loop_velocity_leaves_the_controller_unchanged():
+    def snapshot(command):
+        return command.gains, [(list(ch.window), ch.window_sum, ch.prev_error,
+                                ch.prev_raw, ch.has_prev)
+                               for ch in command.ctrl.channels.values()]
+    command = Command(0.02)
+    command.step(TickCommand(LAND, error=ERROR), 0.0)
+    before, ctrl = snapshot(command), command.ctrl
+    assert command.step(TickCommand(velocity=(0.1, 0.0, -0.2, 0.0)), 0.02) == \
+        (0.1, 0.0, -0.2, 0.0)
+    assert command.ctrl is ctrl and snapshot(command) == before

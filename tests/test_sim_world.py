@@ -1,9 +1,11 @@
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cargosim.frames import wrap_angle
 from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.sim_world import CargoSpec, ScenarioConfig, SimWorld
 
@@ -354,3 +356,41 @@ def test_both_cameras_see_to_the_edge_of_their_field_of_view(axis, fov, scale, s
     world = SimWorld(calm_scenario(uav_start=(cx - offset[0], cy - offset[1],
                                               top + depth)))
     assert bool(world.sense_cargo(world.initial_state())) is seen
+
+
+def _yaw_walk(walk, yaw):
+    """A world with a platform yaw walk, and its first state turned to `yaw`."""
+    world = SimWorld(calm_scenario(platform_yaw_walk=walk, uav_start=AIRBORNE))
+    state = world.initial_state()
+    return world, replace(state, platform_attitude=replace(
+        state.platform_attitude, yaw=yaw))
+
+
+def test_the_platform_yaw_walks_on_from_the_state():
+    world, state = _yaw_walk(1e-9, 1.0)
+    assert world.step(state, np.zeros(4), 0.02).platform_attitude.yaw == \
+        pytest.approx(1.0, abs=1e-6)
+
+
+def test_stepping_one_state_twice_walks_each_from_that_state():
+    # the walk is the step's first draw, so a copy of the generator
+    # taken before a step draws that step's increment
+    walk, dt = 0.5, 0.02
+    world, state = _yaw_walk(walk, 1.0)
+    for _ in range(2):
+        n = copy.deepcopy(world.rng).standard_normal()
+        yaw = world.step(state, np.zeros(4), dt).platform_attitude.yaw
+        assert yaw == 1.0 + walk * math.sqrt(dt) * n
+
+
+def test_a_long_walk_keeps_the_platform_yaw_wrapped_and_continuous():
+    # 60 s at 2 rad/sqrt(s) from yaw pi: about 15 rad of spread, so the
+    # walk crosses the wrap many times, and no step jumps across it
+    walk, dt = 2.0, 0.02
+    world, state = _yaw_walk(walk, math.pi)
+    for _ in range(3000):
+        before = state.platform_attitude.yaw
+        state = world.step(state, np.zeros(4), dt)
+        yaw = state.platform_attitude.yaw
+        assert -math.pi < yaw <= math.pi
+        assert abs(wrap_angle(yaw - before)) < 6.0 * walk * math.sqrt(dt)

@@ -103,6 +103,7 @@ def test_every_command_is_a_body_error_or_an_open_loop_velocity(monkeypatch):
     assert summary.final_phase == "done" and len(commands) == len(records)
     for cmd in commands:
         assert (cmd.error is None) != (cmd.velocity is None), cmd
+        assert (cmd.gains is None) == (cmd.error is None), cmd
         _assert_floats(cmd.velocity if cmd.error is None else cmd.error, 4)
         if cmd.feedforward is not None:
             _assert_floats(cmd.feedforward, 3)
