@@ -8,7 +8,7 @@ and carries it home.
 """
 
 from .config import ConfigError, load_config
-from .control import PHASE_GAINS, PidGains, VelocityCommand, VelocityLimits
+from .control import PHASE_GAINS, VELOCITY_LIMITS, PidGains
 from .mission import MissionConfig, MissionExecutive, MissionPhase
 from .qr_localization import PoseEstimate
 from .runner import RunSummary, montecarlo, run_mission, write_log
@@ -17,8 +17,8 @@ from .sim_world import CargoSpec, ScenarioConfig, SimWorld
 __all__ = [
     "CargoSpec", "ConfigError", "MissionConfig", "MissionExecutive",
     "MissionPhase", "PHASE_GAINS", "PidGains", "PoseEstimate", "RunSummary",
-    "ScenarioConfig", "SimWorld", "VelocityCommand", "VelocityLimits",
-    "load_config", "montecarlo", "run_mission", "write_log",
+    "ScenarioConfig", "SimWorld", "VELOCITY_LIMITS", "load_config",
+    "montecarlo", "run_mission", "write_log",
 ]
 
 __version__ = "1.0.0"

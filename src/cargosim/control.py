@@ -6,8 +6,9 @@ discrete PID with a sliding 3-second integral window, the cargo velocity
 can be fed forward during landing, and the output is saturated with
 windup protection: while the previous command was saturated, errors that
 would push further into saturation are not accumulated, while
-counteracting errors are.  Fixed tuning: the window ``INTEGRAL_SPAN`` and
-the yaw-rate limit ``YAW_RATE_LIMIT``.
+counteracting errors are.  Fixed tuning: the window ``INTEGRAL_SPAN``, the
+step ``GAIN_STEP`` at which the integral gains were tuned, the yaw-rate
+limit ``YAW_RATE_LIMIT`` and the per-channel ``VELOCITY_LIMITS``.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .frames import NON_NEGATIVE, POSITIVE, Ranged, rotate, wrap_angle
+from .frames import NON_NEGATIVE, Ranged, rotate, wrap_angle
 
 CHANNELS = ("x", "y", "z", "yaw")
 INTEGRAL_SPAN = 3.0  # s of errors summed by the integral term
+GAIN_STEP = 0.02  # s, the step at which PHASE_GAINS' ki was tuned
 YAW_RATE_LIMIT = 0.5  # rad/s
+# |command| per channel, in m/s and rad/s; the vertical one differs per vehicle
+VELOCITY_LIMITS = (0.6, 0.6, 0.3, YAW_RATE_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -43,23 +47,6 @@ PHASE_GAINS = {
 }
 
 
-@dataclass(frozen=True)
-class VelocityLimits(Ranged):
-    horizontal: float = POSITIVE(0.6)  # m/s
-    vertical: float = POSITIVE(0.3)  # m/s, differs per vehicle
-    yaw_rate = YAW_RATE_LIMIT  # no annotation: a class constant, not a field
-
-
-@dataclass(frozen=True)
-class VelocityCommand:
-    """Saturated body-frame velocity command plus yaw rate."""
-
-    vx: float
-    vy: float
-    vz: float
-    yaw_rate: float
-
-
 class _Channel:
     __slots__ = ("window", "window_sum", "prev_error", "prev_raw", "has_prev")
 
@@ -75,12 +62,12 @@ class _Channel:
 class ControllerState:
     """Integral windows and derivative history for the four channels."""
 
-    channels: dict = field(init=False,
-                           default_factory=lambda: {c: _Channel() for c in CHANNELS})
+    channels: tuple = field(init=False,  # in CHANNELS order
+                            default_factory=lambda: tuple(_Channel() for _ in CHANNELS))
 
     def reset_derivative(self) -> None:
         """Drop derivative history so a gain switch causes no kick."""
-        for ch in self.channels.values():
+        for ch in self.channels:
             ch.has_prev = False
 
 
@@ -100,35 +87,35 @@ def saturate(value: float, limit: float) -> float:
     return max(-limit, min(limit, value))
 
 
-def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
-             T: float, now: float, limits: VelocityLimits = VelocityLimits(),
-             feedforward: Sequence[float] | None = None,
-             ) -> tuple[VelocityCommand, ControllerState]:
-    """One 50 Hz control step over all four channels.
+def pid_step(gains: PidGains, error: Sequence[float], st: ControllerState,
+             T: float, now: float, feedforward: Sequence[float] | None = None,
+             ) -> tuple[float, float, float, float]:
+    """One control step of period T over the (x, y, z, yaw) body error;
+    returns the saturated (vx, vy, vz, yaw_rate) and updates `st`.
 
-    v = kp*e + ki*sum(window errors) + kd*(e - e_prev)/T, plus the cargo
-    velocity feedforward on the translational channels when given, then
-    clamped per channel.  Integral accumulation follows the anti-windup
-    rule based on the previous raw (unclamped) command.
+    v = kp*e + ki*sum(window errors)*T/GAIN_STEP + kd*(e - e_prev)/T, plus
+    the cargo velocity feedforward on the translational channels when
+    given, then clamped to VELOCITY_LIMITS.  The integral term follows the
+    window's integral, sum(e)*T, so a step other than GAIN_STEP keeps ki's
+    tuning.
+    Integral accumulation follows the anti-windup rule based on the
+    previous raw (unclamped) command.
     """
     if T <= 0:
         raise ValueError("period must be > 0")
     pid = (gains.kp, gains.ki, gains.kd)
-    rows = zip(CHANNELS, (pid, pid, pid, (gains.kp_yaw, 0.0, 0.0)),  # yaw: P only
-               (limits.horizontal, limits.horizontal, limits.vertical, limits.yaw_rate))
+    rows = zip((pid, pid, pid, (gains.kp_yaw, 0.0, 0.0)),  # yaw: P only
+               error, st.channels, VELOCITY_LIMITS, strict=True)
     out = []
-    for i, (name, (kp, ki, kd), limit) in enumerate(rows):
-        e = errors.get(name, 0.0)
-        ch = st.channels[name]
-
+    for i, ((kp, ki, kd), e, ch, limit) in enumerate(rows):
         if ki > 0.0:
             _accumulate(ch, e, now, limit)
 
         p_term = kp * e
-        i_term = ki * ch.window_sum
+        i_term = ki * ch.window_sum * (T / GAIN_STEP)
         d_term = kd * (e - ch.prev_error) / T if ch.has_prev else 0.0
         raw = p_term + i_term + d_term
-        if feedforward is not None and name != "yaw":
+        if feedforward is not None and i < 3:  # not on yaw
             raw += feedforward[i]
 
         ch.prev_error = e
@@ -136,7 +123,7 @@ def pid_step(gains: PidGains, errors: dict[str, float], st: ControllerState,
         ch.prev_raw = raw
         out.append(saturate(raw, limit))
 
-    return VelocityCommand(*out), st
+    return tuple(out)
 
 
 def _accumulate(ch: _Channel, e: float, now: float, limit: float) -> None:

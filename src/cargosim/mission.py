@@ -32,7 +32,7 @@ from .frames import (COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged,
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
-from .sim_world import RotorTelemetry, ScenarioConfig, check_step
+from .sim_world import ScenarioConfig, check_step
 from .uwb_localization import SensorFault
 
 DESCENT_STEP = 1.0  # m the search drops after a full coverage without a lock
@@ -101,17 +101,19 @@ class MissionConfig(Ranged):
                              f"to PidGains, got {gains!r}")
 
 
-def attachment_check(pre: RotorTelemetry, post: RotorTelemetry,
-                     delta: float) -> bool:
-    """True when the hover rotor effort rose by more than the fraction delta.
+def hover_effort(window) -> float:
+    """The sum of squares of a hover window's mean rotor speeds, to which
+    the thrust is proportional."""
+    mean = np.mean(window, axis=0)
+    return float(np.dot(mean, mean))
 
-    Thrust is proportional to the sum of squared rotor speeds, so the
-    post-adhesion hover window must satisfy
-    sum(post^2) > (1 + delta) * sum(pre^2).
-    """
-    if pre.sum_sq <= 0.0 or not math.isfinite(pre.sum_sq):
+
+def attachment_check(pre: float, post: float, delta: float) -> bool:
+    """True when the hover effort (see :func:`hover_effort`) rose by more
+    than the fraction delta: post > (1 + delta) * pre."""
+    if pre <= 0.0 or not math.isfinite(pre):
         raise SensorFault("pre-adhesion hover window is empty or invalid")
-    return post.sum_sq > (1.0 + delta) * pre.sum_sq
+    return post > (1.0 + delta) * pre
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class MissionExecutive:
         # hover telemetry: the last hover_window of the landing, and the verify hover
         self._pre_window = deque(maxlen=max(1, round(mission.hover_window / dt)))
         self._post_window: list[np.ndarray] = []
-        self.pre_telemetry: RotorTelemetry | None = None
+        self.pre_effort: float | None = None
         self._hold_since: float | None = None
         self._lost_since: float | None = None
         self._adsorb_until: float | None = None
@@ -333,8 +335,7 @@ class MissionExecutive:
                 self._hold_since = inp.t
             elif inp.t - self._hold_since >= BLIND_HOLD_TIME:
                 # never empty: this tick's sample went in above
-                self.pre_telemetry = RotorTelemetry(
-                    speeds=np.mean(self._pre_window, axis=0))
+                self.pre_effort = hover_effort(self._pre_window)
                 self._enter("blind", events)
                 events.append("blind_descent")
         else:
@@ -369,12 +370,11 @@ class MissionExecutive:
         cfg = self.cfg
         self._post_window.append(inp.rotor_speeds.copy())
         if inp.t - self._verify_since >= cfg.hover_window:
-            post_telemetry = RotorTelemetry(speeds=np.mean(self._post_window, axis=0))
-            if self.pre_telemetry is None:
+            if self.pre_effort is None:
                 # the landing never filled its hover window, so there is
                 # no effort to compare the post-adhesion hover against
                 self.abort("no_pre_hover_window", events)
-            elif attachment_check(self.pre_telemetry, post_telemetry,
+            elif attachment_check(self.pre_effort, hover_effort(self._post_window),
                                   cfg.attach_delta):
                 self.attach_success = True
                 events.append("attach_ok")

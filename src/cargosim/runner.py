@@ -4,8 +4,9 @@ One 50 Hz tick of a mission (:meth:`Flight.tick`) reads the world's
 sensors and runs a pipeline of stages, each a small stateful object with
 one ``step``: :class:`Localizer` (the anchor-based localization, from the
 IMU, range and marker readings to the pose), :class:`CargoPerception`
-(the cargo track), the mission executive, :class:`Command` (the PID, or
-the velocity clamp) and :class:`Recorder` (the log rows and the summary).
+(the cargo track), the mission executive, :class:`Command` (the PID on a
+body error, or an open-loop velocity) and :class:`Recorder` (the log rows
+and the summary).
 Ground contact is world physics and lives in :mod:`sim_world`.
 
 A flight shares nothing with another: :func:`run_mission` flies one, and
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import hybrid_localizer, uwb_localization
-from .control import CHANNELS, ControllerState, VelocityLimits, pid_step, saturate
+from .control import ControllerState, pid_step
 from .frames import EulerAngles, rotate, rotation_rows
 from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
                       TickCommand, TickInputs)
@@ -225,29 +226,24 @@ class CargoPerception:
 
 
 class Command:
-    """The executive's command as a saturated (vx, vy, vz, yaw_rate) body
-    velocity: an open-loop velocity clamped, or the PID on a body-frame error
-    (its derivative restarted when the gains change between PID ticks)."""
+    """The executive's command as a (vx, vy, vz, yaw_rate) body velocity: an
+    open-loop velocity as given, or the PID on a body-frame error, saturated
+    to ``control.VELOCITY_LIMITS`` (its derivative restarted when the gains
+    change between PID ticks)."""
 
     def __init__(self, dt: float):
         self.dt = dt
         self.ctrl = ControllerState()
-        self.limits = VelocityLimits()
         self.gains = None  # the gains of the last PID tick
 
     def step(self, cmd: TickCommand, t: float) -> tuple[float, float, float, float]:
-        limits = self.limits
         if cmd.velocity is not None:
-            vx, vy, vz, yaw_rate = cmd.velocity
-            return (saturate(vx, limits.horizontal), saturate(vy, limits.horizontal),
-                    saturate(vz, limits.vertical), saturate(yaw_rate, limits.yaw_rate))
+            return cmd.velocity
         if cmd.gains is not self.gains:
             self.ctrl.reset_derivative()
             self.gains = cmd.gains
-        vel_cmd, self.ctrl = pid_step(cmd.gains, dict(zip(CHANNELS, cmd.error)),
-                                      self.ctrl, self.dt, t, limits=limits,
-                                      feedforward=cmd.feedforward)
-        return (vel_cmd.vx, vel_cmd.vy, vel_cmd.vz, vel_cmd.yaw_rate)
+        return pid_step(cmd.gains, cmd.error, self.ctrl, self.dt, t,
+                        feedforward=cmd.feedforward)
 
 
 class Recorder:

@@ -165,17 +165,6 @@ class SimState:
         return float(np.dot(self.rotor_speeds, self.rotor_speeds))
 
 
-@dataclass(frozen=True)
-class RotorTelemetry:
-    """Window-averaged rotor speeds used by the attachment test."""
-
-    speeds: np.ndarray  # (4,) rad/s averaged over the hover window
-
-    @property
-    def sum_sq(self) -> float:
-        return float(np.dot(self.speeds, self.speeds))
-
-
 def _wave(amp: float, t: float, period: float, phase: float) -> float:
     """amp sin(2 pi t / period + phase).  Where that angle leaves the float
     range (a period of a few 1e-324 s, a phase near 1e308) it is taken from

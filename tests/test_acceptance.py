@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cargosim.control import (CHANNELS, ControllerState, PHASE_GAINS, PidGains,
-                              VelocityLimits, pid_step, saturate)
+from cargosim.control import (PHASE_GAINS, VELOCITY_LIMITS, ControllerState,
+                              PidGains, pid_step, saturate)
 from cargosim.frames import EulerAngles, rotation_from_rpy, wrap_angle
-from cargosim.mission import MissionConfig, RotorTelemetry, attachment_check
+from cargosim.mission import MissionConfig, attachment_check
 from cargosim.planner import plan_coverage, spiral_path
 from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.runner import montecarlo, run_mission, write_log
@@ -222,11 +222,10 @@ def test_replica_deck_plans_single_center_waypoint():
 
 def test_velocity_limits_million_case_fuzz():
     rng = np.random.default_rng(55)
-    limits = VelocityLimits()
+    horizontal, _, vertical, yaw_rate = VELOCITY_LIMITS
     # a million random raw commands through the clamp primitive
     raws = rng.uniform(-1e6, 1e6, 1_000_000)
-    lims = rng.choice([limits.horizontal, limits.vertical, limits.yaw_rate],
-                      size=1_000_000)
+    lims = rng.choice([horizontal, vertical, yaw_rate], size=1_000_000)
     clamped = np.minimum(np.maximum(raws, -lims), lims)
     assert np.all(np.abs(clamped) <= lims)
     for k in range(0, 1_000_000, 9973):
@@ -237,39 +236,40 @@ def test_velocity_limits_million_case_fuzz():
                          kd=rng.uniform(0, 5), kp_yaw=rng.uniform(0, 5))
         st = ControllerState()
         for k in range(5):
-            errors = dict(zip(CHANNELS, rng.uniform(-1e6, 1e6, 4)))
-            cmd, st = pid_step(gains, errors, st, 0.02, k * 0.02,
-                               limits=limits)
-            assert abs(cmd.vx) <= limits.horizontal
-            assert abs(cmd.vy) <= limits.horizontal
-            assert abs(cmd.vz) <= limits.vertical
-            assert abs(cmd.yaw_rate) <= limits.yaw_rate
+            errors = tuple(rng.uniform(-1e6, 1e6, 4))
+            cmd = pid_step(gains, errors, st, 0.02, k * 0.02)
+            assert abs(cmd[0]) <= horizontal
+            assert abs(cmd[1]) <= horizontal
+            assert abs(cmd[2]) <= vertical
+            assert abs(cmd[3]) <= yaw_rate
 
 
 def test_antiwindup_rule_exact():
     gains = PidGains(kp=1.0, ki=0.5, kd=0.0)
     st = ControllerState()
-    _, st = pid_step(gains, {"x": 5.0}, st, 0.02, 0.0)
-    window = list(st.channels["x"].window)
+    pid_step(gains, (5.0, 0.0, 0.0, 0.0), st, 0.02, 0.0)
+    window = list(st.channels[0].window)
     # saturated positive + reinforcing error: accumulator untouched
-    _, st = pid_step(gains, {"x": 1.0}, st, 0.02, 0.02)
-    assert list(st.channels["x"].window) == window
+    pid_step(gains, (1.0, 0.0, 0.0, 0.0), st, 0.02, 0.02)
+    assert list(st.channels[0].window) == window
     # counteracting error accumulates
-    _, st = pid_step(gains, {"x": -1.0}, st, 0.02, 0.04)
-    assert list(st.channels["x"].window) == window + [(0.04, -1.0)]
+    pid_step(gains, (-1.0, 0.0, 0.0, 0.0), st, 0.02, 0.04)
+    assert list(st.channels[0].window) == window + [(0.04, -1.0)]
 
 
 def test_search_gain_arithmetic_exact():
-    cmd, _ = pid_step(PHASE_GAINS["search"], {"x": 0.4}, ControllerState(),
-                      0.02, 0.0)
-    assert cmd.vx == 0.2
+    cmd = pid_step(PHASE_GAINS["search"], (0.4, 0.0, 0.0, 0.0),
+                   ControllerState(), 0.02, 0.0)
+    assert cmd[0] == 0.2
 
 
 # --- 7. attachment determination -------------------------------------
 
 def test_attachment_thresholds():
-    pre = RotorTelemetry(speeds=np.full(4, math.sqrt(7.9 * 9.81 / 4.0)))
-    post = RotorTelemetry(speeds=np.full(4, math.sqrt(8.79 * 9.81 / 4.0)))
+    pre_speeds = np.full(4, math.sqrt(7.9 * 9.81 / 4.0))
+    post_speeds = np.full(4, math.sqrt(8.79 * 9.81 / 4.0))
+    pre = float(np.dot(pre_speeds, pre_speeds))
+    post = float(np.dot(post_speeds, post_speeds))
     assert attachment_check(pre, post, 0.05) is True
     assert attachment_check(pre, post, 0.20) is False
     assert attachment_check(pre, pre, 0.05) is False

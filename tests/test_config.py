@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cargosim
 from cargosim.config import ConfigError, load_config
-from cargosim.control import PidGains, VelocityLimits
+from cargosim.control import PidGains
 from cargosim.frames import field_shapes
 from cargosim.mission import MissionConfig
 from cargosim.qr_localization import QrMarker
@@ -181,7 +181,7 @@ def test_deleted_mission_key_is_rejected(tmp_path, name):
 CONFIGS = [ScenarioConfig(occlusion_center=(8.0, 0.0, 1.5)), MissionConfig(),
            CargoSpec(position=(8.0, 0.0, 1.1), mass=0.9, top_diagonal=0.4),
            QrMarker(label=1, diagonal=0.3, panel_xy=(1.0, 2.0)),
-           PidGains(kp=0.5, ki=0.1, kd=0.2), VelocityLimits(), EkfParams()]
+           PidGains(kp=0.5, ki=0.1, kd=0.2), EkfParams()]
 
 
 def _is_number(value) -> bool:

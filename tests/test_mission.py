@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cargosim.control import PHASE_GAINS, PidGains
-from cargosim.mission import (STAGES, MissionConfig, MissionExecutive,
-                              MissionPhase, RotorTelemetry, TickInputs,
+from cargosim.control import PHASE_GAINS, VELOCITY_LIMITS, PidGains
+from cargosim.mission import (BLIND_DESCENT_SPEED, STAGES, MissionConfig,
+                              MissionExecutive, MissionPhase, TickInputs,
                               attachment_check)
 from cargosim.perception import CargoTrack
 from cargosim.qr_localization import PoseEstimate
@@ -13,8 +13,10 @@ from cargosim.qr_localization import PoseEstimate
 from conftest import calm_scenario
 
 
-def _telemetry(mass):
-    return RotorTelemetry(speeds=np.full(4, math.sqrt(mass * 9.81 / 4.0)))
+def _effort(mass):
+    """The hover effort of four rotors that each carry a quarter of `mass`."""
+    speeds = np.full(4, math.sqrt(mass * 9.81 / 4.0))
+    return float(np.dot(speeds, speeds))
 
 
 def _est(x, y, z, yaw=0.0):
@@ -33,21 +35,20 @@ def _inputs(t, est, track=None, rotors=None, on_ground=False):
 # --- attachment determination ---------------------------------------
 
 def test_attachment_identical_telemetry_false():
-    t = _telemetry(7.9)
-    assert attachment_check(t, t, 0.05) is False
+    effort = _effort(7.9)
+    assert attachment_check(effort, effort, 0.05) is False
 
 
 def test_attachment_mass_ratio_example():
-    pre, post = _telemetry(7.9), _telemetry(8.79)
-    assert post.sum_sq / pre.sum_sq == pytest.approx(8.79 / 7.9, rel=1e-9)
+    pre, post = _effort(7.9), _effort(8.79)
+    assert post / pre == pytest.approx(8.79 / 7.9, rel=1e-9)
     assert attachment_check(pre, post, 0.05) is True
     assert attachment_check(pre, post, 0.20) is False
 
 
 def test_attachment_rejects_empty_pre_window():
     with pytest.raises(ValueError):
-        attachment_check(RotorTelemetry(speeds=np.zeros(4)), _telemetry(8.0),
-                         0.05)
+        attachment_check(0.0, _effort(8.0), 0.05)
 
 
 def test_mission_config_validation():
@@ -180,10 +181,11 @@ def test_land_blind_descent_after_hold():
         events.extend(cmd.events)
         t += 0.02
     assert "blind_descent" in events
-    assert ex.pre_telemetry is not None
+    assert ex.pre_effort is not None
     cmd = ex.tick(_inputs(t, _est(8.0, 0.0, 1.2), track=track))
     assert cmd.error is None
-    assert cmd.velocity[2] < 0.0
+    assert cmd.velocity == (0.0, 0.0, -BLIND_DESCENT_SPEED, 0.0)
+    assert -VELOCITY_LIMITS[2] <= cmd.velocity[2] < 0.0  # no clamp needed
 
 
 def test_land_touchdown_enters_adsorb_then_return():
@@ -222,10 +224,10 @@ def test_bounce_recovery_climbs_clear():
     cmd = ex.tick(_inputs(70.0, _est(8.0, 0.3, 1.15), track=track,
                           on_ground=True))
     assert any(e == "land_bounce" for e in cmd.events)
-    assert cmd.error is None and cmd.velocity[2] > 0.0
+    assert cmd.error is None and 0.0 < cmd.velocity[2] <= VELOCITY_LIMITS[2]
     # stays in climb mode until clear of the cargo top
     cmd = ex.tick(_inputs(70.1, _est(8.0, 0.3, 1.3), track=track))
-    assert cmd.error is None and cmd.velocity[2] > 0.0
+    assert cmd.error is None and 0.0 < cmd.velocity[2] <= VELOCITY_LIMITS[2]
     cmd = ex.tick(_inputs(70.2, _est(8.0, 0.3, 1.8), track=track))
     assert cmd.velocity is None  # back to servoing
 
@@ -243,7 +245,7 @@ def test_hover_windows_span_the_same_time_at_any_tick():
     assert ex.stage == "servo"
     assert len(ex._pre_window) == 200
 
-    ex.pre_telemetry = _telemetry(7.9)
+    ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 90.0
     k = 0
@@ -272,7 +274,7 @@ def test_executive_takes_the_step_the_world_takes(dt):
 
 def test_attach_failure_reenters_land_then_aborts():
     ex = _executive(max_attach_attempts=2, hover_window=0.1)
-    ex.pre_telemetry = _telemetry(7.9)
+    ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 80.0
     ex.attach_attempts = 1
@@ -298,7 +300,7 @@ def test_attach_failure_reenters_land_then_aborts():
 
 def test_successful_verify_cruises_home_and_lands():
     ex = _executive(hover_window=0.1)
-    ex.pre_telemetry = _telemetry(7.9)
+    ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 90.0
     loaded = np.full(4, math.sqrt(8.79 * 9.81 / 4.0))
@@ -327,7 +329,7 @@ def test_missing_pre_hover_window_aborts_with_a_reason():
         stages.add(ex.stage)
         t += 0.02
     assert "verify" in stages
-    assert ex.pre_telemetry is None
+    assert ex.pre_effort is None
     assert ex.phase is MissionPhase.ABORTED
     assert ex.abort_reason == "no_pre_hover_window"
 

@@ -541,7 +541,7 @@ def test_an_open_loop_velocity_leaves_the_controller_unchanged():
     def snapshot(command):
         return command.gains, [(list(ch.window), ch.window_sum, ch.prev_error,
                                 ch.prev_raw, ch.has_prev)
-                               for ch in command.ctrl.channels.values()]
+                               for ch in command.ctrl.channels]
     command = Command(0.02)
     command.step(TickCommand(LAND, error=ERROR), 0.0)
     before, ctrl = snapshot(command), command.ctrl

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from cargosim.control import VELOCITY_LIMITS
 from cargosim.frames import rotation_rows
 from cargosim.hybrid_localizer import HybridState, arbitrate
 from cargosim.mission import MissionConfig
@@ -105,6 +106,9 @@ def test_every_command_is_a_body_error_or_an_open_loop_velocity(monkeypatch):
         assert (cmd.error is None) != (cmd.velocity is None), cmd
         assert (cmd.gains is None) == (cmd.error is None), cmd
         _assert_floats(cmd.velocity if cmd.error is None else cmd.error, 4)
+        if cmd.velocity is not None:  # flown as given: within the limits
+            assert all(abs(v) <= limit
+                       for v, limit in zip(cmd.velocity, VELOCITY_LIMITS)), cmd
         if cmd.feedforward is not None:
             _assert_floats(cmd.feedforward, 3)
     # the flight servos on the cargo track and descends blind
