@@ -142,16 +142,15 @@ class Flight:
 class Localizer:
     """One flight's anchor-based localization: the range EKFs of its two
     labels, each a (mean, covariance) in Python floats (see
-    :func:`uwb_localization.predict_label`), the dual-label heading, the
+    :func:`uwb_localization.ekf_predict`), the dual-label heading, the
     fusion of the two label positions, the marker fix and the arbitration
     between the two sources."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
         self.anchors = uwb_localization.AnchorSet(scenario.anchors)
         self.points = self.anchors.positions.tolist()
-        params = uwb_localization.EkfParams(
-            sigma_range=max(scenario.sigma_uwb, 1e-4), period=dt)
-        self.var, self.period = params.range_variance, params.period
+        self.var = uwb_localization.range_variance(max(scenario.sigma_uwb, 1e-4))
+        self.period = dt
         self.filters = None
         self.markers = {m.label: m for m in scenario.qr_markers}
         self.baseline = scenario.label_baseline
@@ -174,13 +173,10 @@ class Localizer:
         else:
             a_u = uwb_localization.anchor_acceleration(
                 a_body, rotation_rows(roll, pitch, self.yaw), tuple(zip(*R_a_w)))
-            predict = uwb_localization.predict_label
-            update = uwb_localization.update_label
-            updated = [update(*predict(mean, cov, a_u, self.period), row,
-                              self.points, self.var)
-                       for (mean, cov), row in zip(self.filters, ranges)]
-            self.filters = [(mean, cov) for mean, cov, _ in updated]
-            lost = [f"uwb_degraded:{i}" for i, u in enumerate(updated) if u[2]]
+            self.filters, degraded = uwb_localization.ekf_update(
+                uwb_localization.ekf_predict(self.filters, a_u, self.period),
+                ranges, self.points, self.var)
+            lost = [f"uwb_degraded:{i}" for i in degraded]
         labels = [mean[:3] for mean, _ in self.filters]
 
         u1w, u2w = (rotate(R_a_w, u) for u in labels)

@@ -137,6 +137,10 @@ class ScenarioConfig(Ranged):
         if len(self.cargoes) != 1:
             raise ValueError(f"cargoes must hold exactly one cargo, "
                              f"got {len(self.cargoes)}")
+        # the marker fix looks each sighting up by its label
+        labels = [m.label for m in self.qr_markers]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"qr_markers must hold distinct labels, got {labels}")
 
 
 @dataclass(frozen=True)

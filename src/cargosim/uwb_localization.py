@@ -4,13 +4,14 @@ Each ranging label on the UAV carries its own 6-state filter (position
 and velocity in the platform-fixed anchor frame) driven by body-frame
 acceleration and corrected by ranges to the fixed anchors: a kernel in
 Python floats (:func:`predict_label`, :func:`update_label`) on one
-label's (mean, covariance) pair, which a flight runs per label and
-:func:`ekf_predict` and :func:`ekf_update` run over an :class:`EkfState`.
+label's (mean, covariance) pair, which :func:`ekf_predict` and
+:func:`ekf_update` run over a flight's list of labels each tick.
 A flight's two label positions are averaged into the UAV center, rotated
 into the world frame, and their baseline vector yields the UAV yaw
 independent of the magnetometer.
 Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR`` and
-``MULTILATERATE_TOL``; the rest is :class:`EkfParams`.
+``MULTILATERATE_TOL``; the range variance (:func:`range_variance`) and the
+period are the caller's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import POSITIVE, Ranged, mean_rows, rotate, wrap_angle
+from .frames import mean_rows, rotate, wrap_angle
 from .qr_localization import PoseEstimate
 
 # The state lives in the platform-fixed frame, which rotates with the
@@ -58,31 +59,10 @@ class AnchorSet:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True)
-class EkfParams(Ranged):
-    """Filter settings: range noise and sample period."""
-
-    sigma_range: float = POSITIVE(0.10)  # m
-    period: float = POSITIVE(0.02)  # s
-
-    @property
-    def range_variance(self) -> float:
-        """sigma_range squared, with sigma held at 1e154 m or below, where
-        its square is still a float: such ranges weigh next to nothing."""
-        return min(self.sigma_range, 1e154) ** 2
-
-
-@dataclass(frozen=True)
-class EkfState:
-    """The states [position, velocity] of L labels in the anchor frame, each
-    a (mean, cov) pair as :func:`predict_label` takes it."""
-
-    labels: tuple[tuple[list[float], list[float]], ...]
-
-    @property
-    def mean(self) -> np.ndarray:
-        """The (L, 6) label means."""
-        return np.array([mean for mean, _ in self.labels])
+def range_variance(sigma: float) -> float:
+    """sigma squared, with sigma held at 1e154 m or below, where its square
+    is still a float: such ranges weigh next to nothing."""
+    return min(sigma, 1e154) ** 2
 
 
 # a label covariance at rest: its 21 stored entries, the upper triangle row
@@ -95,11 +75,6 @@ _REST_COV = [INITIAL_POS_VAR, 0.0, 0.0, 0.0, 0.0, 0.0, INITIAL_POS_VAR, 0.0, 0.0
 def initial_label(position) -> tuple[list[float], list[float]]:
     """A label at rest at `position`, as :func:`predict_label` takes it."""
     return [*map(float, position), 0.0, 0.0, 0.0], list(_REST_COV)
-
-
-def initial_state(position: np.ndarray) -> EkfState:
-    """Rest states at the (L, 3) label positions."""
-    return EkfState(tuple(map(initial_label, np.asarray(position, dtype=float))))
 
 
 class SensorFault(ValueError):
@@ -191,28 +166,22 @@ def update_label(mean: list[float], cov: list[float], ranges, points,
              p24, p25, p33, p34, p35, p44, p45, p55], False)
 
 
-def ekf_predict(s: EkfState, a_body, R_b_w, R_w_u,
-                params: EkfParams) -> EkfState:
-    """:func:`predict_label` for every label of one flight; `a_body`,
-    `R_b_w` and `R_w_u` each hold the flight's one acceleration or rotation
-    (see :func:`anchor_acceleration`)."""
-    (a,), (b_w,), (w_u,) = a_body, R_b_w, R_w_u
-    a_u = anchor_acceleration(a, b_w, w_u)
-    return EkfState(tuple(predict_label(mean, cov, a_u, params.period)
-                          for mean, cov in s.labels))
+def ekf_predict(labels: list, a_u, T: float) -> list:
+    """:func:`predict_label` for each (mean, covariance) label of one flight
+    under the flight's anchor-frame acceleration `a_u` (see
+    :func:`anchor_acceleration`)."""
+    return [predict_label(mean, cov, a_u, T) for mean, cov in labels]
 
 
-def ekf_update(s: EkfState, ranges: list[tuple[int, float]],
-               anchors: AnchorSet, params: EkfParams) -> EkfState:
-    """:func:`update_label` for every label by the same (anchor index,
-    range) pairs."""
-    if not ranges:
-        raise ValueError("at least one range measurement is required")
-    row = [r for _, r in ranges]
-    points = anchors.positions[[j for j, _ in ranges]].tolist()
-    var = params.range_variance
-    return EkfState(tuple(update_label(mean, cov, row, points, var)[:2]
-                          for mean, cov in s.labels))
+def ekf_update(labels: list, ranges, points, var: float,
+               ) -> tuple[list, list[int]]:
+    """:func:`update_label` for each label by its own row of `ranges`, one
+    row per label, to the anchors at `points`.  Returns the new labels and
+    the indices of the degraded labels, those that took no range."""
+    updated = [update_label(mean, cov, row, points, var)
+               for (mean, cov), row in zip(labels, ranges, strict=True)]
+    return ([(mean, cov) for mean, cov, _ in updated],
+            [i for i, (_, _, degraded) in enumerate(updated) if degraded])
 
 
 def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,

@@ -22,13 +22,16 @@ from cargosim.planner import plan_coverage, spiral_path
 from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.runner import montecarlo, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig, SimState, SimWorld
-from cargosim.uwb_localization import (AnchorSet, EkfParams, ekf_predict,
-                                       ekf_update, initial_state,
-                                       multilaterate, yaw_from_labels)
+from cargosim.uwb_localization import (AnchorSet, anchor_acceleration,
+                                       ekf_predict, ekf_update, initial_label,
+                                       multilaterate, range_variance,
+                                       yaw_from_labels)
 
 from conftest import calm_scenario, project_marker
 
 ANCHORS = AnchorSet(ScenarioConfig().anchors)
+POINTS = ANCHORS.positions.tolist()
+T = 0.02  # s, the filter period
 
 
 # --- 1. marker pose chain is exact under noiseless sensing -----------
@@ -109,36 +112,38 @@ def test_ekf_noiseless_convergence_to_oracle():
     truth = np.array([0.4, -0.3, 1.2])
     ranges = [(j, float(np.linalg.norm(truth - ANCHORS.positions[j])))
               for j in range(len(ANCHORS))]
-    params = EkfParams(sigma_range=1e-6)
-    s = initial_state([truth + np.array([0.7, -0.5, 0.5])])  # 1 m off
+    var = range_variance(1e-6)
+    s = [initial_label(truth + np.array([0.7, -0.5, 0.5]))]  # 1 m off
     I3 = np.eye(3)
+    a_u = anchor_acceleration(np.zeros(3), I3, I3)
     for _ in range(50):
-        s = ekf_predict(s, [np.zeros(3)], [I3], [I3], params)
-        s = ekf_update(s, ranges, ANCHORS, params)
+        s = ekf_predict(s, a_u, T)
+        s, _ = ekf_update(s, [[r for _, r in ranges]], POINTS, var)
     oracle = multilaterate(ranges, ANCHORS)
-    assert np.linalg.norm(s.mean[0, :3] - oracle) <= 1e-6
+    assert np.linalg.norm(s[0][0][:3] - oracle) <= 1e-6
 
 
 def test_ekf_hover_rmse_within_bands_and_beats_raw():
     bounds = 3.0 * np.array([0.0113, 0.0139, 0.0212])
     truth = np.array([0.3, -0.2, 1.1])
-    params = EkfParams()
+    var = range_variance(0.10)
     true_d = np.linalg.norm(ANCHORS.positions - truth, axis=1)
     I3 = np.eye(3)
+    a_u = anchor_acceleration(np.zeros(3), I3, I3)
     ekf_rmse, raw_rmse = [], []
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
         first = list(enumerate(true_d + 0.1 * rng.normal(size=len(true_d))))
-        s = initial_state([multilaterate(first, ANCHORS)])
-        guess = s.mean[0, :3].copy()
+        s = [initial_label(multilaterate(first, ANCHORS))]
+        guess = np.array(s[0][0][:3])
         ekf_err, raw_err = [], []
         for k in range(400):
             meas = list(enumerate(true_d + 0.1 * rng.normal(size=len(true_d))))
-            s = ekf_predict(s, [np.zeros(3)], [I3], [I3], params)
-            s = ekf_update(s, meas, ANCHORS, params)
+            s = ekf_predict(s, a_u, T)
+            s, _ = ekf_update(s, [[r for _, r in meas]], POINTS, var)
             guess = multilaterate(meas, ANCHORS, initial=guess, max_iter=10)
             if k >= 50:  # discard the settling transient
-                ekf_err.append(s.mean[0, :3] - truth)
+                ekf_err.append(s[0][0][:3] - truth)
                 raw_err.append(guess - truth)
         ekf_rmse.append(np.sqrt(np.mean(np.square(ekf_err), axis=0)))
         raw_rmse.append(np.sqrt(np.mean(np.square(raw_err), axis=0)))

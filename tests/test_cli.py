@@ -258,6 +258,19 @@ def test_scenario_without_a_cargo_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_marker_label_is_a_config_error(tmp_path, capsys):
+    # the marker fix looks each sighting up by its label, so a second
+    # marker under a label would solve the first one's sightings wrongly
+    other = {**MARKER, "panel_xy": [1.35, 2.35]}
+    scenario = _scenario_file(tmp_path, {"scenario": {"qr_markers": [MARKER, other]}})
+    rc = cli.main(["run", "--scenario", scenario, "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG == 64
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: scenario: qr_markers must hold "
+                            "distinct labels, got [1, 1]\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_scenario_file_is_a_config_error(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text("{not json")

@@ -17,7 +17,6 @@ from cargosim.mission import MissionConfig
 from cargosim.qr_localization import QrMarker
 from cargosim.runner import run_mission
 from cargosim.sim_world import CargoSpec, ScenarioConfig
-from cargosim.uwb_localization import EkfParams
 
 
 def _write(tmp_path, payload):
@@ -181,7 +180,7 @@ def test_deleted_mission_key_is_rejected(tmp_path, name):
 CONFIGS = [ScenarioConfig(occlusion_center=(8.0, 0.0, 1.5)), MissionConfig(),
            CargoSpec(position=(8.0, 0.0, 1.1), mass=0.9, top_diagonal=0.4),
            QrMarker(label=1, diagonal=0.3, panel_xy=(1.0, 2.0)),
-           PidGains(kp=0.5, ki=0.1, kd=0.2), EkfParams()]
+           PidGains(kp=0.5, ki=0.1, kd=0.2)]
 
 
 def _is_number(value) -> bool:

@@ -390,10 +390,10 @@ def test_each_label_filter_makes_one_predict_and_update_per_tick(monkeypatch):
     _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0,
                              max_time=1.0)
     assert len(records) == 50
-    # the first tick starts both filters from the ranges alone; the
-    # EkfState forms are for callers outside a flight
+    # the first tick starts both filters from the ranges alone; each tick
+    # after it runs both labels through one ekf_predict and one ekf_update
     assert calls == {"predict_label": 98, "update_label": 98,
-                     "ekf_predict": 0, "ekf_update": 0}
+                     "ekf_predict": 49, "ekf_update": 49}
 
 
 FAULTY_SEED = 1

@@ -7,18 +7,22 @@ from scipy.optimize import least_squares
 
 from cargosim.frames import rotation_from_rpy, wrap_angle
 from cargosim.uwb_localization import (SIGMA_JERK, AnchorSet, BaselineGateError,
-                                       EkfParams, SensorFault, anchor_acceleration,
+                                       SensorFault, anchor_acceleration,
                                        ekf_predict, ekf_update, fuse_labels,
-                                       initial_label, initial_state,
-                                       multilaterate, predict_label,
+                                       initial_label, multilaterate,
+                                       predict_label, range_variance,
                                        update_label, yaw_from_labels)
 
 ANCHORS = AnchorSet(np.array([
     [1.7, 2.4, 0.2], [1.7, -2.4, 0.2], [-1.7, 2.4, 0.2], [-1.7, -2.4, 0.2],
     [-1.7, 0.8, 3.7], [-1.7, -0.8, 3.7],
 ]))
+POINTS = ANCHORS.positions.tolist()
 I3 = np.eye(3)
 Z3 = np.zeros(3)
+SIGMA = 0.10  # m, the range noise of the filters below
+VAR = SIGMA ** 2
+T = 0.02  # s
 # one label's state with its 6x6 covariance, as the per-label reference
 # and the helpers below take it
 Label = namedtuple("Label", "mean cov")
@@ -43,21 +47,19 @@ def _rest(position):
     return Label(np.array(mean), _full(cov))
 
 
-def _predict(label, a_body, R_b_w, R_w_u, params):
+def _predict(label, a_body, R_b_w, R_w_u):
     """:func:`predict_label` on a Label, as the reference takes its inputs."""
     mean, cov = predict_label(np.asarray(label.mean, float).tolist(),
                               _tri(label.cov),
-                              anchor_acceleration(a_body, R_b_w, R_w_u),
-                              params.period)
+                              anchor_acceleration(a_body, R_b_w, R_w_u), T)
     return np.array(mean), _full(cov)
 
 
-def _update(label, ranges, anchors, params):
+def _update(label, ranges, anchors):
     """:func:`update_label` on a Label and (anchor index, range) pairs."""
     mean, cov, degraded = update_label(
         np.asarray(label.mean, float).tolist(), _tri(label.cov),
-        [r for _, r in ranges], anchors.positions[[j for j, _ in ranges]].tolist(),
-        params.sigma_range ** 2)
+        _row(ranges), anchors.positions[[j for j, _ in ranges]].tolist(), VAR)
     return np.array(mean), _full(cov), degraded
 
 
@@ -66,6 +68,11 @@ def _ranges(point, anchors=ANCHORS, noise=None):
     if noise is not None:
         d = d + noise
     return list(enumerate(d))
+
+
+def _row(ranges):
+    """The ranges of (anchor index, range) pairs, as a label's row."""
+    return [r for _, r in ranges]
 
 
 def test_anchor_set_validation():
@@ -80,89 +87,113 @@ def test_anchor_set_validation():
 
 def test_predict_stationary_grows_covariance():
     s0 = _rest([1.0, 2.0, 3.0])
-    mean, cov = _predict(s0, Z3, I3, I3, EkfParams())
+    mean, cov = _predict(s0, Z3, I3, I3)
     np.testing.assert_allclose(mean[:3], [1.0, 2.0, 3.0], atol=1e-15)
     # uncertainty inflates on every axis without a measurement
     assert np.all(np.diag(cov) > np.diag(s0.cov))
 
 
 def test_predict_acceleration_input_block():
-    s0 = initial_state([[0.0, 0.0, 0.0]])
-    s1 = ekf_predict(s0, [np.array([1.0, 0.0, 0.0])], [I3], [I3], EkfParams())
+    s0 = [initial_label([0.0, 0.0, 0.0])]
+    s1 = ekf_predict(s0, anchor_acceleration(np.array([1.0, 0.0, 0.0]), I3, I3), T)
     # T^2/2 on position, T on velocity
-    assert s1.mean[0, 0] == pytest.approx(2e-4, abs=1e-15)
-    assert s1.mean[0, 3] == pytest.approx(0.02, abs=1e-15)
+    assert s1[0][0][0] == pytest.approx(2e-4, abs=1e-15)
+    assert s1[0][0][3] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_predict_velocity_telescopes():
     s = Label(mean=[0, 0, 0, 1.0, 0, 0], cov=np.eye(6))
     for _ in range(50):
-        s = Label(*_predict(s, Z3, I3, I3, EkfParams()))
+        s = Label(*_predict(s, Z3, I3, I3))
     assert s.mean[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_rotates_acceleration():
     R_b_w = rotation_from_rpy(0.0, 0.0, math.pi / 2)
-    s0 = initial_state([[0.0, 0.0, 0.0]])
-    s1 = ekf_predict(s0, [np.array([1.0, 0.0, 0.0])], [R_b_w], [I3],
-                     EkfParams())
-    assert s1.mean[0, 1] == pytest.approx(2e-4, abs=1e-12)
-    assert abs(s1.mean[0, 0]) < 1e-12
+    s0 = [initial_label([0.0, 0.0, 0.0])]
+    s1 = ekf_predict(s0, anchor_acceleration(np.array([1.0, 0.0, 0.0]), R_b_w, I3),
+                     T)
+    assert s1[0][0][1] == pytest.approx(2e-4, abs=1e-12)
+    assert abs(s1[0][0][0]) < 1e-12
 
 
 def test_update_zero_innovation_keeps_state():
     truth = np.array([0.4, -0.3, 1.2])
     s = Label(mean=np.concatenate([truth, Z3]), cov=1e-6 * np.eye(6))
-    mean, _, _ = _update(s, _ranges(truth), ANCHORS, EkfParams())
+    mean, _, _ = _update(s, _ranges(truth), ANCHORS)
     np.testing.assert_allclose(mean[:3], truth, atol=1e-12)
 
 
 def test_update_covariance_symmetric_psd(rng):
-    params = EkfParams()
     s = _rest([0.2, 0.1, 1.0])
     truth = np.array([0.5, -0.2, 1.5])
     for _ in range(100):
-        s = Label(*_predict(s, rng.normal(size=3), I3, I3, params))
+        s = Label(*_predict(s, rng.normal(size=3), I3, I3))
         noise = 0.1 * rng.normal(size=len(ANCHORS))
-        s = Label(*_update(s, _ranges(truth, noise=noise), ANCHORS, params)[:2])
+        s = Label(*_update(s, _ranges(truth, noise=noise), ANCHORS)[:2])
         # symmetric by construction: the kernel stores one triangle
         assert np.all(np.linalg.eigvalsh(s.cov) > -1e-10)
 
 
+def test_range_variance_stays_a_float():
+    assert range_variance(SIGMA) == VAR
+    # a sigma past 1e154 m squares past the float range; it weighs nothing
+    assert range_variance(1e300) == range_variance(1e154) < math.inf
+
+
 def test_update_requires_ranges():
-    s = initial_state([[0, 0, 0]])
+    # one row of ranges per label: a label without its row is an error
+    s = [initial_label([0, 0, 0])]
     with pytest.raises(ValueError):
-        ekf_update(s, [], ANCHORS, EkfParams())
+        ekf_update(s, [], POINTS, VAR)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_update_takes_one_row_per_label(rows):
+    labels = [initial_label([0.2, 0.1, 1.0]), initial_label([0.2, -0.1, 1.0])]
+    with pytest.raises(ValueError):
+        ekf_update(labels, [_row(_ranges([0.2, 0.0, 1.0]))] * rows, POINTS, VAR)
 
 
 def test_update_degraded_when_all_rows_dropped():
     # predicted position exactly on the only anchor used: the label keeps
     # its state
-    s = initial_state(ANCHORS.positions[:1])
-    assert ekf_update(s, [(0, 1.0)], ANCHORS, EkfParams()).labels == s.labels
+    s = [initial_label(ANCHORS.positions[0])]
+    assert ekf_update(s, [[1.0]], POINTS[:1], VAR) == (s, [0])
+
+
+def test_a_label_with_no_finite_range_is_degraded_while_the_other_updates():
+    labels = [initial_label([0.2, 0.1, 1.0]), initial_label([0.2, -0.1, 1.0])]
+    row = _row(_ranges([0.3, 0.0, 1.2]))
+    updated, degraded = ekf_update(labels, [[math.nan] * len(row), row], POINTS,
+                                   VAR)
+    assert degraded == [0]
+    assert updated[0] == labels[0]
+    assert updated[1] == update_label(*labels[1], row, POINTS, VAR)[:2]
+    assert updated[1] != labels[1]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_range_that_is_not_finite_is_left_out(bad):
     s = _rest([0.2, 0.1, 1.0])
     ranges = _ranges([0.5, -0.2, 1.5])
-    kept = _update(s, ranges[1:], ANCHORS, EkfParams())
-    mean, cov, degraded = _update(s, [(0, bad), *ranges[1:]], ANCHORS, EkfParams())
+    kept = _update(s, ranges[1:], ANCHORS)
+    mean, cov, degraded = _update(s, [(0, bad), *ranges[1:]], ANCHORS)
     assert mean.tolist() == kept[0].tolist() and not degraded
     np.testing.assert_array_equal(cov, kept[1])
     # a label with no finite range keeps its prediction
-    assert _update(s, [(0, bad)], ANCHORS, EkfParams())[2]
+    assert _update(s, [(0, bad)], ANCHORS)[2]
 
 
 def test_noiseless_convergence_to_least_squares():
     truth = np.array([0.5, -0.4, 1.3])
-    params = EkfParams(sigma_range=1e-6)
-    s = initial_state([truth + [0.6, -0.6, 0.5]])
+    var = range_variance(1e-6)
+    s = [initial_label(truth + [0.6, -0.6, 0.5])]
     for _ in range(50):
-        s = ekf_predict(s, [Z3], [I3], [I3], params)
-        s = ekf_update(s, _ranges(truth), ANCHORS, params)
+        s = ekf_predict(s, anchor_acceleration(Z3, I3, I3), T)
+        s, _ = ekf_update(s, [_row(_ranges(truth))], POINTS, var)
     oracle = multilaterate(_ranges(truth), ANCHORS)
-    assert np.linalg.norm(s.mean[0, :3] - oracle) < 1e-6
+    assert np.linalg.norm(s[0][0][:3] - oracle) < 1e-6
 
 
 def test_multilaterate_matches_scipy_oracle(rng):
@@ -263,8 +294,7 @@ def test_yaw_rejects_extreme_roll():
 # The reference is the filter as first written: one label per call, a
 # Python loop over the ranges, an explicit inverse and the full A, B, D.
 
-def _ref_predict(s, a_body, R_b_w, R_w_u, params):
-    T = params.period
+def _ref_predict(s, a_body, R_b_w, R_w_u):
     A = np.block([[I3, T * I3], [np.zeros((3, 3)), I3]])
     B = np.vstack([T * T / 2 * I3, T * I3])
     D = np.vstack([T ** 3 / 6 * I3, T * T / 2 * I3])
@@ -273,7 +303,7 @@ def _ref_predict(s, a_body, R_b_w, R_w_u, params):
     return A @ s.mean + B @ a_u, A @ s.cov @ A.T + D @ Q @ D.T
 
 
-def _ref_update(s, ranges, anchors, params):
+def _ref_update(s, ranges, anchors):
     u = s.mean[:3]
     rows, innov = [], []
     for j, measured in ranges:
@@ -287,7 +317,7 @@ def _ref_update(s, ranges, anchors, params):
         return s.mean, s.cov, True
     H = np.vstack(rows)
     y = np.asarray(innov)
-    R = (params.sigma_range ** 2) * np.eye(len(rows))
+    R = VAR * np.eye(len(rows))
     S = H @ s.cov @ H.T + R
     K = s.cov @ H.T @ np.linalg.inv(S)
     IKH = np.eye(6) - K @ H
@@ -316,82 +346,74 @@ def _flight_inputs(rng):
 
 
 def test_batched_predict_matches_reference(rng):
-    params = EkfParams()
     for _ in range(200):
         s = _random_label(rng)
         inputs = _flight_inputs(rng)
-        _assert_label_matches(_predict(s, *inputs, params),
-                              *_ref_predict(s, *inputs, params))
+        _assert_label_matches(_predict(s, *inputs), *_ref_predict(s, *inputs))
 
 
 def test_batched_predict_checks_each_flights_acceleration(rng):
-    labels = initial_state([[0.2, 0.1, 1.0], [0.2, -0.1, 1.0]])
+    labels = [initial_label([0.2, 0.1, 1.0]), initial_label([0.2, -0.1, 1.0])]
     _, R_b_w, R_w_u = _flight_inputs(rng)
     with pytest.raises(ValueError, match="acceleration must be finite"):
-        ekf_predict(labels, [(0.0, math.nan, 0.0)], [R_b_w], [R_w_u],
-                    EkfParams())
+        ekf_predict(labels, anchor_acceleration((0.0, math.nan, 0.0), R_b_w, R_w_u),
+                    T)
 
 
 def test_batched_update_matches_reference(rng):
-    params = EkfParams()
     for _ in range(200):
         s = _random_label(rng)
         truth = s.mean[:3] + rng.normal(scale=0.2, size=3)
         ranges = list(enumerate(np.linalg.norm(ANCHORS.positions - truth, axis=1)
                                 + rng.normal(scale=0.1, size=6)))
-        out = _update(s, ranges, ANCHORS, params)
+        out = _update(s, ranges, ANCHORS)
         assert not out[2]
-        _assert_label_matches(out, *_ref_update(s, ranges, ANCHORS, params)[:2])
+        _assert_label_matches(out, *_ref_update(s, ranges, ANCHORS)[:2])
 
 
 def test_batched_update_drops_a_range_at_its_anchor(rng):
-    params = EkfParams()
     on_anchor = _random_label(rng, position=ANCHORS.positions[2])
     ranges = list(enumerate(rng.uniform(1.0, 4.0, size=6)))
-    out = _update(on_anchor, ranges, ANCHORS, params)
+    out = _update(on_anchor, ranges, ANCHORS)
     assert not out[2]
-    _assert_label_matches(out, *_ref_update(on_anchor, ranges, ANCHORS,
-                                            params)[:2])
+    _assert_label_matches(out, *_ref_update(on_anchor, ranges, ANCHORS)[:2])
 
 
 def test_batched_update_all_dropped_is_degraded_and_unchanged(rng):
-    params = EkfParams()
     on_anchor = _random_label(rng, position=ANCHORS.positions[0])
-    mean, cov, degraded = _update(on_anchor, [(0, 1.0)], ANCHORS, params)
+    mean, cov, degraded = _update(on_anchor, [(0, 1.0)], ANCHORS)
     assert degraded
     np.testing.assert_array_equal(mean, on_anchor.mean)
     np.testing.assert_array_equal(cov[TRIU], on_anchor.cov[TRIU])
     other = _random_label(rng)
-    out = _update(other, [(0, 1.0)], ANCHORS, params)
-    mean, cov, degraded = _ref_update(other, [(0, 1.0)], ANCHORS, params)
+    out = _update(other, [(0, 1.0)], ANCHORS)
+    mean, cov, degraded = _ref_update(other, [(0, 1.0)], ANCHORS)
     assert not degraded and not out[2]
     _assert_label_matches(out, mean, cov)
 
 
 def test_update_on_a_subset_of_anchors_matches_reference(rng):
-    params = EkfParams()
     for _ in range(50):
         s = _random_label(rng)
         subset = [(j, float(rng.uniform(1.0, 4.0))) for j in (1, 3, 4)]
-        out = _update(s, subset, ANCHORS, params)
+        out = _update(s, subset, ANCHORS)
         assert not out[2]
-        _assert_label_matches(out, *_ref_update(s, subset, ANCHORS, params)[:2])
+        _assert_label_matches(out, *_ref_update(s, subset, ANCHORS)[:2])
 
 
 def test_batch_of_two_equals_two_batches_of_one(rng):
-    params = EkfParams()
-    inputs = ([np.array([0.4, -1.2, 0.3])], [rotation_from_rpy(0.1, -0.2, 1.3)],
-              [rotation_from_rpy(0.05, 0.1, 0.0)])
+    a_u = anchor_acceleration(np.array([0.4, -1.2, 0.3]),
+                              rotation_from_rpy(0.1, -0.2, 1.3),
+                              rotation_from_rpy(0.05, 0.1, 0.0))
     for _ in range(50):
         positions = rng.uniform([-1.5, -2.0, 0.5], [1.5, 2.0, 3.5], size=(2, 3))
-        ranges = list(enumerate(rng.uniform(1.0, 4.0, size=6)))
-        batch = ekf_update(ekf_predict(initial_state(positions), *inputs, params),
-                           ranges, ANCHORS, params)
+        row = rng.uniform(1.0, 4.0, size=6).tolist()
+        batch, _ = ekf_update(ekf_predict([initial_label(p) for p in positions],
+                                          a_u, T), [row, row], POINTS, VAR)
         for i, position in enumerate(positions):
-            single = ekf_update(
-                ekf_predict(initial_state([position]), *inputs, params),
-                ranges, ANCHORS, params)
-            assert batch.labels[i] == single.labels[0]
+            single, _ = ekf_update(ekf_predict([initial_label(position)], a_u, T),
+                                   [row], POINTS, VAR)
+            assert batch[i] == single[0]
 
 
 def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
@@ -400,21 +422,20 @@ def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
     # triangle, so it is symmetric by construction.  10 000 cycles of a
     # hovering pair of labels at SIGMA_JERK = 200 must stay positive
     # definite and on the reference (Joseph) filter above.
-    params = EkfParams()
     rng = np.random.default_rng(11)
     truth = np.array([[0.9, 2.2, 1.5], [0.9, 1.8, 1.5]])
     labels = [_rest(t + 0.3) for t in truth]
     refs = list(labels)
     for k in range(10_000):
         ranges = np.linalg.norm(ANCHORS.positions - truth[:, None, :], axis=-1) \
-            + rng.normal(scale=params.sigma_range, size=(2, len(ANCHORS)))
+            + rng.normal(scale=SIGMA, size=(2, len(ANCHORS)))
         for i, row in enumerate(ranges):
             meas = list(enumerate(row))
-            s = Label(*_predict(labels[i], Z3, I3, I3, params))
-            labels[i] = Label(*_update(s, meas, ANCHORS, params)[:2])
+            s = Label(*_predict(labels[i], Z3, I3, I3))
+            labels[i] = Label(*_update(s, meas, ANCHORS)[:2])
             np.linalg.cholesky(labels[i].cov)  # raises unless positive definite
-            s = Label(*_ref_predict(refs[i], Z3, I3, I3, params))
-            refs[i] = Label(*_ref_update(s, meas, ANCHORS, params)[:2])
+            s = Label(*_ref_predict(refs[i], Z3, I3, I3))
+            refs[i] = Label(*_ref_update(s, meas, ANCHORS)[:2])
     for s, ref in zip(labels, refs):
         assert np.linalg.norm(s.mean - ref.mean) <= 1e-9 * np.linalg.norm(ref.mean)
         assert np.linalg.norm(s.cov - ref.cov) <= 1e-9 * np.linalg.norm(ref.cov)
