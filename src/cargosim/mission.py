@@ -24,11 +24,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .control import PHASE_GAINS, PidGains, position_error_body, yaw_error
 from .frames import (COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged,
-                     rotation_rows, wrap_angle)
+                     mean_rows, rotation_rows, wrap_angle)
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
@@ -104,8 +102,8 @@ class MissionConfig(Ranged):
 def hover_effort(window) -> float:
     """The sum of squares of a hover window's mean rotor speeds, to which
     the thrust is proportional."""
-    mean = np.mean(window, axis=0)
-    return float(np.dot(mean, mean))
+    a, b, c, d = mean_rows(window)
+    return a * a + b * b + c * c + d * d
 
 
 def attachment_check(pre: float, post: float, delta: float) -> bool:
@@ -123,7 +121,7 @@ class TickInputs:
     t: float
     estimate: PoseEstimate
     track: CargoTrack
-    rotor_speeds: np.ndarray
+    rotor_speeds: tuple[float, float, float, float]
     on_ground: bool
 
 
@@ -169,7 +167,7 @@ class MissionExecutive:
         self.attach_success: bool | None = None
         # hover telemetry: the last hover_window of the landing, and the verify hover
         self._pre_window = deque(maxlen=max(1, round(mission.hover_window / dt)))
-        self._post_window: list[np.ndarray] = []
+        self._post_window: list[tuple[float, ...]] = []
         self.pre_effort: float | None = None
         self._hold_since: float | None = None
         self._lost_since: float | None = None
@@ -329,7 +327,7 @@ class MissionExecutive:
 
         near_hover = height <= PRE_BLIND_HEIGHT + 0.08
         if near_hover:  # the pre-adhesion hover telemetry window
-            self._pre_window.append(inp.rotor_speeds.copy())
+            self._pre_window.append(inp.rotor_speeds)
         if near_hover and horiz < BLIND_HORIZONTAL_THRESHOLD:
             if self._hold_since is None:
                 self._hold_since = inp.t
@@ -368,7 +366,7 @@ class MissionExecutive:
 
     def _tick_verify(self, inp: TickInputs, events: list[str]) -> TickCommand:
         cfg = self.cfg
-        self._post_window.append(inp.rotor_speeds.copy())
+        self._post_window.append(inp.rotor_speeds)
         if inp.t - self._verify_since >= cfg.hover_window:
             if self.pre_effort is None:
                 # the landing never filled its hover window, so there is

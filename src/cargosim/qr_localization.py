@@ -77,16 +77,12 @@ def marker_camera_coords(obs: QrObservation, marker: QrMarker,
                      marker.diagonal)
 
 
-class NoFix(Exception):
-    """Raised when no usable observation is available this epoch."""
-
-
 def estimate_pose(
     observations: list[QrObservation],
     markers: dict[int, QrMarker],
     platform_attitude: EulerAngles,
     uav_roll_pitch: tuple[float, float],
-) -> PoseEstimate:
+) -> PoseEstimate | None:
     """Average per-marker UAV pose solutions into one world-frame estimate.
 
     For each marker i the UAV position is
@@ -95,10 +91,8 @@ def estimate_pose(
 
     with R_body built from the IMU roll/pitch and the per-marker yaw
     solution psi_i = platform_yaw - (image_yaw + pi).  Unknown labels are
-    skipped; an empty (or fully skipped) input raises :class:`NoFix`.
+    skipped; an empty (or fully skipped) input has no fix, and gives None.
     """
-    if not observations:
-        raise NoFix("no marker observations")
     R_a_w = platform_attitude.rows
     phi, theta = uav_roll_pitch
 
@@ -115,7 +109,7 @@ def estimate_pose(
         positions.append((px - bx, py - by, pz - bz))
         yaws.append(psi_i)
     if not positions:
-        raise NoFix("all observations had unknown labels")
+        return None
 
     yaw = math.atan2(
         sum(math.sin(y) for y in yaws) / len(yaws),

@@ -31,7 +31,7 @@ from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
                       TickCommand, TickInputs)
 from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
                          wavegate_select)
-from .qr_localization import NoFix, PoseEstimate, estimate_pose
+from .qr_localization import PoseEstimate, estimate_pose
 from .sim_world import ScenarioConfig, SimState, SimWorld, check_step
 
 LOG_SCHEMA = "cargosim-log-v1"
@@ -147,8 +147,7 @@ class Localizer:
     between the two sources."""
 
     def __init__(self, scenario: ScenarioConfig, dt: float):
-        self.anchors = uwb_localization.AnchorSet(scenario.anchors)
-        self.points = self.anchors.positions.tolist()
+        self.points = scenario.anchors
         self.var = uwb_localization.range_variance(max(scenario.sigma_uwb, 1e-4))
         self.period = dt
         self.filters = None
@@ -168,8 +167,7 @@ class Localizer:
         lost = ()
         if self.filters is None:
             self.filters = [uwb_localization.initial_label(
-                uwb_localization.multilaterate(list(enumerate(row)),
-                                               self.anchors)) for row in ranges]
+                uwb_localization.multilaterate(row, self.points)) for row in ranges]
         else:
             a_u = uwb_localization.anchor_acceleration(
                 a_body, rotation_rows(roll, pitch, self.yaw), tuple(zip(*R_a_w)))
@@ -180,19 +178,15 @@ class Localizer:
         labels = [mean[:3] for mean, _ in self.filters]
 
         u1w, u2w = (rotate(R_a_w, u) for u in labels)
-        try:
-            self.yaw = uwb_localization.yaw_from_labels(
-                u1w, u2w, roll, pitch, self.baseline)
-        except uwb_localization.BaselineGateError:
-            pass  # hold the last valid heading
+        yaw = uwb_localization.yaw_from_labels(u1w, u2w, roll, pitch, self.baseline)
+        if yaw is not None:  # else hold the last valid heading
+            self.yaw = yaw
         uwb_pose = uwb_localization.fuse_labels(labels, R_a_w, yaw=self.yaw)
 
-        qr_pose = None
-        if obs:
-            try:
-                qr_pose = estimate_pose(obs, self.markers, platform, (roll, pitch))
-            except NoFix:
-                pass  # no usable marker this tick
+        # a tick with no sighting makes no fix attempt; one that sights no
+        # known marker has no fix either
+        qr_pose = estimate_pose(obs, self.markers, platform, (roll, pitch)) \
+            if obs else None
 
         pose, events = hybrid_localizer.arbitrate(qr_pose, uwb_pose, self.hybrid)
         return pose, [*lost, *events] if lost else events

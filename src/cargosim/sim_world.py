@@ -6,7 +6,9 @@ cargo contact, the adsorption action, and every synthetic measurement
 the autonomy stack consumes: anchor ranges, marker observations, cargo
 detections, IMU attitude/acceleration and rotor telemetry.  All
 randomness flows from one seeded generator so a run is reproducible bit
-for bit.
+for bit.  The world hands out Python floats, alone or in tuples and
+lists, and the scenario holds its anchors as rows of floats; numpy draws
+the noise and tests the anchors' rank.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .frames import (ANGLE, FIELD_OF_VIEW, FINITE, NATURAL, NON_NEGATIVE, POSITI
                      rotate_t, wrap_angle)
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
-from .uwb_localization import AnchorSet
 
 GRAVITY = 9.81
 
@@ -40,13 +41,6 @@ class CargoSpec(Ranged):
     mass: float = POSITIVE()
     top_diagonal: float = POSITIVE()
     yaw: float = ANGLE(0.0)
-
-
-def _default_anchors() -> np.ndarray:
-    return np.array([
-        [1.7, 2.4, 0.2], [1.7, -2.4, 0.2], [-1.7, 2.4, 0.2], [-1.7, -2.4, 0.2],
-        [-1.7, 0.8, 3.7], [-1.7, -0.8, 3.7],
-    ])
 
 
 def _default_markers() -> list[QrMarker]:
@@ -70,7 +64,10 @@ class ScenarioConfig(Ranged):
 
     seed: int = NATURAL(0)
     # localization infrastructure (platform frame)
-    anchors: np.ndarray = field(default_factory=_default_anchors)
+    anchors: tuple[tuple[float, float, float], ...] = (
+        (1.7, 2.4, 0.2), (1.7, -2.4, 0.2), (-1.7, 2.4, 0.2), (-1.7, -2.4, 0.2),
+        (-1.7, 0.8, 3.7), (-1.7, -0.8, 3.7),
+    )
     label_baseline: float = POSITIVE(0.4)
     qr_markers: list[QrMarker] = field(default_factory=_default_markers)
     # cameras
@@ -131,7 +128,16 @@ class ScenarioConfig(Ranged):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "anchors", AnchorSet(self.anchors).positions)
+        # the anchors as rows of three floats; a label position is
+        # observable from ranges only with three non-collinear anchors
+        pos = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+        if not np.isfinite(pos).all():
+            raise ValueError("anchors must be finite")
+        if pos.ndim != 2 or pos.shape[0] < 3 or pos.shape[1] != 3:
+            raise ValueError(f"need >= 3 anchors with 3 coordinates, got {pos.shape}")
+        if np.linalg.matrix_rank(pos - pos.mean(axis=0), tol=1e-9) < 2:
+            raise ValueError("anchors are collinear; label position unobservable")
+        object.__setattr__(self, "anchors", tuple(map(tuple, pos.tolist())))
         # the detector sees every cargo, but contact, adsorption, the
         # executive and the landing error know only cargoes[0]
         if len(self.cargoes) != 1:
@@ -148,8 +154,8 @@ class SimState:
     """Immutable snapshot of the world at time t, the platform yaw included:
     `SimWorld.step` reads no other per-flight state than its generator.
 
-    The small vectors are tuples of Python floats, (x, y, z) or world
-    (x, y); only the rotor speeds, drawn as an array, are numpy.
+    Every vector is a tuple of Python floats: (x, y, z), world (x, y),
+    or the four rotor speeds.
     """
 
     t: float
@@ -161,12 +167,13 @@ class SimState:
     wind_vel: tuple[float, float]  # world xy gust velocity
     wind_trim: tuple[float, float]  # inner-loop estimate of the wind disturbance
     attached_mass: float
-    rotor_speeds: np.ndarray  # (4,) rad/s
+    rotor_speeds: tuple[float, float, float, float]  # rad/s
     on_ground: bool = False
 
     @property
     def rotor_sum_sq(self) -> float:
-        return float(np.dot(self.rotor_speeds, self.rotor_speeds))
+        a, b, c, d = self.rotor_speeds
+        return a * a + b * b + c * c + d * d
 
 
 def _wave(amp: float, t: float, period: float, phase: float) -> float:
@@ -201,7 +208,6 @@ class SimWorld:
         # fixed body- and panel-frame points, one per row
         half = cfg.label_baseline / 2
         self._label_offsets = [[0.0, half, 0.0], [0.0, -half, 0.0]]
-        self._anchors = cfg.anchors.tolist()
         self._qr_panels = [(float(m.panel_xy[0]), float(m.panel_xy[1]), 0.0)
                            for m in cfg.qr_markers]
         # a sphere around every marker, widened for rounding; see sense_qr
@@ -229,7 +235,7 @@ class SimWorld:
             wind_vel=(wx, wy),
             wind_trim=(cfg.drag_coeff * wx, cfg.drag_coeff * wy),
             attached_mass=0.0,
-            rotor_speeds=np.full(4, hover),
+            rotor_speeds=(hover,) * 4,
         )
 
     def _platform_attitude(self, t: float, yaw: float) -> EulerAngles:
@@ -314,7 +320,8 @@ class SimWorld:
 
         mass = cfg.uav_mass + state.attached_mass
         thrust = max(0.05 * mass * GRAVITY, mass * (GRAVITY + az))
-        rotors = self.rng.normal(math.sqrt(thrust / 4.0), cfg.rotor_noise, 4)
+        rotors = tuple(self.rng.normal(math.sqrt(thrust / 4.0), cfg.rotor_noise,
+                                       4).tolist())
 
         return SimState(t=t, platform_attitude=platform, uav_pos=pos,
                         uav_euler=euler, uav_vel=vel, uav_acc=acc,
@@ -338,12 +345,13 @@ class SimWorld:
         every anchor, one row per label."""
         cfg = self.cfg
         labels = self._labels_platform(state)
-        ranges = [[math.dist(u, a) for a in self._anchors] for u in labels]
+        anchors = cfg.anchors
+        ranges = [[math.dist(u, a) for a in anchors] for u in labels]
         occluded = cfg.occlusion_center
         sigmas = [cfg.sigma_uwb * (cfg.occlusion_factor if occluded is not None and
                                    math.dist(u, occluded) <= cfg.occlusion_radius
                                    else 1.0) for u in labels]
-        noise = self.rng.standard_normal((len(labels), len(self._anchors)))
+        noise = self.rng.standard_normal((len(labels), len(anchors)))
         return [[r + sigma * n for r, n in zip(row, draws)]
                 for row, sigma, draws in zip(ranges, sigmas, noise.tolist())]
 

@@ -6,9 +6,13 @@ acceleration and corrected by ranges to the fixed anchors: a kernel in
 Python floats (:func:`predict_label`, :func:`update_label`) on one
 label's (mean, covariance) pair, which :func:`ekf_predict` and
 :func:`ekf_update` run over a flight's list of labels each tick.
+The anchors are rows of floats, as ``ScenarioConfig.anchors`` holds and
+checks them; numpy enters only the least-squares solve of
+:func:`multilaterate`.
 A flight's two label positions are averaged into the UAV center, rotated
 into the world frame, and their baseline vector yields the UAV yaw
-independent of the magnetometer.
+independent of the magnetometer, or no yaw where the baseline fails its
+gate.
 Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR`` and
 ``MULTILATERATE_TOL``; the range variance (:func:`range_variance`) and the
 period are the caller's.
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +35,6 @@ SIGMA_JERK = 200.0  # m/s^3, enters through the D matrix
 INITIAL_POS_VAR = 0.25  # m^2, per axis of a fresh filter
 INITIAL_VEL_VAR = 0.25  # (m/s)^2
 MULTILATERATE_TOL = 1e-12  # m; Gauss-Newton stops on a shorter step
-
-
-@dataclass(frozen=True)
-class AnchorSet:
-    """Fixed anchor positions in the platform anchor frame.
-
-    At least three non-collinear anchors are required for the label
-    position to be observable from ranges.
-    """
-
-    positions: np.ndarray  # (N_a, 3)
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "positions", pos)
-        if not np.isfinite(pos).all():
-            raise ValueError("anchors must be finite")
-        if pos.shape[0] < 3 or pos.shape[1] != 3:
-            raise ValueError(f"need >= 3 anchors with 3 coordinates, got {pos.shape}")
-        centered = pos - pos.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
-            raise ValueError("anchors are collinear; label position unobservable")
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
 
 
 def range_variance(sigma: float) -> float:
@@ -199,12 +177,8 @@ def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,
                         source="uwb")
 
 
-class BaselineGateError(ValueError):
-    """Label baseline length inconsistent with the mounted geometry."""
-
-
 def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
-                    pitch: float, d: float) -> float:
+                    pitch: float, d: float) -> float | None:
     """UAV yaw from the world-frame vector between the two labels.
 
     The labels sit at (0, +-d/2, 0) in the body frame, so the normalized
@@ -216,7 +190,8 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
 
     with rho1 = (dy/d) S_phi S_theta - (dx/d) C_phi and
     rho2 = (dx/d) S_phi S_theta + (dy/d) C_phi.  The baseline length is
-    gated to [0.8 d, 1.2 d] as an estimator-divergence check.
+    gated to [0.8 d, 1.2 d] as an estimator-divergence check: outside it
+    there is no heading, and the result is None.
     """
     if abs(roll) >= math.pi / 2:
         raise ValueError("roll magnitude must be below pi/2")
@@ -224,8 +199,7 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
     dx, dy, dz = x1 - x2, y1 - y2, z1 - z2
     norm = math.sqrt(dx * dx + dy * dy + dz * dz)
     if not (0.8 * d <= norm <= 1.2 * d):
-        raise BaselineGateError(
-            f"baseline length {norm:.3f} m outside [0.8, 1.2] x {d:.3f} m")
+        return None
     sf, cf = math.sin(roll), math.cos(roll)
     st = math.sin(pitch)
     sfst = sf * st
@@ -236,23 +210,23 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
     return wrap_angle(math.atan2(rho1, rho2))
 
 
-def multilaterate(ranges: list[tuple[int, float]], anchors: AnchorSet,
+def multilaterate(ranges: Sequence[float], points: Sequence[Sequence[float]],
                   initial: np.ndarray | None = None,
                   max_iter: int = 50) -> np.ndarray:
-    """Gauss-Newton least-squares position from one epoch of ranges.
+    """Gauss-Newton least-squares position from one label's epoch of ranges,
+    `ranges[j]` to the anchor at `points[j]`.
 
     Used to initialize the filters from the first complete epoch and as
     the raw per-epoch baseline the filtered estimate is compared against.
-    Ranges that are not finite are left out; an epoch that locates no
-    position (fewer than 3 ranges left, or a solve that leaves the float
-    range) raises :class:`SensorFault`.
+    Ranges that are not finite are left out, as :func:`update_label` does;
+    an epoch that locates no position (fewer than 3 ranges left, or a
+    solve that leaves the float range) raises :class:`SensorFault`.
     """
-    ranges = [(j, r) for j, r in ranges if math.isfinite(r)]
-    if len(ranges) < 3:
+    kept = [(p, r) for p, r in zip(points, ranges, strict=True) if math.isfinite(r)]
+    if len(kept) < 3:
         raise SensorFault("multilateration needs at least 3 finite ranges")
-    idx = np.array([j for j, _ in ranges])
-    meas = np.array([r for _, r in ranges])
-    pts = anchors.positions[idx]
+    pts = np.array([p for p, _ in kept], dtype=float)
+    meas = np.array([r for _, r in kept])
     u = np.asarray(initial, dtype=float) if initial is not None else pts.mean(axis=0) + 1e-3
     for _ in range(max_iter):
         diff = u - pts

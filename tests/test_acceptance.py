@@ -22,15 +22,14 @@ from cargosim.planner import plan_coverage, spiral_path
 from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.runner import montecarlo, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig, SimState, SimWorld
-from cargosim.uwb_localization import (AnchorSet, anchor_acceleration,
-                                       ekf_predict, ekf_update, initial_label,
-                                       multilaterate, range_variance,
+from cargosim.uwb_localization import (anchor_acceleration, ekf_predict, ekf_update,
+                                       initial_label, multilaterate, range_variance,
                                        yaw_from_labels)
 
 from conftest import calm_scenario, project_marker
 
-ANCHORS = AnchorSet(ScenarioConfig().anchors)
-POINTS = ANCHORS.positions.tolist()
+POINTS = ScenarioConfig().anchors
+ANCHORS = np.array(POINTS)
 T = 0.02  # s, the filter period
 
 
@@ -110,16 +109,15 @@ def test_marker_error_by_height_matches_field_bands():
 
 def test_ekf_noiseless_convergence_to_oracle():
     truth = np.array([0.4, -0.3, 1.2])
-    ranges = [(j, float(np.linalg.norm(truth - ANCHORS.positions[j])))
-              for j in range(len(ANCHORS))]
+    ranges = [float(np.linalg.norm(truth - anchor)) for anchor in ANCHORS]
     var = range_variance(1e-6)
     s = [initial_label(truth + np.array([0.7, -0.5, 0.5]))]  # 1 m off
     I3 = np.eye(3)
     a_u = anchor_acceleration(np.zeros(3), I3, I3)
     for _ in range(50):
         s = ekf_predict(s, a_u, T)
-        s, _ = ekf_update(s, [[r for _, r in ranges]], POINTS, var)
-    oracle = multilaterate(ranges, ANCHORS)
+        s, _ = ekf_update(s, [ranges], POINTS, var)
+    oracle = multilaterate(ranges, POINTS)
     assert np.linalg.norm(s[0][0][:3] - oracle) <= 1e-6
 
 
@@ -127,21 +125,21 @@ def test_ekf_hover_rmse_within_bands_and_beats_raw():
     bounds = 3.0 * np.array([0.0113, 0.0139, 0.0212])
     truth = np.array([0.3, -0.2, 1.1])
     var = range_variance(0.10)
-    true_d = np.linalg.norm(ANCHORS.positions - truth, axis=1)
+    true_d = np.linalg.norm(ANCHORS - truth, axis=1)
     I3 = np.eye(3)
     a_u = anchor_acceleration(np.zeros(3), I3, I3)
     ekf_rmse, raw_rmse = [], []
     for seed in range(30):
         rng = np.random.default_rng(1000 + seed)
-        first = list(enumerate(true_d + 0.1 * rng.normal(size=len(true_d))))
-        s = [initial_label(multilaterate(first, ANCHORS))]
+        first = true_d + 0.1 * rng.normal(size=len(true_d))
+        s = [initial_label(multilaterate(first, POINTS))]
         guess = np.array(s[0][0][:3])
         ekf_err, raw_err = [], []
         for k in range(400):
-            meas = list(enumerate(true_d + 0.1 * rng.normal(size=len(true_d))))
+            meas = (true_d + 0.1 * rng.normal(size=len(true_d))).tolist()
             s = ekf_predict(s, a_u, T)
-            s, _ = ekf_update(s, [[r for _, r in meas]], POINTS, var)
-            guess = multilaterate(meas, ANCHORS, initial=guess, max_iter=10)
+            s, _ = ekf_update(s, [meas], POINTS, var)
+            guess = multilaterate(meas, POINTS, initial=guess, max_iter=10)
             if k >= 50:  # discard the settling transient
                 ekf_err.append(s[0][0][:3] - truth)
                 raw_err.append(guess - truth)

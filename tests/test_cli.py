@@ -150,6 +150,9 @@ OUT_OF_RANGE = [
     ("scenario", "sigma_uwb", -0.1, "sigma_uwb must be >= 0, got -0.1"),
     ("scenario", "occlusion_radius", -1.0, "occlusion_radius must be >= 0, got -1.0"),
     ("scenario", "seed", -1, "seed must be an integer >= 0, got -1"),
+    # 1e999 reads as infinity; the anchor check, not a field range, refuses it
+    ("scenario", "anchors", [[0, 0, 10 ** 999], [1, 0, 0], [0, 1, 0]],
+     "anchors must be finite"),
     ("mission", "max_attach_attempts", 0,
      "max_attach_attempts must be an integer >= 1, got 0"),
     ("mission", "adsorb_success_prob", 2.0, "adsorb_success_prob must be in [0, 1], got 2.0"),

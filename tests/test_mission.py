@@ -28,7 +28,7 @@ def _inputs(t, est, track=None, rotors=None, on_ground=False):
     return TickInputs(t=t, estimate=est,
                       track=track if track is not None else CargoTrack(),
                       rotor_speeds=rotors if rotors is not None
-                      else np.full(4, 100.0),
+                      else (100.0,) * 4,
                       on_ground=on_ground)
 
 
@@ -278,7 +278,7 @@ def test_attach_failure_reenters_land_then_aborts():
     ex.stage = "verify"
     ex._verify_since = 80.0
     ex.attach_attempts = 1
-    hover = np.full(4, math.sqrt(7.9 * 9.81 / 4.0))  # unchanged: no cargo
+    hover = (math.sqrt(7.9 * 9.81 / 4.0),) * 4  # unchanged: no cargo
     t = 80.0
     while ex.phase is MissionPhase.RETURN:
         t += 0.02
@@ -303,7 +303,7 @@ def test_successful_verify_cruises_home_and_lands():
     ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 90.0
-    loaded = np.full(4, math.sqrt(8.79 * 9.81 / 4.0))
+    loaded = (math.sqrt(8.79 * 9.81 / 4.0),) * 4
     t = 90.0
     while ex.stage == "verify":
         t += 0.02

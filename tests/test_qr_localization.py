@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cargosim.frames import EulerAngles, rotation_from_rpy, wrap_angle
-from cargosim.qr_localization import (NoFix, QrMarker, QrObservation,
-                                      estimate_pose, marker_camera_coords)
+from cargosim.qr_localization import (QrMarker, QrObservation, estimate_pose,
+                                      marker_camera_coords)
 
 from conftest import project_marker
 
@@ -114,18 +114,18 @@ def test_estimate_pose_yaw_circular_mean_near_pi():
 
 
 def test_no_observations_raises():
-    with pytest.raises(NoFix):
-        estimate_pose([], {}, EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0))
+    # no observation is no fix
+    assert estimate_pose([], {}, EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0)) is None
 
 
 def test_unknown_labels_raise():
     marker = QrMarker(label=1, diagonal=0.5, panel_xy=(0.0, 0.0))
     obs = project_marker(marker, [0.0, 0.0, 2.0], EulerAngles(0.0, 0.0, 0.0),
                          EulerAngles(0.0, 0.0, 0.0), FOCAL)
-    with pytest.raises(NoFix):
-        estimate_pose([obs], {9: QrMarker(label=9, diagonal=0.5,
-                                          panel_xy=(0.0, 0.0))},
-                      EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0))
+    # an observation of no known marker is no fix
+    assert estimate_pose([obs], {9: QrMarker(label=9, diagonal=0.5,
+                                             panel_xy=(0.0, 0.0))},
+                         EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0)) is None
 
 
 def test_observation_validation():

@@ -1,10 +1,12 @@
 """The vectors handed from stage to stage are tuples of Python floats.
 
-The world state, the IMU acceleration, every pose estimate, the cargo
-track, the executive's command and the coverage waypoints cross a stage
-boundary each tick, and each flight's two label filters keep their state
-as lists of floats; a numpy array or a numpy scalar there means one stage
-wraps what the next must unwrap.
+The world state (its rotor speeds included), the IMU acceleration, every
+pose estimate, the cargo track, the executive's command and hover windows
+and the coverage waypoints cross a stage boundary each tick, and each
+flight's two label filters keep their state as lists of floats; a numpy
+array or a numpy scalar there means one stage wraps what the next must
+unwrap.  The config types hold floats too (see test_config), so that ==
+on them is exact.
 """
 
 import math
@@ -32,7 +34,7 @@ def _assert_floats(v, n):
 
 def _assert_state(state):
     for name, n in (("uav_pos", 3), ("uav_vel", 3), ("uav_acc", 3),
-                    ("wind_vel", 2), ("wind_trim", 2)):
+                    ("wind_vel", 2), ("wind_trim", 2), ("rotor_speeds", 4)):
         _assert_floats(getattr(state, name), n)
 
 
@@ -114,6 +116,17 @@ def test_every_command_is_a_body_error_or_an_open_loop_velocity(monkeypatch):
     # the flight servos on the cargo track and descends blind
     assert any(cmd.velocity is not None for cmd in commands)
     assert any(cmd.feedforward is not None for cmd in commands)
+
+
+def test_hover_windows_hold_float_tuples():
+    flight = Flight(calm_scenario(), MissionConfig(), 0.02, False)
+    executive = flight.executive
+    while not executive._post_window:  # through the landing to the verify hover
+        assert flight.tick(), flight.executive.abort_reason
+    assert executive._pre_window and executive.pre_effort is not None
+    for speeds in (*executive._pre_window, *executive._post_window):
+        _assert_floats(speeds, 4)
+    assert type(executive.pre_effort) is float
 
 
 def test_cargo_track_is_float_tuples():

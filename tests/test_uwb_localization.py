@@ -6,18 +6,18 @@ import pytest
 from scipy.optimize import least_squares
 
 from cargosim.frames import rotation_from_rpy, wrap_angle
-from cargosim.uwb_localization import (SIGMA_JERK, AnchorSet, BaselineGateError,
-                                       SensorFault, anchor_acceleration,
+from cargosim.sim_world import ScenarioConfig
+from cargosim.uwb_localization import (SIGMA_JERK, SensorFault, anchor_acceleration,
                                        ekf_predict, ekf_update, fuse_labels,
                                        initial_label, multilaterate,
                                        predict_label, range_variance,
                                        update_label, yaw_from_labels)
 
-ANCHORS = AnchorSet(np.array([
+ANCHORS = np.array([
     [1.7, 2.4, 0.2], [1.7, -2.4, 0.2], [-1.7, 2.4, 0.2], [-1.7, -2.4, 0.2],
     [-1.7, 0.8, 3.7], [-1.7, -0.8, 3.7],
-]))
-POINTS = ANCHORS.positions.tolist()
+])
+POINTS = ANCHORS.tolist()
 I3 = np.eye(3)
 Z3 = np.zeros(3)
 SIGMA = 0.10  # m, the range noise of the filters below
@@ -59,12 +59,12 @@ def _update(label, ranges, anchors):
     """:func:`update_label` on a Label and (anchor index, range) pairs."""
     mean, cov, degraded = update_label(
         np.asarray(label.mean, float).tolist(), _tri(label.cov),
-        _row(ranges), anchors.positions[[j for j, _ in ranges]].tolist(), VAR)
+        _row(ranges), anchors[[j for j, _ in ranges]].tolist(), VAR)
     return np.array(mean), _full(cov), degraded
 
 
 def _ranges(point, anchors=ANCHORS, noise=None):
-    d = np.linalg.norm(anchors.positions - np.asarray(point, float), axis=1)
+    d = np.linalg.norm(anchors - np.asarray(point, float), axis=1)
     if noise is not None:
         d = d + noise
     return list(enumerate(d))
@@ -76,13 +76,18 @@ def _row(ranges):
 
 
 def test_anchor_set_validation():
-    with pytest.raises(ValueError):
-        AnchorSet(np.array([[0, 0, 0], [1, 1, 1]]))
-    with pytest.raises(ValueError):
-        AnchorSet(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
+    with pytest.raises(ValueError, match="need >= 3 anchors with 3 coordinates"):
+        ScenarioConfig(anchors=np.array([[0, 0, 0], [1, 1, 1]]))
+    with pytest.raises(ValueError, match="anchors are collinear"):
+        ScenarioConfig(anchors=np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="anchors must be finite"):
-            AnchorSet(np.array([[0, 0, bad], [1, 0, 0], [0, 1, 0]]))
+            ScenarioConfig(anchors=np.array([[0, 0, bad], [1, 0, 0], [0, 1, 0]]))
+    # any sequence of triples is held as rows of three floats
+    cfg = ScenarioConfig(anchors=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
+    assert cfg.anchors == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert all(type(x) is float for row in cfg.anchors for x in row)
+    assert ScenarioConfig().anchors == tuple(map(tuple, POINTS))
 
 
 def test_predict_stationary_grows_covariance():
@@ -158,7 +163,7 @@ def test_update_takes_one_row_per_label(rows):
 def test_update_degraded_when_all_rows_dropped():
     # predicted position exactly on the only anchor used: the label keeps
     # its state
-    s = [initial_label(ANCHORS.positions[0])]
+    s = [initial_label(ANCHORS[0])]
     assert ekf_update(s, [[1.0]], POINTS[:1], VAR) == (s, [0])
 
 
@@ -192,7 +197,7 @@ def test_noiseless_convergence_to_least_squares():
     for _ in range(50):
         s = ekf_predict(s, anchor_acceleration(Z3, I3, I3), T)
         s, _ = ekf_update(s, [_row(_ranges(truth))], POINTS, var)
-    oracle = multilaterate(_ranges(truth), ANCHORS)
+    oracle = multilaterate(_row(_ranges(truth)), POINTS)
     assert np.linalg.norm(s[0][0][:3] - oracle) < 1e-6
 
 
@@ -201,12 +206,12 @@ def test_multilaterate_matches_scipy_oracle(rng):
         truth = rng.uniform([-1.5, -2.0, 0.0], [1.5, 2.0, 4.0])
         noise = 0.05 * rng.normal(size=len(ANCHORS))
         ranges = _ranges(truth, noise=noise)
-        ours = multilaterate(ranges, ANCHORS)
+        ours = multilaterate(_row(ranges), POINTS)
 
         meas = np.array([r for _, r in ranges])
 
         def residual(u):
-            return np.linalg.norm(ANCHORS.positions - u, axis=1) - meas
+            return np.linalg.norm(ANCHORS - u, axis=1) - meas
 
         ref = least_squares(residual, truth + 0.01, method="lm").x
         np.testing.assert_allclose(ours, ref, atol=1e-6)
@@ -214,14 +219,25 @@ def test_multilaterate_matches_scipy_oracle(rng):
 
 def test_multilaterate_needs_three_ranges():
     with pytest.raises(ValueError):
-        multilaterate([(0, 1.0), (1, 2.0)], ANCHORS)
+        multilaterate([1.0, 2.0], POINTS[:2])
+    with pytest.raises(ValueError):
+        multilaterate([1.0, 2.0, *[math.nan] * 4], POINTS)
+
+
+def test_multilaterate_takes_one_range_per_anchor():
+    row = _row(_ranges([0.3, -0.4, 1.2]))
+    for ranges in (row[:-1], [*row, 1.0]):
+        with pytest.raises(ValueError):
+            multilaterate(ranges, POINTS)
 
 
 def test_multilaterate_leaves_out_ranges_that_are_not_finite():
-    ranges = _ranges([0.3, -0.4, 1.2])
-    held = [(j, {1: math.inf, 4: math.nan}.get(j, r)) for j, r in ranges]
-    np.testing.assert_allclose(multilaterate(held, ANCHORS),
-                               multilaterate([ranges[j] for j in (0, 2, 3, 5)], ANCHORS),
+    row = _row(_ranges([0.3, -0.4, 1.2]))
+    held = [{1: math.inf, 4: math.nan}.get(j, r) for j, r in enumerate(row)]
+    kept = (0, 2, 3, 5)
+    np.testing.assert_allclose(multilaterate(held, POINTS),
+                               multilaterate([row[j] for j in kept],
+                                             [POINTS[j] for j in kept]),
                                rtol=0, atol=1e-12)
 
 
@@ -229,7 +245,7 @@ def test_multilaterate_leaves_out_ranges_that_are_not_finite():
                                         (1e307, "past the float range")])
 def test_an_epoch_that_locates_no_position_is_a_sensor_fault(r, message):
     with pytest.raises(SensorFault, match=message):
-        multilaterate([(j, r) for j in range(len(ANCHORS))], ANCHORS)
+        multilaterate([r] * len(ANCHORS), POINTS)
 
 
 def test_fuse_labels_idempotent():
@@ -279,10 +295,8 @@ def test_yaw_roundtrip_tilted(rng):
 
 def test_yaw_baseline_gate():
     d = 0.4
-    with pytest.raises(BaselineGateError):
-        yaw_from_labels([0.0, d, 0.0], [0.0, -d, 0.0], 0.0, 0.0, d)
-    with pytest.raises(BaselineGateError):
-        yaw_from_labels([0.0, 0.1, 0.0], [0.0, -0.1, 0.0], 0.0, 0.0, d)
+    assert yaw_from_labels([0.0, d, 0.0], [0.0, -d, 0.0], 0.0, 0.0, d) is None
+    assert yaw_from_labels([0.0, 0.1, 0.0], [0.0, -0.1, 0.0], 0.0, 0.0, d) is None
 
 
 def test_yaw_rejects_extreme_roll():
@@ -307,7 +321,7 @@ def _ref_update(s, ranges, anchors):
     u = s.mean[:3]
     rows, innov = [], []
     for j, measured in ranges:
-        diff = u - anchors.positions[j]
+        diff = u - anchors[j]
         d = float(np.linalg.norm(diff))
         if d < 1e-9:
             continue
@@ -364,7 +378,7 @@ def test_batched_update_matches_reference(rng):
     for _ in range(200):
         s = _random_label(rng)
         truth = s.mean[:3] + rng.normal(scale=0.2, size=3)
-        ranges = list(enumerate(np.linalg.norm(ANCHORS.positions - truth, axis=1)
+        ranges = list(enumerate(np.linalg.norm(ANCHORS - truth, axis=1)
                                 + rng.normal(scale=0.1, size=6)))
         out = _update(s, ranges, ANCHORS)
         assert not out[2]
@@ -372,7 +386,7 @@ def test_batched_update_matches_reference(rng):
 
 
 def test_batched_update_drops_a_range_at_its_anchor(rng):
-    on_anchor = _random_label(rng, position=ANCHORS.positions[2])
+    on_anchor = _random_label(rng, position=ANCHORS[2])
     ranges = list(enumerate(rng.uniform(1.0, 4.0, size=6)))
     out = _update(on_anchor, ranges, ANCHORS)
     assert not out[2]
@@ -380,7 +394,7 @@ def test_batched_update_drops_a_range_at_its_anchor(rng):
 
 
 def test_batched_update_all_dropped_is_degraded_and_unchanged(rng):
-    on_anchor = _random_label(rng, position=ANCHORS.positions[0])
+    on_anchor = _random_label(rng, position=ANCHORS[0])
     mean, cov, degraded = _update(on_anchor, [(0, 1.0)], ANCHORS)
     assert degraded
     np.testing.assert_array_equal(mean, on_anchor.mean)
@@ -427,7 +441,7 @@ def test_joseph_update_stays_symmetric_positive_definite_over_long_hover():
     labels = [_rest(t + 0.3) for t in truth]
     refs = list(labels)
     for k in range(10_000):
-        ranges = np.linalg.norm(ANCHORS.positions - truth[:, None, :], axis=-1) \
+        ranges = np.linalg.norm(ANCHORS - truth[:, None, :], axis=-1) \
             + rng.normal(scale=SIGMA, size=(2, len(ANCHORS)))
         for i, row in enumerate(ranges):
             meas = list(enumerate(row))
