@@ -11,6 +11,10 @@ Ground contact is world physics and lives in :mod:`sim_world`.
 
 A flight shares nothing with another: :func:`run_mission` flies one, and
 :func:`montecarlo` flies a block of seeds one after another per worker.
+
+A log streams both ways: :func:`write_log` formats one line at a time into
+the file, and :func:`read_log` hands :func:`metrics_from_log` one row at a
+time, so neither holds the whole log in memory.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import csv
 import dataclasses
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -322,28 +328,42 @@ class LogFormatError(ValueError):
     """A trajectory log that cannot be read as a cargosim log."""
 
 
-def write_log(records: list[list], path) -> None:
+def write_log(records: Iterable[list], path) -> None:
     """The schema line, then the header and one line per record in
     ``csv.writer``'s format: ``repr`` of every float (numpy's included),
     ``str`` of every other cell and nothing for ``None``.  Floats never
-    need quoting, so a line is a plain join unless a cell does."""
-    lines = [f"# {LOG_SCHEMA}\n"]
-    for row in [LOG_COLUMNS, *records]:
+    need quoting, so a line is a plain join unless a cell does.  Each
+    line is written as it is made."""
+    with open(path, "w", newline="") as f:
+        f.writelines(_log_lines(records))
+
+
+def _log_lines(records: Iterable[list]) -> Iterator[str]:
+    yield f"# {LOG_SCHEMA}\n"
+    for row in chain([LOG_COLUMNS], records):
         cells = [repr(float(v)) if isinstance(v, float) else
                  "" if v is None else str(v) for v in row]
         line = ",".join(cells)
         if line and line.count(",") == len(cells) - 1 and not (
                 '"' in line or "\r" in line or "\n" in line):
-            lines.append(line + "\r\n")
+            yield line + "\r\n"
         else:  # a cell holds a separator or a quote, or the row is empty
             quoted = io.StringIO()
             csv.writer(quoted).writerow(cells)
-            lines.append(quoted.getvalue())
-    with open(path, "w", newline="") as f:
-        f.writelines(lines)
+            yield quoted.getvalue()
 
 
-def read_log(path) -> tuple[list[str], list[list[str]]]:
+def read_log(path) -> tuple[list[str], Iterator[list[str]]]:
+    """The header and the rows of a log, read one at a time.  The schema
+    line and the header are checked here; the rows are a generator that
+    holds the file open until it is exhausted or closed, and raises
+    :class:`LogFormatError` naming the file at a row that cannot be
+    decoded or parsed."""
+    rows = _log_rows(path)
+    return next(rows), rows
+
+
+def _log_rows(path) -> Iterator[list[str]]:
     with open(path, newline="") as f:
         try:
             first = f.readline().strip()
@@ -353,7 +373,8 @@ def read_log(path) -> tuple[list[str], list[list[str]]]:
             header = next(reader, None)
             if header is None:
                 raise LogFormatError(f"{path}: no header line")
-            return header, list(reader)
+            yield header
+            yield from reader
         except (UnicodeDecodeError, csv.Error) as exc:
             raise LogFormatError(f"{path}: {exc}") from exc
 
@@ -365,35 +386,36 @@ _METRIC_COLUMNS = ("true_x", "true_y", "true_z", "est_x", "est_y", "est_z",
 def metrics_from_log(path) -> dict:
     """Per-source RMSE vs ground truth plus marker-fix error by height bucket."""
     header, rows = read_log(path)
-    idx = {name: k for k, name in enumerate(header)}
-    missing = [name for name in _METRIC_COLUMNS if name not in idx]
-    if missing:
-        raise LogFormatError(f"{path}: no {', '.join(missing)} column")
-    tx, ty, tz, ex, ey, ez, src = (idx[name] for name in _METRIC_COLUMNS)
-    width = len(header)
-    sq_errors = SquaredErrors()
-    qr_by_bucket: dict[int, list] = {}
-    for number, row in enumerate(rows, 1):
-        if len(row) != width:
-            raise LogFormatError(f"{path}: row {number} has {len(row)} "
-                                 f"fields, the header {width}")
-        try:
-            z = float(row[tz])
-            dx = float(row[ex]) - float(row[tx])
-            dy = float(row[ey]) - float(row[ty])
-            dz = float(row[ez]) - z
-        except ValueError as exc:  # a cell that is not a number
-            raise LogFormatError(f"{path}: row {number}: {exc}") from None
-        source = row[src]
-        if not source:  # the tick of a fault, which made no estimate
-            continue
-        sq_errors.add(source, dx, dy, dz)
-        if source == "qr":
-            if not math.isfinite(z):
-                raise LogFormatError(f"{path}: row {number}: marker fix at "
-                                     f"height {z}")
-            qr_by_bucket.setdefault(int(z // 1.0), []).append(
-                math.sqrt(dx * dx + dy * dy + dz * dz))
+    with closing(rows):  # a consumer that stops early leaves no file open
+        idx = {name: k for k, name in enumerate(header)}
+        missing = [name for name in _METRIC_COLUMNS if name not in idx]
+        if missing:
+            raise LogFormatError(f"{path}: no {', '.join(missing)} column")
+        tx, ty, tz, ex, ey, ez, src = (idx[name] for name in _METRIC_COLUMNS)
+        width = len(header)
+        sq_errors = SquaredErrors()
+        qr_by_bucket: dict[int, list] = {}
+        for number, row in enumerate(rows, 1):
+            if len(row) != width:
+                raise LogFormatError(f"{path}: row {number} has {len(row)} "
+                                     f"fields, the header {width}")
+            try:
+                z = float(row[tz])
+                dx = float(row[ex]) - float(row[tx])
+                dy = float(row[ey]) - float(row[ty])
+                dz = float(row[ez]) - z
+            except ValueError as exc:  # a cell that is not a number
+                raise LogFormatError(f"{path}: row {number}: {exc}") from None
+            source = row[src]
+            if not source:  # the tick of a fault, which made no estimate
+                continue
+            sq_errors.add(source, dx, dy, dz)
+            if source == "qr":
+                if not math.isfinite(z):
+                    raise LogFormatError(f"{path}: row {number}: marker fix at "
+                                         f"height {z}")
+                qr_by_bucket.setdefault(int(z // 1.0), []).append(
+                    math.sqrt(dx * dx + dy * dy + dz * dz))
     out = {"rmse": sq_errors.rmse(), "qr_error_by_height": {}}
     for bucket in sorted(qr_by_bucket):
         vals = qr_by_bucket[bucket]
@@ -428,6 +450,8 @@ def montecarlo(scenario: ScenarioConfig, mission: MissionConfig, runs: int,
     jobs = [(scenario, mission, range(seed_base + b, seed_base + runs, blocks))
             for b in range(blocks)]
     if blocks > 1:
+        # imported here: a process that never forks skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=blocks) as pool:
             flown = list(pool.map(_fly_summaries, jobs))
     else:

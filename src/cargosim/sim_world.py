@@ -130,10 +130,14 @@ class ScenarioConfig(Ranged):
         super().__post_init__()
         # the anchors as rows of three floats; a label position is
         # observable from ranges only with three non-collinear anchors
-        pos = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+        for k, anchor in enumerate(self.anchors):
+            if np.ndim(anchor) != 1 or len(anchor) != 3:
+                raise ValueError(f"anchors[{k}] must hold 3 coordinates, "
+                                 f"got {anchor!r}")
+        pos = np.asarray(self.anchors, dtype=float)
         if not np.isfinite(pos).all():
             raise ValueError("anchors must be finite")
-        if pos.ndim != 2 or pos.shape[0] < 3 or pos.shape[1] != 3:
+        if len(pos) < 3:
             raise ValueError(f"need >= 3 anchors with 3 coordinates, got {pos.shape}")
         if np.linalg.matrix_rank(pos - pos.mean(axis=0), tol=1e-9) < 2:
             raise ValueError("anchors are collinear; label position unobservable")

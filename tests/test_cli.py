@@ -97,6 +97,15 @@ def test_metrics_of_a_log_without_a_needed_column_is_a_data_error(tmp_path,
                        str(path), "est_z")
 
 
+def test_metrics_of_a_log_with_bad_utf8_midway_is_a_data_error(tmp_path,
+                                                                capsys):
+    path = _valid_log(tmp_path)
+    row = path.read_bytes().splitlines(keepends=True)[-1]
+    path.write_bytes(path.read_bytes() + row * 2000 + b"\xff" + row * 2000)
+    _assert_data_error(cli.main(["metrics", str(path)]), capsys,
+                       str(path), "utf-8")
+
+
 def test_plan_emits_replica_waypoint(tmp_path, capsys):
     rc = cli.main(["plan", "--scenario", _scenario_file(tmp_path)])
     assert rc == cli.EXIT_OK
@@ -111,6 +120,16 @@ def test_plan_writes_file(tmp_path):
                    "--out", str(dest)])
     assert rc == cli.EXIT_OK
     assert dest.read_text().startswith("x_m,y_m,z_m,yaw_rad")
+
+
+def test_plan_names_a_ragged_anchor(tmp_path, capsys):
+    scenario = _scenario_file(tmp_path, {"scenario": {
+        "anchors": [[1, 2, 3], [4, 5], [6, 7, 8]]}})
+    rc = cli.main(["plan", "--scenario", scenario])
+    assert rc == cli.EXIT_CONFIG == 64
+    assert capsys.readouterr().err == ("configuration error: scenario: "
+                                       "anchors[1] must hold 3 coordinates, "
+                                       "got (4.0, 5.0)\n")
 
 
 def test_config_error_exit_code(tmp_path, capsys):

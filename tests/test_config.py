@@ -136,6 +136,18 @@ def test_anchors_need_three_coordinates(tmp_path, width):
     assert exc.value.path == "scenario"
 
 
+@pytest.mark.parametrize("anchors, message", [
+    ([[1, 2, 3], [4, 5], [6, 7, 8]], "anchors[1] must hold 3 coordinates, got [4, 5]"),
+    ([[1, 2, 3], [4, 5, 6], [6, 7, 8, 9], [0, 0, 1]],
+     "anchors[2] must hold 3 coordinates, got [6, 7, 8, 9]"),
+    ([[0, 0, 0], 1.0, [0, 1, 0]], "anchors[1] must hold 3 coordinates, got 1.0"),
+])
+def test_a_ragged_anchor_is_named(anchors, message):
+    with pytest.raises(ValueError) as exc:
+        ScenarioConfig(anchors=anchors)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", ["trim_tau", "wind_tau", "vel_time_constant",
                                   "platform_roll_period",
                                   "platform_pitch_period"])

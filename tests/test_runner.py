@@ -1,12 +1,18 @@
 import csv
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cargosim import uwb_localization
+from cargosim import runner, uwb_localization
 from cargosim.control import PHASE_GAINS
 from cargosim.mission import STOP, MissionConfig, TickCommand
 from cargosim.runner import (LOG_COLUMNS, LOG_SCHEMA, Command, LogFormatError,
@@ -59,6 +65,7 @@ def test_log_roundtrip(tmp_path, noiseless_run):
     path = tmp_path / "trajectory.csv"
     write_log(records, path)
     header, rows = read_log(path)
+    rows = list(rows)
     assert header == LOG_COLUMNS
     assert len(rows) == len(records)
     # floats survive the text roundtrip exactly
@@ -125,6 +132,7 @@ def test_written_floats_read_back_exactly(tmp_path, noiseless_run):
     path = tmp_path / "trajectory.csv"
     write_log(records + extra, path)
     header, rows = read_log(path)
+    rows = list(rows)
     assert header == LOG_COLUMNS
     assert len(rows) == len(records) + len(extra)
     for want_row, got_row in zip(records + extra, rows):
@@ -240,6 +248,91 @@ def test_metrics_match_the_numpy_reference(tmp_path, noiseless_run):
         g = got["qr_error_by_height"][bucket]
         assert g["count"] == w["count"], bucket
         assert g["median"] == pytest.approx(w["median"], rel=1e-14, abs=0), bucket
+
+
+def test_metrics_of_quoted_events_match_the_numpy_reference(tmp_path,
+                                                            noiseless_run):
+    records = [list(row) for row in noiseless_run[1][:200]]
+    for row in records[::7]:
+        row[-1] = 'a,b;say "hi"\r\nnext'
+    path = tmp_path / "trajectory.csv"
+    write_log(records, path)
+    assert b'"a,b;say ""hi""\r\nnext"' in path.read_bytes()
+    assert metrics_from_log(path) == _reference_metrics_from_log(path)
+
+
+def test_metrics_from_log_holds_one_row_at_a_time(tmp_path):
+    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=1)
+    path = tmp_path / "trajectory.csv"
+    write_log(records * 5, path)
+    assert len(records) * 5 == 32070
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        metrics_from_log(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # holding every row as strings took 47.6 MB
+
+
+def _with_bad_utf8_midway(tmp_path, noiseless_run):
+    path = tmp_path / "trajectory.csv"
+    write_log(noiseless_run[1], path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    middle = len(lines) // 2
+    lines[middle] = lines[middle][:-2] + b"\xff\r\n"  # into its events cell
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def test_a_mid_file_decode_error_names_the_file(tmp_path, noiseless_run):
+    path = _with_bad_utf8_midway(tmp_path, noiseless_run)
+    header, rows = read_log(path)  # the header reads; the bad bytes come later
+    assert header == LOG_COLUMNS
+    with pytest.raises(LogFormatError, match="trajectory.csv: .*utf-8"):
+        for _ in rows:
+            pass
+    with pytest.raises(LogFormatError, match="trajectory.csv: .*utf-8"):
+        metrics_from_log(path)
+
+
+def test_a_consumer_that_stops_at_a_bad_row_leaves_no_open_file(
+        tmp_path, noiseless_run, monkeypatch):
+    path = _mission_log(tmp_path, noiseless_run)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[8] = "0.1,land\r\n"  # data row 7
+    path.write_text("".join(lines))
+    opened, unraisable = [], []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(runner, "open", tracked_open, raising=False)
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(LogFormatError, match="row 7") as exc:
+            metrics_from_log(path)
+        assert exc.value.__traceback__ is not None  # its frames are still held
+        assert len(opened) == 1 and opened[0].closed
+        header, rows = read_log(path)  # a reader that drops the rows unread
+        del header, rows
+        assert len(opened) == 2 and opened[1].closed
+        del exc
+        opened.clear()  # an unclosed file would warn as it is freed
+        gc.collect()
+    assert unraisable == []
+
+
+def test_importing_cargosim_does_not_load_multiprocessing():
+    code = ("import sys, cargosim, cargosim.cli; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_metrics_known_bias(tmp_path):
