@@ -23,7 +23,7 @@ import csv
 import dataclasses
 import io
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -328,7 +328,7 @@ class LogFormatError(ValueError):
     """A trajectory log that cannot be read as a cargosim log."""
 
 
-def write_log(records: Iterable[list], path) -> None:
+def write_log(records: list[list], path) -> None:
     """The schema line, then the header and one line per record in
     ``csv.writer``'s format: ``repr`` of every float (numpy's included),
     ``str`` of every other cell and nothing for ``None``.  Floats never
@@ -338,7 +338,7 @@ def write_log(records: Iterable[list], path) -> None:
         f.writelines(_log_lines(records))
 
 
-def _log_lines(records: Iterable[list]) -> Iterator[str]:
+def _log_lines(records: list[list]) -> Iterator[str]:
     yield f"# {LOG_SCHEMA}\n"
     for row in chain([LOG_COLUMNS], records):
         cells = [repr(float(v)) if isinstance(v, float) else

@@ -130,7 +130,12 @@ class ScenarioConfig(Ranged):
         super().__post_init__()
         # the anchors as rows of three floats; a label position is
         # observable from ranges only with three non-collinear anchors
-        for k, anchor in enumerate(self.anchors):
+        try:
+            rows = list(self.anchors)
+        except TypeError:
+            raise ValueError(f"anchors must be a sequence of rows, "
+                             f"got {self.anchors!r}") from None
+        for k, anchor in enumerate(rows):
             if np.ndim(anchor) != 1 or len(anchor) != 3:
                 raise ValueError(f"anchors[{k}] must hold 3 coordinates, "
                                  f"got {anchor!r}")

@@ -141,8 +141,9 @@ def test_anchors_need_three_coordinates(tmp_path, width):
     ([[1, 2, 3], [4, 5, 6], [6, 7, 8, 9], [0, 0, 1]],
      "anchors[2] must hold 3 coordinates, got [6, 7, 8, 9]"),
     ([[0, 0, 0], 1.0, [0, 1, 0]], "anchors[1] must hold 3 coordinates, got 1.0"),
+    (5, "anchors must be a sequence of rows, got 5"),
 ])
-def test_a_ragged_anchor_is_named(anchors, message):
+def test_a_malformed_anchors_value_is_named(anchors, message):
     with pytest.raises(ValueError) as exc:
         ScenarioConfig(anchors=anchors)
     assert str(exc.value) == message

@@ -258,7 +258,13 @@ def test_metrics_of_quoted_events_match_the_numpy_reference(tmp_path,
     path = tmp_path / "trajectory.csv"
     write_log(records, path)
     assert b'"a,b;say ""hi""\r\nnext"' in path.read_bytes()
-    assert metrics_from_log(path) == _reference_metrics_from_log(path)
+    got, want = metrics_from_log(path), _reference_metrics_from_log(path)
+    assert got["rmse"] == want["rmse"]
+    assert list(got["qr_error_by_height"]) == list(want["qr_error_by_height"])
+    for bucket, w in want["qr_error_by_height"].items():
+        assert got["qr_error_by_height"][bucket] == {
+            "median": pytest.approx(w["median"], rel=1e-14, abs=0),
+            "count": w["count"]}
 
 
 def test_metrics_from_log_holds_one_row_at_a_time(tmp_path):
