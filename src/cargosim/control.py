@@ -18,7 +18,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .frames import NON_NEGATIVE, Ranged, rotate, wrap_angle
+from .frames import NON_NEGATIVE, Ranged, wrap_angle
 
 CHANNELS = ("x", "y", "z", "yaw")
 INTEGRAL_SPAN = 3.0  # s of errors summed by the integral term
@@ -71,13 +71,6 @@ class ControllerState:
             ch.has_prev = False
 
 
-def position_error_body(p_star: Sequence[float], p: Sequence[float],
-                        R_w_b) -> tuple[float, float, float]:
-    """World-frame setpoint error rotated into the body frame; R_w_b is a
-    3x3 array or its rows (see frames.rotation_rows)."""
-    return rotate(R_w_b, [a - b for a, b in zip(p_star, p)])
-
-
 def yaw_error(psi_cargo_body: float) -> float:
     """Heading error aligning the vehicle across the cargo's long side."""
     return wrap_angle(psi_cargo_body + math.pi / 2.0)
@@ -104,25 +97,22 @@ def pid_step(gains: PidGains, error: Sequence[float], st: ControllerState,
     if T <= 0:
         raise ValueError("period must be > 0")
     pid = (gains.kp, gains.ki, gains.kd)
+    scale = T / GAIN_STEP
+    ffs = (None,) * 4 if feedforward is None else (*feedforward, None)  # not on yaw
     rows = zip((pid, pid, pid, (gains.kp_yaw, 0.0, 0.0)),  # yaw: P only
-               error, st.channels, VELOCITY_LIMITS, strict=True)
+               error, st.channels, VELOCITY_LIMITS, ffs, strict=True)
     out = []
-    for i, ((kp, ki, kd), e, ch, limit) in enumerate(rows):
+    for (kp, ki, kd), e, ch, limit, ff in rows:
         if ki > 0.0:
             _accumulate(ch, e, now, limit)
-
-        p_term = kp * e
-        i_term = ki * ch.window_sum * (T / GAIN_STEP)
-        d_term = kd * (e - ch.prev_error) / T if ch.has_prev else 0.0
-        raw = p_term + i_term + d_term
-        if feedforward is not None and i < 3:  # not on yaw
-            raw += feedforward[i]
-
+        raw = kp * e + ki * ch.window_sum * scale + (
+            kd * (e - ch.prev_error) / T if ch.has_prev else 0.0)
+        if ff is not None:
+            raw += ff
         ch.prev_error = e
         ch.has_prev = True
         ch.prev_raw = raw
         out.append(saturate(raw, limit))
-
     return tuple(out)
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cache
+from functools import cache, reduce
 from numbers import Integral, Real
+from operator import add
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -113,6 +114,8 @@ class Ranged:
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
+    if -math.pi < a <= math.pi:  # fmod would return it unchanged
+        return a
     if not math.isfinite(a):
         raise ValueError(f"angle must be finite, got {a!r}")
     a = math.fmod(a, TWO_PI)
@@ -127,7 +130,8 @@ def wrap_angle(a: float) -> float:
 class EulerAngles:
     """ZYX Euler angles (roll phi, pitch theta, yaw psi), radians.
 
-    roll, yaw in (-pi, pi]; pitch in (-pi/2, pi/2).
+    roll, yaw in (-pi, pi]; pitch in (-pi/2, pi/2).  Two are built every
+    tick, so one dict update sets the four frozen fields.
     """
 
     roll: float
@@ -137,15 +141,15 @@ class EulerAngles:
     # built once with the frozen angles and shared by every user
     rows: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not (-math.pi < self.roll <= math.pi):
-            raise ValueError(f"roll {self.roll} outside (-pi, pi]")
-        if not (-math.pi / 2 < self.pitch < math.pi / 2):
-            raise ValueError(f"pitch {self.pitch} outside (-pi/2, pi/2)")
-        if not (-math.pi < self.yaw <= math.pi):
-            raise ValueError(f"yaw {self.yaw} outside (-pi, pi]")
-        object.__setattr__(self, "rows",
-                           rotation_rows(self.roll, self.pitch, self.yaw))
+    def __init__(self, roll: float, pitch: float, yaw: float):
+        if not (-math.pi < roll <= math.pi):
+            raise ValueError(f"roll {roll} outside (-pi, pi]")
+        if not (-math.pi / 2 < pitch < math.pi / 2):
+            raise ValueError(f"pitch {pitch} outside (-pi/2, pi/2)")
+        if not (-math.pi < yaw <= math.pi):
+            raise ValueError(f"yaw {yaw} outside (-pi, pi]")
+        vars(self).update(roll=roll, pitch=pitch, yaw=yaw,
+                          rows=rotation_rows(roll, pitch, yaw))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.roll, self.pitch, self.yaw)
@@ -203,8 +207,5 @@ def unproject(center, image_diagonal, focal, diagonal) -> tuple[float, float, fl
 def mean_rows(rows) -> tuple[float, ...]:
     """``np.mean(rows, axis=0)`` of a few short rows in Python floats: the
     same sequential sum from the first row, then the same division."""
-    it = iter(rows)
-    sums = list(next(it))
-    for row in it:
-        sums = [s + v for s, v in zip(sums, row)]
-    return tuple([s / len(rows) for s in sums])
+    n = len(rows)
+    return tuple([reduce(add, column) / n for column in zip(*rows)])

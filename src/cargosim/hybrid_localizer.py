@@ -23,9 +23,10 @@ WINDOW = 25  # estimates in the smoothing window
 
 @dataclass
 class HybridState:
-    """Smoothing window plus source bookkeeping for one UAV."""
+    """Smoothing window plus source bookkeeping for one UAV.  Each window
+    entry is (x, y, z, sin yaw, cos yaw) of one selected estimate."""
 
-    estimates: deque = field(default_factory=deque, init=False)
+    window: deque = field(default_factory=deque, init=False)
     active_source: str = field(default="uwb", init=False)
     qr_streak: int = field(default=0, init=False)
     switch_count: int = field(default=0, init=False)
@@ -36,19 +37,20 @@ class HybridState:
     _sin_sum: float = field(default=0.0, init=False)
     _cos_sum: float = field(default=0.0, init=False)
 
-    def _add(self, e: PoseEstimate, sign: float = 1.0) -> None:
-        # s + (-1.0 * x) is s - x exactly, so one body adds and removes
-        x, y, z = e.position
-        sx, sy, sz = self._pos_sum
-        self._pos_sum = (sx + sign * x, sy + sign * y, sz + sign * z)
-        self._sin_sum += sign * math.sin(e.yaw)
-        self._cos_sum += sign * math.cos(e.yaw)
-
     def push(self, e: PoseEstimate) -> None:
-        self.estimates.append(e)
-        self._add(e)
-        while len(self.estimates) > WINDOW:
-            self._add(self.estimates.popleft(), -1.0)
+        x, y, z = e.position
+        sin, cos = math.sin(e.yaw), math.cos(e.yaw)
+        self.window.append((x, y, z, sin, cos))
+        sx, sy, sz = self._pos_sum
+        sx += x; sy += y; sz += z
+        self._sin_sum += sin
+        self._cos_sum += cos
+        if len(self.window) > WINDOW:  # evict the oldest, which is stored
+            x, y, z, sin, cos = self.window.popleft()
+            sx -= x; sy -= y; sz -= z
+            self._sin_sum -= sin
+            self._cos_sum -= cos
+        self._pos_sum = (sx, sy, sz)
 
 
 def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
@@ -71,7 +73,7 @@ def arbitrate(qr: PoseEstimate | None, uwb: PoseEstimate,
 
     st.push(qr if use_qr else uwb)
 
-    n = len(st.estimates)
+    n = len(st.window)
     sx, sy, sz = st._pos_sum
     yaw = wrap_angle(math.atan2(st._sin_sum, st._cos_sum))
     out = PoseEstimate(position=(sx / n, sy / n, sz / n), yaw=yaw, source=source)

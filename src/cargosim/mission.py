@@ -23,10 +23,11 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .control import PHASE_GAINS, PidGains, position_error_body, yaw_error
+from .control import PHASE_GAINS, PidGains, yaw_error
 from .frames import (COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged,
-                     mean_rows, rotation_rows, wrap_angle)
+                     mean_rows, rotate_t, rotation_rows, wrap_angle)
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
@@ -114,8 +115,7 @@ def attachment_check(pre: float, post: float, delta: float) -> bool:
     return post > (1.0 + delta) * pre
 
 
-@dataclass(frozen=True)
-class TickInputs:
+class TickInputs(NamedTuple):
     """Everything the executive may look at on one control tick."""
 
     t: float
@@ -125,8 +125,7 @@ class TickInputs:
     on_ground: bool
 
 
-@dataclass(frozen=True)
-class TickCommand:
+class TickCommand(NamedTuple):
     """Executive output: the controller's input plus bookkeeping.
 
     Exactly one of `error`, the body-frame (x, y, z, yaw) error the PID acts
@@ -210,10 +209,10 @@ class MissionExecutive:
         self._enter("aborted", events)
 
     def _world(self, est, setpoint, yaw: float, gains: str, events) -> TickCommand:
-        # the velocity interface is yaw-aligned and horizontal, so
+        # the setpoint error in the yaw-aligned, horizontal velocity frame:
         # tilt must not leak altitude error into the x/y channels
-        R_w_b = tuple(zip(*rotation_rows(0.0, 0.0, est.yaw)))
-        error = (*position_error_body(setpoint, est.position, R_w_b),
+        (sx, sy, sz), (x, y, z) = setpoint, est.position
+        error = (*rotate_t(rotation_rows(0.0, 0.0, est.yaw), (sx - x, sy - y, sz - z)),
                  wrap_angle(yaw - est.yaw))
         return TickCommand(self.cfg.gains[gains], error=error,
                            events=tuple(events))
@@ -235,9 +234,7 @@ class MissionExecutive:
         # a detection far off-nadir (seen sideways during transit) must
         # not trigger the landing descent
         height = -c_b[2]
-        if height <= 0:
-            return False
-        return math.hypot(c_b[0], c_b[1]) <= LOCK_CONE_RATIO * height
+        return height > 0 and math.hypot(c_b[0], c_b[1]) <= LOCK_CONE_RATIO * height
 
     # -- main tick ----------------------------------------------------
 

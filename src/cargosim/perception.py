@@ -16,7 +16,6 @@ smoothing's ``OUTLIER_WINDOW``, ``OUTLIER_NMAD``, ``MEAN_WINDOW``,
 from __future__ import annotations
 
 import math
-import statistics
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -173,8 +172,8 @@ def smooth_track(track: CargoTrack, new_pos: Sequence[float],
     if len(window) >= 5:
         # at most `OUTLIER_WINDOW` samples: plain Python beats np.median
         for value, column in zip(sample, zip(*window)):
-            med = statistics.median(column)
-            mad = statistics.median([abs(v - med) for v in column])
+            med = _median(column)
+            mad = _median([abs(v - med) for v in column])
             if abs(value - med) > OUTLIER_NMAD * mad + 1e-9:
                 accept = False
                 break
@@ -202,6 +201,13 @@ def smooth_track(track: CargoTrack, new_pos: Sequence[float],
     track.velocity = tuple(track.kf_mean[1]) if track.kf_mean is not None \
         else (0.0, 0.0, 0.0)
     return track
+
+
+def _median(values) -> float:
+    """statistics.median: the middle of the sorted values, or the mean of two."""
+    values = sorted(values)
+    i = len(values) // 2
+    return values[i] if len(values) % 2 else (values[i - 1] + values[i]) / 2
 
 
 def _kf_step(track: CargoTrack, meas: list[float] | None,

@@ -111,9 +111,7 @@ def estimate_pose(
     if not positions:
         return None
 
-    yaw = math.atan2(
-        sum(math.sin(y) for y in yaws) / len(yaws),
-        sum(math.cos(y) for y in yaws) / len(yaws),
-    )
+    n = len(yaws)
+    yaw = math.atan2(sum(map(math.sin, yaws)) / n, sum(map(math.cos, yaws)) / n)
     return PoseEstimate(position=mean_rows(positions),
                         yaw=wrap_angle(yaw), source="qr")

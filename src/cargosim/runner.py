@@ -176,18 +176,19 @@ class Localizer:
                 uwb_localization.multilaterate(row, self.points)) for row in ranges]
         else:
             a_u = uwb_localization.anchor_acceleration(
-                a_body, rotation_rows(roll, pitch, self.yaw), tuple(zip(*R_a_w)))
+                a_body, rotation_rows(roll, pitch, self.yaw), R_a_w)
             self.filters, degraded = uwb_localization.ekf_update(
                 uwb_localization.ekf_predict(self.filters, a_u, self.period),
                 ranges, self.points, self.var)
             lost = [f"uwb_degraded:{i}" for i in degraded]
-        labels = [mean[:3] for mean, _ in self.filters]
+        (mean1, _), (mean2, _) = self.filters
+        u1, u2 = mean1[:3], mean2[:3]
 
-        u1w, u2w = (rotate(R_a_w, u) for u in labels)
-        yaw = uwb_localization.yaw_from_labels(u1w, u2w, roll, pitch, self.baseline)
+        yaw = uwb_localization.yaw_from_labels(rotate(R_a_w, u1), rotate(R_a_w, u2),
+                                               roll, pitch, self.baseline)
         if yaw is not None:  # else hold the last valid heading
             self.yaw = yaw
-        uwb_pose = uwb_localization.fuse_labels(labels, R_a_w, yaw=self.yaw)
+        uwb_pose = uwb_localization.fuse_labels((u1, u2), R_a_w, yaw=self.yaw)
 
         # a tick with no sighting makes no fix attempt; one that sights no
         # known marker has no fix either
@@ -259,26 +260,23 @@ class Recorder:
              vel: tuple[float, float, float, float], phase: MissionPhase) -> None:
         """Score the estimate against the position it was made at; log the
         tick under `phase`, the executive's phase after it."""
-        truth = before.uav_pos
-        est_xyz = est.position
-        self.sq_errors.add(est.source, est_xyz[0] - truth[0],
-                           est_xyz[1] - truth[1], est_xyz[2] - truth[2])
+        tx, ty, tz = before.uav_pos
+        ex, ey, ez = est.position
+        self.sq_errors.add(est.source, ex - tx, ey - ty, ez - tz)
         if phase is MissionPhase.ADSORB and math.isnan(self.landing_error):
             self.landing_error = float(np.linalg.norm(
                 np.subtract(after.uav_pos[:2], self.cargo_xy)))
 
+        name = phase.value
         if self.records is not None:
             c_b = track.position if track.position is not None else NAN3
             self.records.append([  # a list display, not unpacking: no spare slots
-                round(after.t, 6), phase.value,
-                truth[0], truth[1], truth[2], after.uav_euler.yaw,
-                est_xyz[0], est_xyz[1], est_xyz[2], est.yaw,
-                est.source, c_b[0], c_b[1], c_b[2],
+                round(after.t, 6), name, tx, ty, tz, after.uav_euler.yaw,
+                ex, ey, ez, est.yaw, est.source, c_b[0], c_b[1], c_b[2],
                 vel[0], vel[1], vel[2], vel[3],
                 after.rotor_sum_sq, ";".join([*events, *cmd.events]),
             ])
-        self.phase_durations[phase.value] = \
-            self.phase_durations.get(phase.value, 0.0) + self.dt
+        self.phase_durations[name] = self.phase_durations.get(name, 0.0) + self.dt
 
     def fault(self, state: SimState, phase: MissionPhase,
               events: list[str]) -> None:

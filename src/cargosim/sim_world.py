@@ -14,7 +14,8 @@ the noise and tests the anchors' rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,10 +159,10 @@ class ScenarioConfig(Ranged):
             raise ValueError(f"qr_markers must hold distinct labels, got {labels}")
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """Immutable snapshot of the world at time t, the platform yaw included:
     `SimWorld.step` reads no other per-flight state than its generator.
+    A named tuple, built anew every tick: ``_replace`` makes a changed copy.
 
     Every vector is a tuple of Python floats: (x, y, z), world (x, y),
     or the four rotor speeds.
@@ -214,9 +215,9 @@ class SimWorld:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        # fixed body- and panel-frame points, one per row
-        half = cfg.label_baseline / 2
-        self._label_offsets = [[0.0, half, 0.0], [0.0, -half, 0.0]]
+        # the labels sit at (0, +-half, 0) in the body frame; the panel
+        # markers are fixed platform-frame points, one per row
+        self._half_baseline = cfg.label_baseline / 2
         self._qr_panels = [(float(m.panel_xy[0]), float(m.panel_xy[1]), 0.0)
                            for m in cfg.qr_markers]
         # a sphere around every marker, widened for rounding; see sense_qr
@@ -285,10 +286,12 @@ class SimWorld:
             platform_yaw += walk * math.sqrt(dt) * self.rng.standard_normal()
         platform = self._platform_attitude(t, platform_yaw)
 
+        # the gust and rotor noise in one draw: Generator.normal(mu, s) is
+        # exactly mu + s * standard_normal(), draw for draw
+        n0, n1, r0, r1, r2, r3 = self.rng.standard_normal(6).tolist()
         wx, wy = state.wind_vel
         relax = min(dt / cfg.wind_tau, 1.0)
         gust = cfg.wind_sigma * math.sqrt(dt)
-        n0, n1 = self.rng.standard_normal(2).tolist()
         wx = wx + (cfg.wind_mean[0] - wx) * relax + gust * n0
         wy = wy + (cfg.wind_mean[1] - wy) * relax + gust * n1
 
@@ -329,8 +332,8 @@ class SimWorld:
 
         mass = cfg.uav_mass + state.attached_mass
         thrust = max(0.05 * mass * GRAVITY, mass * (GRAVITY + az))
-        rotors = tuple(self.rng.normal(math.sqrt(thrust / 4.0), cfg.rotor_noise,
-                                       4).tolist())
+        mu, sigma = math.sqrt(thrust / 4.0), cfg.rotor_noise
+        rotors = (mu + sigma * r0, mu + sigma * r1, mu + sigma * r2, mu + sigma * r3)
 
         return SimState(t=t, platform_attitude=platform, uav_pos=pos,
                         uav_euler=euler, uav_vel=vel, uav_acc=acc,
@@ -341,28 +344,29 @@ class SimWorld:
     # --- sensors -----------------------------------------------------
 
     def _labels_platform(self, state: SimState) -> list[tuple[float, ...]]:
-        R_b_w, R_a_w = state.uav_euler.rows, state.platform_attitude.rows
+        # the body's y axis, the middle column of R_b_w, times the half
+        # baseline: the products that rotate(R_b_w, (0, +-half, 0)) sums
+        (_, cx, _), (_, cy, _), (_, cz, _) = state.uav_euler.rows
+        half = self._half_baseline
+        ox, oy, oz = cx * half, cy * half, cz * half
         px, py, pz = state.uav_pos
-        labels = []
-        for offset in self._label_offsets:
-            x, y, z = rotate(R_b_w, offset)
-            labels.append(rotate_t(R_a_w, (px + x, py + y, pz + z)))
-        return labels
+        R_a_w = state.platform_attitude.rows
+        return [rotate_t(R_a_w, (px + ox, py + oy, pz + oz)),
+                rotate_t(R_a_w, (px - ox, py - oy, pz - oz))]
 
     def sense_uwb(self, state: SimState) -> list[list[float]]:
         """Noisy label-to-anchor ranges; row i holds label i's range to
         every anchor, one row per label."""
         cfg = self.cfg
-        labels = self._labels_platform(state)
-        anchors = cfg.anchors
-        ranges = [[math.dist(u, a) for a in anchors] for u in labels]
-        occluded = cfg.occlusion_center
-        sigmas = [cfg.sigma_uwb * (cfg.occlusion_factor if occluded is not None and
-                                   math.dist(u, occluded) <= cfg.occlusion_radius
-                                   else 1.0) for u in labels]
-        noise = self.rng.standard_normal((len(labels), len(anchors)))
-        return [[r + sigma * n for r, n in zip(row, draws)]
-                for row, sigma, draws in zip(ranges, sigmas, noise.tolist())]
+        anchors, occluded = cfg.anchors, cfg.occlusion_center
+        noise = self.rng.standard_normal((2, len(anchors))).tolist()
+        out = []
+        for u, draws in zip(self._labels_platform(state), noise):
+            sigma = cfg.sigma_uwb * (cfg.occlusion_factor if occluded is not None and
+                                     math.dist(u, occluded) <= cfg.occlusion_radius
+                                     else 1.0)
+            out.append([math.dist(u, a) + sigma * n for a, n in zip(anchors, draws)])
+        return out
 
     def sense_imu(self, state: SimState,
                   ) -> tuple[tuple[float, float, float], float, float]:
@@ -438,7 +442,7 @@ class SimWorld:
     def attach_cargo(self, state: SimState, success_prob: float) -> SimState:
         """Adsorb the cargo with probability success_prob (one draw)."""
         if self.rng.random() < success_prob:
-            return replace(state, attached_mass=self.cfg.cargoes[0].mass)
+            return state._replace(attached_mass=self.cfg.cargoes[0].mass)
         return state
 
     def support_height(self, x: float, y: float) -> float:

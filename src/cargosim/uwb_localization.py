@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .frames import mean_rows, rotate, wrap_angle
+from .frames import mean_rows, rotate, rotate_t, wrap_angle
 from .qr_localization import PoseEstimate
 
 # The state lives in the platform-fixed frame, which rotates with the
@@ -61,12 +61,13 @@ class SensorFault(ValueError):
     whose rotor effort is not finite."""
 
 
-def anchor_acceleration(a_body, R_b_w, R_w_u) -> tuple[float, float, float]:
-    """Body acceleration rotated world-then-anchor-frame; the rotations are
-    3x3 arrays or their rows (see frames.rotation_rows)."""
+def anchor_acceleration(a_body, R_b_w, R_a_w) -> tuple[float, float, float]:
+    """Body acceleration rotated into the world frame by R_b_w, then into
+    the anchor frame by the transpose of the platform-to-world R_a_w; the
+    rotations are 3x3 arrays or their rows (see frames.rotation_rows)."""
     if not all(map(math.isfinite, a_body)):
         raise SensorFault("acceleration must be finite")
-    return rotate(R_w_u, rotate(R_b_w, a_body))
+    return rotate_t(R_a_w, rotate(R_b_w, a_body))
 
 
 def predict_label(mean: list[float], cov: list[float], a_u, T: float,
@@ -156,10 +157,13 @@ def ekf_update(labels: list, ranges, points, var: float,
     """:func:`update_label` for each label by its own row of `ranges`, one
     row per label, to the anchors at `points`.  Returns the new labels and
     the indices of the degraded labels, those that took no range."""
-    updated = [update_label(mean, cov, row, points, var)
-               for (mean, cov), row in zip(labels, ranges, strict=True)]
-    return ([(mean, cov) for mean, cov, _ in updated],
-            [i for i, (_, _, degraded) in enumerate(updated) if degraded])
+    updated, degraded = [], []
+    for (mean, cov), row in zip(labels, ranges, strict=True):
+        mean, cov, lost = update_label(mean, cov, row, points, var)
+        if lost:
+            degraded.append(len(updated))
+        updated.append((mean, cov))
+    return updated, degraded
 
 
 def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cargosim.control import (CHANNELS, PHASE_GAINS, VELOCITY_LIMITS,
-                              ControllerState, PidGains, position_error_body,
-                              pid_step, saturate, yaw_error)
-from cargosim.frames import rotation_from_rpy
+                              ControllerState, PidGains, pid_step, saturate,
+                              yaw_error)
 
 T = 0.02
 ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -148,17 +147,6 @@ def test_pid_feedforward_enters_before_saturation():
     assert cmd[0] == pytest.approx(0.2)
     assert cmd[1] == -VELOCITY_LIMITS[1]  # clamped
     assert cmd[2] == pytest.approx(0.1)
-
-
-def test_position_error_body_cases():
-    np.testing.assert_allclose(
-        position_error_body([1, 0, 0], [0, 0, 0], np.eye(3)), [1, 0, 0])
-    np.testing.assert_allclose(
-        position_error_body([1, 0, 0], [1, 0, 0], np.eye(3)), [0, 0, 0])
-    R_w_b = rotation_from_rpy(0.0, 0.0, math.pi / 2).T
-    np.testing.assert_allclose(
-        position_error_body([1, 0, 0], [0, 0, 0], R_w_b), [0, -1, 0],
-        atol=1e-15)
 
 
 def test_yaw_error_aligns_across_long_side():

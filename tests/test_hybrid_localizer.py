@@ -75,11 +75,15 @@ def test_running_sums_match_direct_mean(rng):
             if rng.random() > 0.3 else None
         uwb = _pose(rng.uniform(-1, 1), "uwb", yaw=rng.uniform(-3, 3))
         out, _ = arbitrate(qr, uwb, st)
-        direct = list(st.estimates)
+        poses.append(qr if out.source == "qr" else uwb)
+        direct = poses[-WINDOW:]
+        # the window holds each selected pose as (x, y, z, sin yaw, cos yaw)
+        assert list(st.window) == [(*e.position, math.sin(e.yaw), math.cos(e.yaw))
+                                   for e in direct]
         np.testing.assert_allclose(
             out.position, np.mean([e.position for e in direct], axis=0),
             atol=1e-12)
         sin_m = np.mean([math.sin(e.yaw) for e in direct])
         cos_m = np.mean([math.cos(e.yaw) for e in direct])
         assert out.yaw == pytest.approx(math.atan2(sin_m, cos_m), abs=1e-12)
-    assert len(st.estimates) == WINDOW  # the oldest were evicted
+    assert len(st.window) == WINDOW  # the oldest were evicted

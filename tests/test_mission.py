@@ -77,6 +77,19 @@ def _executive(**mission_overrides):
     return MissionExecutive(MissionConfig(**mission_overrides), calm_scenario())
 
 
+def test_a_world_setpoint_error_is_flown_in_the_heading_frame():
+    # a world setpoint error is flown in the heading frame: rotated by the
+    # estimate's yaw alone, whatever the altitude error
+    ex = _executive()
+    for target, est, want in (((1.0, 0.0, 0.0), _est(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                              ((1.0, 0.0, 0.0), _est(1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                              ((1.0, 0.0, 2.0), _est(0.0, 0.0, 0.0, yaw=math.pi / 2),
+                               (0.0, -1.0, 2.0))):
+        cmd = ex._world(est, target, est.yaw, "search", [])
+        np.testing.assert_allclose(cmd.error[:3], want, atol=1e-15)
+        assert cmd.error[3] == 0.0 and cmd.gains is PHASE_GAINS["search"]
+
+
 def test_the_phase_is_the_stage_s_phase_and_read_only():
     ex = _executive()
     for stage, phase in STAGES.items():

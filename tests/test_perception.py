@@ -1,10 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cargosim.perception import (LOCK_FRAMES, LOSS_FRAMES, MAX_CONSECUTIVE_REJECTS,
-                                 ROI_SCALE, CargoTrack, DetectionObservation,
+                                 ROI_SCALE, CargoTrack, DetectionObservation, _median,
                                  cargo_position_from_detection, smooth_track,
                                  wavegate_select)
 
@@ -175,3 +177,17 @@ def test_velocity_converges_on_ramp():
 def test_position_from_detection_validation():
     with pytest.raises(ValueError):
         cargo_position_from_detection(_det(), 0.0027, -1.0)
+
+
+# a window column: plain samples, repeats, signed zeros, infinities and NaN
+SAMPLE = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0]),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@pytest.mark.parametrize("size", range(5, 16))  # the outlier window's sizes
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_window_median_is_statistics_median(size, data):
+    column = data.draw(st.lists(SAMPLE, min_size=size, max_size=size))
+    for values in (column, tuple(column)):  # smooth_track passes tuples
+        assert repr(_median(values)) == repr(statistics.median(values))

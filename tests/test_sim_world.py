@@ -143,6 +143,46 @@ def test_a_noise_level_never_changes_what_the_world_draws():
     assert states[0] == states[1]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 93])
+def test_normal_is_loc_plus_scale_times_a_standard_draw(seed):
+    # SimWorld.step draws the rotor noise with the gust as standard normals
+    # and scales each itself, in Python floats
+    for loc, scale in ((17.3, 0.02), (0.0, 1.0), (13.9, 0.0), (-2.5, 7.0)):
+        drawn, scaled = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(500):
+            want = drawn.normal(loc, scale, 4)
+            got = [loc + scale * n for n in scaled.standard_normal(4).tolist()]
+            assert np.array(got).tobytes() == want.tobytes()
+        assert drawn.bit_generator.state == scaled.bit_generator.state
+
+
+def test_the_rotor_noise_is_the_draw_normal_makes():
+    # one standard_normal(6) per step: the gust's two, then the rotors' four
+    world = SimWorld(ScenarioConfig(seed=5, rotor_noise=0.5))
+    state = world.initial_state()  # on the pad: no vertical acceleration
+    mirror = copy.deepcopy(world.rng)
+    after = world.step(state, (0.0, 0.0, 0.0, 0.0), 0.02)
+    mirror.standard_normal(2)
+    hover = math.sqrt(world.cfg.uav_mass * 9.81 / 4.0)
+    assert after.rotor_speeds == tuple(mirror.normal(hover, 0.5, 4).tolist())
+    assert world.rng.bit_generator.state == mirror.bit_generator.state
+
+
+def test_a_silent_rotor_still_draws():
+    # rotor_noise = 0 gives the exact speeds, and takes the same draws as
+    # the default noise, so it leaves the generator where a default world does
+    loud, silent = SimWorld(ScenarioConfig(seed=7)), \
+        SimWorld(ScenarioConfig(seed=7, rotor_noise=0.0))
+    states = [loud.initial_state(), silent.initial_state()]
+    for k in range(50):
+        cmd = (0.2, -0.1, 0.3 if k < 25 else -0.2, 0.05)
+        states = [loud.step(states[0], cmd, 0.02), silent.step(states[1], cmd, 0.02)]
+        assert loud.rng.bit_generator.state == silent.rng.bit_generator.state
+        speeds = states[1].rotor_speeds
+        assert len(set(speeds)) == 1 and speeds != states[0].rotor_speeds
+    assert states[0]._replace(rotor_speeds=None) == states[1]._replace(rotor_speeds=None)
+
+
 def test_support_height_of_cargo_deck_and_sea():
     cfg = ScenarioConfig()
     world = SimWorld(cfg)
@@ -331,7 +371,7 @@ def test_a_climbing_command_never_grounds(surface):
     # sinking at 1 m/s through the surface, but commanded up
     x, y, z = _surfaces()[surface]
     world = SimWorld(calm_scenario(uav_start=(x, y, z + 0.01)))
-    state = replace(world.initial_state(), uav_vel=(0.0, 0.0, -1.0))
+    state = world.initial_state()._replace(uav_vel=(0.0, 0.0, -1.0))
     for _ in range(3):
         state = world.step(state, (0.0, 0.0, 0.3, 0.0), 0.02)
         assert not state.on_ground
@@ -362,7 +402,7 @@ def _yaw_walk(walk, yaw):
     """A world with a platform yaw walk, and its first state turned to `yaw`."""
     world = SimWorld(calm_scenario(platform_yaw_walk=walk, uav_start=AIRBORNE))
     state = world.initial_state()
-    return world, replace(state, platform_attitude=replace(
+    return world, state._replace(platform_attitude=replace(
         state.platform_attitude, yaw=yaw))
 
 

@@ -6,7 +6,9 @@ and the coverage waypoints cross a stage boundary each tick, and each
 flight's two label filters keep their state as lists of floats; a numpy
 array or a numpy scalar there means one stage wraps what the next must
 unwrap.  The config types hold floats too (see test_config), so that ==
-on them is exact.
+on them is exact.  The per-tick values (the world state, the executive's
+inputs and its command) are immutable named tuples: a stage that wants
+another value builds one, or a changed copy with ``_replace``.
 """
 
 import math
@@ -16,12 +18,12 @@ import pytest
 from cargosim.control import VELOCITY_LIMITS
 from cargosim.frames import rotation_rows
 from cargosim.hybrid_localizer import HybridState, arbitrate
-from cargosim.mission import MissionConfig
+from cargosim.mission import STOP, MissionConfig, TickCommand, TickInputs
 from cargosim.perception import CargoTrack, smooth_track
 from cargosim.planner import plan_coverage
 from cargosim.qr_localization import PoseEstimate, estimate_pose
 from cargosim.runner import Command, Flight, run_mission
-from cargosim.sim_world import ScenarioConfig, SimWorld
+from cargosim.sim_world import ScenarioConfig, SimState, SimWorld
 from cargosim.uwb_localization import fuse_labels
 
 from conftest import calm_scenario
@@ -157,3 +159,34 @@ def test_coverage_waypoints_are_float_tuples():
 def test_pose_estimate_rejects_non_finite(position, yaw):
     with pytest.raises(ValueError, match="finite"):
         PoseEstimate(position=position, yaw=yaw, source="uwb")
+
+
+def _tick_values():
+    state = SimWorld(ScenarioConfig(seed=4)).initial_state()
+    estimate = PoseEstimate(position=(1.0, 2.0, 0.0), yaw=0.0, source="uwb")
+    inputs = TickInputs(t=state.t, estimate=estimate, track=CargoTrack(),
+                        rotor_speeds=state.rotor_speeds, on_ground=state.on_ground)
+    return state, inputs, TickCommand(velocity=STOP, events=("a",))
+
+
+@pytest.mark.parametrize("index, kind", [(0, SimState), (1, TickInputs),
+                                         (2, TickCommand)])
+def test_tick_values_are_immutable(index, kind):
+    value = _tick_values()[index]
+    assert type(value) is kind
+    for name in kind._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):  # no room for a field it lacks
+        value.extra = 1.0
+    name = kind._fields[0]
+    changed = value._replace(**{name: "other"})
+    assert getattr(changed, name) == "other" and getattr(value, name) != "other"
+    assert changed[1:] == value[1:]
+
+
+def test_a_state_s_rotor_effort_is_its_sum_of_squares():
+    state = SimWorld(ScenarioConfig(seed=4)).initial_state()._replace(
+        rotor_speeds=(1.0, 2.0, 3.0, 4.0))
+    assert state.rotor_sum_sq == 30.0
+    assert state._replace(t=1.0).rotor_sum_sq == 30.0

@@ -48,10 +48,11 @@ def _rest(position):
 
 
 def _predict(label, a_body, R_b_w, R_w_u):
-    """:func:`predict_label` on a Label, as the reference takes its inputs."""
+    """:func:`predict_label` on a Label, as the reference takes its inputs
+    (the world-to-anchor rotation, the transpose of the platform's)."""
     mean, cov = predict_label(np.asarray(label.mean, float).tolist(),
                               _tri(label.cov),
-                              anchor_acceleration(a_body, R_b_w, R_w_u), T)
+                              anchor_acceleration(a_body, R_b_w, R_w_u.T), T)
     return np.array(mean), _full(cov)
 
 
@@ -370,8 +371,8 @@ def test_batched_predict_checks_each_flights_acceleration(rng):
     labels = [initial_label([0.2, 0.1, 1.0]), initial_label([0.2, -0.1, 1.0])]
     _, R_b_w, R_w_u = _flight_inputs(rng)
     with pytest.raises(ValueError, match="acceleration must be finite"):
-        ekf_predict(labels, anchor_acceleration((0.0, math.nan, 0.0), R_b_w, R_w_u),
-                    T)
+        ekf_predict(labels, anchor_acceleration((0.0, math.nan, 0.0), R_b_w,
+                                                R_w_u.T), T)
 
 
 def test_batched_update_matches_reference(rng):
