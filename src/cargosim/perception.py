@@ -112,11 +112,10 @@ def wavegate_select(candidates: list[DetectionObservation],
         inside = [c for c in candidates
                   if abs(c.image_center[0] - cx) <= half
                   and abs(c.image_center[1] - cy) <= half]
-        if inside:
-            chosen = max(inside, key=lambda c: (_box_iou(_obs_box(c), track.last_box),
-                                                c.confidence))
-            if _box_iou(_obs_box(chosen), track.last_box) <= 0.0:
-                chosen = None
+        if inside:  # the best overlap, then confidence; the first on a tie
+            iou, _, k = max((_box_iou(_obs_box(c), track.last_box), c.confidence, -k)
+                            for k, c in enumerate(inside))
+            chosen = None if iou <= 0.0 else inside[-k]
         if chosen is None:
             track.frames_since_seen += 1
             if track.frames_since_seen > LOSS_FRAMES:

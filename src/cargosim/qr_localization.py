@@ -61,10 +61,11 @@ class PoseEstimate:
     yaw: float
     source: str  # "qr" or "uwb"
 
-    def __post_init__(self):
-        if not (all(map(math.isfinite, self.position))
-                and math.isfinite(self.yaw)):
+    def __init__(self, position, yaw: float, source: str):
+        # built two or three times a tick: one dict update sets the fields
+        if not (all(map(math.isfinite, position)) and math.isfinite(yaw)):
             raise ValueError("pose estimate must be finite")
+        vars(self).update(position=position, yaw=yaw, source=source)
 
 
 def marker_camera_coords(obs: QrObservation, marker: QrMarker,
