@@ -25,8 +25,6 @@ from numbers import Integral, Real
 from operator import add
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -151,9 +149,6 @@ class EulerAngles:
         vars(self).update(roll=roll, pitch=pitch, yaw=yaw,
                           rows=rotation_rows(roll, pitch, yaw))
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.roll, self.pitch, self.yaw)
-
 
 def rotation_rows(roll: float, pitch: float, yaw: float,
                   ) -> tuple[tuple[float, float, float], ...]:
@@ -164,11 +159,6 @@ def rotation_rows(roll: float, pitch: float, yaw: float,
     return ((cp * ct, cp * st * sf - sp * cf, cp * st * cf + sp * sf),
             (sp * ct, sp * st * sf + cp * cf, sp * st * cf - cp * sf),
             (-st, ct * sf, ct * cf))
-
-
-def rotation_from_rpy(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Rz(yaw) @ Ry(pitch) @ Rx(roll) as a (3, 3) array."""
-    return np.array(rotation_rows(roll, pitch, yaw))
 
 
 def rotate(R, v) -> tuple[float, float, float]:

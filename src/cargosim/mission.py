@@ -184,7 +184,7 @@ class MissionExecutive:
     def plan(self) -> None:
         """Plan the coverage at the current search altitude; start it over."""
         sc = self.scenario
-        _, self.path = plan_coverage(
+        self.path = plan_coverage(
             deck_size=sc.deck_size, deck_center=sc.deck_center,
             deck_yaw=sc.deck_yaw,
             altitude_above_deck=max(0.5, self.search_altitude - sc.deck_height),

@@ -150,8 +150,6 @@ def cargo_position_from_detection(obs: DetectionObservation, focal_length: float
     """Body-frame cargo position by the same pinhole inversion as markers."""
     if true_diagonal <= 0:
         raise ValueError("true diagonal must be > 0")
-    if obs.box_diagonal <= 0:
-        raise ValueError("degenerate box diagonal")
     return unproject(obs.image_center, obs.box_diagonal, focal_length,
                      true_diagonal)
 

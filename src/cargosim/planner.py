@@ -5,7 +5,8 @@ camera footprint at the search altitude; the cells are visited in an
 outward spiral starting from the deck center and mapped into world-frame
 waypoints through the deck pose.  Successive waypoints alternate the
 vehicle heading by 180 degrees so the wide axis of the camera footprint
-sweeps both directions.
+sweeps both directions.  :func:`plan_coverage` returns the path alone:
+its cells, their world waypoints and the altitude to fly them at.
 """
 
 from __future__ import annotations
@@ -14,23 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid dimensions and the deck pose that anchors them in the world."""
-
-    rows: int
-    cols: int
-    cell_side: float
-    deck_center: tuple[float, float]
-    deck_yaw: float
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must be at least 1x1")
-        if self.cell_side <= 0:
-            raise ValueError("cell side must be > 0")
 
 
 @dataclass(frozen=True)
@@ -97,7 +81,7 @@ def yaw_schedule(cells: list[tuple[int, int]]) -> list[float]:
 
 def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, float],
                   deck_yaw: float, altitude_above_deck: float, v_fov: float,
-                  h_fov: float, altitude: float) -> tuple[GridSpec, CoveragePath]:
+                  h_fov: float, altitude: float) -> CoveragePath:
     """Grid the deck for the camera footprint at this height and spiral it.
 
     `altitude_above_deck` sizes the footprint; `altitude` is the world-z
@@ -117,9 +101,7 @@ def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, floa
     rot = np.array([[math.cos(psi), math.sin(psi)],
                     [-math.sin(psi), math.cos(psi)]])
     anchor = np.asarray(deck_center) - L * rot @ off
-    spec = GridSpec(rows=m, cols=n, cell_side=L,
-                    deck_center=(anchor[0], anchor[1]), deck_yaw=deck_yaw)
     # world xy of each cell: rotate by the deck yaw, offset by the anchor
     pts = np.asarray(cells, dtype=float)
     waypoints = [(x, y) for x, y in (L * pts @ rot.T + anchor).tolist()]
-    return spec, CoveragePath(cells=cells, waypoints=waypoints, altitude=altitude)
+    return CoveragePath(cells=cells, waypoints=waypoints, altitude=altitude)

@@ -2,10 +2,11 @@
 
 The downward camera sees square coded markers fixed on the platform
 panel.  Each decoded marker gives an image-plane center, diagonal and
-in-image yaw; similar triangles invert the projection into camera-frame
-marker coordinates, and the known panel layout plus the platform
-attitude carry those into a world-frame UAV position and yaw.  Multiple
-markers are combined by averaging (circular mean for yaw).
+in-image yaw; similar triangles, with the camera's focal length that
+the caller holds, invert the projection into camera-frame marker
+coordinates, and the known panel layout plus the platform attitude carry
+those into a world-frame UAV position and yaw.  Multiple markers are
+combined by averaging (circular mean for yaw).
 """
 
 from __future__ import annotations
@@ -34,22 +35,20 @@ class QrMarker(Ranged):
 class QrObservation:
     """One decoded marker in the image plane.
 
-    image_center and image_diagonal are in image-plane units (same
-    physical units as focal_length); image_yaw is the marker's yaw in
-    the image frame, which differs from the camera frame by pi.
+    image_center and image_diagonal are in image-plane units (the
+    physical units of the camera's focal length); image_yaw is the
+    marker's yaw in the image frame, which differs from the camera frame
+    by pi.
     """
 
     label: int
     image_diagonal: float
     image_center: tuple[float, float]
     image_yaw: float
-    focal_length: float
 
     def __post_init__(self):
         if self.image_diagonal <= 0:
             raise ValueError("image diagonal must be > 0")
-        if self.focal_length <= 0:
-            raise ValueError("focal length must be > 0")
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,20 @@ class PoseEstimate:
         vars(self).update(position=position, yaw=yaw, source=source)
 
 
-def marker_camera_coords(obs: QrObservation, marker: QrMarker,
+def marker_camera_coords(obs: QrObservation, marker: QrMarker, focal_length: float,
                          ) -> tuple[float, float, float]:
     """Camera-frame coordinates of a marker center from its image geometry
     (:func:`frames.unproject`); z is always negative (marker below the camera)."""
     if obs.label != marker.label:
         raise ValueError(f"label mismatch: observation {obs.label} vs marker {marker.label}")
-    return unproject(obs.image_center, obs.image_diagonal, obs.focal_length,
+    return unproject(obs.image_center, obs.image_diagonal, focal_length,
                      marker.diagonal)
 
 
 def estimate_pose(
     observations: list[QrObservation],
     markers: dict[int, QrMarker],
+    focal_length: float,
     platform_attitude: EulerAngles,
     uav_roll_pitch: tuple[float, float],
 ) -> PoseEstimate | None:
@@ -103,7 +103,7 @@ def estimate_pose(
         marker = markers.get(obs.label)
         if marker is None:
             continue
-        cam = marker_camera_coords(obs, marker)
+        cam = marker_camera_coords(obs, marker, focal_length)
         psi_i = wrap_angle(platform_attitude.yaw - (obs.image_yaw + math.pi))
         px, py, pz = rotate(R_a_w, (marker.panel_xy[0], marker.panel_xy[1], 0.0))
         bx, by, bz = rotate(rotation_rows(phi, theta, psi_i), cam)

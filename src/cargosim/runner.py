@@ -10,7 +10,7 @@ and the summary).
 Ground contact is world physics and lives in :mod:`sim_world`.
 
 A flight shares nothing with another: :func:`run_mission` flies one, and
-:func:`montecarlo` flies a block of seeds one after another per worker.
+:func:`montecarlo` hands a pool of workers one seed per task.
 
 A log streams both ways: :func:`write_log` formats one line at a time into
 the file, and :func:`read_log` hands :func:`metrics_from_log` one row at a
@@ -26,6 +26,7 @@ import math
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -158,6 +159,7 @@ class Localizer:
         self.period = dt
         self.filters = None
         self.markers = {m.label: m for m in scenario.qr_markers}
+        self.focal = scenario.qr_focal
         self.baseline = scenario.label_baseline
         self.yaw = 0.0  # calibration value before the first dual-label solution
         self.hybrid = hybrid_localizer.HybridState()
@@ -192,8 +194,8 @@ class Localizer:
 
         # a tick with no sighting makes no fix attempt; one that sights no
         # known marker has no fix either
-        qr_pose = estimate_pose(obs, self.markers, platform, (roll, pitch)) \
-            if obs else None
+        qr_pose = estimate_pose(obs, self.markers, self.focal, platform,
+                                (roll, pitch)) if obs else None
 
         pose, events = hybrid_localizer.arbitrate(qr_pose, uwb_pose, self.hybrid)
         return pose, [*lost, *events] if lost else events
@@ -424,39 +426,31 @@ def metrics_from_log(path) -> dict:
 
 # --- Monte Carlo -----------------------------------------------------
 
-def _fly_summaries(args) -> list[dict]:
-    scenario, mission, seeds = args
-    summaries = []
-    for seed in seeds:
-        flight = Flight(replace(scenario, seed=seed), mission, DT, keep_rows=False)
-        flight.fly(MAX_TIME)
-        summaries.append(flight.summary().to_dict())
-    return summaries
+def _fly_summary(scenario: ScenarioConfig, mission: MissionConfig, seed: int) -> dict:
+    flight = Flight(replace(scenario, seed=seed), mission, DT, keep_rows=False)
+    flight.fly(MAX_TIME)
+    return flight.summary().to_dict()
 
 
 def montecarlo(scenario: ScenarioConfig, mission: MissionConfig, runs: int,
                seed_base: int = 0, workers: int = 1) -> dict:
-    """N independent seeded runs, split into min(workers, runs) blocks of
-    interleaved seeds, each flown one seed after another in a worker
-    process (in this process for one block); the summaries are in seed
-    order whatever the split."""
+    """N independent seeded runs, one seed per task of a pool of
+    min(workers, runs) processes (in this process for one); the pool hands
+    the summaries back in seed order."""
     if runs < 1:
         raise ValueError("need at least one run")
     if workers < 1:
         raise ValueError("need at least one worker")
-    blocks = min(workers, runs)
-    jobs = [(scenario, mission, range(seed_base + b, seed_base + runs, blocks))
-            for b in range(blocks)]
-    if blocks > 1:
+    seeds = range(seed_base, seed_base + runs)
+    fly = partial(_fly_summary, scenario, mission)
+    procs = min(workers, runs)
+    if procs > 1:
         # imported here: a process that never forks skips multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=blocks) as pool:
-            flown = list(pool.map(_fly_summaries, jobs))
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            summaries = list(pool.map(fly, seeds))
     else:
-        flown = [_fly_summaries(jobs[0])]
-    summaries = [None] * runs
-    for b, block in enumerate(flown):
-        summaries[b::blocks] = block
+        summaries = list(map(fly, seeds))
 
     landing = np.array([s["landing_error"] for s in summaries])
     done = np.array([s["final_phase"] == "done" for s in summaries])

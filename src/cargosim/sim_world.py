@@ -93,6 +93,8 @@ class ScenarioConfig(Ranged):
     # world geometry
     uav_start: tuple[float, float, float] = FINITE((1.0, 2.0, 0.0))
     deck_center: tuple[float, float] = FINITE((8.0, 0.0))
+    # a positive deck_yaw turns the deck clockwise seen from above, the
+    # opposite sense to every other yaw here (planner.plan_coverage)
     deck_yaw: float = ANGLE(0.0)
     deck_size: tuple[float, float] = POSITIVE((4.0, 4.0))
     deck_height: float = FINITE(1.0)
@@ -230,6 +232,7 @@ class SimWorld:
                          math.tan(cfg.qr_h_fov / 2.0), math.tan(cfg.qr_v_fov / 2.0))
         self._det_view = (cfg.det_focal, cfg.det_min_height, math.inf,
                           math.tan(cfg.det_h_fov / 2.0), math.tan(cfg.det_v_fov / 2.0))
+        self._deck_cos_sin = (math.cos(cfg.deck_yaw), math.sin(cfg.deck_yaw))
 
     def initial_state(self) -> SimState:
         cfg = self.cfg
@@ -406,8 +409,7 @@ class SimWorld:
             if not (d_img > 0.0 and all(map(math.isfinite, (cx, cy, d_img, yaw)))):
                 continue  # an image too small, or noise past the float range
             out.append(QrObservation(label=marker.label, image_diagonal=d_img,
-                                     image_center=(cx, cy), image_yaw=wrap_angle(yaw),
-                                     focal_length=cfg.qr_focal))
+                                     image_center=(cx, cy), image_yaw=wrap_angle(yaw)))
         return out
 
     def sense_cargo(self, state: SimState) -> list[DetectionObservation]:
@@ -446,7 +448,8 @@ class SimWorld:
         return state
 
     def support_height(self, x: float, y: float) -> float:
-        """Height under (x, y): the cargo's top, the deck, or 0."""
+        """Height under (x, y): the cargo's top, the deck (turned by
+        ``deck_yaw`` as the coverage plan turns it), or 0."""
         cfg = self.cfg
         cargo = cfg.cargoes[0]
         if math.hypot(x - cargo.position[0], y - cargo.position[1]) \
@@ -454,6 +457,8 @@ class SimWorld:
             return cargo.position[2]
         dx = x - cfg.deck_center[0]
         dy = y - cfg.deck_center[1]
-        if abs(dx) <= cfg.deck_size[0] / 2 and abs(dy) <= cfg.deck_size[1] / 2:
+        c, s = self._deck_cos_sin  # world to deck: plan_coverage's inverse
+        if abs(c * dx - s * dy) <= cfg.deck_size[0] / 2 and \
+                abs(s * dx + c * dy) <= cfg.deck_size[1] / 2:
             return cfg.deck_height
         return 0.0

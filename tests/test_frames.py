@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cargosim.frames import EulerAngles, rotation_from_rpy, wrap_angle
+from cargosim.frames import EulerAngles, rotation_rows, wrap_angle
+
+from conftest import reference_rotation
 
 ANGLE = st.floats(-math.pi + 1e-6, math.pi - 1e-6)
 PITCH = st.floats(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3)
 
 
 def test_identity_angles_give_identity_matrix():
-    R = rotation_from_rpy(*EulerAngles(0.0, 0.0, 0.0).as_tuple())
+    R = np.array(EulerAngles(0.0, 0.0, 0.0).rows)
     np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
 
 
 def test_pure_yaw_quarter_turn():
-    R = rotation_from_rpy(*EulerAngles(0.0, 0.0, math.pi / 2).as_tuple())
+    R = np.array(EulerAngles(0.0, 0.0, math.pi / 2).rows)
     np.testing.assert_allclose(R @ [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], atol=1e-15)
 
 
@@ -24,7 +26,7 @@ def test_second_column_closed_form():
     # the middle column is the body +y axis in world coordinates; the
     # dual-label heading recovery solves exactly this expression for yaw
     phi, theta, psi = 0.1, -0.2, 0.7
-    R = rotation_from_rpy(phi, theta, psi)
+    R = np.array(rotation_rows(phi, theta, psi))
     expected = np.array([
         math.sin(phi) * math.sin(theta) * math.cos(psi)
         - math.cos(phi) * math.sin(psi),
@@ -35,18 +37,18 @@ def test_second_column_closed_form():
     np.testing.assert_allclose(R[:, 1], expected, atol=1e-15)
 
 
-def test_composition_order_is_zyx():
-    phi, theta, psi = 0.3, 0.2, -1.1
-    Rx = rotation_from_rpy(phi, 0.0, 0.0)
-    Ry = rotation_from_rpy(0.0, theta, 0.0)
-    Rz = rotation_from_rpy(0.0, 0.0, psi)
-    np.testing.assert_allclose(rotation_from_rpy(phi, theta, psi),
-                               Rz @ Ry @ Rx, atol=1e-14)
+@given(roll=ANGLE, pitch=PITCH, yaw=ANGLE)
+def test_composition_order_is_zyx(roll, pitch, yaw):
+    # the tests' oracle, Rz @ Ry @ Rx of the elementary rotations, is the
+    # rotation the package builds, to rounding
+    np.testing.assert_allclose(np.array(rotation_rows(roll, pitch, yaw)),
+                               reference_rotation(roll, pitch, yaw), rtol=0,
+                               atol=1e-15)
 
 
 @given(roll=ANGLE, pitch=PITCH, yaw=ANGLE)
 def test_rotation_is_orthonormal(roll, pitch, yaw):
-    R = rotation_from_rpy(roll, pitch, yaw)
+    R = np.array(rotation_rows(roll, pitch, yaw))
     np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-10)
     assert abs(np.linalg.det(R) - 1.0) <= 1e-10
 

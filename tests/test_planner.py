@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cargosim.planner import (CoveragePath, GridSpec, cell_size, plan_coverage,
-                              spiral_path, yaw_schedule)
+from cargosim.planner import (CoveragePath, cell_size, plan_coverage, spiral_path,
+                              yaw_schedule)
 
 
 def test_cell_size_wide_fov_example():
@@ -65,9 +65,9 @@ def _waypoint_of(cell, deck_yaw):
     # a 5 x 5 m deck with 90-degree cameras at 1 m: a 3 x 3 grid of 2 m
     # cells centred on the deck
     fov = math.pi / 2
-    _, path = plan_coverage(deck_size=(5.0, 5.0), deck_center=(10.0, 5.0),
-                            deck_yaw=deck_yaw, altitude_above_deck=1.0,
-                            v_fov=fov, h_fov=fov, altitude=1.0)
+    path = plan_coverage(deck_size=(5.0, 5.0), deck_center=(10.0, 5.0),
+                         deck_yaw=deck_yaw, altitude_above_deck=1.0,
+                         v_fov=fov, h_fov=fov, altitude=1.0)
     assert len(path.cells) == 9
     return path.waypoints[path.cells.index(cell)]
 
@@ -94,19 +94,31 @@ def test_plan_replica_single_waypoint():
     # 4 x 4 m deck seen from 5 m with the wide detection camera: the
     # footprint exceeds the deck, so the whole plan is one waypoint at
     # the deck center
-    spec, path = plan_coverage(deck_size=(4.0, 4.0), deck_center=(8.0, 0.0),
-                               deck_yaw=0.0, altitude_above_deck=5.0,
-                               v_fov=math.radians(73.0),
-                               h_fov=math.radians(106.0), altitude=6.0)
-    assert len(path.cells) == 1
+    path = plan_coverage(deck_size=(4.0, 4.0), deck_center=(8.0, 0.0),
+                         deck_yaw=0.0, altitude_above_deck=5.0,
+                         v_fov=math.radians(73.0), h_fov=math.radians(106.0),
+                         altitude=6.0)
+    assert path.cells == [(0, 0)]
     np.testing.assert_allclose(path.waypoints, [[8.0, 0.0]], atol=1e-12)
     assert path.altitude == 6.0
 
 
+def test_plan_coverage_returns_the_path():
+    # the path alone: its cells in spiral order, one world waypoint per
+    # cell and the altitude to fly them at
+    path = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
+                         deck_yaw=0.3, altitude_above_deck=2.0,
+                         v_fov=math.pi / 2, h_fov=math.pi / 2, altitude=3.0)
+    assert type(path) is CoveragePath
+    assert path.cells == spiral_path(3, 2)
+    assert len(path.waypoints) == len(path.cells)
+    assert path.altitude == 3.0
+
+
 def _cells(deck, fov, z):
-    _, path = plan_coverage(deck_size=deck, deck_center=(0.0, 0.0), deck_yaw=0.0,
-                            altitude_above_deck=z, v_fov=fov[0], h_fov=fov[1],
-                            altitude=z)
+    path = plan_coverage(deck_size=deck, deck_center=(0.0, 0.0), deck_yaw=0.0,
+                         altitude_above_deck=z, v_fov=fov[0], h_fov=fov[1],
+                         altitude=z)
     return len(path.cells)
 
 
@@ -122,9 +134,9 @@ def test_a_lower_search_never_plans_fewer_cells(deck, fov, heights):
 
 
 def _footprint_covers(deck_size, deck_center, deck_yaw, z, fov, samples=60):
-    spec, path = plan_coverage(deck_size=deck_size, deck_center=deck_center,
-                               deck_yaw=deck_yaw, altitude_above_deck=z,
-                               v_fov=fov, h_fov=fov, altitude=z)
+    path = plan_coverage(deck_size=deck_size, deck_center=deck_center,
+                         deck_yaw=deck_yaw, altitude_above_deck=z,
+                         v_fov=fov, h_fov=fov, altitude=z)
     half = z * math.tan(fov / 2.0)
     c, s = math.cos(deck_yaw), math.sin(deck_yaw)
     # same deck-to-world rotation the planner's waypoint mapping uses
@@ -154,10 +166,3 @@ def _footprint_covers(deck_size, deck_center, deck_yaw, z, fov, samples=60):
 ])
 def test_footprint_union_covers_deck(deck, center, yaw, z):
     assert _footprint_covers(deck, center, yaw, z, math.radians(90.0))
-
-
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(rows=0, cols=1, cell_side=1.0, deck_center=(0, 0), deck_yaw=0.0)
-    with pytest.raises(ValueError):
-        GridSpec(rows=1, cols=1, cell_side=0.0, deck_center=(0, 0), deck_yaw=0.0)

@@ -1,20 +1,21 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cargosim.frames import EulerAngles, rotation_from_rpy, wrap_angle
+from cargosim.frames import EulerAngles, wrap_angle
 from cargosim.qr_localization import (QrMarker, QrObservation, estimate_pose,
                                       marker_camera_coords)
 
-from conftest import project_marker
+from conftest import project_marker, reference_rotation
 
 FOCAL = 0.0036
 
 
 def _obs(**kw):
     defaults = dict(label=1, image_diagonal=0.005, image_center=(0.0, 0.0),
-                    image_yaw=0.0, focal_length=0.01)
+                    image_yaw=0.0)
     defaults.update(kw)
     return QrObservation(**defaults)
 
@@ -23,7 +24,7 @@ def test_camera_coords_worked_example():
     # f=0.01, d=0.5, d'=0.005 puts the marker 1.01 m below the lens plane
     obs = _obs()
     marker = QrMarker(label=1, diagonal=0.5, panel_xy=(0.0, 0.0))
-    np.testing.assert_allclose(marker_camera_coords(obs, marker),
+    np.testing.assert_allclose(marker_camera_coords(obs, marker, 0.01),
                                [0.0, 0.0, -1.01], atol=1e-15)
 
 
@@ -32,23 +33,23 @@ def test_camera_coords_one_meter_above():
     # recovers exactly -1
     f, d = 0.01, 0.5
     d_img = f * d / (1.0 - f)
-    obs = _obs(image_diagonal=d_img, focal_length=f)
+    obs = _obs(image_diagonal=d_img)
     marker = QrMarker(label=1, diagonal=d, panel_xy=(0.0, 0.0))
-    cam = marker_camera_coords(obs, marker)
+    cam = marker_camera_coords(obs, marker, f)
     assert cam[2] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_camera_coords_boresight_is_centered():
     marker = QrMarker(label=1, diagonal=0.3, panel_xy=(0.0, 0.0))
     for d_img in (0.002, 0.0007):
-        cam = marker_camera_coords(_obs(image_diagonal=d_img), marker)
+        cam = marker_camera_coords(_obs(image_diagonal=d_img), marker, 0.01)
         assert cam[0] == 0.0 and cam[1] == 0.0
 
 
 def test_camera_coords_label_mismatch():
     marker = QrMarker(label=2, diagonal=0.3, panel_xy=(0.0, 0.0))
     with pytest.raises(ValueError, match="label mismatch"):
-        marker_camera_coords(_obs(label=1), marker)
+        marker_camera_coords(_obs(label=1), marker, 0.01)
 
 
 def test_projection_roundtrip_against_oracle(rng):
@@ -62,11 +63,11 @@ def test_projection_roundtrip_against_oracle(rng):
         pos = np.array([rng.uniform(-0.3, 0.9), rng.uniform(-0.7, 0.3),
                         rng.uniform(0.5, 5.0)])
         obs = project_marker(marker, pos, uav, platform, FOCAL)
-        cam = marker_camera_coords(obs, marker)
+        cam = marker_camera_coords(obs, marker, FOCAL)
         # reproject independently for the truth value
         panel = np.array([marker.panel_xy[0], marker.panel_xy[1], 0.0])
-        truth = rotation_from_rpy(*uav.as_tuple()).T @ (
-            rotation_from_rpy(*platform.as_tuple()) @ panel - pos)
+        R_a_w = reference_rotation(platform.roll, platform.pitch, platform.yaw)
+        truth = reference_rotation(uav.roll, uav.pitch, uav.yaw).T @ (R_a_w @ panel - pos)
         np.testing.assert_allclose(cam, truth, atol=1e-9)
 
 
@@ -77,7 +78,7 @@ def test_estimate_pose_level_two_meters():
     uav = EulerAngles(0.0, 0.0, 0.0)
     platform = EulerAngles(0.0, 0.0, 0.0)
     obs = project_marker(marker, [0.0, 0.0, 2.0], uav, platform, FOCAL)
-    est = estimate_pose([obs], {1: marker}, platform, (0.0, 0.0))
+    est = estimate_pose([obs], {1: marker}, FOCAL, platform, (0.0, 0.0))
     np.testing.assert_allclose(est.position, [0.0, 0.0, 2.0], atol=1e-12)
     assert est.yaw == pytest.approx(0.0, abs=1e-12)
     assert est.source == "qr"
@@ -91,7 +92,7 @@ def test_estimate_pose_averages_markers():
     pos = np.array([0.2, -0.1, 3.0])
     obs = [project_marker(m, pos, uav, platform, FOCAL)
            for m in markers.values()]
-    est = estimate_pose(obs, markers, platform, (0.0, 0.0))
+    est = estimate_pose(obs, markers, FOCAL, platform, (0.0, 0.0))
     np.testing.assert_allclose(est.position, pos, atol=1e-9)
     assert abs(wrap_angle(est.yaw - 0.3)) < 1e-9
 
@@ -108,14 +109,14 @@ def test_estimate_pose_yaw_circular_mean_near_pi():
                           platform, FOCAL)
     obs2 = project_marker(marker2, pos, EulerAngles(0.0, 0.0, -math.pi + eps),
                           platform, FOCAL)
-    est = estimate_pose([obs1, obs2], {1: marker1, 2: marker2}, platform,
+    est = estimate_pose([obs1, obs2], {1: marker1, 2: marker2}, FOCAL, platform,
                         (0.0, 0.0))
     assert abs(wrap_angle(est.yaw - math.pi)) < 1e-9
 
 
 def test_no_observations_raises():
     # no observation is no fix
-    assert estimate_pose([], {}, EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0)) is None
+    assert estimate_pose([], {}, FOCAL, EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0)) is None
 
 
 def test_unknown_labels_raise():
@@ -125,13 +126,25 @@ def test_unknown_labels_raise():
     # an observation of no known marker is no fix
     assert estimate_pose([obs], {9: QrMarker(label=9, diagonal=0.5,
                                              panel_xy=(0.0, 0.0))},
-                         EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0)) is None
+                         FOCAL, EulerAngles(0.0, 0.0, 0.0), (0.0, 0.0)) is None
+
+
+def test_the_focal_length_comes_from_the_caller():
+    # a sighting is image geometry alone; the camera's focal length is the
+    # caller's, and the inversion scales with it
+    assert "focal_length" not in {f.name for f in fields(QrObservation)}
+    marker = QrMarker(label=1, diagonal=0.5, panel_xy=(0.0, 0.0))
+    assert marker_camera_coords(_obs(), marker, 0.01)[2] == pytest.approx(-1.01)
+    assert marker_camera_coords(_obs(), marker, 0.02)[2] == pytest.approx(-2.02)
+    level = EulerAngles(0.0, 0.0, 0.0)
+    obs = project_marker(marker, [0.0, 0.0, 2.0], level, level, FOCAL)
+    for focal, height in ((FOCAL, 2.0), (2 * FOCAL, 4.0)):
+        est = estimate_pose([obs], {1: marker}, focal, level, (0.0, 0.0))
+        np.testing.assert_allclose(est.position, [0.0, 0.0, height], atol=1e-12)
 
 
 def test_observation_validation():
     with pytest.raises(ValueError):
         _obs(image_diagonal=0.0)
-    with pytest.raises(ValueError):
-        _obs(focal_length=-1.0)
     with pytest.raises(ValueError):
         QrMarker(label=1, diagonal=-0.1, panel_xy=(0.0, 0.0))

@@ -472,6 +472,17 @@ def test_montecarlo_groups_fly_each_seed_as_run_mission_does(fence):
             [json.dumps(s) for s in alone], workers
 
 
+def test_montecarlo_aggregate_is_the_same_at_any_worker_count():
+    # one seed per task: seven workers for five runs start five processes,
+    # and the pool hands every summary back in seed order
+    aggregates = [json.dumps(montecarlo(ScenarioConfig(), MissionConfig(), runs=5,
+                                        seed_base=0, workers=workers), sort_keys=True)
+                  for workers in (1, 2, 3, 7)]
+    assert aggregates[0] == aggregates[1] == aggregates[2] == aggregates[3]
+    assert [s["seed"] for s in json.loads(aggregates[0])["summaries"]] == \
+        [0, 1, 2, 3, 4]
+
+
 def test_each_label_filter_makes_one_predict_and_update_per_tick(monkeypatch):
     calls = dict.fromkeys(["predict_label", "update_label", "ekf_predict",
                            "ekf_update"], 0)

@@ -1,0 +1,52 @@
+"""tools/same_flights.py: the byte-identity check of two source trees."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from cargosim.mission import BLIND_DESCENT_SPEED, MissionConfig
+from cargosim.runner import LOG_COLUMNS, run_mission
+from cargosim.sim_world import ScenarioConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_flights.py"
+
+
+def _same_flights(base: Path, change: Path, seeds: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(TOOL), "--base", str(base),
+                           "--change", str(change), "--seeds", seeds],
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_a_tree_flies_the_same_as_itself():
+    out = _same_flights(ROOT, ROOT, "0-1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "seed 0: summary identical; log identical",
+        "seed 1: summary identical; log identical",
+        "2 of 2 seeds identical"]
+
+
+def test_a_changed_blind_descent_speed_is_caught(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    mission = tmp_path / "src" / "cargosim" / "mission.py"
+    text = mission.read_text()
+    assert f"BLIND_DESCENT_SPEED = {BLIND_DESCENT_SPEED}" in text
+    mission.write_text(text.replace(f"BLIND_DESCENT_SPEED = {BLIND_DESCENT_SPEED}",
+                                    "BLIND_DESCENT_SPEED = 0.3"))
+    out = _same_flights(ROOT, tmp_path, "0")
+    assert out.returncode == 1, out.stderr
+    # the first blind tick, the one after the tick that starts the descent,
+    # is the first to command another speed
+    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0)
+    events = LOG_COLUMNS.index("events")
+    start = next(k for k, row in enumerate(records) if "blind_descent" in row[events])
+    row = start + 2  # counted from 1
+    t = records[start + 1][0]
+    seed_line, last = out.stdout.splitlines()
+    assert seed_line.startswith("seed 0: summary differs in ")
+    assert seed_line.endswith(f"; log differs first at row {row} (t={t!r}), column "
+                              f"cmd_vz: '{-BLIND_DESCENT_SPEED!r}' != '-0.3'")
+    assert last == "1 of 1 seeds differ"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cargosim.frames import wrap_angle
+from cargosim.planner import plan_coverage
 from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.sim_world import CargoSpec, ScenarioConfig, SimWorld
 
@@ -198,6 +199,29 @@ def test_support_height_of_cargo_deck_and_sea():
     assert world.support_height(*cfg.uav_start[:2]) == 0.0
 
 
+def test_support_height_turns_the_deck_by_deck_yaw():
+    # the 4 x 4 m deck at (8, 0) turned by 45 degrees as the coverage plan
+    # turns it: (9.838, 1.838) is at (0, 2.6) on the deck, off its edge,
+    # and (10.687, 0) is at (1.9, 1.9), on it
+    cfg = ScenarioConfig(deck_yaw=math.radians(45.0))
+    world = SimWorld(cfg)
+    assert world.support_height(9.838, 1.838) == 0.0
+    assert world.support_height(10.687, 0.0) == cfg.deck_height
+
+
+@pytest.mark.parametrize("deck_yaw", [0.6, -1.2, 2.5])
+def test_every_waypoint_of_a_yawed_plan_lies_over_the_deck(deck_yaw):
+    cfg = ScenarioConfig(deck_center=(20.0, 5.0), deck_size=(6.5, 2.5),
+                         deck_yaw=deck_yaw)
+    world = SimWorld(cfg)
+    path = plan_coverage(deck_size=cfg.deck_size, deck_center=cfg.deck_center,
+                         deck_yaw=cfg.deck_yaw, altitude_above_deck=0.5,
+                         v_fov=math.pi / 2, h_fov=math.pi / 2, altitude=1.5)
+    assert len(path.waypoints) == 7 * 3  # cells of a hair under 1 m
+    for x, y in path.waypoints:
+        assert world.support_height(x, y) == cfg.deck_height, (x, y)
+
+
 def test_range_zero_at_anchor_and_345_triangle():
     anchors = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     cfg = calm_scenario(anchors=anchors, label_baseline=0.4,
@@ -256,7 +280,7 @@ def test_qr_projection_inverts_exactly():
     obs = world.sense_qr(state)
     assert obs, "markers must be visible from above the panel"
     markers = {m.label: m for m in cfg.qr_markers}
-    est = estimate_pose(obs, markers, state.platform_attitude,
+    est = estimate_pose(obs, markers, cfg.qr_focal, state.platform_attitude,
                         (state.uav_euler.roll, state.uav_euler.pitch))
     np.testing.assert_allclose(est.position, state.uav_pos, atol=1e-9)
 

@@ -61,7 +61,7 @@ def test_pose_estimates_are_float_tuples():
     state = world.step(world.initial_state(), (0.0, 0.0, 0.0, 0.0), 0.02)
     obs = world.sense_qr(state)
     assert obs
-    qr = estimate_pose(obs, {m.label: m for m in cfg.qr_markers},
+    qr = estimate_pose(obs, {m.label: m for m in cfg.qr_markers}, cfg.qr_focal,
                        state.platform_attitude, (0.0, 0.0))
     _assert_floats(qr.position, 3)
     labels = [[1.0, 2.2, 2.5], [1.0, 1.8, 2.5]]
@@ -141,10 +141,10 @@ def test_cargo_track_is_float_tuples():
 
 
 def test_coverage_waypoints_are_float_tuples():
-    _, path = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
-                            deck_yaw=0.4, altitude_above_deck=2.0,
-                            v_fov=math.radians(73.0), h_fov=math.radians(106.0),
-                            altitude=3.0)
+    path = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
+                         deck_yaw=0.4, altitude_above_deck=2.0,
+                         v_fov=math.radians(73.0), h_fov=math.radians(106.0),
+                         altitude=3.0)
     assert type(path.waypoints) is list and len(path.waypoints) > 1
     for wp in path.waypoints:
         _assert_floats(wp, 2)

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from cargosim.frames import rotation_from_rpy, wrap_angle
+from cargosim.frames import wrap_angle
 from cargosim.sim_world import ScenarioConfig
 from cargosim.uwb_localization import (SIGMA_JERK, SensorFault, anchor_acceleration,
                                        ekf_predict, ekf_update, fuse_labels,
                                        initial_label, multilaterate,
                                        predict_label, range_variance,
                                        update_label, yaw_from_labels)
+
+from conftest import reference_rotation
 
 ANCHORS = np.array([
     [1.7, 2.4, 0.2], [1.7, -2.4, 0.2], [-1.7, 2.4, 0.2], [-1.7, -2.4, 0.2],
@@ -115,7 +117,7 @@ def test_predict_velocity_telescopes():
 
 
 def test_predict_rotates_acceleration():
-    R_b_w = rotation_from_rpy(0.0, 0.0, math.pi / 2)
+    R_b_w = reference_rotation(0.0, 0.0, math.pi / 2)
     s0 = [initial_label([0.0, 0.0, 0.0])]
     s1 = ekf_predict(s0, anchor_acceleration(np.array([1.0, 0.0, 0.0]), R_b_w, I3),
                      T)
@@ -261,7 +263,7 @@ def test_fuse_labels_symmetric_cancellation():
 
 
 def test_fuse_labels_rotates_mean():
-    R = rotation_from_rpy(math.radians(10.0), 0.0, 0.0)
+    R = reference_rotation(math.radians(10.0), 0.0, 0.0)
     pose = fuse_labels([[0.0, 0.0, 1.0]] * 2, R)
     np.testing.assert_allclose(pose.position, R @ [0.0, 0.0, 1.0], atol=1e-12)
     assert pose.position[2] != pytest.approx(1.0, abs=1e-6)
@@ -289,7 +291,7 @@ def test_yaw_roundtrip_tilted(rng):
         phi = rng.uniform(-0.5, 0.5)
         theta = rng.uniform(-0.5, 0.5)
         psi = rng.uniform(-math.pi, math.pi)
-        delta = rotation_from_rpy(phi, theta, psi) @ np.array([0.0, d, 0.0])
+        delta = reference_rotation(phi, theta, psi) @ np.array([0.0, d, 0.0])
         rec = yaw_from_labels(delta / 2, -delta / 2, phi, theta, d)
         assert abs(wrap_angle(rec - psi)) < 1e-9
 
@@ -355,9 +357,9 @@ def _assert_label_matches(out, mean, cov):
 def _flight_inputs(rng):
     """One flight's acceleration, body-to-world and world-to-anchor rotation."""
     return (rng.normal(scale=3.0, size=3),
-            rotation_from_rpy(*rng.uniform(-0.3, 0.3, 2),
+            reference_rotation(*rng.uniform(-0.3, 0.3, 2),
                               rng.uniform(-math.pi, math.pi)),
-            rotation_from_rpy(*rng.uniform(-0.2, 0.2, 3)))
+            reference_rotation(*rng.uniform(-0.2, 0.2, 3)))
 
 
 def test_batched_predict_matches_reference(rng):
@@ -418,8 +420,8 @@ def test_update_on_a_subset_of_anchors_matches_reference(rng):
 
 def test_batch_of_two_equals_two_batches_of_one(rng):
     a_u = anchor_acceleration(np.array([0.4, -1.2, 0.3]),
-                              rotation_from_rpy(0.1, -0.2, 1.3),
-                              rotation_from_rpy(0.05, 0.1, 0.0))
+                              reference_rotation(0.1, -0.2, 1.3),
+                              reference_rotation(0.05, 0.1, 0.0))
     for _ in range(50):
         positions = rng.uniform([-1.5, -2.0, 0.5], [1.5, 2.0, 3.5], size=(2, 3))
         row = rng.uniform(1.0, 4.0, size=6).tolist()

@@ -1,0 +1,151 @@
+"""Compare two source trees' flights, seed by seed, byte for byte.
+
+    python tools/same_flights.py --base DIR --change DIR --seeds 0-119
+
+Each DIR is a checkout that holds ``src/cargosim``.  Each tree flies the
+default scenario and mission at every seed in its own Python process, and
+the two processes run at once.  A flight's summary is written as
+``cargosim run`` writes ``summary.json`` (``cli._write_json``), and its
+log as ``write_log`` writes ``trajectory.csv``.  For each seed the tool
+prints whether the two summaries and the two logs are byte-identical.
+Where two logs differ, it names the first row that differs and the first
+column in it.  Rows count from 1 after the header.
+
+Exit status: 0 when every seed is identical, 1 when any differs, 2 when
+a tree cannot fly.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import subprocess
+import sys
+import tempfile
+from itertools import zip_longest
+from pathlib import Path
+
+
+def seed_range(text: str) -> range:
+    """``A-B`` (both included) or a single seed ``A``."""
+    first, _, last = text.partition("-")
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds or seeds.start < 0:
+        raise argparse.ArgumentTypeError(f"not a seed range: {text!r}")
+    return seeds
+
+
+def fly(src: Path, out: Path, seeds: range) -> None:
+    """Fly each seed with the package under `src`; write its summary and log
+    into `out` and print the seed once both are written."""
+    sys.path.insert(0, str(src))
+    from cargosim import cli
+    from cargosim.mission import MissionConfig
+    from cargosim.runner import run_mission, write_log
+    from cargosim.sim_world import ScenarioConfig
+
+    if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"error: cargosim was imported from {cli.__file__}, not {src}")
+    for seed in seeds:
+        summary, records = run_mission(ScenarioConfig(), MissionConfig(), seed=seed)
+        cli._write_json(out / f"{seed}.json", summary.to_dict())
+        write_log(records, out / f"{seed}.csv")
+        print(seed, flush=True)
+
+
+def summary_difference(base: Path, change: Path) -> str | None:
+    if base.read_bytes() == change.read_bytes():
+        return None
+    a, b = json.loads(base.read_text()), json.loads(change.read_text())
+    keys = [k for k in dict.fromkeys([*a, *b]) if a.get(k) != b.get(k)]
+    return f"differs in {', '.join(keys)}" if keys else "differs in its bytes"
+
+
+def log_difference(base: Path, change: Path) -> str | None:
+    """None for identical files, else the first row and column that differ."""
+    if base.read_bytes() == change.read_bytes():
+        return None
+    with open(base, newline="") as fa, open(change, newline="") as fb:
+        if fa.readline() != fb.readline():
+            return "differs in its schema line"
+        rows_a, rows_b = csv.reader(fa), csv.reader(fb)
+        header = next(rows_a, [])
+        if next(rows_b, []) != header:
+            return "differs in its header"
+        for number, (a, b) in enumerate(zip_longest(rows_a, rows_b), 1):
+            if a is None or b is None:
+                return f"ends at row {number} in {'base' if a is None else 'change'}"
+            if a != b:
+                k = next(k for k, (x, y) in enumerate(zip_longest(a, b)) if x != y)
+                name = header[k] if k < len(header) else f"#{k + 1}"
+                return (f"differs first at row {number} (t={a[0]}), column {name}: "
+                        f"{a[k] if k < len(a) else None!r} != "
+                        f"{b[k] if k < len(b) else None!r}")
+    return "differs in its line endings"
+
+
+def compare(base: Path, change: Path, seeds: range) -> int:
+    """Fly both trees at once; report each seed as both have flown it."""
+    differing = 0
+    with tempfile.TemporaryDirectory(prefix="same-flights-") as tmp:
+        outs, procs = [], []
+        try:
+            for name, tree in (("base", base), ("change", change)):
+                out = Path(tmp) / name
+                out.mkdir()
+                outs.append(out)
+                procs.append(subprocess.Popen(
+                    [sys.executable, __file__, "--fly", str(tree / "src"), str(out),
+                     "--seeds", f"{seeds.start}-{seeds.stop - 1}"],
+                    stdout=subprocess.PIPE, text=True))
+            for seed in seeds:
+                for name, proc in zip(("base", "change"), procs):
+                    if proc.stdout.readline().strip() != str(seed):
+                        print(f"error: the {name} tree failed to fly seed {seed}",
+                              file=sys.stderr)
+                        return 2
+                files = [[out / f"{seed}{ext}" for out in outs]
+                         for ext in (".json", ".csv")]
+                summary, log = summary_difference(*files[0]), log_difference(*files[1])
+                differing += bool(summary or log)
+                print(f"seed {seed}: summary {summary or 'identical'}; "
+                      f"log {log or 'identical'}", flush=True)
+                for path in (*files[0], *files[1]):
+                    path.unlink()
+            for proc in procs:
+                proc.wait()
+        finally:  # an error above leaves a process that still flies
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdout.close()
+    n = len(seeds)
+    print(f"{n - differing} of {n} seeds identical" if not differing else
+          f"{differing} of {n} seeds differ")
+    return 1 if differing else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", type=Path, help="the tree to compare against")
+    parser.add_argument("--change", type=Path, help="the changed tree")
+    parser.add_argument("--seeds", type=seed_range, required=True,
+                        help="A-B, both included, or one seed")
+    parser.add_argument("--fly", nargs=2, type=Path, metavar=("SRC", "OUT"),
+                        help=argparse.SUPPRESS)  # one tree's flying process
+    args = parser.parse_args(argv)
+    if args.fly:
+        fly(*args.fly, args.seeds)
+        return 0
+    if args.base is None or args.change is None:
+        parser.error("--base and --change are required")
+    for tree in (args.base, args.change):
+        if not (tree / "src" / "cargosim" / "__init__.py").is_file():
+            parser.error(f"no src/cargosim package under {tree}")
+    return compare(args.base, args.change, args.seeds)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
