@@ -31,7 +31,7 @@ from .frames import (COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged,
 from .perception import CargoTrack
 from .planner import CoveragePath, plan_coverage, yaw_schedule
 from .qr_localization import PoseEstimate
-from .sim_world import ScenarioConfig, check_step
+from .sim_world import VehicleKnowledge, check_step
 from .uwb_localization import SensorFault
 
 DESCENT_STEP = 1.0  # m the search drops after a full coverage without a lock
@@ -44,8 +44,8 @@ BLIND_HORIZONTAL_THRESHOLD = 0.10  # m
 BLIND_HOLD_TIME = 2.0  # s centred at hover height before the blind descent
 BLIND_DESCENT_SPEED = 0.25  # m/s
 REACQUIRE_TIME = 3.0  # s of lost target -> back to search
-BOUNCE_CLEARANCE = 0.6  # m to climb above the cargo after contact
-VERIFY_HEIGHT = 1.5  # m, hover height above the cargo for the thrust check
+BOUNCE_CLEARANCE = 0.6  # m to climb above the estimate at a servo contact
+VERIFY_HEIGHT = 1.5  # m above the touchdown estimate, the thrust-check hover
 
 
 class MissionPhase(enum.Enum):
@@ -146,18 +146,17 @@ STOP = (0.0, 0.0, 0.0, 0.0)  # the velocity command that holds still
 
 
 class MissionExecutive:
-    """Sequences the transport stages for one vehicle and its cargo."""
+    """Sequences the transport stages for one vehicle from what it knows, which
+    holds no cargo position: its hover points come from its own estimates."""
 
-    def __init__(self, mission: MissionConfig, scenario: ScenarioConfig,
+    def __init__(self, mission: MissionConfig, knows: VehicleKnowledge,
                  dt: float = 0.02):
         check_step(dt)
         self.cfg = mission
-        self.scenario = scenario
+        self.knows = knows
         self.stage = "takeoff"
-        self.home_xy = tuple(float(v) for v in scenario.uav_start[:2])
-        # the hover above the cargo's top-face centre for the thrust check
-        x, y, self.cargo_top = (float(v) for v in scenario.cargoes[0].position)
-        self.verify_point = (x, y, self.cargo_top + VERIFY_HEIGHT)
+        self.verify_point: tuple | None = None  # set on touching down
+        self._bounce_until: float | None = None  # the z a bounce climbs to
         self.search_altitude = mission.search_altitude
         self.path: CoveragePath | None = None
         self.yaws: list[float] | None = None
@@ -183,12 +182,11 @@ class MissionExecutive:
 
     def plan(self) -> None:
         """Plan the coverage at the current search altitude; start it over."""
-        sc = self.scenario
+        k = self.knows
         self.path = plan_coverage(
-            deck_size=sc.deck_size, deck_center=sc.deck_center,
-            deck_yaw=sc.deck_yaw,
-            altitude_above_deck=max(0.5, self.search_altitude - sc.deck_height),
-            v_fov=sc.det_v_fov, h_fov=sc.det_h_fov,
+            deck_size=k.deck_size, deck_center=k.deck_center, deck_yaw=k.deck_yaw,
+            altitude_above_deck=max(0.5, self.search_altitude - k.deck_height),
+            v_fov=k.det_v_fov, h_fov=k.det_h_fov,
             altitude=self.search_altitude)
         self.yaws = yaw_schedule(self.path.cells)
         self.wp_index = 0
@@ -249,7 +247,7 @@ class MissionExecutive:
     def _tick_takeoff(self, inp: TickInputs, events: list[str]) -> TickCommand:
         # vertical-priority ascent: hold the pad position laterally until
         # clear of the platform structures
-        sp = (*self.home_xy, self.search_altitude)
+        sp = (*self.knows.home_xy, self.search_altitude)
         if inp.estimate.position[2] >= self.search_altitude - 0.15:
             self.plan()
             self._enter("search", events)
@@ -289,12 +287,13 @@ class MissionExecutive:
             # climb clear and retry the approach
             events.append("land_bounce")
             self._hold_since = None
+            self._bounce_until = inp.estimate.position[2] + BOUNCE_CLEARANCE
             self._enter("bounce", events)
             return self._tick_bounce(inp, events)
         return self._servo_approach(inp, events)
 
     def _tick_bounce(self, inp: TickInputs, events: list[str]) -> TickCommand:
-        if inp.estimate.position[2] < self.cargo_top + BOUNCE_CLEARANCE:
+        if inp.estimate.position[2] < self._bounce_until:
             return self._velocity((0.0, 0.0, 0.3, 0.0), events)
         self._enter("servo", events)
         return self._servo_approach(inp, events)
@@ -339,7 +338,9 @@ class MissionExecutive:
                           events)
 
     def _tick_blind(self, inp: TickInputs, events: list[str]) -> TickCommand:
-        if inp.on_ground:
+        if inp.on_ground:  # the thrust check hovers above this touchdown
+            x, y, z = inp.estimate.position
+            self.verify_point = (x, y, z + VERIFY_HEIGHT)
             self._adsorb_until = inp.t + self.cfg.adsorb_settle_time
             self._enter("adsorb", events)
             return self._velocity(STOP, events)
@@ -387,12 +388,10 @@ class MissionExecutive:
 
     def _tick_cruise(self, inp: TickInputs, events: list[str]) -> TickCommand:
         altitude = self.cfg.return_altitude
-        x, y, z = inp.estimate.position
-        sp = (*self.home_xy, altitude)
-        if z < altitude - 0.2:
-            # climb over the deck before crossing back
-            sp = (x, y, altitude)
-        horiz = math.hypot(x - self.home_xy[0], y - self.home_xy[1])
+        (x, y, z), home = inp.estimate.position, self.knows.home_xy
+        # climb over the deck before crossing back
+        sp = (x, y, altitude) if z < altitude - 0.2 else (*home, altitude)
+        horiz = math.hypot(x - home[0], y - home[1])
         if horiz < 0.3 and z >= altitude - 0.3:
             self._enter("descend", events)
         return self._world(inp.estimate, sp, 0.0, "return", events)
@@ -401,7 +400,7 @@ class MissionExecutive:
         if inp.on_ground:
             events.append("platform_landed")
             self._enter("done", events)
-        return self._world(inp.estimate, (*self.home_xy, 0.0), 0.0, "land", events)
+        return self._world(inp.estimate, (*self.knows.home_xy, 0.0), 0.0, "land", events)
 
 
 # the handler of each stage that is not an end: MissionExecutive._tick_<stage>

@@ -88,8 +88,8 @@ def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, floa
     the waypoints are flown at.
     """
     L = cell_size(altitude_above_deck, v_fov, h_fov)
-    m = max(1, math.ceil(deck_size[0] / L))
-    n = max(1, math.ceil(deck_size[1] / L))
+    # cells per side, forgiving a few ulps: tan(pi / 4) is just under 1
+    m, n = (max(1, math.ceil(side / L * (1.0 - 1e-15))) for side in deck_size)
     cells = spiral_path(m, n)
     # for even dimensions the start cell is half a cell off the grid's
     # geometric center; shift the anchor so the footprint stays centered

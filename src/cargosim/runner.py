@@ -39,7 +39,8 @@ from .mission import (STOP, MissionConfig, MissionExecutive, MissionPhase,
 from .perception import (CargoTrack, cargo_position_from_detection, smooth_track,
                          wavegate_select)
 from .qr_localization import PoseEstimate, estimate_pose
-from .sim_world import ScenarioConfig, SimState, SimWorld, check_step
+from .sim_world import (ScenarioConfig, SimState, SimWorld, VehicleKnowledge,
+                        check_step, vehicle_knowledge)
 
 LOG_SCHEMA = "cargosim-log-v1"
 LOG_COLUMNS = [
@@ -98,9 +99,10 @@ class Flight:
         self.adsorb_prob = mission.adsorb_success_prob
         self.world = SimWorld(scenario)
         self.state = self.world.initial_state()
-        self.localizer = Localizer(scenario, dt)
-        self.perception = CargoPerception(scenario, dt)
-        self.executive = MissionExecutive(mission, scenario, dt=dt)
+        knows = vehicle_knowledge(scenario)  # the stages see no more than this
+        self.localizer = Localizer(knows, dt)
+        self.perception = CargoPerception(knows, dt)
+        self.executive = MissionExecutive(mission, knows, dt=dt)
         self.command = Command(dt)
         self.recorder = Recorder(scenario, dt, keep_rows)
 
@@ -153,14 +155,14 @@ class Localizer:
     fusion of the two label positions, the marker fix and the arbitration
     between the two sources."""
 
-    def __init__(self, scenario: ScenarioConfig, dt: float):
-        self.points = scenario.anchors
-        self.var = uwb_localization.range_variance(max(scenario.sigma_uwb, 1e-4))
+    def __init__(self, knows: VehicleKnowledge, dt: float):
+        self.points = knows.anchors
+        self.var = uwb_localization.range_variance(max(knows.sigma_uwb, 1e-4))
         self.period = dt
         self.filters = None
-        self.markers = {m.label: m for m in scenario.qr_markers}
-        self.focal = scenario.qr_focal
-        self.baseline = scenario.label_baseline
+        self.markers = {m.label: m for m in knows.markers}
+        self.focal = knows.qr_focal
+        self.baseline = knows.label_baseline
         self.yaw = 0.0  # calibration value before the first dual-label solution
         self.hybrid = hybrid_localizer.HybridState()
 
@@ -205,10 +207,10 @@ class CargoPerception:
     """The cargo track: wavegate selection, the pinhole inversion, the tilt
     de-rotation and the smoothing filter."""
 
-    def __init__(self, scenario: ScenarioConfig, dt: float):
+    def __init__(self, knows: VehicleKnowledge, dt: float):
         self.dt = dt
-        self.focal = scenario.det_focal
-        self.diagonal = scenario.cargoes[0].top_diagonal
+        self.focal = knows.det_focal
+        self.diagonal = knows.top_diagonal
         self.track = CargoTrack()
 
     def step(self, candidates: list, roll: float, pitch: float) -> CargoTrack:

@@ -4,7 +4,8 @@ Provides the oscillating landing platform, the target-vessel deck with
 its cargo, UAV velocity-tracking kinematics with wind gusts, ground and
 cargo contact, the adsorption action, and every synthetic measurement
 the autonomy stack consumes: anchor ranges, marker observations, cargo
-detections, IMU attitude/acceleration and rotor telemetry.  All
+detections, IMU attitude/acceleration and rotor telemetry, and
+:func:`vehicle_knowledge`, the part of a scenario the vehicle knows.  All
 randomness flows from one seeded generator so a run is reproducible bit
 for bit.  The world hands out Python floats, alone or in tuples and
 lists, and the scenario holds its anchors as rows of floats; numpy draws
@@ -151,7 +152,7 @@ class ScenarioConfig(Ranged):
             raise ValueError("anchors are collinear; label position unobservable")
         object.__setattr__(self, "anchors", tuple(map(tuple, pos.tolist())))
         # the detector sees every cargo, but contact, adsorption, the
-        # executive and the landing error know only cargoes[0]
+        # known top diagonal and the landing error take only cargoes[0]
         if len(self.cargoes) != 1:
             raise ValueError(f"cargoes must hold exactly one cargo, "
                              f"got {len(self.cargoes)}")
@@ -159,6 +160,37 @@ class ScenarioConfig(Ranged):
         labels = [m.label for m in self.qr_markers]
         if len(set(labels)) != len(labels):
             raise ValueError(f"qr_markers must hold distinct labels, got {labels}")
+
+
+class VehicleKnowledge(NamedTuple):
+    """What the vehicle may know before it flies: the ranging and marker
+    infrastructure, its cameras, the deck, its home pad and the size, not
+    the place, of the cargo it looks for.  The autonomy stack is built from
+    this alone; the truth and the noise draws stay in the world."""
+
+    anchors: tuple[tuple[float, float, float], ...]
+    label_baseline: float
+    markers: tuple[QrMarker, ...]
+    qr_focal: float
+    det_focal: float
+    det_h_fov: float
+    det_v_fov: float
+    top_diagonal: float  # of the cargo's top face
+    deck_center: tuple[float, float]
+    deck_yaw: float
+    deck_size: tuple[float, float]
+    deck_height: float
+    home_xy: tuple[float, float]
+    sigma_uwb: float  # the range noise the filters assume
+
+
+def vehicle_knowledge(cfg: ScenarioConfig) -> VehicleKnowledge:
+    """The part of `cfg` the vehicle knows."""
+    return VehicleKnowledge(
+        cfg.anchors, cfg.label_baseline, tuple(cfg.qr_markers), cfg.qr_focal,
+        cfg.det_focal, cfg.det_h_fov, cfg.det_v_fov, cfg.cargoes[0].top_diagonal,
+        cfg.deck_center, cfg.deck_yaw, cfg.deck_size, cfg.deck_height,
+        tuple(float(v) for v in cfg.uav_start[:2]), cfg.sigma_uwb)
 
 
 class SimState(NamedTuple):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from cargosim.control import PHASE_GAINS, VELOCITY_LIMITS, PidGains
-from cargosim.mission import (BLIND_DESCENT_SPEED, STAGES, MissionConfig,
-                              MissionExecutive, MissionPhase, TickInputs,
-                              attachment_check)
+from cargosim.mission import (BLIND_DESCENT_SPEED, BOUNCE_CLEARANCE, STAGES,
+                              VERIFY_HEIGHT, MissionConfig, MissionExecutive,
+                              MissionPhase, TickInputs, attachment_check)
 from cargosim.perception import CargoTrack
 from cargosim.qr_localization import PoseEstimate
+from cargosim.sim_world import CargoSpec, vehicle_knowledge
 
 from conftest import calm_scenario
 
@@ -73,8 +74,12 @@ def test_mission_config_validation():
 
 # --- phase sequencing ------------------------------------------------
 
+def _knows(**scenario_overrides):
+    return vehicle_knowledge(calm_scenario(**scenario_overrides))
+
+
 def _executive(**mission_overrides):
-    return MissionExecutive(MissionConfig(**mission_overrides), calm_scenario())
+    return MissionExecutive(MissionConfig(**mission_overrides), _knows())
 
 
 def test_a_world_setpoint_error_is_flown_in_the_heading_frame():
@@ -245,11 +250,82 @@ def test_bounce_recovery_climbs_clear():
     assert cmd.velocity is None  # back to servoing
 
 
+@pytest.mark.parametrize("cargo_z", [1.1, 1.6])
+def test_a_bounce_climbs_clear_of_its_contact_whatever_the_cargo_height(cargo_z):
+    # the climb ends BOUNCE_CLEARANCE above the estimate at the contact: the
+    # executive knows no cargo height
+    cargo = CargoSpec(position=(8.0, 0.0, cargo_z), mass=0.89, top_diagonal=0.372)
+    ex = MissionExecutive(MissionConfig(), _knows(cargoes=(cargo,)))
+    track = CargoTrack(locked=True, position=(0.3, 0.0, -0.5))
+    for contact in (1.15, 2.0):
+        ex.stage = "servo"
+        cmd = ex.tick(_inputs(70.0, _est(8.0, 0.3, contact), track=track,
+                              on_ground=True))
+        assert ex.stage == "bounce" and cmd.velocity[2] > 0.0
+        top = contact + BOUNCE_CLEARANCE
+        cmd = ex.tick(_inputs(70.1, _est(8.0, 0.3, math.nextafter(top, 0.0)),
+                              track=track))
+        assert ex.stage == "bounce" and cmd.velocity[2] > 0.0
+        cmd = ex.tick(_inputs(70.2, _est(8.0, 0.3, top), track=track))
+        assert ex.stage == "servo" and cmd.velocity is None
+
+
+def _scripted_landing_and_return(ex):
+    """Tick `ex` from takeoff to done on inputs that ignore its commands;
+    returns every command and the stages it passed through."""
+    hover = (math.sqrt(7.9 * 9.81 / 4.0),) * 4
+    loaded = (math.sqrt(8.79 * 9.81 / 4.0),) * 4
+    centred = CargoTrack(locked=True, position=(0.02, 0.01, -0.12))
+    script = [(_est(1.0, 2.0, 0.5), None, hover, False),  # takeoff
+              (_est(1.0, 2.0, 5.9), None, hover, False),  # -> search
+              (_est(7.9, 0.1, 6.0), CargoTrack(locked=True, position=(0.1, 0.1, -4.9)),
+               hover, False),  # -> servo
+              (_est(8.1, 0.2, 1.15), centred, hover, True)]  # contact -> bounce
+    script += [(_est(8.1, 0.2, 1.2 + 0.05 * k), centred, hover, False)
+               for k in range(14)]  # climbs clear, then servos
+    script += [(_est(8.05, 0.05, 1.3), centred, hover, False)] * 120  # -> blind
+    script += [(_est(8.04, 0.03, 1.22), None, hover, False),
+               (_est(8.03, 0.02, 1.12), None, hover, True)]  # touchdown -> adsorb
+    script += [(_est(8.03, 0.02, 1.12), None, hover, True)] * 30  # -> ascend
+    script += [(_est(8.0, 0.0, 1.2 + 0.1 * k), None, loaded, False)
+               for k in range(16)]  # -> verify
+    script += [(_est(8.0, 0.0, 2.6), None, loaded, False)] * 10  # -> cruise
+    script += [(_est(8.0, 0.0, 6.0), None, loaded, False),
+               (_est(1.1, 2.0, 6.0), None, loaded, False),  # -> descend
+               (_est(1.0, 2.0, 0.05), None, loaded, True)]  # -> done
+    commands, stages = [], []
+    for k, (est, track, rotors, on_ground) in enumerate(script):
+        commands.append(ex.tick(_inputs(0.02 * k, est, track, rotors, on_ground)))
+        stages.append(ex.stage)
+    return commands, stages
+
+
+def test_the_executive_flies_the_same_wherever_the_cargo_is():
+    # two scenarios that differ only in where the cargo stands give one
+    # record of what the vehicle knows, and the same commands tick by tick
+    moved = CargoSpec(position=(9.0, 1.0, 1.6), mass=0.89, top_diagonal=0.372)
+    knows = [_knows(), _knows(cargoes=(moved,))]
+    assert knows[0] == knows[1]
+    flights = [_scripted_landing_and_return(
+        MissionExecutive(MissionConfig(adsorb_settle_time=0.5, hover_window=0.1), k))
+        for k in knows]
+    assert flights[0] == flights[1]
+    commands, stages = flights[0]
+    assert [s for k, s in enumerate(stages) if s not in stages[:k]] == [
+        "takeoff", "search", "servo", "bounce", "blind", "adsorb", "ascend",
+        "verify", "cruise", "descend", "done"]
+    # the thrust check hovers above the touchdown estimate (8.03, 0.02, 1.12),
+    # seen from (8, 0, 2.6) on the tick that enters it
+    verify = commands[stages.index("verify")]
+    assert verify.error[:3] == pytest.approx((0.03, 0.02, 1.12 + VERIFY_HEIGHT - 2.6),
+                                             rel=0, abs=1e-12)
+
+
 def test_hover_windows_span_the_same_time_at_any_tick():
     # at dt = 0.01 the pre-adhesion window holds the last 2 s of hover,
     # 200 samples, as many as the post-adhesion verification collects
     dt = 0.01
-    ex = MissionExecutive(MissionConfig(), calm_scenario(), dt=dt)
+    ex = MissionExecutive(MissionConfig(), _knows(), dt=dt)
     ex.stage = "servo"
     # near hover height, but too far off-centre to start the blind hold
     track = CargoTrack(locked=True, position=np.array([0.15, 0.0, -0.12]))
@@ -261,6 +337,7 @@ def test_hover_windows_span_the_same_time_at_any_tick():
     ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 90.0
+    ex.verify_point = (8.0, 0.0, 2.6)
     k = 0
     while ex.stage == "verify":
         k += 1
@@ -269,8 +346,7 @@ def test_hover_windows_span_the_same_time_at_any_tick():
 
 
 def test_hover_window_shorter_than_half_a_tick_holds_one_sample():
-    ex = MissionExecutive(MissionConfig(hover_window=0.005), calm_scenario(),
-                          dt=0.02)
+    ex = MissionExecutive(MissionConfig(hover_window=0.005), _knows(), dt=0.02)
     ex.stage = "servo"
     track = CargoTrack(locked=True, position=np.array([0.15, 0.0, -0.12]))
     for k in range(300):
@@ -282,7 +358,7 @@ def test_hover_window_shorter_than_half_a_tick_holds_one_sample():
 @pytest.mark.parametrize("dt", [0.0, -0.02, 0.2, math.nan])
 def test_executive_takes_the_step_the_world_takes(dt):
     with pytest.raises(ValueError, match=r"^dt must be in \(0, 0.1\], got "):
-        MissionExecutive(MissionConfig(), calm_scenario(), dt=dt)
+        MissionExecutive(MissionConfig(), _knows(), dt=dt)
 
 
 def test_attach_failure_reenters_land_then_aborts():
@@ -290,6 +366,7 @@ def test_attach_failure_reenters_land_then_aborts():
     ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 80.0
+    ex.verify_point = (8.0, 0.0, 2.6)
     ex.attach_attempts = 1
     hover = (math.sqrt(7.9 * 9.81 / 4.0),) * 4  # unchanged: no cargo
     t = 80.0
@@ -316,6 +393,7 @@ def test_successful_verify_cruises_home_and_lands():
     ex.pre_effort = _effort(7.9)
     ex.stage = "verify"
     ex._verify_since = 90.0
+    ex.verify_point = (8.0, 0.0, 2.6)
     loaded = (math.sqrt(8.79 * 9.81 / 4.0),) * 4
     t = 90.0
     while ex.stage == "verify":
@@ -333,9 +411,10 @@ def test_successful_verify_cruises_home_and_lands():
 
 def test_missing_pre_hover_window_aborts_with_a_reason():
     # adsorption without a landing hover: the pre-adhesion window is empty
-    ex = MissionExecutive(MissionConfig(hover_window=0.1), calm_scenario())
+    ex = MissionExecutive(MissionConfig(hover_window=0.1), _knows())
     ex.stage = "adsorb"
     ex._adsorb_until = 10.0
+    ex.verify_point = (8.0, 0.0, 2.6)  # as the touchdown sets it
     t, stages = 10.0, set()
     while ex.phase is not MissionPhase.ABORTED and t < 20.0:
         ex.tick(_inputs(t, _est(8.0, 0.0, 2.6)))

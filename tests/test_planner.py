@@ -115,6 +115,17 @@ def test_plan_coverage_returns_the_path():
     assert path.altitude == 3.0
 
 
+def test_a_side_of_whole_cells_plans_no_extra_row():
+    # a 90 degree camera at 0.5 m sees a cell of 0.9999999999999999 m, yet
+    # six of them cover 6 m: a 6 x 2 m deck is 6 x 2 cells, not 7 x 3
+    assert cell_size(0.5, math.pi / 2, math.pi / 2) < 1.0
+    path = plan_coverage(deck_size=(6.0, 2.0), deck_center=(0.0, 0.0), deck_yaw=0.0,
+                         altitude_above_deck=0.5, v_fov=math.pi / 2,
+                         h_fov=math.pi / 2, altitude=1.5)
+    assert len(path.waypoints) == 12
+    assert path.cells == spiral_path(6, 2)
+
+
 def _cells(deck, fov, z):
     path = plan_coverage(deck_size=deck, deck_center=(0.0, 0.0), deck_yaw=0.0,
                          altitude_above_deck=z, v_fov=fov[0], h_fov=fov[1],

@@ -1,5 +1,6 @@
 """tools/same_flights.py: the byte-identity check of two source trees."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -22,10 +23,12 @@ def _same_flights(base: Path, change: Path, seeds: str) -> subprocess.CompletedP
 def test_a_tree_flies_the_same_as_itself():
     out = _same_flights(ROOT, ROOT, "0-1")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "seed 0: summary identical; log identical",
-        "seed 1: summary identical; log identical",
-        "2 of 2 seeds identical"]
+    *seeds, base, change, last = out.stdout.splitlines()
+    assert seeds == ["seed 0: summary identical; log identical",
+                     "seed 1: summary identical; log identical"]
+    assert last == "2 of 2 seeds identical"
+    assert base.startswith("base: 2 of 2 done, ")
+    assert change == base.replace("base: ", "change: ", 1)
 
 
 def test_a_changed_blind_descent_speed_is_caught(tmp_path):
@@ -40,13 +43,25 @@ def test_a_changed_blind_descent_speed_is_caught(tmp_path):
     assert out.returncode == 1, out.stderr
     # the first blind tick, the one after the tick that starts the descent,
     # is the first to command another speed
-    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0)
+    summary, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0)
     events = LOG_COLUMNS.index("events")
     start = next(k for k, row in enumerate(records) if "blind_descent" in row[events])
     row = start + 2  # counted from 1
     t = records[start + 1][0]
-    seed_line, last = out.stdout.splitlines()
+    seed_line, base, change, last = out.stdout.splitlines()
     assert seed_line.startswith("seed 0: summary differs in ")
     assert seed_line.endswith(f"; log differs first at row {row} (t={t!r}), column "
                               f"cmd_vz: '{-BLIND_DESCENT_SPEED!r}' != '-0.3'")
     assert last == "1 of 1 seeds differ"
+    # both landing errors of the differing seed, then each tree's outcomes:
+    # seed 0 ends done on the top face, beyond 15 cm of its centre
+    error = summary.landing_error
+    assert 0.15 < error < ScenarioConfig().cargoes[0].top_diagonal / 2
+    assert re.search(rf"; landing error {re.escape(f'{error:.4f}')} -> 0\.\d{{4}} m; log ",
+                     seed_line)
+    assert base == (f"base: 1 of 1 done, 0 within 15 cm, 0 off the top face; "
+                    f"landing error p50 {error:.4f} p90 {error:.4f} p95 {error:.4f} m; "
+                    f"mean total_time {summary.total_time:.2f} s")
+    assert re.fullmatch(r"change: 1 of 1 done, [01] within 15 cm, [01] off the top "
+                        r"face(?: \(0\))?; landing error( p\d\d 0\.\d{4}){3} m; "
+                        r"mean total_time \d+\.\d\d s", change)

@@ -9,7 +9,11 @@ the two processes run at once.  A flight's summary is written as
 log as ``write_log`` writes ``trajectory.csv``.  For each seed the tool
 prints whether the two summaries and the two logs are byte-identical.
 Where two logs differ, it names the first row that differs and the first
-column in it.  Rows count from 1 after the header.
+column in it, and it prints both landing errors.  Rows count from 1 after
+the header.  After the seeds, it reports each tree's outcomes: how many
+flights end ``done``, land within 15 cm, and land off the cargo's top face
+(farther from its centre than half the top diagonal), the landing-error
+quantiles and the mean mission time.
 
 Exit status: 0 when every seed is identical, 1 when any differs, 2 when
 a tree cannot fly.
@@ -26,6 +30,10 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
+
+WITHIN = 0.15  # m, the landing gate
+
 
 def seed_range(text: str) -> range:
     """``A-B`` (both included) or a single seed ``A``."""
@@ -37,8 +45,9 @@ def seed_range(text: str) -> range:
 
 
 def fly(src: Path, out: Path, seeds: range) -> None:
-    """Fly each seed with the package under `src`; write its summary and log
-    into `out` and print the seed once both are written."""
+    """Print the cargo's top diagonal; then fly each seed with the package
+    under `src`, write its summary and log into `out` and print the seed
+    once both are written."""
     sys.path.insert(0, str(src))
     from cargosim import cli
     from cargosim.mission import MissionConfig
@@ -47,6 +56,7 @@ def fly(src: Path, out: Path, seeds: range) -> None:
 
     if not Path(cli.__file__).resolve().is_relative_to(src.resolve()):
         sys.exit(f"error: cargosim was imported from {cli.__file__}, not {src}")
+    print(ScenarioConfig().cargoes[0].top_diagonal, flush=True)
     for seed in seeds:
         summary, records = run_mission(ScenarioConfig(), MissionConfig(), seed=seed)
         cli._write_json(out / f"{seed}.json", summary.to_dict())
@@ -85,9 +95,33 @@ def log_difference(base: Path, change: Path) -> str | None:
     return "differs in its line endings"
 
 
+def _metres(value: float | None) -> str:
+    return "none" if value is None else f"{value:.4f}"  # null: never landed
+
+
+def outcomes(name: str, summaries: dict[int, dict], top_diagonal: float) -> str:
+    """One tree's outcomes over its flights' summaries, keyed by seed; the
+    quantiles are those of ``runner.montecarlo``, over every landing."""
+    done = {seed for seed, s in summaries.items() if s["final_phase"] == "done"}
+    errors = {seed: s["landing_error"] for seed, s in summaries.items()
+              if s["landing_error"] is not None}
+    within = sum(errors.get(seed, np.inf) <= WITHIN for seed in done)
+    off = [str(seed) for seed, e in errors.items() if e > top_diagonal / 2]
+    quantiles = "none"
+    if errors:
+        p50, p90, p95 = np.quantile(list(errors.values()), (0.5, 0.9, 0.95))
+        quantiles = f"p50 {p50:.4f} p90 {p90:.4f} p95 {p95:.4f} m"
+    mean_time = np.mean([s["total_time"] for s in summaries.values()])
+    return (f"{name}: {len(done)} of {len(summaries)} done, {within} within "
+            f"{WITHIN * 100:.0f} cm, {len(off)} off the top face"
+            + (f" ({', '.join(off)})" if off else "")
+            + f"; landing error {quantiles}; mean total_time {mean_time:.2f} s")
+
+
 def compare(base: Path, change: Path, seeds: range) -> int:
     """Fly both trees at once; report each seed as both have flown it."""
     differing = 0
+    summaries: list[dict[int, dict]] = [{}, {}]
     with tempfile.TemporaryDirectory(prefix="same-flights-") as tmp:
         outs, procs = [], []
         try:
@@ -99,6 +133,8 @@ def compare(base: Path, change: Path, seeds: range) -> int:
                     [sys.executable, __file__, "--fly", str(tree / "src"), str(out),
                      "--seeds", f"{seeds.start}-{seeds.stop - 1}"],
                     stdout=subprocess.PIPE, text=True))
+            # empty for a tree that fails to start, which its first seed reports
+            diagonals = [proc.stdout.readline().strip() for proc in procs]
             for seed in seeds:
                 for name, proc in zip(("base", "change"), procs):
                     if proc.stdout.readline().strip() != str(seed):
@@ -109,8 +145,13 @@ def compare(base: Path, change: Path, seeds: range) -> int:
                          for ext in (".json", ".csv")]
                 summary, log = summary_difference(*files[0]), log_difference(*files[1])
                 differing += bool(summary or log)
-                print(f"seed {seed}: summary {summary or 'identical'}; "
-                      f"log {log or 'identical'}", flush=True)
+                for side, path in zip(summaries, files[0]):
+                    side[seed] = json.loads(path.read_text())
+                line = f"seed {seed}: summary {summary or 'identical'}"
+                if summary or log:
+                    a, b = (_metres(side[seed]["landing_error"]) for side in summaries)
+                    line += f"; landing error {a} -> {b} m"
+                print(f"{line}; log {log or 'identical'}", flush=True)
                 for path in (*files[0], *files[1]):
                     path.unlink()
             for proc in procs:
@@ -121,6 +162,8 @@ def compare(base: Path, change: Path, seeds: range) -> int:
                     proc.kill()
                     proc.wait()
                 proc.stdout.close()
+    for name, side, diagonal in zip(("base", "change"), summaries, diagonals):
+        print(outcomes(name, side, float(diagonal)))
     n = len(seeds)
     print(f"{n - differing} of {n} seeds identical" if not differing else
           f"{differing} of {n} seeds differ")
