@@ -49,7 +49,7 @@ LOG_COLUMNS = [
     "cargo_bx", "cargo_by", "cargo_bz",
     "cmd_vx", "cmd_vy", "cmd_vz", "cmd_yaw_rate", "rotor_sum_sq", "events",
 ]
-NAN3 = (float("nan"),) * 3  # the cargo columns of a tick without a track
+NAN3 = (float("nan"),) * 3  # the cargo or estimate columns of a row without one
 MAX_TIME = 600.0  # s a mission may fly
 DT = 0.02  # s, the 50 Hz tick
 
@@ -102,7 +102,7 @@ class Flight:
         knows = vehicle_knowledge(scenario)  # the stages see no more than this
         self.localizer = Localizer(knows, dt)
         self.perception = CargoPerception(knows, dt)
-        self.executive = MissionExecutive(mission, knows, dt=dt)
+        self.executive = MissionExecutive(mission, knows, dt)
         self.command = Command(dt)
         self.recorder = Recorder(scenario, dt, keep_rows)
 
@@ -136,10 +136,9 @@ class Flight:
         vel = self.command.step(cmd, state.t)
         if cmd.do_adsorb:
             state = world.attach_cargo(state, self.adsorb_prob)
-        after = world.step(state, vel, self.dt)
         phase = executive.phase  # a tick that changes the phase logs the new one
-        self.recorder.step(state, after, est, events, track, cmd, vel, phase)
-        self.state = after
+        self.recorder.step(state, est, events, track, cmd, vel, phase)
+        self.state = world.step(state, vel, self.dt)
         return phase not in (MissionPhase.DONE, MissionPhase.ABORTED)
 
     def summary(self) -> RunSummary:
@@ -259,38 +258,38 @@ class Recorder:
         self.phase_durations: dict[str, float] = {}
         self.landing_error = float("nan")
 
-    def step(self, before: SimState, after: SimState, est: PoseEstimate,
-             events: list[str], track: CargoTrack, cmd: TickCommand,
+    def step(self, state: SimState, est: PoseEstimate, events: list[str],
+             track: CargoTrack, cmd: TickCommand,
              vel: tuple[float, float, float, float], phase: MissionPhase) -> None:
-        """Score the estimate against the position it was made at; log the
+        """Score the estimate against the state it was made from; log the
         tick under `phase`, the executive's phase after it."""
-        tx, ty, tz = before.uav_pos
+        tx, ty, tz = state.uav_pos
         ex, ey, ez = est.position
         self.sq_errors.add(est.source, ex - tx, ey - ty, ez - tz)
         if phase is MissionPhase.ADSORB and math.isnan(self.landing_error):
             self.landing_error = float(np.linalg.norm(
-                np.subtract(after.uav_pos[:2], self.cargo_xy)))
-
-        name = phase.value
-        if self.records is not None:
-            c_b = track.position if track.position is not None else NAN3
-            self.records.append([  # a list display, not unpacking: no spare slots
-                round(after.t, 6), name, tx, ty, tz, after.uav_euler.yaw,
-                ex, ey, ez, est.yaw, est.source, c_b[0], c_b[1], c_b[2],
-                vel[0], vel[1], vel[2], vel[3],
-                after.rotor_sum_sq, ";".join([*events, *cmd.events]),
-            ])
-        self.phase_durations[name] = self.phase_durations.get(name, 0.0) + self.dt
+                np.subtract(state.uav_pos[:2], self.cargo_xy)))
+        self._log(state, phase, est.position, est.yaw, est.source, track.position,
+                  vel, events, cmd.events)
+        spent = self.phase_durations
+        spent[phase.value] = spent.get(phase.value, 0.0) + self.dt
 
     def fault(self, state: SimState, phase: MissionPhase,
               events: list[str]) -> None:
         """Log the tick from `state` that raised: the truth, with no
         estimate, track or command; the world did not step."""
+        self._log(state, phase, NAN3, NAN3[0], "", None, STOP, events)
+
+    def _log(self, state: SimState, phase: MissionPhase, est_pos, est_yaw: float,
+             source: str, cargo, vel, events: list[str], more_events=()) -> None:
+        """One log row, each column of it at the instant `state.t`."""
         if self.records is not None:
-            self.records.append([
-                round(state.t, 6), phase.value, *state.uav_pos,
-                state.uav_euler.yaw, *NAN3, NAN3[0], "", *NAN3, *STOP,
-                state.rotor_sum_sq, ";".join(events)])
+            (tx, ty, tz), (ex, ey, ez) = state.uav_pos, est_pos
+            cx, cy, cz = NAN3 if cargo is None else cargo  # no track, no position
+            self.records.append([  # a list display, not unpacking: no spare slots
+                round(state.t, 6), phase.value, tx, ty, tz, state.uav_euler.yaw,
+                ex, ey, ez, est_yaw, source, cx, cy, cz, vel[0], vel[1], vel[2],
+                vel[3], state.rotor_sum_sq, ";".join([*events, *more_events])])
 
     def summary(self, executive: MissionExecutive, source_switches: int,
                 total_time: float, seed: int) -> RunSummary:

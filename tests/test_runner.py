@@ -601,11 +601,39 @@ def test_a_label_that_takes_no_range_is_logged_degraded(monkeypatch):
                              max_time=2.0)
     t, events = LOG_COLUMNS.index("t"), LOG_COLUMNS.index("events")
     marked = [row for row in records if "uwb_degraded" in row[events]]
-    # the tick that senses at t = 1 s is logged at its end, t = 1.02 s
-    assert marked[0][t] == pytest.approx(1.02)
+    # the tick that senses at t = 1 s is logged at t = 1 s
+    assert marked[0][t] == pytest.approx(1.00)
     assert marked[0][events] == "uwb_degraded:0"
     assert [row[t] for row in marked] == [row[t] for row in records[50:]]
     assert all(row[events].split(";")[0] == "uwb_degraded:0" for row in marked)
+
+
+def _steps(monkeypatch) -> list:
+    """(state, next state) of every SimWorld.step call from here on."""
+    steps, original = [], SimWorld.step
+
+    def step(self, state, cmd, dt):
+        steps.append((state, original(self, state, cmd, dt)))
+        return steps[-1][1]
+    monkeypatch.setattr(SimWorld, "step", step)
+    return steps
+
+
+def test_a_row_describes_the_instant_its_tick_sensed(monkeypatch,
+                                                     nan_roll_from_one_second):
+    # each row's time, truth and rotor telemetry are those of the state the
+    # tick sensed and the world stepped from
+    steps = _steps(monkeypatch)
+    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=0)
+    columns = [LOG_COLUMNS.index(name) for name in (
+        "t", "true_x", "true_y", "true_z", "true_yaw", "rotor_sum_sq")]
+    assert [[row[k] for k in columns] for row in records] == [
+        [round(s.t, 6), *s.uav_pos, s.uav_euler.yaw, s.rotor_sum_sq]
+        for s, _ in steps]
+    # a fault row is the instant after the last tick that stepped
+    _, records = run_mission(ScenarioConfig(), MissionConfig(), seed=FAULTY_SEED)
+    t = LOG_COLUMNS.index("t")
+    assert records[-1][t] - records[-2][t] == pytest.approx(runner.DT)
 
 
 def test_a_hover_effort_past_the_float_range_is_a_sensor_fault():
