@@ -304,7 +304,9 @@ class SimWorld:
         Contact: a grounded vehicle holds still until a command climbs,
         which lifts it off.  A flying vehicle that sinks, under a command
         that does not climb, to within 2 cm of the surface under it (see
-        :meth:`support_height`) is grounded and stops where it stands.
+        :meth:`support_height`) is grounded and stops where it stands.  A
+        grounded state, the one of the touchdown step included, is at rest:
+        no velocity or acceleration, a level attitude and hover thrust.
         """
         cfg = self.cfg
         c_vx, c_vy, c_vz, c_yaw = cmd
@@ -345,17 +347,18 @@ class SimWorld:
         az = (c_vz - vz) / tau + 0.0  # no vertical disturbance
         on_ground = state.on_ground and c_vz <= 0.0
         if on_ground:
-            vel = acc = (0.0, 0.0, 0.0)
             pos = state.uav_pos
-            ax = ay = az = 0.0
         else:
             vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
             px, py, pz = state.uav_pos
-            acc = (ax, ay, az)
             pos = (px + vx * dt, py + vy * dt, pz + vz * dt)
             on_ground = (c_vz <= 0.0 and vz <= 0.0
                          and pos[2] <= self.support_height(pos[0], pos[1]) + 0.02)
-            vel = (0.0, 0.0, 0.0) if on_ground else (vx, vy, vz)
+        if on_ground:  # at rest from the touchdown step: still, level, hover thrust
+            vel = acc = (0.0, 0.0, 0.0)
+            ax = ay = az = 0.0
+        else:
+            vel, acc = (vx, vy, vz), (ax, ay, az)
 
         # tilt follows the commanded horizontal acceleration
         a_bx = cy * ax + sy * ay

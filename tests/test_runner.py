@@ -636,6 +636,20 @@ def test_a_row_describes_the_instant_its_tick_sensed(monkeypatch,
     assert records[-1][t] - records[-2][t] == pytest.approx(runner.DT)
 
 
+def test_a_grounded_vehicle_is_at_rest_from_its_touchdown_tick(monkeypatch):
+    # the step that grounds the vehicle leaves it still, level and at hover
+    # thrust, so the next tick's IMU reads no acceleration
+    steps = _steps(monkeypatch)
+    run_mission(ScenarioConfig(), MissionConfig(), seed=0)
+    touchdowns = [after for before, after in steps
+                  if after.on_ground and not before.on_ground]
+    assert len(touchdowns) >= 2  # on the cargo, then back on the pad
+    world = SimWorld(ScenarioConfig())
+    for state in touchdowns:
+        assert state.uav_vel == state.uav_acc == (0.0, 0.0, 0.0)
+        assert world.sense_imu(state) == ((0.0, 0.0, 0.0), 0.0, 0.0)
+
+
 def test_a_hover_effort_past_the_float_range_is_a_sensor_fault():
     # the rotor speeds of a 1e308 kg vehicle square to infinity, so the
     # attachment check has no finite hover effort to compare against
