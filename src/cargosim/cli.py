@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .mission import MissionConfig, MissionExecutive
-from .runner import (LogFormatError, metrics_from_log, montecarlo, run_mission,
+from .runner import (DT, LogFormatError, metrics_from_log, montecarlo, run_mission,
                      write_log)
 from .sim_world import ScenarioConfig, vehicle_knowledge
 
@@ -98,7 +98,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_plan(args) -> int:
     scenario, mission = _load(args)
-    executive = MissionExecutive(mission, vehicle_knowledge(scenario))
+    executive = MissionExecutive(mission, vehicle_knowledge(scenario), DT)
     executive.plan()
     path, yaws = executive.path, executive.yaws
     lines = ["x_m,y_m,z_m,yaw_rad"]

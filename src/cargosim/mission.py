@@ -149,8 +149,7 @@ class MissionExecutive:
     """Sequences the transport stages for one vehicle from what it knows, which
     holds no cargo position: its hover points come from its own estimates."""
 
-    def __init__(self, mission: MissionConfig, knows: VehicleKnowledge,
-                 dt: float = 0.02):
+    def __init__(self, mission: MissionConfig, knows: VehicleKnowledge, dt: float):
         check_step(dt)
         self.cfg = mission
         self.knows = knows

@@ -62,8 +62,10 @@ class PoseEstimate:
 
     def __init__(self, position, yaw: float, source: str):
         # built two or three times a tick: one dict update sets the fields
-        if not (all(map(math.isfinite, position)) and math.isfinite(yaw)):
-            raise ValueError("pose estimate must be finite")
+        if not (type(position) is tuple and len(position) == 3
+                and all(map(math.isfinite, position)) and math.isfinite(yaw)):
+            raise ValueError("pose estimate must be a finite (x, y, z) tuple "
+                             "and a finite yaw")
         vars(self).update(position=position, yaw=yaw, source=source)
 
 

@@ -9,6 +9,7 @@ from cargosim.mission import (BLIND_DESCENT_SPEED, BOUNCE_CLEARANCE, STAGES,
                               MissionPhase, TickInputs, attachment_check)
 from cargosim.perception import CargoTrack
 from cargosim.qr_localization import PoseEstimate
+from cargosim.runner import DT
 from cargosim.sim_world import CargoSpec, vehicle_knowledge
 
 from conftest import calm_scenario
@@ -21,7 +22,7 @@ def _effort(mass):
 
 
 def _est(x, y, z, yaw=0.0):
-    return PoseEstimate(position=np.array([x, y, z], dtype=float), yaw=yaw,
+    return PoseEstimate(position=(float(x), float(y), float(z)), yaw=yaw,
                         source="uwb")
 
 
@@ -79,7 +80,7 @@ def _knows(**scenario_overrides):
 
 
 def _executive(**mission_overrides):
-    return MissionExecutive(MissionConfig(**mission_overrides), _knows())
+    return MissionExecutive(MissionConfig(**mission_overrides), _knows(), DT)
 
 
 def test_a_world_setpoint_error_is_flown_in_the_heading_frame():
@@ -255,7 +256,7 @@ def test_a_bounce_climbs_clear_of_its_contact_whatever_the_cargo_height(cargo_z)
     # the climb ends BOUNCE_CLEARANCE above the estimate at the contact: the
     # executive knows no cargo height
     cargo = CargoSpec(position=(8.0, 0.0, cargo_z), mass=0.89, top_diagonal=0.372)
-    ex = MissionExecutive(MissionConfig(), _knows(cargoes=(cargo,)))
+    ex = MissionExecutive(MissionConfig(), _knows(cargoes=(cargo,)), DT)
     track = CargoTrack(locked=True, position=(0.3, 0.0, -0.5))
     for contact in (1.15, 2.0):
         ex.stage = "servo"
@@ -306,9 +307,9 @@ def test_the_executive_flies_the_same_wherever_the_cargo_is():
     moved = CargoSpec(position=(9.0, 1.0, 1.6), mass=0.89, top_diagonal=0.372)
     knows = [_knows(), _knows(cargoes=(moved,))]
     assert knows[0] == knows[1]
-    flights = [_scripted_landing_and_return(
-        MissionExecutive(MissionConfig(adsorb_settle_time=0.5, hover_window=0.1), k))
-        for k in knows]
+    mission = MissionConfig(adsorb_settle_time=0.5, hover_window=0.1)
+    flights = [_scripted_landing_and_return(MissionExecutive(mission, k, DT))
+               for k in knows]
     assert flights[0] == flights[1]
     commands, stages = flights[0]
     assert [s for k, s in enumerate(stages) if s not in stages[:k]] == [
@@ -411,7 +412,7 @@ def test_successful_verify_cruises_home_and_lands():
 
 def test_missing_pre_hover_window_aborts_with_a_reason():
     # adsorption without a landing hover: the pre-adhesion window is empty
-    ex = MissionExecutive(MissionConfig(hover_window=0.1), _knows())
+    ex = MissionExecutive(MissionConfig(hover_window=0.1), _knows(), DT)
     ex.stage = "adsorb"
     ex._adsorb_until = 10.0
     ex.verify_point = (8.0, 0.0, 2.6)  # as the touchdown sets it

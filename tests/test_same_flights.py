@@ -24,6 +24,7 @@ def test_a_tree_flies_the_same_as_itself():
     out = _same_flights(ROOT, ROOT, "0-1")
     assert out.returncode == 0, out.stderr
     *seeds, base, change, last = out.stdout.splitlines()
+    # identical logs list no differing column
     assert seeds == ["seed 0: summary identical; log identical",
                      "seed 1: summary identical; log identical"]
     assert last == "2 of 2 seeds identical"
@@ -50,8 +51,14 @@ def test_a_changed_blind_descent_speed_is_caught(tmp_path):
     t = records[start + 1][0]
     seed_line, base, change, last = out.stdout.splitlines()
     assert seed_line.startswith("seed 0: summary differs in ")
-    assert seed_line.endswith(f"; log differs first at row {row} (t={t!r}), column "
-                              f"cmd_vz: '{-BLIND_DESCENT_SPEED!r}' != '-0.3'")
+    assert (f"; log differs first at row {row} (t={t!r}), column cmd_vz: "
+            f"'{-BLIND_DESCENT_SPEED!r}' != '-0.3'; ") in seed_line
+    # then every column that differs, each with its count of differing rows
+    listed = seed_line.split("; differing columns: ")[1].split(", ")
+    columns = dict(re.fullmatch(r"(\w+) in (\d+) rows", entry).groups()
+                   for entry in listed)
+    assert set(columns) <= set(LOG_COLUMNS)
+    assert 1 <= int(columns["cmd_vz"]) <= len(records)
     assert last == "1 of 1 seeds differ"
     # both landing errors of the differing seed, then each tree's outcomes:
     # seed 0 ends done on the top face, beyond 15 cm of its centre

@@ -13,6 +13,7 @@ another value builds one, or a changed copy with ``_replace``.
 
 import math
 
+import numpy as np
 import pytest
 
 from cargosim.control import VELOCITY_LIMITS
@@ -155,9 +156,13 @@ def test_coverage_waypoints_are_float_tuples():
     ((0.0, float("inf"), 1.0), 0.0),
     ((0.0, 0.0, -float("inf")), 0.0),
     ((0.0, 0.0, 1.0), float("nan")),
+    (np.array([0.0, 0.0, 1.0]), 0.0),
+    ([0.0, 0.0, 1.0], 0.0),
+    ((0.0, 1.0), 0.0),
 ])
 def test_pose_estimate_rejects_non_finite(position, yaw):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^pose estimate must be a finite "
+                                         r"\(x, y, z\) tuple and a finite yaw$"):
         PoseEstimate(position=position, yaw=yaw, source="uwb")
 
 

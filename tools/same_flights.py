@@ -9,11 +9,12 @@ the two processes run at once.  A flight's summary is written as
 log as ``write_log`` writes ``trajectory.csv``.  For each seed the tool
 prints whether the two summaries and the two logs are byte-identical.
 Where two logs differ, it names the first row that differs and the first
-column in it, and it prints both landing errors.  Rows count from 1 after
-the header.  After the seeds, it reports each tree's outcomes: how many
-flights end ``done``, land within 15 cm, and land off the cargo's top face
-(farther from its centre than half the top diagonal), the landing-error
-quantiles and the mean mission time.
+column in it, then every column that differs in any row the two logs
+share, each with its count of differing rows, and it prints both landing
+errors.  Rows count from 1 after the header.  After the seeds, it reports
+each tree's outcomes: how many flights end ``done``, land within 15 cm,
+and land off the cargo's top face (farther from its centre than half the
+top diagonal), the landing-error quantiles and the mean mission time.
 
 Exit status: 0 when every seed is identical, 1 when any differs, 2 when
 a tree cannot fly.
@@ -27,6 +28,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
 
@@ -73,7 +75,8 @@ def summary_difference(base: Path, change: Path) -> str | None:
 
 
 def log_difference(base: Path, change: Path) -> str | None:
-    """None for identical files, else the first row and column that differ."""
+    """None for identical files, else the first row and column that differ
+    (or the row where one log ends) and the differing columns."""
     if base.read_bytes() == change.read_bytes():
         return None
     with open(base, newline="") as fa, open(change, newline="") as fb:
@@ -83,16 +86,30 @@ def log_difference(base: Path, change: Path) -> str | None:
         header = next(rows_a, [])
         if next(rows_b, []) != header:
             return "differs in its header"
+        found, counts = [], Counter()  # column index -> rows it differs in
         for number, (a, b) in enumerate(zip_longest(rows_a, rows_b), 1):
             if a is None or b is None:
-                return f"ends at row {number} in {'base' if a is None else 'change'}"
+                found.append(f"ends at row {number} in "
+                             f"{'base' if a is None else 'change'}")
+                break
             if a != b:
-                k = next(k for k, (x, y) in enumerate(zip_longest(a, b)) if x != y)
-                name = header[k] if k < len(header) else f"#{k + 1}"
-                return (f"differs first at row {number} (t={a[0]}), column {name}: "
-                        f"{a[k] if k < len(a) else None!r} != "
-                        f"{b[k] if k < len(b) else None!r}")
-    return "differs in its line endings"
+                columns = [k for k, (x, y) in enumerate(zip_longest(a, b)) if x != y]
+                counts.update(columns)
+                if not found:
+                    k = columns[0]
+                    found.append(f"differs first at row {number} (t={a[0]}), column "
+                                 f"{_column(header, k)}: {a[k] if k < len(a) else None!r}"
+                                 f" != {b[k] if k < len(b) else None!r}")
+    if not found:
+        return "differs in its line endings"
+    if counts:
+        found.append("differing columns: " + ", ".join(
+            f"{_column(header, k)} in {counts[k]} rows" for k in sorted(counts)))
+    return "; ".join(found)
+
+
+def _column(header: list[str], k: int) -> str:
+    return header[k] if k < len(header) else f"#{k + 1}"
 
 
 def _metres(value: float | None) -> str:
