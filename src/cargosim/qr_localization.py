@@ -64,8 +64,7 @@ class PoseEstimate:
         # built two or three times a tick: one dict update sets the fields
         if not (type(position) is tuple and len(position) == 3
                 and all(map(math.isfinite, position)) and math.isfinite(yaw)):
-            raise ValueError("pose estimate must be a finite (x, y, z) tuple "
-                             "and a finite yaw")
+            raise ValueError("pose estimate must be a finite (x, y, z) tuple and yaw")
         vars(self).update(position=position, yaw=yaw, source=source)
 
 

@@ -304,9 +304,8 @@ class SimWorld:
         Contact: a grounded vehicle holds still until a command climbs,
         which lifts it off.  A flying vehicle that sinks, under a command
         that does not climb, to within 2 cm of the surface under it (see
-        :meth:`support_height`) is grounded and stops where it stands.  A
-        grounded state, the one of the touchdown step included, is at rest:
-        no velocity or acceleration, a level attitude and hover thrust.
+        :meth:`support_height`) is grounded where it stands.  From that step
+        on it is at rest: still, level and at hover thrust.
         """
         cfg = self.cfg
         c_vx, c_vy, c_vz, c_yaw = cmd
@@ -346,11 +345,10 @@ class SimWorld:
         ay = (sy * c_vx + cy * c_vy - vy) / tau + (dist_y - ty)
         az = (c_vz - vz) / tau + 0.0  # no vertical disturbance
         on_ground = state.on_ground and c_vz <= 0.0
-        if on_ground:
-            pos = state.uav_pos
-        else:
+        pos = state.uav_pos
+        if not on_ground:
             vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
-            px, py, pz = state.uav_pos
+            px, py, pz = pos
             pos = (px + vx * dt, py + vy * dt, pz + vz * dt)
             on_ground = (c_vz <= 0.0 and vz <= 0.0
                          and pos[2] <= self.support_height(pos[0], pos[1]) + 0.02)
