@@ -637,8 +637,8 @@ def test_a_row_describes_the_instant_its_tick_sensed(monkeypatch,
 
 
 def test_a_grounded_vehicle_is_at_rest_from_its_touchdown_tick(monkeypatch):
-    # the step that grounds the vehicle leaves it still, level and at hover
-    # thrust, so the next tick's IMU reads no acceleration
+    # the step that grounds the vehicle leaves it still and level, so the
+    # next tick's IMU reads no acceleration
     steps = _steps(monkeypatch)
     run_mission(ScenarioConfig(), MissionConfig(), seed=0)
     touchdowns = [after for before, after in steps
