@@ -19,24 +19,21 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .frames import mean_rows, unproject
 
 
-@dataclass(frozen=True)
-class DetectionObservation:
-    """One detector candidate: box center/diagonal in image-plane units."""
+class DetectionObservation(NamedTuple):
+    """One detector candidate: box center/diagonal in image-plane units.
+    `SimWorld.sense_cargo`, which makes every candidate and alone checks
+    it, gives a confidence in [0, 1], a positive diagonal and a finite
+    centre and yaw in (-pi, pi]."""
 
     confidence: float
     image_center: tuple[float, float]
     box_diagonal: float
     box_yaw: float = 0.0  # oriented-box angle supplied by the detector
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if self.box_diagonal <= 0:
-            raise ValueError("box diagonal must be > 0")
 
 
 LOCK_FRAMES = 5  # consecutive associated frames that lock the gate
@@ -147,9 +144,8 @@ def wavegate_select(candidates: list[DetectionObservation],
 
 def cargo_position_from_detection(obs: DetectionObservation, focal_length: float,
                                   true_diagonal: float) -> tuple[float, float, float]:
-    """Body-frame cargo position by the same pinhole inversion as markers."""
-    if true_diagonal <= 0:
-        raise ValueError("true diagonal must be > 0")
+    """Body-frame cargo position by the same pinhole inversion as markers;
+    `true_diagonal` is the cargo's, positive as ``CargoSpec`` checks it."""
     return unproject(obs.image_center, obs.box_diagonal, focal_length,
                      true_diagonal)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frames import (FINITE, NATURAL, POSITIVE, EulerAngles, Ranged, mean_rows, rotate,
                      rotation_rows, unproject, wrap_angle)
@@ -31,24 +32,21 @@ class QrMarker(Ranged):
     panel_xy: tuple[float, float] = FINITE()
 
 
-@dataclass(frozen=True)
-class QrObservation:
+class QrObservation(NamedTuple):
     """One decoded marker in the image plane.
 
     image_center and image_diagonal are in image-plane units (the
     physical units of the camera's focal length); image_yaw is the
     marker's yaw in the image frame, which differs from the camera frame
-    by pi.
+    by pi.  `SimWorld.sense_qr`, which makes every sighting and alone
+    checks it, gives a marker's label, a positive diagonal and a finite
+    centre and yaw in (-pi, pi].
     """
 
     label: int
     image_diagonal: float
     image_center: tuple[float, float]
     image_yaw: float
-
-    def __post_init__(self):
-        if self.image_diagonal <= 0:
-            raise ValueError("image diagonal must be > 0")
 
 
 @dataclass(frozen=True)
@@ -71,9 +69,8 @@ class PoseEstimate:
 def marker_camera_coords(obs: QrObservation, marker: QrMarker, focal_length: float,
                          ) -> tuple[float, float, float]:
     """Camera-frame coordinates of a marker center from its image geometry
-    (:func:`frames.unproject`); z is always negative (marker below the camera)."""
-    if obs.label != marker.label:
-        raise ValueError(f"label mismatch: observation {obs.label} vs marker {marker.label}")
+    (:func:`frames.unproject`); z is always negative (marker below the camera).
+    `marker` is the one that `obs` sighted (see :func:`estimate_pose`)."""
     return unproject(obs.image_center, obs.image_diagonal, focal_length,
                      marker.diagonal)
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cargosim.frames import wrap_angle
+from cargosim.frames import EulerAngles, wrap_angle
 from cargosim.planner import plan_coverage
 from cargosim.qr_localization import QrMarker, estimate_pose
 from cargosim.sim_world import CargoSpec, ScenarioConfig, SimWorld
@@ -330,6 +330,49 @@ def test_cargo_confidence_fluctuates():
     state = world.initial_state()
     confs = {world.sense_cargo(state)[0].confidence for _ in range(10)}
     assert len(confs) > 1
+
+
+IMAGE_NOISES = ("qr_image_noise", "qr_yaw_noise", "det_pos_noise", "det_yaw_noise",
+                "det_conf_jitter")
+
+
+@pytest.mark.parametrize("scale", [1.0, 100.0])
+def test_every_reading_the_world_makes_is_in_range(scale):
+    # the world alone checks its readings: whatever the noise, each sighting
+    # names a known marker, and each image has a positive diagonal, a finite
+    # centre and yaw and, for a cargo candidate, a confidence in [0, 1]
+    default = ScenarioConfig()
+    cfg = replace(default, **{name: scale * getattr(default, name)
+                              for name in IMAGE_NOISES})
+    world = SimWorld(cfg)
+    labels = {m.label for m in cfg.qr_markers}
+    cargo = cfg.cargoes[0].position
+    rng = np.random.default_rng(31)
+    tilt = math.radians(15.0)
+    sightings, candidates, confidences = 0, 0, set()
+    for k in range(600):
+        x, y, top = (1.0, 2.0, 0.0) if k % 2 else cargo  # over the panel or the cargo
+        state = world.initial_state()._replace(
+            uav_pos=(x + rng.uniform(-2.0, 2.0), y + rng.uniform(-2.0, 2.0),
+                     top + rng.uniform(0.2, 6.0)),
+            uav_euler=EulerAngles(*rng.uniform(-tilt, tilt, 2),
+                                  rng.uniform(-math.pi, math.pi)),
+            platform_attitude=EulerAngles(*rng.uniform(-tilt, tilt, 2),
+                                          rng.uniform(-math.pi, math.pi)))
+        for obs in world.sense_qr(state):
+            sightings += 1
+            assert obs.label in labels, obs
+            assert obs.image_diagonal > 0.0 and math.isfinite(obs.image_diagonal), obs
+            assert all(map(math.isfinite, (*obs.image_center, obs.image_yaw))), obs
+        for det in world.sense_cargo(state):
+            candidates += 1
+            confidences.add(det.confidence)
+            assert 0.0 <= det.confidence <= 1.0, det
+            assert det.box_diagonal > 0.0 and math.isfinite(det.box_diagonal), det
+            assert all(map(math.isfinite, (*det.image_center, det.box_yaw))), det
+    assert sightings > 100 and candidates > 100, (sightings, candidates)
+    # a hundredfold jitter spreads the confidence past both ends of [0, 1]
+    assert ({0.0, 1.0} <= confidences) == (scale > 1.0)
 
 
 def test_imu_reports_body_acceleration():

@@ -7,7 +7,8 @@ flight's two label filters keep their state as lists of floats; a numpy
 array or a numpy scalar there means one stage wraps what the next must
 unwrap.  The config types hold floats too (see test_config), so that ==
 on them is exact.  The per-tick values (the world state, the executive's
-inputs and its command) are immutable named tuples: a stage that wants
+inputs and its command) and the world's readings (each marker sighting
+and cargo candidate) are immutable named tuples: a stage that wants
 another value builds one, or a changed copy with ``_replace``.
 """
 
@@ -20,9 +21,9 @@ from cargosim.control import VELOCITY_LIMITS
 from cargosim.frames import rotation_rows
 from cargosim.hybrid_localizer import HybridState, arbitrate
 from cargosim.mission import STOP, MissionConfig, TickCommand, TickInputs
-from cargosim.perception import CargoTrack, smooth_track
+from cargosim.perception import CargoTrack, DetectionObservation, smooth_track
 from cargosim.planner import plan_coverage
-from cargosim.qr_localization import PoseEstimate, estimate_pose
+from cargosim.qr_localization import PoseEstimate, QrObservation, estimate_pose
 from cargosim.runner import Command, Flight, run_mission
 from cargosim.sim_world import ScenarioConfig, SimState, SimWorld
 from cargosim.uwb_localization import fuse_labels
@@ -167,15 +168,21 @@ def test_pose_estimate_rejects_non_finite(position, yaw):
 
 
 def _tick_values():
-    state = SimWorld(ScenarioConfig(seed=4)).initial_state()
+    world = SimWorld(ScenarioConfig(seed=4))
+    state = world.initial_state()
     estimate = PoseEstimate(position=(1.0, 2.0, 0.0), yaw=0.0, source="uwb")
     inputs = TickInputs(t=state.t, estimate=estimate, track=CargoTrack(),
                         rotor_speeds=state.rotor_speeds, on_ground=state.on_ground)
-    return state, inputs, TickCommand(velocity=STOP, events=("a",))
+    # a marker sighting and a cargo candidate, each as the world makes it
+    sighting = world.sense_qr(state._replace(uav_pos=(1.0, 2.0, 1.5)))[0]
+    x, y, z = world.cfg.cargoes[0].position
+    candidate, = world.sense_cargo(state._replace(uav_pos=(x, y, z + 3.0)))
+    return state, inputs, TickCommand(velocity=STOP, events=("a",)), sighting, candidate
 
 
 @pytest.mark.parametrize("index, kind", [(0, SimState), (1, TickInputs),
-                                         (2, TickCommand)])
+                                         (2, TickCommand), (3, QrObservation),
+                                         (4, DetectionObservation)])
 def test_tick_values_are_immutable(index, kind):
     value = _tick_values()[index]
     assert type(value) is kind
