@@ -185,13 +185,13 @@ class Localizer:
                 ranges, self.points, self.var)
             lost = [f"uwb_degraded:{i}" for i in degraded]
         (mean1, _), (mean2, _) = self.filters
-        u1, u2 = mean1[:3], mean2[:3]
+        # each label into the world frame once, for the heading and the fusion
+        w1, w2 = rotate(R_a_w, mean1[:3]), rotate(R_a_w, mean2[:3])
 
-        yaw = uwb_localization.yaw_from_labels(rotate(R_a_w, u1), rotate(R_a_w, u2),
-                                               roll, pitch, self.baseline)
+        yaw = uwb_localization.yaw_from_labels(w1, w2, roll, pitch, self.baseline)
         if yaw is not None:  # else hold the last valid heading
             self.yaw = yaw
-        uwb_pose = uwb_localization.fuse_labels((u1, u2), R_a_w, yaw=self.yaw)
+        uwb_pose = uwb_localization.fuse_labels((w1, w2), self.yaw)
 
         # a tick with no sighting makes no fix attempt; one that sights no
         # known marker has no fix either

@@ -9,10 +9,10 @@ label's (mean, covariance) pair, which :func:`ekf_predict` and
 The anchors are rows of floats, as ``ScenarioConfig.anchors`` holds and
 checks them; numpy enters only the least-squares solve of
 :func:`multilaterate`.
-A flight's two label positions are averaged into the UAV center, rotated
-into the world frame, and their baseline vector yields the UAV yaw
-independent of the magnetometer, or no yaw where the baseline fails its
-gate.
+A flight's two label positions, each rotated into the world frame once
+by the caller, are averaged into the UAV center, and their baseline
+vector yields the UAV yaw independent of the magnetometer, or no yaw
+where the baseline fails its gate.
 Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR`` and
 ``MULTILATERATE_TOL``; the range variance (:func:`range_variance`) and the
 period are the caller's.
@@ -166,19 +166,15 @@ def ekf_update(labels: list, ranges, points, var: float,
     return updated, degraded
 
 
-def fuse_labels(labels: Sequence[Sequence[float]], R_au_w,
-                yaw: float = 0.0) -> PoseEstimate:
-    """Average a flight's label positions, rotated into the world frame.
+def fuse_labels(labels: Sequence[Sequence[float]], yaw: float) -> PoseEstimate:
+    """Average a flight's world-frame label positions, rows of floats.
 
-    `labels` are the anchor-frame label positions, rows of floats.
-    Averaging the symmetric labels cancels the baseline offset and
-    decouples the estimate from platform attitude once rotated to world.
-    R_au_w is the platform-to-world rotation, a 3x3 array or its rows
-    (see frames.rotation_rows).  The yaw comes from elsewhere (see
-    :func:`yaw_from_labels`) and is passed through.
+    Averaging the symmetric labels cancels the baseline offset, and the
+    labels, each rotated from the anchor frame by the platform attitude,
+    decouple the estimate from that attitude.  The yaw comes from
+    elsewhere (see :func:`yaw_from_labels`) and is passed through.
     """
-    return PoseEstimate(position=rotate(R_au_w, mean_rows(labels)), yaw=yaw,
-                        source="uwb")
+    return PoseEstimate(position=mean_rows(labels), yaw=yaw, source="uwb")
 
 
 def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
@@ -189,13 +185,13 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
     difference equals the middle column of the body-to-world rotation;
     solving that column for yaw gives
 
-        psi = arctan2(-dx, dy)                     if S_phi S_theta = 0
-        psi = arctan2(rho1, rho2)                  otherwise
+        psi = arctan2(rho1, rho2)
 
     with rho1 = (dy/d) S_phi S_theta - (dx/d) C_phi and
-    rho2 = (dx/d) S_phi S_theta + (dy/d) C_phi.  The baseline length is
-    gated to [0.8 d, 1.2 d] as an estimator-divergence check: outside it
-    there is no heading, and the result is None.
+    rho2 = (dx/d) S_phi S_theta + (dy/d) C_phi.  C_phi > 0 below the roll
+    gate, so where S_phi S_theta = 0 this is arctan2(-dx, dy).  The
+    baseline length is gated to [0.8 d, 1.2 d] as an estimator-divergence
+    check: outside it there is no heading, and the result is None.
     """
     if abs(roll) >= math.pi / 2:
         raise ValueError("roll magnitude must be below pi/2")
@@ -204,11 +200,7 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
     norm = math.sqrt(dx * dx + dy * dy + dz * dz)
     if not (0.8 * d <= norm <= 1.2 * d):
         return None
-    sf, cf = math.sin(roll), math.cos(roll)
-    st = math.sin(pitch)
-    sfst = sf * st
-    if abs(sfst) < 1e-9:
-        return wrap_angle(math.atan2(-dx, dy))
+    sfst, cf = math.sin(roll) * math.sin(pitch), math.cos(roll)
     rho1 = (dy / d) * sfst - (dx / d) * cf
     rho2 = (dx / d) * sfst + (dy / d) * cf
     return wrap_angle(math.atan2(rho1, rho2))

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from cargosim.control import VELOCITY_LIMITS
-from cargosim.frames import rotation_rows
 from cargosim.hybrid_localizer import HybridState, arbitrate
 from cargosim.mission import STOP, MissionConfig, TickCommand, TickInputs
 from cargosim.perception import CargoTrack, DetectionObservation, smooth_track
@@ -67,7 +66,7 @@ def test_pose_estimates_are_float_tuples():
                        state.platform_attitude, (0.0, 0.0))
     _assert_floats(qr.position, 3)
     labels = [[1.0, 2.2, 2.5], [1.0, 1.8, 2.5]]
-    uwb = fuse_labels(labels, rotation_rows(0.1, -0.1, 0.3), yaw=0.2)
+    uwb = fuse_labels(labels, 0.2)
     _assert_floats(uwb.position, 3)
     st = HybridState()
     for source in (None, qr, qr):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from cargosim.frames import wrap_angle
-from cargosim.sim_world import ScenarioConfig
+from cargosim.frames import EulerAngles, rotate, wrap_angle
+from cargosim.runner import Localizer
+from cargosim.sim_world import ScenarioConfig, vehicle_knowledge
 from cargosim.uwb_localization import (SIGMA_JERK, SensorFault, anchor_acceleration,
                                        ekf_predict, ekf_update, fuse_labels,
                                        initial_label, multilaterate,
@@ -252,25 +253,35 @@ def test_an_epoch_that_locates_no_position_is_a_sensor_fault(r, message):
 
 
 def test_fuse_labels_idempotent():
-    pose = fuse_labels([[1.0, 2.0, 3.0]] * 2, I3)
+    pose = fuse_labels([[1.0, 2.0, 3.0]] * 2, 0.0)
     np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
     assert pose.source == "uwb"
 
 
 def test_fuse_labels_symmetric_cancellation():
-    pose = fuse_labels([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], I3)
+    pose = fuse_labels([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], 0.0)
     np.testing.assert_allclose(pose.position, [0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_fuse_labels_rotates_mean():
-    R = reference_rotation(math.radians(10.0), 0.0, 0.0)
-    pose = fuse_labels([[0.0, 0.0, 1.0]] * 2, R)
-    np.testing.assert_allclose(pose.position, R @ [0.0, 0.0, 1.0], atol=1e-12)
-    assert pose.position[2] != pytest.approx(1.0, abs=1e-6)
+    # the localizer rotates each label into the world frame once, and the
+    # fused position is the mean of the two rotated labels: on the first
+    # tick, with no sighting, the output is that mean exactly
+    platform = EulerAngles(math.radians(10.0), math.radians(-6.0), 0.4)
+    labels = ([0.5, 1.2, 3.0], [0.5, 0.8, 3.0])  # anchor frame, 0.4 m apart
+    ranges = [[math.dist(u, a) for a in POINTS] for u in labels]
+    localizer = Localizer(vehicle_knowledge(ScenarioConfig()), T)
+    pose, _ = localizer.step(platform, (0.0, 0.0, 9.81), 0.05, -0.03, ranges, [])
+    w1, w2 = (rotate(platform.rows, multilaterate(row, POINTS).tolist())
+              for row in ranges)
+    assert pose.position == tuple((a + b) / 2 for a, b in zip(w1, w2))
+    R = reference_rotation(platform.roll, platform.pitch, platform.yaw)
+    np.testing.assert_allclose(pose.position, R @ np.mean(labels, axis=0), atol=1e-9)
+    assert pose.position[2] != pytest.approx(3.0, abs=1e-3)
 
 
 def test_fuse_labels_passes_yaw():
-    assert fuse_labels([[1.0, 2.0, 3.0]] * 2, I3, yaw=0.7).yaw == 0.7
+    assert fuse_labels([[1.0, 2.0, 3.0]] * 2, 0.7).yaw == 0.7
 
 
 def test_yaw_aligned_with_platform():
