@@ -497,22 +497,16 @@ def test_montecarlo_groups_fly_each_seed_as_run_mission_does(fence):
     alone = [run_mission(scenario, mission, seed=s)[0].to_dict()
              for s in range(5)]
     assert len({s["total_time"] for s in alone}) >= 2
-    for workers in (1, 2, 3):
+    aggregates = set()
+    # one seed per task: seven workers for five runs start five processes,
+    # and the pool hands every summary back in seed order
+    for workers in (1, 2, 3, 7):
         agg = montecarlo(scenario, mission, runs=5, seed_base=0,
                          workers=workers)
         assert [json.dumps(s) for s in agg["summaries"]] == \
             [json.dumps(s) for s in alone], workers
-
-
-def test_montecarlo_aggregate_is_the_same_at_any_worker_count():
-    # one seed per task: seven workers for five runs start five processes,
-    # and the pool hands every summary back in seed order
-    aggregates = [json.dumps(montecarlo(ScenarioConfig(), MissionConfig(), runs=5,
-                                        seed_base=0, workers=workers), sort_keys=True)
-                  for workers in (1, 2, 3, 7)]
-    assert aggregates[0] == aggregates[1] == aggregates[2] == aggregates[3]
-    assert [s["seed"] for s in json.loads(aggregates[0])["summaries"]] == \
-        [0, 1, 2, 3, 4]
+        aggregates.add(json.dumps(agg, sort_keys=True))
+    assert len(aggregates) == 1
 
 
 def test_each_label_filter_makes_one_predict_and_update_per_tick(monkeypatch):

@@ -11,10 +11,16 @@ prints whether the two summaries and the two logs are byte-identical.
 Where two logs differ, it names the first row that differs and the first
 column in it, then every column that differs in any row the two logs
 share, each with its count of differing rows, and it prints both landing
-errors.  Rows count from 1 after the header.  After the seeds, it reports
-each tree's outcomes: how many flights end ``done``, land within 15 cm,
-and land off the cargo's top face (farther from its centre than half the
-top diagonal), the landing-error quantiles and the mean mission time.
+errors.  Rows count from 1 after the header.  Two differing logs with as
+many rows and the same ``phase``, ``source`` and ``events`` in every row
+keep their discrete trace, and the seed's line says so.  After the seeds,
+when any differs, one line counts the differing seeds that keep their
+discrete trace and ``total_time`` and gives the largest change of a
+landing error: a change that only moves float bits keeps every seed.
+Then it reports each tree's outcomes: how many flights end ``done``,
+land within 15 cm, and land off the cargo's top face (farther from its
+centre than half the top diagonal), the landing-error quantiles and the
+mean mission time.
 
 Exit status: 0 when every seed is identical, 1 when any differs, 2 when
 a tree cannot fly.
@@ -35,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 WITHIN = 0.15  # m, the landing gate
+DISCRETE = ("phase", "source", "events")  # a log's discrete trace
 
 
 def seed_range(text: str) -> range:
@@ -74,23 +81,26 @@ def summary_difference(base: Path, change: Path) -> str | None:
     return f"differs in {', '.join(keys)}" if keys else "differs in its bytes"
 
 
-def log_difference(base: Path, change: Path) -> str | None:
-    """None for identical files, else the first row and column that differ
-    (or the row where one log ends) and the differing columns."""
+def log_difference(base: Path, change: Path) -> tuple[str | None, bool]:
+    """(None, True) for identical files, else the first row and column that
+    differ (or the row where one log ends) and the differing columns, and
+    whether the two logs keep their discrete trace."""
     if base.read_bytes() == change.read_bytes():
-        return None
+        return None, True
     with open(base, newline="") as fa, open(change, newline="") as fb:
         if fa.readline() != fb.readline():
-            return "differs in its schema line"
+            return "differs in its schema line", False
         rows_a, rows_b = csv.reader(fa), csv.reader(fb)
         header = next(rows_a, [])
         if next(rows_b, []) != header:
-            return "differs in its header"
+            return "differs in its header", False
         found, counts = [], Counter()  # column index -> rows it differs in
+        same_rows = True
         for number, (a, b) in enumerate(zip_longest(rows_a, rows_b), 1):
             if a is None or b is None:
                 found.append(f"ends at row {number} in "
                              f"{'base' if a is None else 'change'}")
+                same_rows = False
                 break
             if a != b:
                 columns = [k for k, (x, y) in enumerate(zip_longest(a, b)) if x != y]
@@ -101,11 +111,14 @@ def log_difference(base: Path, change: Path) -> str | None:
                                  f"{_column(header, k)}: {a[k] if k < len(a) else None!r}"
                                  f" != {b[k] if k < len(b) else None!r}")
     if not found:
-        return "differs in its line endings"
+        return "differs in its line endings", True
     if counts:
         found.append("differing columns: " + ", ".join(
             f"{_column(header, k)} in {counts[k]} rows" for k in sorted(counts)))
-    return "; ".join(found)
+    same_trace = same_rows and not any(_column(header, k) in DISCRETE for k in counts)
+    if same_trace:
+        found.append("discrete trace identical")
+    return "; ".join(found), same_trace
 
 
 def _column(header: list[str], k: int) -> str:
@@ -137,7 +150,8 @@ def outcomes(name: str, summaries: dict[int, dict], top_diagonal: float) -> str:
 
 def compare(base: Path, change: Path, seeds: range) -> int:
     """Fly both trees at once; report each seed as both have flown it."""
-    differing = 0
+    differing = kept = 0
+    changes = []  # each differing seed's landing-error change, where both land
     summaries: list[dict[int, dict]] = [{}, {}]
     with tempfile.TemporaryDirectory(prefix="same-flights-") as tmp:
         outs, procs = [], []
@@ -160,14 +174,19 @@ def compare(base: Path, change: Path, seeds: range) -> int:
                         return 2
                 files = [[out / f"{seed}{ext}" for out in outs]
                          for ext in (".json", ".csv")]
-                summary, log = summary_difference(*files[0]), log_difference(*files[1])
-                differing += bool(summary or log)
+                summary = summary_difference(*files[0])
+                log, same_trace = log_difference(*files[1])
                 for side, path in zip(summaries, files[0]):
                     side[seed] = json.loads(path.read_text())
                 line = f"seed {seed}: summary {summary or 'identical'}"
                 if summary or log:
-                    a, b = (_metres(side[seed]["landing_error"]) for side in summaries)
-                    line += f"; landing error {a} -> {b} m"
+                    a, b = (side[seed] for side in summaries)
+                    differing += 1
+                    kept += same_trace and a["total_time"] == b["total_time"]
+                    a, b = a["landing_error"], b["landing_error"]
+                    if a is not None and b is not None:
+                        changes.append(abs(b - a))
+                    line += f"; landing error {_metres(a)} -> {_metres(b)} m"
                 print(f"{line}; log {log or 'identical'}", flush=True)
                 for path in (*files[0], *files[1]):
                     path.unlink()
@@ -179,6 +198,10 @@ def compare(base: Path, change: Path, seeds: range) -> int:
                     proc.kill()
                     proc.wait()
                 proc.stdout.close()
+    if differing:
+        largest = f"{max(changes):.3g} m" if changes else "none"
+        print(f"{kept} of {differing} differing seeds keep their discrete trace and "
+              f"total_time; largest landing-error change {largest}")
     for name, side, diagonal in zip(("base", "change"), summaries, diagonals):
         print(outcomes(name, side, float(diagonal)))
     n = len(seeds)
