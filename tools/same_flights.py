@@ -183,10 +183,10 @@ def compare(base: Path, change: Path, seeds: range) -> int:
                     a, b = (side[seed] for side in summaries)
                     differing += 1
                     kept += same_trace and a["total_time"] == b["total_time"]
-                    a, b = a["landing_error"], b["landing_error"]
-                    if a is not None and b is not None:
-                        changes.append(abs(b - a))
-                    line += f"; landing error {_metres(a)} -> {_metres(b)} m"
+                    ea, eb = a["landing_error"], b["landing_error"]
+                    if ea is not None and eb is not None:
+                        changes.append(abs(eb - ea))
+                    line += f"; landing error {_metres(ea)} -> {_metres(eb)} m"
                 print(f"{line}; log {log or 'identical'}", flush=True)
                 for path in (*files[0], *files[1]):
                     path.unlink()
