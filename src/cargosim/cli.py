@@ -100,10 +100,10 @@ def _cmd_plan(args) -> int:
     scenario, mission = _load(args)
     executive = MissionExecutive(mission, vehicle_knowledge(scenario), DT)
     executive.plan()
-    path, yaws = executive.path, executive.yaws
+    z = float(executive.search_altitude)
     lines = ["x_m,y_m,z_m,yaw_rad"]
-    for (x, y), yaw in zip(path.waypoints, yaws):
-        lines.append(f"{float(x)!r},{float(y)!r},{float(path.altitude)!r},{float(yaw)!r}")
+    for x, y, yaw in executive.waypoints:
+        lines.append(f"{float(x)!r},{float(y)!r},{z!r},{float(yaw)!r}")
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         Path(args.out).write_text(text)

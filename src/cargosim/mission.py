@@ -29,7 +29,7 @@ from .control import PHASE_GAINS, PidGains, yaw_error
 from .frames import (COUNT, FINITE, FRACTION, POSITIVE, PROBABILITY, Ranged,
                      mean_rows, rotate_t, rotation_rows, wrap_angle)
 from .perception import CargoTrack
-from .planner import CoveragePath, plan_coverage, yaw_schedule
+from .planner import plan_coverage
 from .qr_localization import PoseEstimate
 from .sim_world import VehicleKnowledge, check_step
 from .uwb_localization import SensorFault
@@ -157,8 +157,7 @@ class MissionExecutive:
         self.verify_point: tuple | None = None  # set on touching down
         self._bounce_until: float | None = None  # the z a bounce climbs to
         self.search_altitude = mission.search_altitude
-        self.path: CoveragePath | None = None
-        self.yaws: list[float] | None = None
+        self.waypoints: list[tuple[float, float, float]] | None = None  # (x, y, yaw)
         self.wp_index = 0
         self.attach_attempts = 0
         self.attach_success: bool | None = None
@@ -182,12 +181,10 @@ class MissionExecutive:
     def plan(self) -> None:
         """Plan the coverage at the current search altitude; start it over."""
         k = self.knows
-        self.path = plan_coverage(
+        self.waypoints = plan_coverage(
             deck_size=k.deck_size, deck_center=k.deck_center, deck_yaw=k.deck_yaw,
             altitude_above_deck=max(0.5, self.search_altitude - k.deck_height),
-            v_fov=k.det_v_fov, h_fov=k.det_h_fov,
-            altitude=self.search_altitude)
-        self.yaws = yaw_schedule(self.path.cells)
+            v_fov=k.det_v_fov, h_fov=k.det_h_fov)
         self.wp_index = 0
 
     def _enter(self, stage: str, events: list[str]) -> None:
@@ -260,12 +257,11 @@ class MissionExecutive:
             self._enter("servo", events)
             return self._tick_servo(inp, events)
 
-        wp = self.path.waypoints[self.wp_index]
-        sp = (*wp, self.search_altitude)
-        dist = math.hypot(inp.estimate.position[0] - wp[0],
-                          inp.estimate.position[1] - wp[1])
+        x, y, yaw = self.waypoints[self.wp_index]
+        sp = (x, y, self.search_altitude)
+        dist = math.hypot(inp.estimate.position[0] - x, inp.estimate.position[1] - y)
         if dist < WAYPOINT_SWITCH_RADIUS:
-            if self.wp_index + 1 < len(self.path.waypoints):
+            if self.wp_index + 1 < len(self.waypoints):
                 self.wp_index += 1
                 events.append(f"waypoint:{self.wp_index}")
             elif self.search_altitude != cfg.min_search_altitude:
@@ -277,8 +273,7 @@ class MissionExecutive:
                 events.append(f"coverage_replan:alt={self.search_altitude:.2f}")
             else:  # at the floor the plan would not change: fly it again
                 self.wp_index = 0
-        return self._world(inp.estimate, sp, self.yaws[self.wp_index], "search",
-                           events)
+        return self._world(inp.estimate, sp, yaw, "search", events)
 
     def _tick_servo(self, inp: TickInputs, events: list[str]) -> TickCommand:
         if inp.on_ground:

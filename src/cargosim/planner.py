@@ -2,35 +2,23 @@
 
 The deck is modeled as a grid whose cell side comes from the detection
 camera footprint at the search altitude; the cells are visited in an
-outward spiral starting from the deck center and mapped into world-frame
-waypoints through the deck pose.  Successive waypoints alternate the
-vehicle heading by 180 degrees so the wide axis of the camera footprint
-sweeps both directions.  :func:`plan_coverage` returns the path alone:
-its cells, their world waypoints and the altitude to fly them at.
+outward spiral starting from the deck center.  :func:`plan_coverage`
+returns the plan as world waypoints ``(x, y, yaw)``, each headed along
+the deck (``yaw = deck_yaw``) so the camera footprint lies along its cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-
-@dataclass(frozen=True)
-class CoveragePath:
-    """Ordered grid cells with their world waypoints and search altitude."""
-
-    cells: list[tuple[int, int]]
-    waypoints: list[tuple[float, float]]  # world xy, one per cell
-    altitude: float
+from .frames import rotate, rotation_rows
 
 
 def cell_size(z: float, v_fov: float, h_fov: float) -> float:
     """Footprint-derived cell side: L = 2 z max(tan(v/2), tan(h/2)).
 
-    Sizing by the wider field of view means adjacent footprints overlap
-    on the narrow axis; the alternating yaw schedule covers the rest.
+    Sized by the wider field of view, a cell is as long as the footprint
+    along its wide axis; along its narrow axis the footprint is shorter.
     """
     if z <= 0:
         raise ValueError("height must be > 0")
@@ -74,18 +62,14 @@ def spiral_path(m: int, n: int) -> list[tuple[int, int]]:
     return [(r - r0, c0 - c) for r, c in order]
 
 
-def yaw_schedule(cells: list[tuple[int, int]]) -> list[float]:
-    """Alternating 0 / pi headings widening the 16:9 footprint coverage."""
-    return [0.0 if i % 2 == 0 else math.pi for i in range(len(cells))]
-
-
 def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, float],
                   deck_yaw: float, altitude_above_deck: float, v_fov: float,
-                  h_fov: float, altitude: float) -> CoveragePath:
-    """Grid the deck for the camera footprint at this height and spiral it.
+                  h_fov: float) -> list[tuple[float, float, float]]:
+    """Grid the deck for the camera footprint at `altitude_above_deck` and
+    spiral it: the world waypoints (x, y, yaw) in visiting order.
 
-    `altitude_above_deck` sizes the footprint; `altitude` is the world-z
-    the waypoints are flown at.
+    A deck point (u, v) lies at deck_center + R (u, v) in the world, R the
+    turn by `deck_yaw` about z (counter-clockwise seen from above).
     """
     L = cell_size(altitude_above_deck, v_fov, h_fov)
     # cells per side, forgiving a few ulps: tan(pi / 4) is just under 1
@@ -96,12 +80,12 @@ def plan_coverage(deck_size: tuple[float, float], deck_center: tuple[float, floa
     # on the deck
     xs = [c[0] for c in cells]
     ys = [c[1] for c in cells]
-    off = np.array([(min(xs) + max(xs)) / 2.0, (min(ys) + max(ys)) / 2.0])
-    psi = deck_yaw
-    rot = np.array([[math.cos(psi), math.sin(psi)],
-                    [-math.sin(psi), math.cos(psi)]])
-    anchor = np.asarray(deck_center) - L * rot @ off
-    # world xy of each cell: rotate by the deck yaw, offset by the anchor
-    pts = np.asarray(cells, dtype=float)
-    waypoints = [(x, y) for x, y in (L * pts @ rot.T + anchor).tolist()]
-    return CoveragePath(cells=cells, waypoints=waypoints, altitude=altitude)
+    R = rotation_rows(0.0, 0.0, deck_yaw)
+    ox, oy, _ = rotate(R, (L * ((min(xs) + max(xs)) / 2.0),
+                           L * ((min(ys) + max(ys)) / 2.0), 0.0))
+    ax, ay = deck_center[0] - ox, deck_center[1] - oy
+    waypoints = []
+    for i, j in cells:
+        x, y, _ = rotate(R, (L * i, L * j, 0.0))
+        waypoints.append((x + ax, y + ay, deck_yaw))
+    return waypoints

@@ -22,7 +22,7 @@ import numpy as np
 
 from .frames import (ANGLE, FIELD_OF_VIEW, FINITE, NATURAL, NON_NEGATIVE, POSITIVE,
                      PROBABILITY, SPREAD, TILT, EulerAngles, Ranged, project, rotate,
-                     rotate_t, wrap_angle)
+                     rotate_t, rotation_rows, wrap_angle)
 from .perception import DetectionObservation
 from .qr_localization import QrMarker, QrObservation
 
@@ -94,8 +94,6 @@ class ScenarioConfig(Ranged):
     # world geometry
     uav_start: tuple[float, float, float] = FINITE((1.0, 2.0, 0.0))
     deck_center: tuple[float, float] = FINITE((8.0, 0.0))
-    # a positive deck_yaw turns the deck clockwise seen from above, the
-    # opposite sense to every other yaw here (planner.plan_coverage)
     deck_yaw: float = ANGLE(0.0)
     deck_size: tuple[float, float] = POSITIVE((4.0, 4.0))
     deck_height: float = FINITE(1.0)
@@ -264,7 +262,7 @@ class SimWorld:
                          math.tan(cfg.qr_h_fov / 2.0), math.tan(cfg.qr_v_fov / 2.0))
         self._det_view = (cfg.det_focal, cfg.det_min_height, math.inf,
                           math.tan(cfg.det_h_fov / 2.0), math.tan(cfg.det_v_fov / 2.0))
-        self._deck_cos_sin = (math.cos(cfg.deck_yaw), math.sin(cfg.deck_yaw))
+        self._deck_rows = rotation_rows(0.0, 0.0, cfg.deck_yaw)  # deck to world
 
     def initial_state(self) -> SimState:
         cfg = self.cfg
@@ -482,16 +480,14 @@ class SimWorld:
 
     def support_height(self, x: float, y: float) -> float:
         """Height under (x, y): the cargo's top, the deck (turned by
-        ``deck_yaw`` as the coverage plan turns it), or 0."""
+        ``deck_yaw`` about its centre, as the coverage plan turns it), or 0."""
         cfg = self.cfg
         cargo = cfg.cargoes[0]
         if math.hypot(x - cargo.position[0], y - cargo.position[1]) \
                 <= cargo.top_diagonal / 2.0:
             return cargo.position[2]
-        dx = x - cfg.deck_center[0]
-        dy = y - cfg.deck_center[1]
-        c, s = self._deck_cos_sin  # world to deck: plan_coverage's inverse
-        if abs(c * dx - s * dy) <= cfg.deck_size[0] / 2 and \
-                abs(s * dx + c * dy) <= cfg.deck_size[1] / 2:
+        u, v, _ = rotate_t(self._deck_rows, (x - cfg.deck_center[0],
+                                             y - cfg.deck_center[1], 0.0))
+        if abs(u) <= cfg.deck_size[0] / 2 and abs(v) <= cfg.deck_size[1] / 2:
             return cfg.deck_height
         return 0.0

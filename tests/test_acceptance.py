@@ -200,27 +200,26 @@ def test_footprint_union_covers_deck_rectangle():
     fov = math.radians(90.0)
     for deck, center, z in (((12.0, 7.0), (3.0, -1.0), 2.0),
                             ((9.0, 9.0), (0.0, 0.0), 1.5)):
-        path = plan_coverage(deck_size=deck, deck_center=center,
-                             deck_yaw=0.0, altitude_above_deck=z,
-                             v_fov=fov, h_fov=fov, altitude=z)
+        waypoints = plan_coverage(deck_size=deck, deck_center=center,
+                                  deck_yaw=0.0, altitude_above_deck=z,
+                                  v_fov=fov, h_fov=fov)
         half = z * math.tan(fov / 2.0)
         xs = np.linspace(center[0] - deck[0] / 2, center[0] + deck[0] / 2, 80)
         ys = np.linspace(center[1] - deck[1] / 2, center[1] + deck[1] / 2, 80)
         gx, gy = np.meshgrid(xs, ys)
         covered = np.zeros(gx.shape, dtype=bool)
-        for wx, wy in path.waypoints:
+        for wx, wy, _ in waypoints:
             covered |= (np.abs(gx - wx) <= half + 1e-9) & \
                 (np.abs(gy - wy) <= half + 1e-9)
         assert covered.all()
 
 
 def test_replica_deck_plans_single_center_waypoint():
-    path = plan_coverage(deck_size=(4.0, 4.0), deck_center=(8.0, 0.0),
-                         deck_yaw=0.0, altitude_above_deck=5.0,
-                         v_fov=math.radians(73.0),
-                         h_fov=math.radians(106.0), altitude=6.0)
-    assert len(path.waypoints) == 1
-    np.testing.assert_allclose(path.waypoints[0], [8.0, 0.0], atol=1e-12)
+    waypoints = plan_coverage(deck_size=(4.0, 4.0), deck_center=(8.0, 0.0),
+                              deck_yaw=0.0, altitude_above_deck=5.0,
+                              v_fov=math.radians(73.0), h_fov=math.radians(106.0))
+    assert len(waypoints) == 1
+    np.testing.assert_allclose(waypoints[0], [8.0, 0.0, 0.0], atol=1e-12)
 
 
 # --- 6. control safety -----------------------------------------------

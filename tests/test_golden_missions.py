@@ -5,7 +5,8 @@ also replans its coverage, loses the target and bounces off a touchdown
 while it still servos.  ``retried_adsorption`` (seed 1, an adsorption that
 succeeds with probability 0.5) fails its first thrust check and lands
 again; ``yaw_walk`` (seed 0, a platform yaw walk of 0.05 rad/sqrt(s))
-flies over a deck that turns.
+flies over a deck that turns; ``yawed_deck`` (seed 0, a 20 x 4 m deck
+turned by 1.2 rad) flies a search of two waypoints, headed along the deck.
 
 A refactor that keeps the missions keeps these summaries exactly (the
 landing error to 1e-9 m) and the SHA-256 of each flight's discrete trace,
@@ -44,6 +45,7 @@ FLIGHTS = {
     "103": (103, {}, {}),
     "retried_adsorption": (1, {}, {"adsorb_success_prob": 0.5}),
     "yaw_walk": (0, {"platform_yaw_walk": 0.05}, {}),
+    "yawed_deck": (0, {"deck_size": (20.0, 4.0), "deck_yaw": 1.2}, {}),
 }
 EXACT = ("final_phase", "total_time", "source_switches", "phase_durations")
 LANDING_TOLERANCE = 1e-9  # m

@@ -130,18 +130,36 @@ def test_takeoff_transitions_to_search_at_altitude():
     cmd = ex.tick(_inputs(10.0, _est(1.0, 2.0, 5.95)))
     assert any(e == "phase:takeoff->search" for e in cmd.events)
     assert ex.phase is MissionPhase.SEARCH
-    assert ex.path is not None
+    assert ex.waypoints is not None
 
 
 def test_search_advances_waypoints_and_replans_lower():
     ex = _executive()
     ex.stage = "search"
     ex.plan()
-    assert len(ex.path.waypoints) == 1  # replica deck: single waypoint
-    wp = ex.path.waypoints[0]
+    assert len(ex.waypoints) == 1  # replica deck: single waypoint
+    wp = ex.waypoints[0]
     cmd = ex.tick(_inputs(20.0, _est(wp[0], wp[1], 6.0)))
     assert any(e.startswith("coverage_replan") for e in cmd.events)
     assert ex.search_altitude == pytest.approx(5.0)
+
+
+def test_every_search_command_heads_along_the_deck():
+    # a 20 x 4 m deck turned by 1.2 rad is two cells long at 6 m; short of
+    # each waypoint and then on it, the search asks for the deck's heading
+    deck_yaw = 1.2
+    ex = MissionExecutive(MissionConfig(),
+                          _knows(deck_size=(20.0, 4.0), deck_yaw=deck_yaw), DT)
+    ex.stage = "search"
+    ex.plan()
+    assert len(ex.waypoints) == 2
+    headings = []
+    for k, (x, y, _) in enumerate(list(ex.waypoints)):
+        for dx in (0.5, 0.0):
+            cmd = ex.tick(_inputs(20.0 + k + dx, _est(x + dx, y, 6.0)))
+            headings.append(cmd.error[3])
+    assert ex.search_altitude == 5.0  # the coverage ended and replanned lower
+    assert headings == [deck_yaw] * 4
 
 
 def test_search_at_the_floor_altitude_restarts_without_replanning():
@@ -149,7 +167,7 @@ def test_search_at_the_floor_altitude_restarts_without_replanning():
     ex.stage = "search"
     ex.search_altitude = ex.cfg.min_search_altitude
     ex.plan()
-    wp = ex.path.waypoints[0]
+    wp = ex.waypoints[0]
     for k in range(3):  # sitting on the single waypoint, tick after tick
         cmd = ex.tick(_inputs(20.0 + 0.02 * k, _est(wp[0], wp[1], 3.0)))
         assert not any(e.startswith("coverage_replan") for e in cmd.events)

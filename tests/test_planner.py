@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cargosim.planner import (CoveragePath, cell_size, plan_coverage, spiral_path,
-                              yaw_schedule)
+from cargosim.planner import cell_size, plan_coverage, spiral_path
 
 
 def test_cell_size_wide_fov_example():
@@ -63,13 +62,15 @@ def test_spiral_validation():
 
 def _waypoint_of(cell, deck_yaw):
     # a 5 x 5 m deck with 90-degree cameras at 1 m: a 3 x 3 grid of 2 m
-    # cells centred on the deck
+    # cells centred on the deck, flown in spiral order
     fov = math.pi / 2
-    path = plan_coverage(deck_size=(5.0, 5.0), deck_center=(10.0, 5.0),
-                         deck_yaw=deck_yaw, altitude_above_deck=1.0,
-                         v_fov=fov, h_fov=fov, altitude=1.0)
-    assert len(path.cells) == 9
-    return path.waypoints[path.cells.index(cell)]
+    waypoints = plan_coverage(deck_size=(5.0, 5.0), deck_center=(10.0, 5.0),
+                              deck_yaw=deck_yaw, altitude_above_deck=1.0,
+                              v_fov=fov, h_fov=fov)
+    assert len(waypoints) == 9
+    x, y, yaw = waypoints[spiral_path(3, 3).index(cell)]
+    assert yaw == deck_yaw
+    return x, y
 
 
 def test_to_world_identity_rotation():
@@ -78,59 +79,60 @@ def test_to_world_identity_rotation():
 
 
 def test_to_world_quarter_turn():
-    np.testing.assert_allclose(_waypoint_of((1, -1), math.pi / 2), [8.0, 3.0],
+    # a quarter turn counter-clockwise takes the deck's (2, -2) to (2, 2)
+    np.testing.assert_allclose(_waypoint_of((1, -1), math.pi / 2), [12.0, 7.0],
                                atol=1e-12)
     np.testing.assert_allclose(_waypoint_of((0, 0), math.pi / 2), [10.0, 5.0],
                                atol=1e-12)
-
-
-def test_yaw_schedule_alternates():
-    assert yaw_schedule([(0, 0)]) == [0.0]
-    assert yaw_schedule([(0, 0)] * 4) == [0.0, math.pi, 0.0, math.pi]
-    assert len(yaw_schedule([(0, 0)] * 7)) == 7
 
 
 def test_plan_replica_single_waypoint():
     # 4 x 4 m deck seen from 5 m with the wide detection camera: the
     # footprint exceeds the deck, so the whole plan is one waypoint at
     # the deck center
-    path = plan_coverage(deck_size=(4.0, 4.0), deck_center=(8.0, 0.0),
-                         deck_yaw=0.0, altitude_above_deck=5.0,
-                         v_fov=math.radians(73.0), h_fov=math.radians(106.0),
-                         altitude=6.0)
-    assert path.cells == [(0, 0)]
-    np.testing.assert_allclose(path.waypoints, [[8.0, 0.0]], atol=1e-12)
-    assert path.altitude == 6.0
+    waypoints = plan_coverage(deck_size=(4.0, 4.0), deck_center=(8.0, 0.0),
+                              deck_yaw=0.0, altitude_above_deck=5.0,
+                              v_fov=math.radians(73.0), h_fov=math.radians(106.0))
+    np.testing.assert_allclose(waypoints, [[8.0, 0.0, 0.0]], atol=1e-12)
 
 
 def test_plan_coverage_returns_the_path():
-    # the path alone: its cells in spiral order, one world waypoint per
-    # cell and the altitude to fly them at
-    path = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
-                         deck_yaw=0.3, altitude_above_deck=2.0,
-                         v_fov=math.pi / 2, h_fov=math.pi / 2, altitude=3.0)
-    assert type(path) is CoveragePath
-    assert path.cells == spiral_path(3, 2)
-    assert len(path.waypoints) == len(path.cells)
-    assert path.altitude == 3.0
+    # one world waypoint per cell in spiral order, each headed along the
+    # deck: a 4 m cell is 4 m from the next, and (u, v) on the deck is
+    # centre + R (u, v) in the world
+    yaw = 0.3
+    c, s = math.cos(yaw), math.sin(yaw)
+    waypoints = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
+                              deck_yaw=yaw, altitude_above_deck=2.0,
+                              v_fov=math.pi / 2, h_fov=math.pi / 2)
+    assert type(waypoints) is list
+    cells = spiral_path(3, 2)
+    assert len(waypoints) == len(cells)
+    x0, y0, _ = waypoints[0]  # of cell (0, 0)
+    for (i, j), (x, y, heading) in zip(cells, waypoints):
+        assert heading == yaw
+        u, v = 4.0 * i, 4.0 * j
+        assert (x - x0, y - y0) == pytest.approx((c * u - s * v, s * u + c * v),
+                                                 rel=0, abs=1e-12)
+    # the grid is 3 x 2 cells of 4 m, centred on the deck: its centre
+    # cell's (0, 0) sits half a cell from the deck centre along v
+    mid = [sum(w[k] for w in waypoints) / len(waypoints) for k in (0, 1)]
+    assert mid == pytest.approx([3.0, -2.0], rel=0, abs=1e-12)
 
 
 def test_a_side_of_whole_cells_plans_no_extra_row():
     # a 90 degree camera at 0.5 m sees a cell of 0.9999999999999999 m, yet
     # six of them cover 6 m: a 6 x 2 m deck is 6 x 2 cells, not 7 x 3
     assert cell_size(0.5, math.pi / 2, math.pi / 2) < 1.0
-    path = plan_coverage(deck_size=(6.0, 2.0), deck_center=(0.0, 0.0), deck_yaw=0.0,
-                         altitude_above_deck=0.5, v_fov=math.pi / 2,
-                         h_fov=math.pi / 2, altitude=1.5)
-    assert len(path.waypoints) == 12
-    assert path.cells == spiral_path(6, 2)
+    waypoints = plan_coverage(deck_size=(6.0, 2.0), deck_center=(0.0, 0.0),
+                              deck_yaw=0.0, altitude_above_deck=0.5,
+                              v_fov=math.pi / 2, h_fov=math.pi / 2)
+    assert len(waypoints) == 12
 
 
 def _cells(deck, fov, z):
-    path = plan_coverage(deck_size=deck, deck_center=(0.0, 0.0), deck_yaw=0.0,
-                         altitude_above_deck=z, v_fov=fov[0], h_fov=fov[1],
-                         altitude=z)
-    return len(path.cells)
+    return len(plan_coverage(deck_size=deck, deck_center=(0.0, 0.0), deck_yaw=0.0,
+                             altitude_above_deck=z, v_fov=fov[0], h_fov=fov[1]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -145,22 +147,23 @@ def test_a_lower_search_never_plans_fewer_cells(deck, fov, heights):
 
 
 def _footprint_covers(deck_size, deck_center, deck_yaw, z, fov, samples=60):
-    path = plan_coverage(deck_size=deck_size, deck_center=deck_center,
-                         deck_yaw=deck_yaw, altitude_above_deck=z,
-                         v_fov=fov, h_fov=fov, altitude=z)
+    waypoints = plan_coverage(deck_size=deck_size, deck_center=deck_center,
+                              deck_yaw=deck_yaw, altitude_above_deck=z,
+                              v_fov=fov, h_fov=fov)
     half = z * math.tan(fov / 2.0)
     c, s = math.cos(deck_yaw), math.sin(deck_yaw)
-    # same deck-to-world rotation the planner's waypoint mapping uses
-    R = np.array([[c, s], [-s, c]])
+    # deck to world: the deck turned counter-clockwise by its yaw
+    R = np.array([[c, -s], [s, c]])
     xs = np.linspace(-deck_size[0] / 2, deck_size[0] / 2, samples)
     ys = np.linspace(-deck_size[1] / 2, deck_size[1] / 2, samples)
     for dx in xs:
         for dy in ys:
             p = np.asarray(deck_center) + R @ [dx, dy]
             covered = False
-            for wp in path.waypoints:
+            for x, y, yaw in waypoints:
                 # footprint is a square aligned with the deck heading
-                local = R.T @ (p - wp)
+                assert yaw == deck_yaw
+                local = R.T @ (p - (x, y))
                 if abs(local[0]) <= half + 1e-9 and abs(local[1]) <= half + 1e-9:
                     covered = True
                     break

@@ -201,12 +201,25 @@ def test_support_height_of_cargo_deck_and_sea():
 
 def test_support_height_turns_the_deck_by_deck_yaw():
     # the 4 x 4 m deck at (8, 0) turned by 45 degrees as the coverage plan
-    # turns it: (9.838, 1.838) is at (0, 2.6) on the deck, off its edge,
-    # and (10.687, 0) is at (1.9, 1.9), on it
+    # turns it: (9.838, 1.838) is at (2.6, 0) on the deck, off its edge,
+    # and (10.687, 0) is at (1.9, -1.9), on it
     cfg = ScenarioConfig(deck_yaw=math.radians(45.0))
     world = SimWorld(cfg)
     assert world.support_height(9.838, 1.838) == 0.0
     assert world.support_height(10.687, 0.0) == cfg.deck_height
+
+
+def test_the_deck_turns_counter_clockwise_like_every_other_yaw():
+    # the deck point (2.5, 0.5) of a 6 x 2 m deck at (8, 0) turned by 30
+    # degrees lies at centre + R (2.5, 0.5); turned the other way, it would
+    # lie at centre + R.T (2.5, 0.5), which is off this deck
+    yaw = math.radians(30.0)
+    cfg = ScenarioConfig(deck_size=(6.0, 2.0), deck_yaw=yaw)
+    world = SimWorld(cfg)
+    c, s = math.cos(yaw), math.sin(yaw)
+    assert world.support_height(8.0 + c * 2.5 - s * 0.5, s * 2.5 + c * 0.5) == \
+        cfg.deck_height
+    assert world.support_height(8.0 + c * 2.5 + s * 0.5, -s * 2.5 + c * 0.5) == 0.0
 
 
 @pytest.mark.parametrize("deck_yaw", [0.6, -1.2, 2.5])
@@ -214,11 +227,11 @@ def test_every_waypoint_of_a_yawed_plan_lies_over_the_deck(deck_yaw):
     cfg = ScenarioConfig(deck_center=(20.0, 5.0), deck_size=(6.5, 2.5),
                          deck_yaw=deck_yaw)
     world = SimWorld(cfg)
-    path = plan_coverage(deck_size=cfg.deck_size, deck_center=cfg.deck_center,
-                         deck_yaw=cfg.deck_yaw, altitude_above_deck=0.5,
-                         v_fov=math.pi / 2, h_fov=math.pi / 2, altitude=1.5)
-    assert len(path.waypoints) == 7 * 3  # cells of a hair under 1 m
-    for x, y in path.waypoints:
+    waypoints = plan_coverage(deck_size=cfg.deck_size, deck_center=cfg.deck_center,
+                              deck_yaw=cfg.deck_yaw, altitude_above_deck=0.5,
+                              v_fov=math.pi / 2, h_fov=math.pi / 2)
+    assert len(waypoints) == 7 * 3  # cells of a hair under 1 m
+    for x, y, _ in waypoints:
         assert world.support_height(x, y) == cfg.deck_height, (x, y)
 
 
@@ -301,6 +314,24 @@ def test_cargo_detection_boresight():
     assert len(dets) == 1
     assert dets[0].image_center[0] == pytest.approx(0.0, abs=1e-12)
     assert dets[0].image_center[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_half_turn_sees_the_cargo_as_before():
+    # the field of view is symmetric about both camera axes, so a heading
+    # and its half turn see the cargo from the same places
+    world = SimWorld(calm_scenario())
+    cx, cy, top = world.cfg.cargoes[0].position
+    rng = np.random.default_rng(34)
+    state, seen = world.initial_state(), 0
+    for _ in range(400):
+        dx, dy, psi = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0), rng.uniform(-3.0, 3.0)
+        at = state._replace(uav_pos=(cx + dx, cy + dy, top + rng.uniform(0.5, 6.0)))
+        ahead = world.sense_cargo(at._replace(uav_euler=EulerAngles(0.0, 0.0, psi)))
+        turned = world.sense_cargo(at._replace(
+            uav_euler=EulerAngles(0.0, 0.0, wrap_angle(psi + math.pi))))
+        assert bool(ahead) is bool(turned), (dx, dy, psi)
+        seen += bool(ahead)
+    assert 50 < seen < 350
 
 
 def test_cargo_detection_suppressed_when_filling_view():

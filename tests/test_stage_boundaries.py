@@ -142,13 +142,12 @@ def test_cargo_track_is_float_tuples():
 
 
 def test_coverage_waypoints_are_float_tuples():
-    path = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
-                         deck_yaw=0.4, altitude_above_deck=2.0,
-                         v_fov=math.radians(73.0), h_fov=math.radians(106.0),
-                         altitude=3.0)
-    assert type(path.waypoints) is list and len(path.waypoints) > 1
-    for wp in path.waypoints:
-        _assert_floats(wp, 2)
+    waypoints = plan_coverage(deck_size=(10.0, 6.0), deck_center=(3.0, -2.0),
+                              deck_yaw=0.4, altitude_above_deck=2.0,
+                              v_fov=math.radians(73.0), h_fov=math.radians(106.0))
+    assert type(waypoints) is list and len(waypoints) > 1
+    for wp in waypoints:
+        _assert_floats(wp, 3)
 
 
 @pytest.mark.parametrize("position,yaw", [
