@@ -473,19 +473,25 @@ class SimWorld:
         return out
 
     def attach_cargo(self, state: SimState, success_prob: float) -> SimState:
-        """Adsorb the cargo with probability success_prob (one draw)."""
-        if self.rng.random() < success_prob:
+        """Adsorb the cargo with probability success_prob (one draw), if the
+        vehicle rests on its top face; elsewhere the draw is still taken."""
+        if self.rng.random() < success_prob and state.on_ground and \
+                self._on_cargo_top(*state.uav_pos[:2]):
             return state._replace(attached_mass=self.cfg.cargoes[0].mass)
         return state
+
+    def _on_cargo_top(self, x: float, y: float) -> bool:
+        """Whether (x, y) lies within the cargo's top face, a disc of its
+        top diagonal."""
+        qx, qy, _ = self.cfg.cargoes[0].position
+        return math.hypot(x - qx, y - qy) <= self.cfg.cargoes[0].top_diagonal / 2.0
 
     def support_height(self, x: float, y: float) -> float:
         """Height under (x, y): the cargo's top, the deck (turned by
         ``deck_yaw`` about its centre, as the coverage plan turns it), or 0."""
         cfg = self.cfg
-        cargo = cfg.cargoes[0]
-        if math.hypot(x - cargo.position[0], y - cargo.position[1]) \
-                <= cargo.top_diagonal / 2.0:
-            return cargo.position[2]
+        if self._on_cargo_top(x, y):
+            return cfg.cargoes[0].position[2]
         u, v, _ = rotate_t(self._deck_rows, (x - cfg.deck_center[0],
                                              y - cfg.deck_center[1], 0.0))
         if abs(u) <= cfg.deck_size[0] / 2 and abs(v) <= cfg.deck_size[1] / 2:

@@ -1,8 +1,10 @@
 """Golden missions, each keyed by name in ``golden_missions.json``, and a
 Monte-Carlo batch of seeds 86-93.  Seeds 0, 1, 93 and 103 fly the default
-scenario and mission: 0, 1 and 93 each lock on the cargo once; seed 103
-also replans its coverage, loses the target and bounces off a touchdown
-while it still servos.  ``retried_adsorption`` (seed 1, an adsorption that
+scenario and mission: 0, 1 and 93 each lock on the cargo once; seed 93
+first touches down beside the cargo's top face, where nothing attaches,
+fails its thrust check and lands again, on the top face; seed 103 also
+replans its coverage, loses the target and bounces off a touchdown while
+it still servos.  ``retried_adsorption`` (seed 1, an adsorption that
 succeeds with probability 0.5) fails its first thrust check and lands
 again; ``yaw_walk`` (seed 0, a platform yaw walk of 0.05 rad/sqrt(s))
 flies over a deck that turns; ``yawed_deck`` (seed 0, a 20 x 4 m deck
@@ -36,8 +38,7 @@ from cargosim.runner import LOG_COLUMNS, montecarlo, run_mission, write_log
 from cargosim.sim_world import ScenarioConfig
 
 GOLDEN = Path(__file__).with_name("golden_missions.json")
-# name -> (seed, ScenarioConfig fields, MissionConfig fields); 93 touches
-# down beside the cargo, yet reports done
+# name -> (seed, ScenarioConfig fields, MissionConfig fields)
 FLIGHTS = {
     "0": (0, {}, {}),
     "1": (1, {}, {}),

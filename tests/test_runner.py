@@ -410,6 +410,22 @@ def test_geofence_exclusion_aborts():
     assert summary.abort_reason == "geofence"
 
 
+def test_seed_93_lands_again_and_carries_the_cargo_from_its_top_face():
+    # its first touchdown is 0.238 m off the cargo centre, beside the top
+    # face: that adsorption fails its thrust check, and the second
+    # touchdown, on the top face, carries the cargo
+    scenario = ScenarioConfig()
+    summary, records = run_mission(scenario, MissionConfig(), seed=93)
+    assert summary.final_phase == "done" and summary.attach_success
+    assert summary.landing_error == pytest.approx(0.2384, abs=1e-4)  # the first
+    x, y, events = (LOG_COLUMNS.index(k) for k in ("true_x", "true_y", "events"))
+    touchdowns = [math.dist((row[x], row[y]), scenario.cargoes[0].position[:2])
+                  for row in records if "phase:land->adsorb" in row[events]]
+    assert len(touchdowns) == 2
+    assert touchdowns[0] == summary.landing_error
+    assert touchdowns[-1] <= scenario.cargoes[0].top_diagonal / 2.0
+
+
 FAILED_ADSORPTION = MissionConfig(adsorb_success_prob=0.0)
 
 

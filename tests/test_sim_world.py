@@ -99,9 +99,11 @@ def test_steady_wind_is_trimmed_out():
 
 
 def test_attach_raises_rotor_effort_by_mass_ratio():
-    cfg = calm_scenario(uav_start=AIRBORNE)
+    cfg = calm_scenario()
+    cfg = replace(cfg, uav_start=cfg.cargoes[0].position)  # on the top face
     world = SimWorld(cfg)
     state = world.step(world.initial_state(), np.zeros(4), 0.02)
+    assert state.on_ground
     before = state.rotor_sum_sq
     state = world.attach_cargo(state, 1.0)
     state = world.step(state, np.zeros(4), 0.02)
@@ -115,6 +117,23 @@ def test_failed_adsorption_still_takes_its_draw():
     world, twin = SimWorld(ScenarioConfig(seed=8)), SimWorld(ScenarioConfig(seed=8))
     state = world.initial_state()
     assert world.attach_cargo(state, 0.0).attached_mass == 0.0
+    twin.rng.random()
+    assert world.rng.random() == twin.rng.random()
+
+
+@pytest.mark.parametrize("grounded", [True, False])
+def test_off_the_top_face_nothing_attaches_and_one_draw_is_taken(grounded):
+    # grounded on the deck just beside the top face, or hovering 0.5 m
+    # straight above it: a sure adsorption attaches nothing
+    cfg = calm_scenario(seed=8)
+    cx, cy, top = cfg.cargoes[0].position
+    start = (cx + 0.51 * cfg.cargoes[0].top_diagonal, cy, cfg.deck_height) \
+        if grounded else (cx, cy, top + 0.5)
+    world, twin = (SimWorld(replace(cfg, uav_start=start)) for _ in range(2))
+    state = world.step(world.initial_state(), (0.0, 0.0, 0.0, 0.0), 0.02)
+    twin.step(twin.initial_state(), (0.0, 0.0, 0.0, 0.0), 0.02)
+    assert state.on_ground is grounded
+    assert world.attach_cargo(state, 1.0).attached_mass == 0.0
     twin.rng.random()
     assert world.rng.random() == twin.rng.random()
 
