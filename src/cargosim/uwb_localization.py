@@ -13,9 +13,9 @@ A flight's two label positions, each rotated into the world frame once
 by the caller, are averaged into the UAV center, and their baseline
 vector yields the UAV yaw independent of the magnetometer, or no yaw
 where the baseline fails its gate.
-Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR`` and
-``MULTILATERATE_TOL``; the range variance (:func:`range_variance`) and the
-period are the caller's.
+Fixed tuning: ``SIGMA_JERK``, ``INITIAL_POS_VAR``, ``INITIAL_VEL_VAR``,
+``MULTILATERATE_TOL`` and ``MULTILATERATE_STEPS``; the range variance
+(:func:`range_variance`) and the period are the caller's.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ SIGMA_JERK = 200.0  # m/s^3, enters through the D matrix
 INITIAL_POS_VAR = 0.25  # m^2, per axis of a fresh filter
 INITIAL_VEL_VAR = 0.25  # (m/s)^2
 MULTILATERATE_TOL = 1e-12  # m; Gauss-Newton stops on a shorter step
+MULTILATERATE_STEPS = 50  # or after this many steps
 
 
 def range_variance(sigma: float) -> float:
@@ -206,11 +207,11 @@ def yaw_from_labels(u1: Sequence[float], u2: Sequence[float], roll: float,
     return wrap_angle(math.atan2(rho1, rho2))
 
 
-def multilaterate(ranges: Sequence[float], points: Sequence[Sequence[float]],
-                  initial: np.ndarray | None = None,
-                  max_iter: int = 50) -> np.ndarray:
+def multilaterate(ranges: Sequence[float],
+                  points: Sequence[Sequence[float]]) -> np.ndarray:
     """Gauss-Newton least-squares position from one label's epoch of ranges,
-    `ranges[j]` to the anchor at `points[j]`.
+    `ranges[j]` to the anchor at `points[j]`, started just off the mean of
+    the anchors that ranged.
 
     Used to initialize the filters from the first complete epoch and as
     the raw per-epoch baseline the filtered estimate is compared against.
@@ -223,8 +224,8 @@ def multilaterate(ranges: Sequence[float], points: Sequence[Sequence[float]],
         raise SensorFault("multilateration needs at least 3 finite ranges")
     pts = np.array([p for p, _ in kept], dtype=float)
     meas = np.array([r for _, r in kept])
-    u = np.asarray(initial, dtype=float) if initial is not None else pts.mean(axis=0) + 1e-3
-    for _ in range(max_iter):
+    u = pts.mean(axis=0) + 1e-3
+    for _ in range(MULTILATERATE_STEPS):
         diff = u - pts
         dists = np.linalg.norm(diff, axis=1)
         dists = np.maximum(dists, 1e-12)
